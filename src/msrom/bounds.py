@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SubspaceHierarchy
+from .solvers import SINGULAR_REL_TOL
 from .spectral import BoundIntermediates, GramDecomposition
 
 __all__ = [
@@ -31,8 +32,6 @@ __all__ = [
     "sup_oracle",
     "ms_bound",
 ]
-
-SINGULAR_REL_TOL = 1e-12
 
 ORACLE_MAX_DIM = 6
 

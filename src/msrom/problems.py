@@ -170,9 +170,14 @@ def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
 
 
 def rhs_vector(problem: ProblemInstance, tests: TestSpace) -> np.ndarray:
-    """The vector ``d`` with ``d_j = b(z_j)``."""
+    """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
+
+    ``d = Z^T A^T M z_true`` in synthetic mode and ``Z^T M f`` otherwise.
+    """
     Z = tests.basis.columns
-    return np.array([evaluate_b(problem, Z[:, j]) for j in range(Z.shape[1])])
+    if problem.synthetic:
+        return Z.T @ (problem.operator.T @ problem.space.apply_metric(problem.z_true))
+    return Z.T @ problem.space.apply_metric(problem.functional)
 
 
 def _is_prime(q: int) -> bool:

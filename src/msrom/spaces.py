@@ -8,7 +8,7 @@ pure functions of their inputs; returned arrays are fresh and may be shared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "RankDeficient",
     "orthonormalize",
     "project",
-    "complement_frame",
 ]
 
 # A pivot below RANK_TOL times the largest input norm is treated as zero.
@@ -37,11 +36,15 @@ class AmbientSpace:
     """R^dim with inner product ``<u, v> = u^T metric v``.
 
     ``metric`` is a symmetric positive-definite matrix; ``None`` means the
-    Euclidean inner product.
+    Euclidean inner product.  The metric is factored once on construction,
+    ``metric = cholesky @ cholesky.T`` with ``cholesky`` lower triangular
+    (``None`` in the Euclidean case); a failed factorization is what rejects
+    a metric that is not positive definite.
     """
 
     dim: int
     metric: np.ndarray | None = None
+    cholesky: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if int(self.dim) < 1:
@@ -55,8 +58,10 @@ class AmbientSpace:
             if scale == 0.0 or np.max(np.abs(M - M.T)) > _METRIC_SYM_TOL * scale:
                 raise ValueError("metric must be symmetric")
             M = 0.5 * (M + M.T)
-            if np.linalg.eigvalsh(M).min() <= 0.0:
-                raise ValueError("metric must be positive definite")
+            try:
+                self.cholesky = np.linalg.cholesky(M)
+            except np.linalg.LinAlgError:
+                raise ValueError("metric must be positive definite") from None
             self.metric = M
 
     @property
@@ -119,32 +124,42 @@ def _as_columns(vectors) -> np.ndarray:
 
 
 def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
-    """Modified Gram-Schmidt with one re-orthogonalization pass.
+    """Metric-orthonormal basis of the vectors' span, in the given order.
 
-    Processes vectors in the given order and raises :class:`RankDeficient`
-    when a pivot norm falls below ``RANK_TOL`` times the largest input norm.
+    One Householder QR of ``cholesky.T @ V`` (of ``V`` itself for the
+    Euclidean case), signs chosen so that ``R_jj > 0``, and ``Q = cholesky^-T
+    Q~``: column j is then what Gram-Schmidt makes of vector j, up to
+    rounding.  Raises :class:`RankDeficient` at the first pivot ``|R_jj|`` at
+    or below ``RANK_TOL`` times the largest input norm, and when there are
+    more vectors than dimensions.  No vectors give an empty frame.
     """
     V = _as_columns(vectors)
-    if V.shape[0] != space.dim:
-        raise ValueError(f"vectors live in R^{V.shape[0]}, space has dim {space.dim}")
-    k = V.shape[1]
-    input_norms = [space.norm(V[:, j]) for j in range(k)]
-    tol = RANK_TOL * max(input_norms, default=0.0)
-    basis: list[np.ndarray] = []
-    for j in range(k):
-        v = V[:, j].copy()
-        for _ in range(2):
-            for q in basis:
-                v -= space.inner(q, v) * q
-        nrm = space.norm(v)
-        if nrm <= tol:
-            raise RankDeficient(
-                f"input vector {j} is numerically dependent on its predecessors "
-                f"(pivot norm {nrm:.3e}, tolerance {tol:.3e})"
-            )
-        basis.append(v / nrm)
-    cols = np.column_stack(basis) if basis else np.zeros((space.dim, 0))
-    return OrthonormalFrame(space, cols)
+    N, k = V.shape
+    if N != space.dim:
+        raise ValueError(f"vectors live in R^{N}, space has dim {space.dim}")
+    if k == 0:
+        return OrthonormalFrame(space, np.zeros((N, 0)))
+    if k > N:
+        raise RankDeficient(
+            f"input vector {N} is numerically dependent on its predecessors "
+            f"({k} vectors in R^{N})"
+        )
+    L = space.cholesky
+    B = V if L is None else L.T @ V
+    Q, R = np.linalg.qr(B)
+    pivots = np.diag(R)
+    tol = RANK_TOL * float(np.linalg.norm(B, axis=0).max())
+    small = np.flatnonzero(np.abs(pivots) <= tol)
+    if small.size:
+        j = int(small[0])
+        raise RankDeficient(
+            f"input vector {j} is numerically dependent on its predecessors "
+            f"(pivot norm {abs(pivots[j]):.3e}, tolerance {tol:.3e})"
+        )
+    Q *= np.where(pivots < 0.0, -1.0, 1.0)
+    if L is not None:
+        Q = np.linalg.solve(L.T, Q)
+    return OrthonormalFrame(space, Q)
 
 
 def project(v, frame: OrthonormalFrame) -> tuple[np.ndarray, float]:
@@ -160,36 +175,3 @@ def project(v, frame: OrthonormalFrame) -> tuple[np.ndarray, float]:
     coeffs = frame.columns.T @ space.apply_metric(v)
     inside = frame.columns @ coeffs
     return inside, space.norm(v - inside)
-
-
-def complement_frame(frame: OrthonormalFrame) -> OrthonormalFrame:
-    """Orthonormal basis of the metric-orthogonal complement of the span.
-
-    Completes the frame with standard basis vectors in index order, so the
-    result is deterministic.  A frame that already spans the whole space
-    yields an empty frame (zero columns); that is a valid answer, not an
-    error.
-    """
-    space = frame.space
-    N, k = space.dim, frame.n_columns
-    if k >= N:
-        return OrthonormalFrame(space, np.zeros((N, 0)))
-    existing = [frame.columns[:, j] for j in range(k)]
-    out: list[np.ndarray] = []
-    for i in range(N):
-        v = np.zeros(N)
-        v[i] = 1.0
-        base = space.norm(v)
-        for _ in range(2):
-            for q in existing:
-                v -= space.inner(q, v) * q
-            for q in out:
-                v -= space.inner(q, v) * q
-        nrm = space.norm(v)
-        if nrm > RANK_TOL * base:
-            out.append(v / nrm)
-            if len(out) == N - k:
-                break
-    if len(out) != N - k:
-        raise RankDeficient("failed to complete the frame to a full basis")
-    return OrthonormalFrame(space, np.column_stack(out))

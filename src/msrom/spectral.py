@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import RieszFamily, SubspaceHierarchy
-from .spaces import OrthonormalFrame, complement_frame
+from .spaces import OrthonormalFrame
 
 __all__ = [
     "LengthMismatch",
@@ -118,15 +118,20 @@ def gamma(riesz: RieszFamily, trial: OrthonormalFrame) -> float:
     """Largest coupling of the representers with the trial complement.
 
     Equals ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| = 1 }``,
-    computed as the top singular value of the coupling matrix against an
-    orthonormal complement basis.  Returns 0 when every representer lies in
-    the trial span (in particular when the trial space fills the whole space).
+    the metric operator norm of the representers' component orthogonal to
+    the trial span, ``(I - W W^T M) R``.  Computed as the top singular value
+    of ``L^T (R - W (W^T M R))`` with ``M = L L^T`` the metric's Cholesky
+    factorization (``L`` drops out for the Euclidean metric).  Returns 0 when
+    the trial space fills the whole space or there are no representers.
     """
-    comp = complement_frame(trial)
-    if comp.n_columns == 0 or riesz.m == 0:
+    space = trial.space
+    if trial.n_columns >= space.dim or riesz.m == 0:
         return 0.0
-    C = riesz.vectors.T @ trial.space.apply_metric(comp.columns)
-    return float(np.linalg.svd(C, compute_uv=False)[0])
+    W, R = trial.columns, riesz.vectors
+    P = R - W @ (W.T @ space.apply_metric(R))
+    if space.cholesky is not None:
+        P = space.cholesky.T @ P
+    return float(np.linalg.svd(P, compute_uv=False)[0])
 
 
 def deltas(

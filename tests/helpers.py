@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: feasible
 points come from direct tail clipping, reference minimizers from scipy's
-SLSQP, reference projections from sampling plus polish.  Agreement between
+SLSQP, reference projections from sampling plus polish, orthonormal and
+complement bases from vector-loop Gram-Schmidt.  Agreement between
 these routines and the package is then evidence, not a tautology.
 """
 
@@ -11,7 +12,17 @@ import itertools
 import numpy as np
 from scipy.optimize import minimize
 
-from msrom import gram_matrix, rhs_vector, riesz_representers, synth_prescribed
+from msrom import (
+    OrthonormalFrame,
+    RankDeficient,
+    gram_matrix,
+    rhs_vector,
+    riesz_representers,
+    synth_prescribed,
+)
+
+# a Gram-Schmidt pivot below this times the reference norm counts as zero
+GS_RANK_TOL = 1e-10
 
 
 def random_orthogonal(rng, n):
@@ -24,6 +35,66 @@ def random_spd(rng, dim, spread=4.0):
     q = random_orthogonal(rng, dim)
     eigs = np.exp(rng.uniform(-np.log(spread), np.log(spread), size=dim))
     return (q * eigs) @ q.T
+
+
+def metric_of(space):
+    return space.metric if space.metric is not None else np.eye(space.dim)
+
+
+def metric_norm(M, v):
+    return float(np.sqrt(max(v @ M @ v, 0.0)))
+
+
+def mgs_orthonormalize(V, space):
+    """Two-pass modified Gram-Schmidt of the columns of V in the metric.
+
+    Returns the (N, k) matrix of metric-orthonormal columns; raises
+    RankDeficient when a pivot drops to GS_RANK_TOL times the largest input
+    norm.
+    """
+    M = metric_of(space)
+    V = np.asarray(V, dtype=float)
+    tol = GS_RANK_TOL * max((metric_norm(M, v) for v in V.T), default=0.0)
+    basis = []
+    for j in range(V.shape[1]):
+        v = V[:, j].copy()
+        for _ in range(2):
+            for q in basis:
+                v -= (q @ M @ v) * q
+        nrm = metric_norm(M, v)
+        if nrm <= tol:
+            raise RankDeficient(f"input vector {j} is dependent")
+        basis.append(v / nrm)
+    return np.column_stack(basis) if basis else np.zeros((V.shape[0], 0))
+
+
+def complement_frame(frame):
+    """Metric-orthonormal basis of the complement of the frame's span.
+
+    Completes the frame with standard basis vectors in index order by
+    two-pass Gram-Schmidt; a frame that fills the space gives zero columns.
+    """
+    space = frame.space
+    M = metric_of(space)
+    N, k = space.dim, frame.n_columns
+    existing = [frame.columns[:, j] for j in range(k)]
+    out = []
+    for i in range(N):
+        if len(out) == N - k:
+            break
+        v = np.zeros(N)
+        v[i] = 1.0
+        base = float(np.sqrt(M[i, i]))
+        for _ in range(2):
+            for q in existing + out:
+                v -= (q @ M @ v) * q
+        nrm = metric_norm(M, v)
+        if nrm > GS_RANK_TOL * base:
+            out.append(v / nrm)
+    if len(out) != N - k:
+        raise RankDeficient("failed to complete the frame to a full basis")
+    cols = np.column_stack(out) if out else np.zeros((N, 0))
+    return OrthonormalFrame(space, cols)
 
 
 def descending(rng, size, low, high):

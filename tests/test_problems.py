@@ -66,6 +66,19 @@ def test_evaluate_b_linearity():
     assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
 
+@pytest.mark.parametrize("synthetic", [True, False])
+def test_rhs_vector_matches_columnwise_evaluate_b(synthetic):
+    rng = np.random.default_rng(4)
+    space = AmbientSpace(7, random_spd(rng, 7))
+    rhs = {"z_true" if synthetic else "functional": rng.standard_normal(7)}
+    problem = ProblemInstance(space, rng.standard_normal((7, 7)), **rhs)
+    tests = TestSpace(orthonormalize(rng.standard_normal((7, 5)), space))
+    d = rhs_vector(problem, tests)
+    want = [evaluate_b(problem, tests.basis.columns[:, j]) for j in range(5)]
+    assert d.shape == (5,)
+    assert np.max(np.abs(d - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def test_riesz_identity_operator():
     rng = np.random.default_rng(2)
     space = AmbientSpace(4)

@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_spd
+from helpers import complement_frame, mgs_orthonormalize, random_spd
 from msrom import (
     AmbientSpace,
     OrthonormalFrame,
     RankDeficient,
-    complement_frame,
     orthonormalize,
     project,
 )
@@ -29,6 +28,20 @@ def test_metric_must_be_symmetric():
 def test_metric_must_be_positive_definite():
     with pytest.raises(ValueError):
         AmbientSpace(2, np.diag([1.0, -1.0]))
+
+
+def test_metric_must_not_be_only_semidefinite():
+    with pytest.raises(ValueError, match="positive definite"):
+        AmbientSpace(2, np.diag([1.0, 0.0]))
+
+
+def test_metric_cholesky_factor():
+    rng = np.random.default_rng(6)
+    M = random_spd(rng, 5)
+    L = AmbientSpace(5, M).cholesky
+    assert np.allclose(L, np.tril(L))
+    assert np.max(np.abs(L @ L.T - M)) <= 1e-12 * np.max(np.abs(M))
+    assert AmbientSpace(5).cholesky is None
 
 
 def test_norm_zero_only_at_zero():
@@ -64,6 +77,38 @@ def test_orthonormalize_rejects_dependent_input():
     v = np.array([1.0, 2.0, 0.0])
     with pytest.raises(RankDeficient):
         orthonormalize([v, 2.0 * v], space)
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_orthonormalize_matches_gram_schmidt_reference(with_metric):
+    rng = np.random.default_rng(7 if with_metric else 8)
+    for _ in range(20):
+        N = int(rng.integers(1, 13))
+        k = int(rng.integers(1, N + 1))
+        space = AmbientSpace(N, random_spd(rng, N) if with_metric else None)
+        V = rng.standard_normal((N, k)) * float(rng.uniform(0.1, 10.0))
+        frame = orthonormalize(V, space)
+        assert np.max(np.abs(frame.columns - mgs_orthonormalize(V, space))) <= 1e-12
+
+
+def test_orthonormalize_reports_first_dependent_index():
+    rng = np.random.default_rng(9)
+    a, b, c = rng.standard_normal((3, 5))
+    for metric in (None, random_spd(rng, 5)):
+        with pytest.raises(RankDeficient, match="input vector 2 "):
+            orthonormalize([a, b, a + b, c], AmbientSpace(5, metric))
+
+
+def test_orthonormalize_rejects_more_vectors_than_dimensions():
+    rng = np.random.default_rng(10)
+    with pytest.raises(RankDeficient):
+        orthonormalize(rng.standard_normal((3, 4)), AmbientSpace(3))
+
+
+def test_orthonormalize_no_vectors_gives_empty_frame():
+    frame = orthonormalize(np.zeros((4, 0)), AmbientSpace(4))
+    assert frame.n_columns == 0
+    assert frame.columns.shape == (4, 0)
 
 
 def test_orthonormalize_preserves_span():

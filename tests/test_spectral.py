@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, random_orthogonal, random_spd, sweep_instance
+from helpers import (
+    complement_frame,
+    descending,
+    random_orthogonal,
+    random_spd,
+    sweep_instance,
+)
 from msrom import (
     AmbientSpace,
     BoundIntermediates,
@@ -13,7 +19,6 @@ from msrom import (
     RieszFamily,
     SubspaceHierarchy,
     adapted_bases,
-    complement_frame,
     decompose,
     deltas,
     flat_orthogonal,
@@ -157,6 +162,30 @@ def test_gamma_zero_when_representers_in_span():
     trial = orthonormalize(rng.standard_normal((6, 3)), space)
     riesz = RieszFamily(trial.columns @ rng.standard_normal((3, 4)))
     assert gamma(riesz, trial) <= 1e-12
+
+
+def test_gamma_matches_complement_basis_oracle():
+    rng = np.random.default_rng(12)
+    for i in range(40):
+        N = int(rng.integers(2, 13))
+        n = int(rng.integers(1, N))
+        m = int(rng.integers(1, 7))
+        space = AmbientSpace(N, random_spd(rng, N) if i % 2 else None)
+        trial = orthonormalize(rng.standard_normal((N, n)), space)
+        riesz = RieszFamily(rng.standard_normal((N, m)))
+        comp = complement_frame(trial)
+        C = riesz.vectors.T @ space.apply_metric(comp.columns)
+        want = np.linalg.svd(C, compute_uv=False)[0]
+        assert abs(gamma(riesz, trial) - want) <= 1e-12 * want
+
+
+def test_gamma_zero_without_complement_or_representers():
+    rng = np.random.default_rng(13)
+    space = AmbientSpace(4, random_spd(rng, 4))
+    full = orthonormalize(rng.standard_normal((4, 4)), space)
+    assert gamma(RieszFamily(rng.standard_normal((4, 3))), full) == 0.0
+    trial = orthonormalize(rng.standard_normal((4, 2)), space)
+    assert gamma(RieszFamily(np.zeros((4, 0))), trial) == 0.0
 
 
 def test_gamma_orthonormal_representers_bounded_by_one():
