@@ -25,11 +25,10 @@ from .problems import (
     example1,
     example2,
     flat_orthogonal,
-    riesz_representers,
     synth_prescribed,
 )
-from .solvers import SingularSystem, SolverOptions, error_norm, solve_ms, solve_pg
-from .spectral import decompose, deltas, gamma, gram_matrix
+from .solvers import SingularSystem, SolverOptions, _assembled, error_norm, solve_ms, solve_pg
+from .spectral import deltas, gamma
 
 __all__ = [
     "ParseError",
@@ -146,30 +145,16 @@ def _solver_options(doc) -> SolverOptions:
     raw = doc.get("solver", {})
     if not isinstance(raw, dict):
         raise ValidationError("field 'solver' must be an object")
-    allowed = {
-        "max_iterations",
-        "gradient_tolerance",
-        "dykstra_iterations",
-        "dykstra_tolerance",
-    }
-    unknown = set(raw) - allowed
+    kinds = {"max_iterations": int, "gradient_tolerance": float}
+    unknown = set(raw) - set(kinds)
     if unknown:
         raise ValidationError(f"unknown solver option(s): {sorted(unknown)}")
-    kwargs = {}
-    for key in ("max_iterations", "dykstra_iterations"):
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"solver option {key!r} must be an integer")
-            kwargs[key] = value
-    for key in ("gradient_tolerance", "dykstra_tolerance"):
-        if key in raw:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValidationError(f"solver option {key!r} must be a number")
-            kwargs[key] = float(value)
+    for key, value in raw.items():
+        if isinstance(value, bool) or not isinstance(value, (int, kinds[key])):
+            label = "an integer" if kinds[key] is int else "a number"
+            raise ValidationError(f"solver option {key!r} must be {label}")
     try:
-        return SolverOptions(**kwargs)
+        return SolverOptions(**{key: kinds[key](value) for key, value in raw.items()})
     except ValueError as exc:
         raise ValidationError(f"invalid solver options: {exc}") from exc
 
@@ -356,23 +341,21 @@ def run_instance(
     MultiSliceSolution, and the Gram decomposition used for the bounds.
     """
     trial = hierarchy.basis
-    riesz = riesz_representers(problem, tests)
-    decomp = decompose(gram_matrix(riesz, trial))
-    gam = gamma(riesz, trial)
     if tau_mode == "known":
         if hierarchy.distances is None:
             raise ValidationError("tau_mode 'known' needs the true distance profile")
         profile = hierarchy.distances
     else:
         profile = hierarchy.widths
-    inter = deltas(decomp, hierarchy, profile, gamma=gam)
-
-    try:
-        pg_point, _ = solve_pg(problem, trial, tests)
-        actual_pg = error_norm(pg_point, problem) if problem.synthetic else None
-    except SingularSystem:
-        actual_pg = None
-    solution = solve_ms(problem, hierarchy, tests, options)
+    # one assembly and one SVD of G serve the bounds and both projectors
+    with _assembled(problem, trial, tests) as (riesz, _, decomp):
+        inter = deltas(decomp, hierarchy, profile, gamma=gamma(riesz, trial))
+        try:
+            pg_point, _ = solve_pg(problem, trial, tests)
+            actual_pg = error_norm(pg_point, problem) if problem.synthetic else None
+        except SingularSystem:
+            actual_pg = None
+        solution = solve_ms(problem, hierarchy, tests, options)
     actual_ms = error_norm(solution.point, problem) if problem.synthetic else None
     report = ms_bound(
         decomp,

@@ -1,24 +1,25 @@
 """Projectors onto the trial space: classical and slice-constrained.
 
-``solve_pg`` solves the square test/trial system (least squares when there
-are more tests than trial directions).  ``solve_ms`` minimizes the same
-residual subject to the nested tail-norm constraints ``dist(h, V_k) <= eps_k``.
-That program is a convex quadratic over an intersection of centered
-cylinders; it is solved by a primal-dual active-set method (Newton on the
-working-set multipliers) with a safeguarded accelerated projected-gradient
-fallback whose projection step runs Dykstra's alternating scheme
-(:func:`project_slices`).
+Both read one assembly per instance: the load vector ``d`` and the SVD of
+the test/trial Gram matrix ``G``.  ``solve_pg`` returns the least-squares
+solution of ``G c = d``.  ``solve_ms`` minimizes the same residual subject to
+the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
+over an intersection of centered cylinders, by a primal-dual active-set method
+(Newton on the working-set multipliers) with an accelerated projected-gradient
+fallback whose projection step, :func:`project_slices`, is exact and finite.
 """
 
 from __future__ import annotations
 
+import contextlib
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, SubspaceHierarchy, TestSpace, riesz_representers, rhs_vector
+from .problems import ProblemInstance, SubspaceHierarchy, TestSpace, rhs_vector, riesz_representers
 from .spaces import OrthonormalFrame
-from .spectral import gram_matrix
+from .spectral import GramDecomposition, decompose, gram_matrix
 
 __all__ = [
     "SingularSystem",
@@ -50,22 +51,19 @@ class TruthUnavailable(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budgets and tolerances for :func:`solve_ms`.
+    """Iteration budget and stall tolerance for :func:`solve_ms`.
 
-    ``gradient_tolerance`` acts on the relative cost decrease of the
-    fallback iteration; ``dykstra_*`` control the inner projection loop.
+    ``max_iterations`` caps the projected-gradient fallback;
+    ``gradient_tolerance`` is the relative cost decrease below which a
+    fallback step counts as stalled.
     """
 
     max_iterations: int = 50_000
     gradient_tolerance: float = 1e-10
-    dykstra_iterations: int = 200
-    dykstra_tolerance: float = 1e-12
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1 or self.dykstra_iterations < 1:
-            raise ValueError("iteration budgets must be positive")
-        if self.gradient_tolerance <= 0.0 or self.dykstra_tolerance <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iterations < 1 or self.gradient_tolerance <= 0.0:
+            raise ValueError("max_iterations and gradient_tolerance must be positive")
 
 
 @dataclass(eq=False)
@@ -87,15 +85,45 @@ class MultiSliceSolution:
     non_unique_hint: bool = False
 
 
-def _assemble(
-    problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace
-) -> tuple[np.ndarray, np.ndarray]:
+# The innermost `_assembled` block's (problem, trial, tests) and their assembly.
+_lent = ContextVar("msrom_lent_system", default=((None,) * 3, None))
+
+
+def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace):
+    """``(riesz, d, decomp)``: the representers, the load vector and the SVD of ``G``."""
+    objects, system = _lent.get()
+    if all(a is b for a, b in zip(objects, (problem, trial, tests))):
+        return system
     if tests.m < trial.n_columns:
         raise ValueError(
             f"need at least as many tests as trial directions (m={tests.m}, n={trial.n_columns})"
         )
     riesz = riesz_representers(problem, tests)
-    return gram_matrix(riesz, trial), rhs_vector(problem, tests)
+    return riesz, rhs_vector(problem, tests), decompose(gram_matrix(riesz, trial))
+
+
+@contextlib.contextmanager
+def _assembled(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace):
+    """Assemble once; ``solve_pg`` and ``solve_ms`` on the same three objects
+    inside the block reuse it instead of assembling and factoring ``G`` again."""
+    system = _assemble(problem, trial, tests)
+    token = _lent.set(((problem, trial, tests), system))
+    try:
+        yield system
+    finally:
+        _lent.reset(token)
+
+
+def _singular(sigma: np.ndarray) -> bool:
+    return sigma.size > 0 and bool(sigma[-1] <= SINGULAR_REL_TOL * sigma[0])
+
+
+def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
+    """``X diag(sigma)^+ U^T d`` with ``lstsq``'s cutoff ``eps * max(m, n) * sigma_1``."""
+    m, n = decomp.G.shape
+    cutoff = np.finfo(float).eps * max(m, n) * np.max(decomp.sigma, initial=0.0)
+    inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=decomp.sigma > cutoff)
+    return decomp.X @ (inverse * (decomp.U[:, :n].T @ d))
 
 
 def solve_pg(
@@ -107,27 +135,28 @@ def solve_pg(
     system whose smallest singular value is below ``SINGULAR_REL_TOL`` times
     the largest.
     """
-    G, d = _assemble(problem, trial, tests)
-    m, n = G.shape
-    if n > 0:
-        s = np.linalg.svd(G, compute_uv=False)
-        if m == n and s[-1] <= SINGULAR_REL_TOL * s[0]:
-            raise SingularSystem(
-                f"smallest singular value {s[-1]:.3e} below {SINGULAR_REL_TOL} * {s[0]:.3e}"
-            )
-    coeffs = np.linalg.lstsq(G, d, rcond=None)[0]
+    _, d, decomp = _assemble(problem, trial, tests)
+    m, n = decomp.G.shape
+    s = decomp.sigma
+    if m == n and _singular(s):
+        raise SingularSystem(
+            f"smallest singular value {s[-1]:.3e} below {SINGULAR_REL_TOL} * {s[0]:.3e}"
+        )
+    coeffs = _least_squares(decomp, d)
     return trial.columns @ coeffs, coeffs
 
 
-def project_slices(
-    c, widths, *, max_rounds: int = 200, tol: float = 1e-12
-) -> np.ndarray:
+def project_slices(c, widths) -> np.ndarray:
     """Euclidean projection onto ``{x : ||x[k:]|| <= widths[k], k = 0..n-1}``.
 
-    Dykstra's alternating projections over the tail-norm cylinders; the final
-    width entry constrains an empty tail and is ignored, and infinite widths
-    are skipped.  Terminates when a full sweep moves the iterate by less than
-    ``tol`` relative to the input scale.
+    The projection scales each entry by a factor in [0, 1] that does not grow
+    toward the tail; in the squared entries it is a separable convex problem
+    under nested tail-sum caps (the squared running minimum of the widths),
+    solved exactly by backward pool-adjacent-violators (Barlow et al. 1972;
+    Robertson, Wright and Dykstra 1988).  Walking from the tail, a block gets
+    the squared factor ``min(1, (cap at its head - mass behind it) / its
+    squared mass)`` and merges with its tail neighbour while its factor is the
+    smaller.  The final width entry is ignored; infinite widths never bind.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
@@ -136,35 +165,22 @@ def project_slices(
         raise ValueError(f"widths must have length n+1 = {n + 1}, got {widths.shape}")
     if np.any(np.isnan(widths)) or np.any(widths < 0.0):
         raise InfeasibleWidths("widths must be nonnegative")
-    ks = [k for k in range(n) if np.isfinite(widths[k])]
-    if not ks:
-        return c.copy()
-    x = c.copy()
-    corrections = np.zeros((len(ks), n))
-    scale = max(1.0, float(np.max(np.abs(c))) if n else 1.0)
-    for _ in range(max_rounds):
-        x_prev = x
-        for i, k in enumerate(ks):
-            y = x + corrections[i]
-            t = float(np.linalg.norm(y[k:]))
-            if t > widths[k]:
-                z = y.copy()
-                z[k:] *= widths[k] / t
-            else:
-                z = y
-            corrections[i] = y - z
-            x = z
-        if float(np.max(np.abs(x - x_prev))) <= tol * scale:
-            break
-    # The sweep-increment stop can leave the iterate marginally outside a
-    # slowly resolving face.  One head-first clip pass restores exact
-    # feasibility: shrinking the tail block at k never grows an earlier tail
-    # norm, so a single downward sweep lands inside every cylinder.
-    for k in ks:
-        t = float(np.linalg.norm(x[k:]))
-        if t > widths[k]:
-            x[k:] *= 0.0 if widths[k] == 0.0 else widths[k] / t
-    return x
+    caps = (np.minimum.accumulate(widths[:n]) ** 2).tolist()
+    blocks = []  # [head index, squared mass, mass behind it, squared factor], tail first
+    for j in range(n - 1, -1, -1):
+        mass = float(c[j]) ** 2
+        behind = blocks[-1][2] + blocks[-1][1] * blocks[-1][3] if blocks else 0.0
+        # a massless block never merges: the running minimum keeps behind <= caps[j]
+        factor = min(1.0, (caps[j] - behind) / mass) if mass > 0.0 else 1.0
+        while blocks and factor < blocks[-1][3]:
+            _, tail_mass, behind, _ = blocks.pop()
+            mass += tail_mass
+            factor = min(1.0, (caps[j] - behind) / mass)
+        blocks.append([j, mass, behind, factor])
+    factors = np.empty(n)
+    for head, _, _, factor in reversed(blocks):  # each block overwrites its own tail
+        factors[head:] = factor
+    return c * np.sqrt(factors)
 
 
 def _newton_working_set(H, h, eps, active, c_ls):
@@ -282,39 +298,34 @@ def _active_set_solve(H, h, eps, finite_ks, seed_set, c_ls):
     return None
 
 
-def _solve_core(G, d, eps, opts: SolverOptions, x_init):
-    """Minimize ``||G c - d||^2`` over the slice cylinders.
+def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
+    """Minimize ``||G c - d||^2`` over the slice cylinders, ``G = decomp.G``.
 
     ``eps`` has length n+1 with all entries for k < n strictly positive
     (zero widths are eliminated by the caller).  Returns
     ``(c, iterations, converged, kkt_residual)``.
     """
-    m, n = G.shape
+    G = decomp.G
+    n = G.shape[1]
     if n == 0:
         return np.zeros(0), 0, True, 0.0
     H = G.T @ G
     h = G.T @ d
-    svals = np.linalg.svd(G, compute_uv=False)
-    s1 = float(svals[0])
+    s1 = float(decomp.sigma[0])
     finite_ks = [k for k in range(n) if np.isfinite(eps[k])]
     if s1 == 0.0:
         # flat cost surface; the origin is feasible and optimal
         return np.zeros(n), 0, True, 0.0
     eta = 1.0 / (2.0 * s1 * s1)
-    c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
+    c_ls = _least_squares(decomp, d)
 
     def cost(c):
         r = G @ c - d
         return float(r @ r)
 
-    def proj(c):
-        return project_slices(
-            c, eps, max_rounds=opts.dykstra_iterations, tol=opts.dykstra_tolerance
-        )
-
     def prox_residual(c):
         g = 2.0 * (H @ c - h)
-        return float(np.linalg.norm(c - proj(c - eta * g)) / eta)
+        return float(np.linalg.norm(c - project_slices(c - eta * g, eps)) / eta)
 
     def feasible_loose(c):
         return all(
@@ -331,7 +342,7 @@ def _solve_core(G, d, eps, opts: SolverOptions, x_init):
     ):
         return c_ls, 0, True, prox_residual(c_ls)
 
-    x0 = proj(c_ls if x_init is None else np.asarray(x_init, dtype=float))
+    x0 = project_slices(c_ls if x_init is None else np.asarray(x_init, dtype=float), eps)
 
     def near_active(c):
         return [
@@ -363,7 +374,7 @@ def _solve_core(G, d, eps, opts: SolverOptions, x_init):
     while it < opts.max_iterations:
         it += 1
         grad_y = 2.0 * (H @ y - h)
-        x_new = proj(y - eta * grad_y)
+        x_new = project_slices(y - eta * grad_y, eps)
         f_new = cost(x_new)
         if f_new > fx:
             y = x_new.copy()
@@ -423,18 +434,17 @@ def solve_ms(
     eps = np.asarray(hierarchy.widths, dtype=float)
     if np.any(np.isnan(eps)) or np.any(eps < 0.0):
         raise InfeasibleWidths("widths must be nonnegative")
-    G, d = _assemble(problem, trial, tests)
-    svals = np.linalg.svd(G, compute_uv=False) if n > 0 else np.zeros(1)
-    hint = bool(svals[-1] <= SINGULAR_REL_TOL * svals[0]) if n > 0 else False
+    _, d, decomp = _assemble(problem, trial, tests)
+    G = decomp.G
 
-    # a zero width pins every coordinate from that index on
+    # a zero width pins every coordinate from that index on; only then does
+    # the reduced matrix need an SVD of its own
     zero_idx = np.nonzero(eps[:n] == 0.0)[0]
     n_free = int(zero_idx[0]) if zero_idx.size else n
+    reduced = decomp if n_free == n else decompose(G[:, :n_free])
     reduced_eps = np.concatenate([eps[:n_free], [0.0]])
     reduced_init = None if initial is None else np.asarray(initial, dtype=float)[:n_free]
-    c_red, iterations, converged, kkt = _solve_core(
-        G[:, :n_free], d, reduced_eps, opts, reduced_init
-    )
+    c_red, iterations, converged, kkt = _solve_core(reduced, d, reduced_eps, opts, reduced_init)
     coeffs = np.zeros(n)
     coeffs[:n_free] = c_red
     residual = G @ coeffs - d
@@ -445,7 +455,7 @@ def solve_ms(
         iterations=int(iterations),
         converged=bool(converged),
         kkt_residual=float(kkt),
-        non_unique_hint=hint,
+        non_unique_hint=_singular(decomp.sigma),
     )
 
 

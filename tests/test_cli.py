@@ -109,12 +109,13 @@ def test_parse_tau_mode_values():
 
 
 def test_parse_solver_overrides():
-    cfg = parse_config(example1_doc(solver={"max_iterations": 1000, "dykstra_tolerance": 1e-10}))
+    cfg = parse_config(example1_doc(solver={"max_iterations": 1000, "gradient_tolerance": 1e-8}))
     assert cfg.solver.max_iterations == 1000
-    assert cfg.solver.dykstra_tolerance == 1e-10
-    assert cfg.solver.gradient_tolerance == 1e-10  # untouched default
+    assert cfg.solver.gradient_tolerance == 1e-8
     with pytest.raises(ValidationError, match="solver"):
         parse_config(example1_doc(solver={"step_size": 0.1}))
+    with pytest.raises(ValidationError, match="solver"):
+        parse_config(example1_doc(solver={"dykstra_tolerance": 1e-10}))
     with pytest.raises(ValidationError, match="solver"):
         parse_config(example1_doc(solver={"max_iterations": 0}))
 
@@ -270,6 +271,18 @@ def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     assert run_experiment(cfg, quiet=True) == 2
     (row,) = read_rows(out)
     assert row["converged"] == "false"
+
+
+@pytest.mark.parametrize("seed", [3463, 6339, 6662])
+def test_sweep_seeds_that_stalled_the_fallback_converge(tmp_path, seed):
+    # with an inexact projection these solves ended on a stalled fallback
+    out = tmp_path / "sweep.csv"
+    doc = {"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": seed, "output_path": str(out)}
+    cfg = parse_config(json.dumps(doc))
+    assert run_experiment(cfg, quiet=True) == 0
+    (row,) = read_rows(out)
+    assert row["converged"] == "true"
+    assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
 
 
 # ------------------------------------------------------------------ CLI shell

@@ -9,7 +9,9 @@ from helpers import (
     brute_force_projection,
     clip_to_feasible,
     descending,
+    dykstra_projection,
     random_feasible,
+    random_spd,
     random_orthogonal,
     square_instance,
     sweep_instance,
@@ -23,11 +25,13 @@ from msrom import (
     SubspaceHierarchy,
     TestSpace,
     TruthUnavailable,
+    decompose,
     error_norm,
     gamma,
     project,
     project_slices,
     riesz_representers,
+    run_instance,
     solve_ms,
     solve_pg,
     synth_prescribed,
@@ -115,6 +119,35 @@ def test_project_slices_output_feasible(seed):
     assert np.max(np.abs(again - out)) <= 1e-10
 
 
+def slice_case(rng, n):
+    """A point and n + 1 unsorted widths that bite, some infinite, some zero."""
+    c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    c[rng.random(n) < 0.15] = 0.0
+    widths = np.append(tail_norms(c) * rng.uniform(0.0, 1.3, size=n), rng.uniform(0.0, 1.0))
+    widths[rng.random(n + 1) < 0.15] = np.inf
+    widths[rng.random(n + 1) < 0.08] = 0.0
+    return c, widths
+
+
+def test_project_slices_matches_dykstra_oracle():
+    rng = np.random.default_rng(19)
+    cases = [slice_case(rng, int(rng.integers(1, 14))) for _ in range(2000)]
+    # one large case without zero widths, which would pin most of it
+    c = rng.standard_normal(200)
+    widths = np.append(tail_norms(c) * rng.uniform(0.3, 1.2, size=200), 0.0)
+    widths[rng.random(201) < 0.1] = np.inf
+    cases.append((c, widths))
+    for c, widths in cases:
+        n = c.shape[0]
+        scale = max(1.0, float(np.max(np.abs(c))))
+        out = project_slices(c, widths)
+        ref = dykstra_projection(c, widths)
+        assert np.max(np.abs(out - ref)) <= 1e-10 * scale
+        assert np.all(tail_norms(out) <= widths[:n] + 1e-14 * scale)
+        # the oracle is feasible, so only rounding may put it nearer to c
+        assert np.linalg.norm(out - c) <= np.linalg.norm(ref - c) + 1e-14 * scale
+
+
 # ------------------------------------------------------------------ plain PG
 
 
@@ -175,6 +208,23 @@ def test_solve_pg_least_squares_when_overdetermined():
     # normal equations of the least-squares formulation
     grad = G.T @ (G @ coeffs - d)
     assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, np.linalg.norm(d))
+
+
+@pytest.mark.parametrize("m, sigma_n", [(5, 1e-6), (8, 0.0)])
+def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
+    # a tall system with sigma_n = 0 has no square singularity: PG is the
+    # minimum-norm least-squares solution, as numpy's lstsq cutoff gives it
+    rng = np.random.default_rng(7)
+    n = 5
+    sigma = np.array([1.0, 0.6, 0.3, 0.1, sigma_n])
+    tau = descending(rng, n + 1, 1e-3, 1.2)
+    problem, hierarchy, tests = synth_prescribed(
+        n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=9
+    )
+    _, coeffs = solve_pg(problem, hierarchy.basis, tests)
+    G, d = assemble(problem, hierarchy, tests)
+    want = np.linalg.lstsq(G, d, rcond=None)[0]
+    assert np.max(np.abs(coeffs - want)) <= 1e-8 * np.max(np.abs(want))
 
 
 def test_rejects_fewer_tests_than_trial_directions():
@@ -321,6 +371,54 @@ def test_solve_ms_rejects_bad_widths():
     hierarchy.widths[0] = -1.0  # bypasses construction-time validation
     with pytest.raises(InfeasibleWidths):
         solve_ms(problem, hierarchy, tests)
+
+
+def threaded_instance(kind):
+    """One instance per path of the shared assembly, by ``kind``."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    n = 6
+    m = 9 if kind == "tall" else n
+    N = n + m + 4
+    sigma = descending(rng, n, 0.05, 1.0)
+    sigma[0] = 1.0
+    if kind == "singular":
+        sigma[-1] = 0.0
+    tau = descending(rng, n + 1, 1e-3, 1.2)
+    if kind == "zero_width":
+        tau[3:] = 0.0  # widths equal distances, so eps_3 = 0 pins the tail
+    metric = random_spd(rng, N) if kind == "metric" else None
+    return synth_prescribed(
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=5, metric=metric
+    )
+
+
+@pytest.mark.parametrize("kind", ["square", "tall", "singular", "zero_width", "metric"])
+def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
+    import msrom.solvers as solvers_module
+
+    problem, hierarchy, tests = threaded_instance(kind)
+    shapes = []
+    monkeypatch.setattr(
+        solvers_module, "decompose", lambda G: shapes.append(G.shape) or decompose(G)
+    )
+    report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+    # one SVD of G per instance, plus the reduced matrix's when a width is zero
+    assert [n for _, n in shapes] == ([6, 3] if kind == "zero_width" else [6])
+    monkeypatch.undo()
+    alone = solve_ms(problem, hierarchy, tests)
+    scale = max(1.0, float(np.max(np.abs(alone.coeffs))))
+    assert np.max(np.abs(solution.coeffs - alone.coeffs)) <= 1e-12 * scale
+    assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
+    assert solution.non_unique_hint == alone.non_unique_hint == (kind == "singular")
+    if kind == "singular":
+        with pytest.raises(SingularSystem):
+            solve_pg(problem, hierarchy.basis, tests)
+        assert report.actual_pg_error is None
+    else:
+        point, _ = solve_pg(problem, hierarchy.basis, tests)
+        assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
+    if kind == "zero_width":
+        assert np.all(solution.coeffs[3:] == 0.0)
 
 
 def test_solver_options_validation():
