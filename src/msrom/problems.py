@@ -114,7 +114,7 @@ class SubspaceHierarchy:
             t = np.asarray(self.distances, dtype=float)
             if t.shape != (n + 1,):
                 raise InvalidDistances(f"distances must have length n+1 = {n + 1}")
-            if np.any(t < 0.0):
+            if np.any(np.isnan(t)) or np.any(t < 0.0):
                 raise InvalidDistances("distances must be nonnegative")
             if np.any(np.diff(t) > 0.0):
                 raise InvalidDistances("distances must be nonincreasing")

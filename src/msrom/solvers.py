@@ -7,6 +7,8 @@ the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
 over an intersection of centered cylinders, by a primal-dual active-set method
 (Newton on the working-set multipliers) with an accelerated projected-gradient
 fallback whose projection step, :func:`project_slices`, is exact and finite.
+The trial spaces are nested, so a width binds only where it sets a strict new
+running minimum; only those widths enter the working set and the checks.
 """
 
 from __future__ import annotations
@@ -159,6 +161,8 @@ def project_slices(c, widths) -> np.ndarray:
     smaller.  The final width entry is ignored; infinite widths never bind.
     """
     c = np.asarray(c, dtype=float)
+    if c.ndim != 1:
+        raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
     n = c.shape[0]
     widths = np.asarray(widths, dtype=float)
     if widths.shape != (n + 1,):
@@ -192,15 +196,14 @@ def _newton_working_set(H, h, eps, active, c_ls):
     ``lam_k = 0``.  Returns ``(c, lam, ok, evals)``.
     """
     n = H.shape[0]
-    p = len(active)
-    if p == 0:
+    if len(active) == 0:
         return c_ls, np.zeros(0), True, 0
+    active = np.asarray(active)
+    tails = np.arange(n) >= active[:, None]  # row i selects c[active[i]:]
+    eps2 = eps[active] ** 2
 
     def evaluate(lam_vec):
-        cum = np.zeros(n)
-        for k, lam_k in zip(active, lam_vec):
-            cum[k:] += lam_k
-        K = H + np.diag(cum)
+        K = H + np.diag(np.cumsum(np.bincount(active, weights=lam_vec, minlength=n)))
         try:
             c = np.linalg.solve(K, h)
         except np.linalg.LinAlgError:
@@ -209,14 +212,14 @@ def _newton_working_set(H, h, eps, active, c_ls):
                 c = np.linalg.solve(K + ridge * np.eye(n), h)
             except np.linalg.LinAlgError:
                 return None
-        F = np.array([c[k:] @ c[k:] - eps[k] ** 2 for k in active])
+        F = (tails * c) @ c - eps2
         return c, F, K
 
     def merit(lam_vec, F):
         resid = np.where(lam_vec > 0.0, np.abs(F), np.maximum(F, 0.0))
         return float(np.max(resid))
 
-    lam = np.zeros(p)
+    lam = np.zeros(active.size)
     state = evaluate(lam)
     if state is None:
         return None, lam, False, 1
@@ -224,7 +227,7 @@ def _newton_working_set(H, h, eps, active, c_ls):
     evals = 1
     for _ in range(80):
         cc = float(c @ c)
-        tol_f = np.array([1e-11 * max(eps[k] ** 2, 1e-30) + 1e-14 * cc for k in active])
+        tol_f = 1e-11 * np.maximum(eps2, 1e-30) + 1e-14 * cc
         resid = np.where(lam > 0.0, np.abs(F), np.maximum(F, 0.0))
         if np.all(resid <= tol_f):
             return c, lam, True, evals
@@ -232,10 +235,7 @@ def _newton_working_set(H, h, eps, active, c_ls):
         if not np.any(free):
             return c, lam, True, evals
         free_idx = np.nonzero(free)[0]
-        B = np.zeros((n, free_idx.size))
-        for col, idx in enumerate(free_idx):
-            k = active[idx]
-            B[k:, col] = c[k:]
+        B = (tails[free_idx] * c).T
         try:
             V = np.linalg.solve(K, B)
         except np.linalg.LinAlgError:
@@ -245,7 +245,7 @@ def _newton_working_set(H, h, eps, active, c_ls):
             step_free = np.linalg.solve(J, -F[free_idx])
         except np.linalg.LinAlgError:
             step_free = np.linalg.lstsq(J, -F[free_idx], rcond=None)[0]
-        step = np.zeros(p)
+        step = np.zeros(active.size)
         step[free_idx] = step_free
         base = merit(lam, F)
         t = 1.0
@@ -267,7 +267,7 @@ def _newton_working_set(H, h, eps, active, c_ls):
     return c, lam, False, evals
 
 
-def _active_set_solve(H, h, eps, finite_ks, seed_set, c_ls):
+def _active_set_solve(H, h, eps, binding_ks, seed_set, c_ls):
     """Primal-dual active-set outer loop; the working set only grows.
 
     Returns ``(c, newton_evals)`` on success or ``None`` when the inner
@@ -275,7 +275,7 @@ def _active_set_solve(H, h, eps, finite_ks, seed_set, c_ls):
     """
     active = sorted(set(seed_set))
     evals = 0
-    for _ in range(len(finite_ks) + 3):
+    for _ in range(len(binding_ks) + 3):
         if active:
             c, lam, ok, ev = _newton_working_set(H, h, eps, active, c_ls)
             evals += ev
@@ -285,7 +285,7 @@ def _active_set_solve(H, h, eps, finite_ks, seed_set, c_ls):
             c = c_ls
         worst_k, worst_excess = None, 0.0
         cc = float(c @ c)
-        for k in finite_ks:
+        for k in binding_ks.tolist():
             if k in active:
                 continue
             excess = float(c[k:] @ c[k:]) - eps[k] ** 2
@@ -312,7 +312,11 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
     H = G.T @ G
     h = G.T @ d
     s1 = float(decomp.sigma[0])
-    finite_ks = [k for k in range(n) if np.isfinite(eps[k])]
+    # a width binds only where the running minimum (project_slices' caps)
+    # strictly falls; nested trial spaces make any other one implied
+    running = np.minimum.accumulate(eps[:n])
+    binding_ks = np.flatnonzero(running < np.append(np.inf, running[:-1]))
+    tails, eps_b = np.arange(n) >= binding_ks[:, None], eps[binding_ks]
     if s1 == 0.0:
         # flat cost surface; the origin is feasible and optimal
         return np.zeros(n), 0, True, 0.0
@@ -327,32 +331,26 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
         g = 2.0 * (H @ c - h)
         return float(np.linalg.norm(c - project_slices(c - eta * g, eps)) / eta)
 
+    def tail_norms(c):
+        return np.sqrt((tails * c) @ c)
+
     def feasible_loose(c):
-        return all(
-            float(np.linalg.norm(c[k:])) <= eps[k] * (1.0 + 1e-8) + 1e-12
-            for k in finite_ks
-        )
+        return bool(np.all(tail_norms(c) <= eps_b * (1.0 + 1e-8) + 1e-12))
 
     gnorm0 = float(np.linalg.norm(2.0 * h))
     cert = max(1e-8, 1e-6 * gnorm0)
     tight = max(1e-9, 1e-7 * gnorm0)
 
-    if x_init is None and all(
-        float(np.linalg.norm(c_ls[k:])) <= eps[k] * (1.0 - 1e-9) for k in finite_ks
-    ):
+    if x_init is None and np.all(tail_norms(c_ls) <= eps_b * (1.0 - 1e-9)):
         return c_ls, 0, True, prox_residual(c_ls)
 
     x0 = project_slices(c_ls if x_init is None else np.asarray(x_init, dtype=float), eps)
 
     def near_active(c):
-        return [
-            k
-            for k in finite_ks
-            if float(np.linalg.norm(c[k:])) >= eps[k] * (1.0 - 1e-6) - 1e-14
-        ]
+        return binding_ks[tail_norms(c) >= eps_b * (1.0 - 1e-6) - 1e-14].tolist()
 
     total_evals = 0
-    attempt = _active_set_solve(H, h, eps, finite_ks, near_active(x0), c_ls)
+    attempt = _active_set_solve(H, h, eps, binding_ks, near_active(x0), c_ls)
     if attempt is not None:
         c_cand, evals = attempt
         total_evals += evals
@@ -393,7 +391,7 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
             break
         retry = stall >= 25 or (it % 100 == 0 and polish_failures < 12)
         if retry:
-            attempt = _active_set_solve(H, h, eps, finite_ks, near_active(x), c_ls)
+            attempt = _active_set_solve(H, h, eps, binding_ks, near_active(x), c_ls)
             polished = False
             if attempt is not None:
                 c_cand, evals = attempt

@@ -132,6 +132,16 @@ def test_hierarchy_validation():
         )
 
 
+@pytest.mark.parametrize("spot", [0, 1, 2])
+def test_hierarchy_rejects_nan_distances(spot):
+    # every other distance check is a comparison, which NaN passes
+    basis = orthonormalize(np.eye(4)[:, :2], AmbientSpace(4))
+    distances = np.array([1.0, 0.5, 0.1])
+    distances[spot] = np.nan
+    with pytest.raises(InvalidDistances):
+        SubspaceHierarchy(basis, widths=np.array([1.0, 0.5, 0.1]), distances=distances)
+
+
 def test_flat_orthogonal_available_orders():
     for n in (1, 2, 4, 8, 12, 16, 20, 24):
         X = flat_orthogonal(n)

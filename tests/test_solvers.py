@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from msrom import (
     TruthUnavailable,
     decompose,
     error_norm,
+    example1,
     gamma,
     project,
     project_slices,
@@ -36,6 +39,7 @@ from msrom import (
     solve_pg,
     synth_prescribed,
 )
+from msrom.cli import _build_instance, parse_config
 
 
 def tail_norms(c):
@@ -103,6 +107,8 @@ def test_project_slices_rejects_bad_widths():
         project_slices(np.ones(2), np.array([1.0, np.nan, 0.2]))
     with pytest.raises(ValueError):
         project_slices(np.ones(2), np.array([1.0, 0.5]))
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        project_slices(np.ones((2, 1)), np.array([1.0, 0.5, 0.2]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -323,6 +329,20 @@ def test_solve_ms_matches_brute_force_small():
         assert ref_cost <= solution.cost + 1e-6 * max(1.0, ref_cost)
 
 
+def test_solve_ms_newton_converges_in_few_evaluations():
+    # an inexact Newton Jacobian still reaches the same point, only slower:
+    # with the exact one the median solve takes about ten evaluations
+    rng = np.random.default_rng(5)
+    counts = []
+    for _ in range(40):
+        problem, hierarchy, tests = sweep_instance(rng, n_high=10)
+        tight, _, _ = tightened(problem, hierarchy, tests, rng)
+        solution = solve_ms(problem, tight, tests)
+        assert solution.converged
+        counts.append(solution.iterations)
+    assert np.median(counts) <= 15
+
+
 def test_solve_ms_unique_minimizer_from_random_starts():
     rng = np.random.default_rng(14)
     problem, hierarchy, tests = sweep_instance(rng, n_low=5, n_high=5)
@@ -419,6 +439,122 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
         assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
     if kind == "zero_width":
         assert np.all(solution.coeffs[3:] == 0.0)
+
+
+def dominated(widths):
+    """Indices k < n whose width is no lower than some earlier width."""
+    head = widths[:-1]
+    return [k for k in range(1, head.size) if head[k] >= np.min(head[:k])]
+
+
+def counting_projection(monkeypatch):
+    """Count the calls ``solve_ms`` makes to ``project_slices``."""
+    import msrom.solvers as solvers_module
+
+    calls = []
+    monkeypatch.setattr(
+        solvers_module, "project_slices", lambda c, w: calls.append(1) or project_slices(c, w)
+    )
+    return calls
+
+
+def plateau_case(rng, metric):
+    """An instance with biting widths, ties, infinite widths and maybe a zero width."""
+    n = int(rng.integers(6, 11))
+    sigma = descending(rng, n, 0.01, 1.0)
+    tau = descending(rng, n + 1, 1e-3, 1.2)
+    N = 2 * n + 3
+    X = random_orthogonal(rng, n)
+    spd = random_spd(rng, N) if metric else None
+    seed = int(rng.integers(2**31))
+    problem, hierarchy, tests = synth_prescribed(
+        n, n, N, sigma, X, tau, tau.copy(), seed=seed, metric=spd
+    )
+    G, d = assemble(problem, hierarchy, tests)
+    widths = np.append(tail_norms(np.linalg.lstsq(G, d, rcond=None)[0]), 0.0)
+    widths[:n] *= rng.uniform(0.3, 1.1, size=n)
+    # plateaus of ties, rises above the running minimum, and infinite widths
+    for k in range(1, n):
+        draw = rng.random()
+        if draw < 0.3:
+            widths[k] = np.min(widths[:k])
+        elif draw < 0.45:
+            widths[k] = np.min(widths[:k]) * rng.uniform(1.0, 3.0)
+        elif draw < 0.55:
+            widths[k] = np.inf
+    if rng.random() < 0.4:
+        widths[int(rng.integers(2, n - 1))] = 0.0
+    return problem, hierarchy.basis, tests, widths
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_solve_ms_ignores_dominated_widths(metric):
+    # nested trial spaces: a width at or above an earlier one cannot bind, so
+    # raising it to +inf or anywhere above the running minimum changes nothing
+    rng = np.random.default_rng(41 + metric)
+    cases = [plateau_case(rng, metric) for _ in range(12)]
+    if not metric:
+        problem, hierarchy, tests = example1(1e-4, 10, 40, 17)
+        cases.append((problem, hierarchy.basis, tests, hierarchy.widths.copy()))
+    for problem, basis, tests, widths in cases:
+        base = solve_ms(problem, SubspaceHierarchy(basis, widths=widths), tests)
+        assert base.converged
+        assert np.all(tail_norms(base.coeffs) <= widths[:-1] * (1.0 + 1e-8) + 1e-12)
+        drop = dominated(widths)
+        assert drop, "every case has at least one dominated width"
+        raised = widths.copy()
+        raised[drop] = np.inf
+        lifted = widths.copy()
+        lifted[drop] = [np.min(widths[:k]) * rng.uniform(1.0, 4.0) for k in drop]
+        scale = max(1.0, float(np.max(np.abs(base.coeffs))))
+        for variant in (raised, lifted):
+            other = solve_ms(problem, SubspaceHierarchy(basis, widths=variant), tests)
+            assert other.converged
+            assert np.max(np.abs(other.coeffs - base.coeffs)) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("seed", [17, 58, 117])
+def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
+    # the tied widths (1, ..., 1, sqrt(tau), sqrt(tau)), all in the working
+    # set, make near-duplicate constraints, a singular Newton system and
+    # hundreds of fallback projections; with only the binding widths the
+    # solve projects once to start and once for the certificate
+    calls = counting_projection(monkeypatch)
+    solution = solve_ms(*example1(1e-4, 10, 40, seed))
+    assert solution.converged
+    assert len(calls) <= 2
+
+
+# random-sweep seeds (n 3-10) whose solves reach the projected-gradient fallback
+FALLBACK_SWEEP_SEEDS = [59, 204, 265, 594, 697, 1095, 1382, 1445]
+
+
+def test_fallback_stress_corpus(monkeypatch):
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
+    rng = np.random.default_rng(43)
+    fallback_runs = 0
+    for seed in FALLBACK_SWEEP_SEEDS:
+        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        calls = counting_projection(monkeypatch)
+        report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+        monkeypatch.undo()
+        fallback_runs += len(calls) > 2
+        widths = hierarchy.widths
+        assert solution.converged, seed
+        assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
+        G, d = assemble(problem, hierarchy, tests)
+        assert solution.kkt_residual <= max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d)), seed
+        assert report.actual_ms_error <= report.ms_bound, seed
+
+        def cost(c):
+            r = G @ c - d
+            return float(r @ r)
+
+        for _ in range(200):
+            c = random_feasible(rng, widths, n, scale=float(widths[0]))
+            assert solution.cost <= cost(c) + 1e-12 * max(1.0, cost(c)), seed
+    # the corpus keeps the fallback loop covered
+    assert fallback_runs >= 1
 
 
 def test_solver_options_validation():
