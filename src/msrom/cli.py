@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -18,13 +19,16 @@ import numpy as np
 
 from .bounds import ms_bound, sup_oracle, water_filling
 from .problems import (
-    HadamardUnavailable,
     ProblemInstance,
     SubspaceHierarchy,
     TestSpace,
+    check_dimensions,
+    check_example1,
+    check_example2,
+    check_profile,
+    check_spectrum,
     example1,
     example2,
-    flat_orthogonal,
     synth_prescribed,
 )
 from .solvers import SingularSystem, SolverOptions, _assembled, error_norm, solve_ms, solve_pg
@@ -106,10 +110,14 @@ class ExperimentConfig:
     n_max: int | None = None
 
 
-def _require_int(doc, key, minimum=None):
+def _require(doc, key):
     if key not in doc:
         raise ValidationError(f"missing required field {key!r}")
-    value = doc[key]
+    return doc[key]
+
+
+def _require_int(doc, key, minimum=None):
+    value = _require(doc, key)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -118,43 +126,37 @@ def _require_int(doc, key, minimum=None):
 
 
 def _require_float(doc, key):
-    if key not in doc:
-        raise ValidationError(f"missing required field {key!r}")
-    value = doc[key]
+    value = _require(doc, key)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(f"field {key!r}: non-finite number is not allowed")
+    return number
 
 
-def _require_float_list(doc, key, length):
-    if key not in doc:
-        raise ValidationError(f"missing required field {key!r}")
-    value = doc[key]
-    if not isinstance(value, list) or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
-    ):
+def _require_float_list(doc, key):
+    value = _require(doc, key)
+    if not isinstance(value, list):
         raise ValidationError(f"field {key!r} must be a list of numbers")
-    if len(value) != length:
-        raise ValidationError(
-            f"field {key!r} must have length {length}, got {len(value)}"
-        )
-    return np.array(value, dtype=float)
+    entries = {f"{key}[{i}]": v for i, v in enumerate(value)}
+    return np.array([_require_float(entries, k) for k in entries], dtype=float)
 
 
 def _solver_options(doc) -> SolverOptions:
     raw = doc.get("solver", {})
     if not isinstance(raw, dict):
         raise ValidationError("field 'solver' must be an object")
-    kinds = {"max_iterations": int, "gradient_tolerance": float}
-    unknown = set(raw) - set(kinds)
+    readers = {"max_iterations": _require_int, "gradient_tolerance": _require_float}
+    unknown = set(raw) - set(readers)
     if unknown:
         raise ValidationError(f"unknown solver option(s): {sorted(unknown)}")
-    for key, value in raw.items():
-        if isinstance(value, bool) or not isinstance(value, (int, kinds[key])):
-            label = "an integer" if kinds[key] is int else "a number"
-            raise ValidationError(f"solver option {key!r} must be {label}")
+    options = {key: readers[key](raw, key) for key in raw}
     try:
-        return SolverOptions(**{key: kinds[key](value) for key, value in raw.items()})
+        return SolverOptions(**options)
     except ValueError as exc:
         raise ValidationError(f"invalid solver options: {exc}") from exc
 
@@ -163,16 +165,12 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a JSON config document.
 
     Raises :class:`ParseError` on malformed JSON and :class:`ValidationError`
-    (naming the offending field) on any constraint violation, including the
-    generator preconditions of the selected mode.
+    (naming the offending field) on any constraint violation; the generator
+    preconditions are the check functions of :mod:`msrom.problems`.
     """
-
-    def _reject_constant(token):
-        raise ValidationError(f"non-finite number {token!r} is not allowed")
-
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
@@ -208,71 +206,29 @@ def parse_config(text: str) -> ExperimentConfig:
         solver=solver,
     )
 
-    if mode in ("example1", "example2"):
-        cfg.n = _require_int(doc, "n", minimum=1)
-        cfg.N = _require_int(doc, "N", minimum=1)
-        cfg.m = _require_int(doc, "m", minimum=1) if "m" in doc else cfg.n
-        cfg.tau = _require_float(doc, "tau")
-        if cfg.m < cfg.n:
-            raise ValidationError(f"field 'm' must be >= n = {cfg.n}, got {cfg.m}")
-        if cfg.N < cfg.n + cfg.m:
-            raise ValidationError(
-                f"field 'N' must be >= n + m = {cfg.n + cfg.m}, got {cfg.N}"
-            )
-        if mode == "example1":
-            if cfg.n < 4:
-                raise ValidationError("field 'n' must be >= 4 for example1")
-            if not 0.0 < cfg.tau < 1.0:
-                raise ValidationError("field 'tau' must lie in (0, 1) for example1")
-        else:
-            if cfg.n < 2:
-                raise ValidationError("field 'n' must be >= 2 for example2")
-            limit = 1.0 / (2.0 * (cfg.n - 1))
-            if not 0.0 < cfg.tau <= limit:
-                raise ValidationError(
-                    f"field 'tau' exceeds 1/(2(n-1)) = {limit} for n = {cfg.n}"
-                )
-            try:
-                flat_orthogonal(cfg.n)
-            except HadamardUnavailable as exc:
-                raise ValidationError(f"field 'n': {exc}") from exc
-    elif mode == "prescribed":
-        cfg.n = _require_int(doc, "n", minimum=1)
-        cfg.m = _require_int(doc, "m", minimum=1)
-        cfg.N = _require_int(doc, "N", minimum=1)
-        if cfg.m < cfg.n:
-            raise ValidationError(f"field 'm' must be >= n = {cfg.n}, got {cfg.m}")
-        if cfg.N < cfg.n + cfg.m:
-            raise ValidationError(
-                f"field 'N' must be >= n + m = {cfg.n + cfg.m}, got {cfg.N}"
-            )
-        sigma = _require_float_list(doc, "sigma", cfg.n)
-        if np.any(sigma < 0.0) or (sigma.size and sigma[0] > 1.0):
-            raise ValidationError("field 'sigma' entries must lie in [0, 1]")
-        if np.any(np.diff(sigma) > 0.0):
-            raise ValidationError("field 'sigma' must be nonincreasing")
-        tau_list = _require_float_list(doc, "tau", cfg.n + 1)
-        if np.any(tau_list < 0.0):
-            raise ValidationError("field 'tau' entries must be nonnegative")
-        if np.any(np.diff(tau_list) > 0.0):
-            raise ValidationError("field 'tau' must be nonincreasing")
-        widths = _require_float_list(doc, "widths", cfg.n + 1)
-        if np.any(widths < 0.0):
-            raise ValidationError("field 'widths' entries must be nonnegative")
-        if np.any(tau_list > widths):
-            raise ValidationError(
-                "field 'widths' must dominate 'tau' entrywise (the prior must hold)"
-            )
-        cfg.sigma, cfg.distances, cfg.widths = sigma, tau_list, widths
-    else:  # random-sweep
+    if mode == "random-sweep":
         cfg.n_min = _require_int(doc, "n_min", minimum=1)
         cfg.n_max = _require_int(doc, "n_max", minimum=cfg.n_min)
         if "N" in doc:
-            cfg.N = _require_int(doc, "N", minimum=1)
-            if cfg.N < 3 * cfg.n_max:
-                raise ValidationError(
-                    f"field 'N' must be >= 3 * n_max = {3 * cfg.n_max} to fit every draw"
-                )
+            cfg.N = _require_int(doc, "N", minimum=3 * cfg.n_max)
+        return cfg
+    cfg.n, cfg.N = _require_int(doc, "n"), _require_int(doc, "N")
+    cfg.m = _require_int(doc, "m") if "m" in doc or mode == "prescribed" else cfg.n
+    if mode == "prescribed":
+        cfg.sigma, cfg.distances, cfg.widths = (
+            _require_float_list(doc, key) for key in ("sigma", "tau", "widths")
+        )
+    else:
+        cfg.tau = _require_float(doc, "tau")
+    try:  # the generators' own preconditions, with their messages
+        check_dimensions(cfg.n, cfg.m, cfg.N)
+        if mode == "prescribed":
+            check_spectrum(cfg.n, cfg.sigma)
+            check_profile(cfg.n, cfg.widths, cfg.distances)
+        else:
+            (check_example1 if mode == "example1" else check_example2)(cfg.tau, cfg.n)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     return cfg
 
 

@@ -26,6 +26,12 @@ __all__ = [
     "riesz_representers",
     "evaluate_b",
     "rhs_vector",
+    "check_dimensions",
+    "check_spectrum",
+    "check_profile",
+    "check_example1",
+    "check_example2",
+    "hadamard_available",
     "flat_orthogonal",
     "synth_prescribed",
     "example1",
@@ -103,24 +109,7 @@ class SubspaceHierarchy:
     distances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        n = self.basis.n_columns
-        w = np.asarray(self.widths, dtype=float)
-        if w.shape != (n + 1,):
-            raise InvalidDistances(f"widths must have length n+1 = {n + 1}, got {w.shape}")
-        if np.any(np.isnan(w)) or np.any(w < 0.0):
-            raise InvalidDistances("widths must be nonnegative")
-        self.widths = w
-        if self.distances is not None:
-            t = np.asarray(self.distances, dtype=float)
-            if t.shape != (n + 1,):
-                raise InvalidDistances(f"distances must have length n+1 = {n + 1}")
-            if np.any(np.isnan(t)) or np.any(t < 0.0):
-                raise InvalidDistances("distances must be nonnegative")
-            if np.any(np.diff(t) > 0.0):
-                raise InvalidDistances("distances must be nonincreasing")
-            if np.any(t > w):
-                raise InvalidDistances("each distance must not exceed its slice width")
-            self.distances = t
+        self.widths, self.distances = check_profile(self.n, self.widths, self.distances)
 
     @property
     def n(self) -> int:
@@ -180,31 +169,43 @@ def rhs_vector(problem: ProblemInstance, tests: TestSpace) -> np.ndarray:
     return Z.T @ problem.space.apply_metric(problem.functional)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    i = 2
-    while i * i <= q:
-        if q % i == 0:
+    """Miller-Rabin on the primes to 41: exact below 3.3e24 (past any buildable order), fast."""
+    if q < 2 or any(q % p == 0 for p in _PRIME_BASES):
+        return q in _PRIME_BASES
+    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
+    d = (q - 1) >> s
+    for a in _PRIME_BASES:
+        x = pow(a, d, q)
+        if x != 1 and all(pow(x, 2**r, q) != q - 1 for r in range(s)):
             return False
-        i += 1
     return True
 
 
 def _paley(q: int) -> np.ndarray:
     """Order q+1 Hadamard matrix from quadratic residues, q prime, q % 4 == 3."""
-    chi = np.zeros(q)
-    for a in range(1, q):
-        chi[a] = 1.0 if pow(a, (q - 1) // 2, q) == 1 else -1.0
-    Q = np.empty((q, q))
-    for i in range(q):
-        for j in range(q):
-            Q[i, j] = chi[(j - i) % q]
+    chi = np.array([0.0] + [1.0 if pow(a, (q - 1) // 2, q) == 1 else -1.0 for a in range(1, q)])
+    i = np.arange(q)
     S = np.zeros((q + 1, q + 1))
     S[0, 1:] = 1.0
     S[1:, 0] = -1.0
-    S[1:, 1:] = Q
+    S[1:, 1:] = chi[(i[None, :] - i[:, None]) % q]
     return np.eye(q + 1) + S
+
+
+def hadamard_available(n: int) -> bool:
+    """Whether :func:`flat_orthogonal` can build order ``n``: ``2**k`` or
+    ``2**k * (q + 1)`` with ``q`` a prime congruent to 3 mod 4."""
+    while n >= 1:
+        if n <= 2 or (n % 4 == 0 and _is_prime(n - 1)):
+            return True
+        if n % 2:
+            return False
+        n //= 2
+    return False
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -212,28 +213,89 @@ def _hadamard(n: int) -> np.ndarray:
         return np.array([[1.0]])
     if n == 2:
         return np.array([[1.0, 1.0], [1.0, -1.0]])
-    if n % 2 == 0:
-        try:
-            H = _hadamard(n // 2)
-            return np.block([[H, H], [H, -H]])
-        except HadamardUnavailable:
-            pass
-    if n % 4 == 0 and _is_prime(n - 1) and (n - 1) % 4 == 3:
-        return _paley(n - 1)
-    raise HadamardUnavailable(
-        f"no flat orthogonal matrix construction available for order {n}"
-    )
+    if n % 2 == 0 and hadamard_available(n // 2):
+        H = _hadamard(n // 2)
+        return np.block([[H, H], [H, -H]])
+    return _paley(n - 1)
 
 
 def flat_orthogonal(n: int) -> np.ndarray:
     """Orthogonal n x n matrix whose entries all have magnitude n**-0.5.
 
     Built from doubling and quadratic-residue constructions; raises
-    :class:`HadamardUnavailable` for orders where neither applies.
+    :class:`HadamardUnavailable` exactly where :func:`hadamard_available` is false.
     """
     if n < 1:
         raise ValueError("order must be positive")
+    if not hadamard_available(n):
+        raise HadamardUnavailable(f"n = {n} has no flat orthogonal matrix construction")
     return _hadamard(n) / np.sqrt(n)
+
+
+# Generator preconditions.  Each message names the parameter by its config
+# key, so the CLI can pass it on unchanged.
+def check_dimensions(n: int, m: int, N: int) -> None:
+    """Room for n trial directions, m >= n tests and their complement."""
+    if n < 1:
+        raise DimensionTooSmall(f"n must be at least 1, got {n}")
+    if m < n:
+        raise DimensionTooSmall(f"m must be >= n = {n}, got {m}")
+    if N < n + m:
+        raise DimensionTooSmall(f"N must be >= n + m = {n + m}, got {N}")
+
+
+def check_spectrum(n: int, sigma) -> np.ndarray:
+    """``sigma`` has length n, entries in [0, 1] and is nonincreasing."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.shape != (n,):
+        raise InvalidSpectrum(f"sigma must have length n = {n}, got shape {sigma.shape}")
+    if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
+        raise InvalidSpectrum("sigma entries must lie in [0, 1]")
+    if np.any(np.diff(sigma) > 0.0):
+        raise InvalidSpectrum("sigma must be nonincreasing")
+    return sigma
+
+
+def check_profile(n: int, widths, tau=None):
+    """Widths and known distances ``tau``: length n+1, nonnegative, ``tau``
+    nonincreasing and below the widths.  Returns them as float arrays."""
+    w = np.asarray(widths, dtype=float)
+    t = None if tau is None else np.asarray(tau, dtype=float)
+    for key, v in (("tau", t), ("widths", w)):
+        if v is None:
+            continue
+        if v.shape != (n + 1,):
+            raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
+        if np.any(np.isnan(v)) or np.any(v < 0.0):
+            raise InvalidDistances(f"{key} entries must be nonnegative")
+    if t is not None:
+        if np.any(np.diff(t) > 0.0):
+            raise InvalidDistances("tau must be nonincreasing")
+        if np.any(t > w):
+            raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
+    return w, t
+
+
+def check_example1(tau: float, n: int) -> None:
+    """Ranges of ``tau`` and ``n`` in :func:`example1` (dimensions: :func:`check_dimensions`)."""
+    if not 0.0 < tau < 1.0:
+        raise InvalidSpectrum("tau must lie in (0, 1) for example1")
+    if n < 4:
+        raise DimensionTooSmall(f"n must be at least 4 for example1, got {n}")
+
+
+def check_example2(tau: float, n: int) -> float:
+    """Parameter ranges of :func:`example2`; returns the plateau 1/(2(n-1))."""
+    if n < 2:
+        raise DimensionTooSmall(f"n must be at least 2 for example2, got {n}")
+    limit = 1 / (2 * (n - 1))  # int / int: correctly rounded, no OverflowError for huge n
+    if not 0.0 < tau <= limit:
+        raise InvalidDistances(
+            f"tau must lie in (0, 1/(2(n-1))] = (0, {limit}] for n = {n}, got {tau}"
+        )
+    if not hadamard_available(n):
+        raise HadamardUnavailable(f"n = {n} has no flat orthogonal matrix construction")
+    return limit
 
 
 def synth_prescribed(
@@ -264,29 +326,14 @@ def synth_prescribed(
     orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.
     """
     n, m, N = int(n), int(m), int(N)
-    if n < 1:
-        raise DimensionTooSmall("n must be at least 1")
-    if m < n:
-        raise DimensionTooSmall(f"need m >= n test directions, got m={m}, n={n}")
-    if N < n + m:
-        raise DimensionTooSmall(f"need N >= n + m = {n + m}, got N={N}")
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.shape != (n,):
-        raise InvalidSpectrum(f"sigma must have length n = {n}")
-    if np.any(sigma < 0.0) or sigma[0] > 1.0:
-        raise InvalidSpectrum("singular values must lie in [0, 1]")
-    if np.any(np.diff(sigma) > 0.0):
-        raise InvalidSpectrum("singular values must be nonincreasing")
+    check_dimensions(n, m, N)
+    sigma = check_spectrum(n, sigma)
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise InvalidSpectrum(f"X must be {n}x{n}")
     if np.max(np.abs(X.T @ X - np.eye(n))) > 1e-10:
         raise InvalidSpectrum("X must be orthogonal")
-    tau = np.asarray(tau, dtype=float)
-    widths = np.asarray(widths, dtype=float)
-    if tau.shape != (n + 1,) or widths.shape != (n + 1,):
-        raise InvalidDistances(f"tau and widths must have length n+1 = {n + 1}")
-    # remaining distance/width conditions are enforced by SubspaceHierarchy
+    widths, tau = check_profile(n, widths, tau)
 
     rng = np.random.default_rng(seed)
     space = AmbientSpace(N, metric)
@@ -323,10 +370,7 @@ def example1(
     sqrt(tau), tau)`` and X is the identity; the slice widths equal the
     distances.
     """
-    if not 0.0 < tau < 1.0:
-        raise InvalidSpectrum("tau must lie in (0, 1)")
-    if n < 4:
-        raise DimensionTooSmall("n must be at least 4")
+    check_example1(tau, n)
     m = n if m is None else int(m)
     root = float(np.sqrt(tau))
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
@@ -346,11 +390,7 @@ def example2(
     the norm of the representer family here, so the classical quotient bound
     evaluates to ``tau**-2 * tau``.
     """
-    if n < 2:
-        raise DimensionTooSmall("n must be at least 2")
-    limit = 1.0 / (2.0 * (n - 1))
-    if not 0.0 < tau <= limit:
-        raise InvalidDistances(f"tau must lie in (0, {limit}] for n = {n}")
+    limit = check_example2(tau, n)
     m = n if m is None else int(m)
     X = flat_orthogonal(n)
     bulk = tau * np.sqrt(n - tau**2)

@@ -187,6 +187,11 @@ def project_slices(c, widths) -> np.ndarray:
     return c * np.sqrt(factors)
 
 
+def _kkt_tol(eps2, cc):
+    """Slack allowed on ``||c[k:]||^2 <= eps_k^2``, for eps_k^2 and ||c||^2."""
+    return 1e-11 * np.maximum(eps2, 1e-30) + 1e-14 * cc
+
+
 def _newton_working_set(H, h, eps, active, c_ls):
     """Clipped Newton for the multipliers of the working set ``active``.
 
@@ -226,8 +231,7 @@ def _newton_working_set(H, h, eps, active, c_ls):
     c, F, K = state
     evals = 1
     for _ in range(80):
-        cc = float(c @ c)
-        tol_f = 1e-11 * np.maximum(eps2, 1e-30) + 1e-14 * cc
+        tol_f = _kkt_tol(eps2, float(c @ c))
         resid = np.where(lam > 0.0, np.abs(F), np.maximum(F, 0.0))
         if np.all(resid <= tol_f):
             return c, lam, True, evals
@@ -289,8 +293,7 @@ def _active_set_solve(H, h, eps, binding_ks, seed_set, c_ls):
             if k in active:
                 continue
             excess = float(c[k:] @ c[k:]) - eps[k] ** 2
-            tol = 1e-11 * max(eps[k] ** 2, 1e-30) + 1e-14 * cc
-            if excess > tol and excess > worst_excess:
+            if excess > _kkt_tol(eps[k] ** 2, cc) and excess > worst_excess:
                 worst_k, worst_excess = k, excess
         if worst_k is None:
             return c, evals

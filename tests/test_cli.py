@@ -1,18 +1,29 @@
 import json
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msrom.cli import (
+    _COMMON_KEYS,
+    _MODE_KEYS,
     CSV_COLUMNS,
+    MODES,
+    ExperimentConfig,
     ParseError,
     ValidationError,
+    _build_instance,
     main,
     oracle_sweep,
     parse_config,
     run_experiment,
 )
 from msrom.solvers import MultiSliceSolution
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
 
 
 def example1_doc(**overrides):
@@ -66,6 +77,48 @@ def test_parse_rejects_non_finite_numbers():
         parse_config(text)
 
 
+PRESCRIBED = {
+    "mode": "prescribed",
+    "n": 2,
+    "m": 2,
+    "N": 4,
+    "seed": 0,
+    "sigma": [0.9, 0.5],
+    "tau": [0.4, 0.2, 0.1],
+    "widths": [0.5, 0.3, 0.15],
+}
+HUGE = "1" + "0" * 400  # a 401-digit integer: beyond the float range
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # parses to inf; used to validate and then fail the run
+        json.dumps(PRESCRIBED).replace("[0.4,", "[1e400,").replace("[0.5,", "[1e400,"),
+        example1_doc(tau=0.5).replace("0.5", "-1e400"),
+        example1_doc(tau=0.5).replace("0.5", HUGE),
+        json.dumps(PRESCRIBED).replace("0.9", HUGE),
+        json.dumps(PRESCRIBED).replace("0.15", HUGE),
+        example1_doc(solver={"gradient_tolerance": 0.5}).replace("0.5", "1e400"),
+        example1_doc(solver={"gradient_tolerance": 0.5}).replace("0.5", HUGE),
+    ],
+)
+def test_parse_rejects_numbers_beyond_the_float_range(text, tmp_path, capsys):
+    with pytest.raises(ValidationError, match="non-finite number"):
+        parse_config(text)
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 1
+    assert "non-finite number" in capsys.readouterr().err
+
+
+def test_parse_rejects_unreadable_integers_and_nesting():
+    with pytest.raises(ParseError):
+        parse_config(example1_doc(tau=0.5).replace("0.5", "1" * 5000))
+    with pytest.raises(ParseError):
+        parse_config("[" * 100_000)
+
+
 def test_parse_example2_width_limit():
     doc = json.dumps({"mode": "example2", "tau": 0.2, "n": 16, "N": 64, "seed": 1})
     with pytest.raises(ValidationError, match=r"1/\(2\(n-1\)\)"):
@@ -76,6 +129,19 @@ def test_parse_example2_flat_matrix_gate():
     doc = json.dumps({"mode": "example2", "tau": 1e-3, "n": 28, "N": 120, "seed": 1})
     with pytest.raises(ValidationError, match="n"):
         parse_config(doc)
+
+
+def test_parse_example2_large_order_allocates_no_matrix():
+    n = 2**16
+    doc = json.dumps({"mode": "example2", "tau": 0.25 / (n - 1), "n": n, "N": 2 * n, "seed": 1})
+    tracemalloc.start()
+    try:
+        cfg = parse_config(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.n == n
+    assert peak < 1_000_000
 
 
 def test_parse_rejects_bool_as_int():
@@ -159,6 +225,93 @@ def test_parse_random_sweep():
         parse_config(json.dumps({"mode": "random-sweep", "n_min": 5, "n_max": 4, "seed": 1}))
     with pytest.raises(ValidationError, match="N"):
         parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 6, "N": 10, "seed": 1}))
+
+
+_JUNK = st.one_of(
+    st.integers(),
+    st.integers(10**300, 10**420),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+)
+_SCALAR = st.one_of(st.integers(-2, 42), st.floats(-0.5, 1.5), _JUNK)
+# integers past the float range get a branch of their own: they once escaped
+# parse_config as OverflowError
+_CORRUPT = st.one_of(
+    _SCALAR, st.integers(10**300, 10**420), st.lists(_SCALAR, max_size=6), st.just(KeyError)
+)
+
+
+def _descending(draw, size):
+    return sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)), reverse=True)
+
+
+@st.composite
+def _documents(draw):
+    """A well-formed document of a random mode with up to three fields corrupted:
+    replaced by a junk value, one list entry replaced, or (``KeyError``) dropped."""
+    mode = draw(st.sampled_from(MODES))
+    n = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 16, 20]))
+    m = n + draw(st.integers(0, 3))
+    n_min = draw(st.integers(1, 4))
+    n_max = n_min + draw(st.integers(0, 6))
+    frac = draw(st.floats(0.0, 1.0))
+    tau = _descending(draw, n + 1)
+    doc = {
+        "mode": mode,
+        "seed": draw(st.integers(0, 2**40)),
+        "repetitions": draw(st.integers(1, 3)),
+        "tau_mode": draw(st.sampled_from(["known", "practitioner"])),
+        "solver": {"max_iterations": draw(st.integers(1, 10**6))},
+        "n": n,
+        "m": m,
+        "N": n + m + draw(st.integers(0, 4)),
+        "tau": {"example1": frac, "example2": frac / (2 * max(n - 1, 1))}.get(mode, tau),
+        "sigma": _descending(draw, n),
+        "widths": [t + draw(st.floats(0.0, 0.5)) for t in tau],
+        "n_min": n_min,
+        "n_max": n_max,
+    }
+    if mode == "random-sweep":
+        doc["N"] = 3 * n_max + draw(st.integers(0, 4))
+    doc = {key: doc[key] for key in doc if key in _COMMON_KEYS | _MODE_KEYS[mode]}
+    for key in draw(st.sets(st.sampled_from(sorted(_COMMON_KEYS | _MODE_KEYS[mode])), max_size=3)):
+        value = draw(_CORRUPT)
+        if value is KeyError:
+            doc.pop(key, None)
+        elif isinstance(doc.get(key), list) and draw(st.booleans()):
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = value
+        else:
+            doc[key] = value
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_parse_config_fuzz(doc):
+    # any document yields a config or one of the two parse errors, and an
+    # accepted one of modest size builds its first instance
+    try:
+        cfg = parse_config(json.dumps(doc))
+    except (ParseError, ValidationError):
+        return
+    assert isinstance(cfg, ExperimentConfig)
+    sizes = [cfg.n_max if cfg.mode == "random-sweep" else cfg.n, cfg.N]
+    if all(size is None or size <= 40 for size in sizes):
+        problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
+        assert hierarchy.n == n and tests.m >= n
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_checked_in_configs_validate_and_build(path, capsys):
+    assert main(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.strip() == "ok"
+    cfg = parse_config(path.read_text())
+    problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
+    assert hierarchy.n == n and tests.m >= n
+    if cfg.n is not None:
+        assert (n, tests.m, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
 
 
 # ---------------------------------------------------------------- experiments

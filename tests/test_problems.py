@@ -25,6 +25,14 @@ from msrom import (
     rhs_vector,
     synth_prescribed,
 )
+from msrom.problems import (
+    check_dimensions,
+    check_example1,
+    check_example2,
+    check_profile,
+    check_spectrum,
+    hadamard_available,
+)
 
 
 def test_problem_requires_exactly_one_rhs():
@@ -222,6 +230,56 @@ def test_synth_prescribed_with_metric():
     assert np.max(np.abs(s - sigma)) <= 1e-9
     _, res = project(problem.z_true, hierarchy.basis)
     assert abs(res - tau[-1]) <= 1e-9
+
+
+def test_hadamard_available_matches_flat_orthogonal():
+    for n in range(-1, 257):
+        try:
+            flat_orthogonal(n)
+            built = True
+        except ValueError:  # HadamardUnavailable, or a nonpositive order
+            built = False
+        assert hadamard_available(n) == built, n
+
+
+def test_hadamard_available_decides_large_orders():
+    # answered without building anything: 1000000007 is a prime = 3 mod 4;
+    # for 4 * 1000000009 neither 4000000035 = 5 * 800000007 nor the odd
+    # part 1000000009 gives a quadratic-residue matrix
+    assert hadamard_available(2**40)
+    assert hadamard_available(4 * 1_000_000_008)
+    assert not hadamard_available(4 * 1_000_000_009)
+    assert not hadamard_available(3**40)  # odd orders above 2 never qualify
+
+
+def test_check_messages_name_config_keys():
+    cases = [
+        (lambda: check_dimensions(0, 1, 2), DimensionTooSmall, "n must"),
+        (lambda: check_dimensions(3, 2, 9), DimensionTooSmall, "m must"),
+        (lambda: check_dimensions(3, 3, 5), DimensionTooSmall, "N must"),
+        (lambda: check_spectrum(2, [0.5]), InvalidSpectrum, "sigma must have length"),
+        (lambda: check_spectrum(2, [1.5, 0.5]), InvalidSpectrum, r"sigma entries .* \[0, 1\]"),
+        (lambda: check_spectrum(2, [0.2, np.nan]), InvalidSpectrum, "sigma entries"),
+        (lambda: check_spectrum(2, [0.2, 0.5]), InvalidSpectrum, "sigma must be nonincreasing"),
+        (lambda: check_profile(1, [1.0, 0.5], [0.5]), InvalidDistances, "tau must have length"),
+        (lambda: check_profile(1, [1.0], None), InvalidDistances, "widths must have length"),
+        (lambda: check_profile(1, [1.0, -0.5]), InvalidDistances, "widths entries"),
+        (lambda: check_profile(1, [1.0, 0.5], [0.5, -0.1]), InvalidDistances, "tau entries"),
+        (lambda: check_profile(1, [1.0, 0.5], [0.1, 0.2]), InvalidDistances, "tau must be"),
+        (lambda: check_profile(1, [1.0, 0.5], [0.6, 0.6]), InvalidDistances, "widths must"),
+        (lambda: check_example1(1.0, 6), InvalidSpectrum, "tau"),
+        (lambda: check_example1(0.5, 3), DimensionTooSmall, "n must"),
+        (lambda: check_example2(1e-3, 1), DimensionTooSmall, "n must"),
+        (lambda: check_example2(0.2, 16), InvalidDistances, r"tau .*1/\(2\(n-1\)\)"),
+        (lambda: check_example2(0.0, 16), InvalidDistances, "tau"),
+        (lambda: check_example2(1e-3, 28), HadamardUnavailable, "n = 28"),
+    ]
+    for call, kind, pattern in cases:
+        with pytest.raises(kind, match=pattern):
+            call()
+    assert check_example2(1e-3, 16) == 1 / 30
+    with pytest.raises(InvalidDistances):  # the plateau underflows, no OverflowError
+        check_example2(1e-300, 10**400)
 
 
 def test_synth_prescribed_validation():
