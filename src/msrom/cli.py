@@ -31,7 +31,7 @@ from .problems import (
     example2,
     synth_prescribed,
 )
-from .solvers import SingularSystem, SolverOptions, _assembled, error_norm, solve_ms, solve_pg
+from .solvers import SingularSystem, SolverOptions, _assemble, error_norm, solve_ms, solve_pg
 from .spectral import deltas, gamma
 
 __all__ = [
@@ -304,14 +304,15 @@ def run_instance(
     else:
         profile = hierarchy.widths
     # one assembly and one SVD of G serve the bounds and both projectors
-    with _assembled(problem, trial, tests) as (riesz, _, decomp):
-        inter = deltas(decomp, hierarchy, profile, gamma=gamma(riesz, trial))
-        try:
-            pg_point, _ = solve_pg(problem, trial, tests)
-            actual_pg = error_norm(pg_point, problem) if problem.synthetic else None
-        except SingularSystem:
-            actual_pg = None
-        solution = solve_ms(problem, hierarchy, tests, options)
+    system = _assemble(problem, trial, tests)
+    riesz, _, decomp = system
+    inter = deltas(decomp, hierarchy, profile, gamma=gamma(riesz, trial))
+    try:
+        pg_point, _ = solve_pg(problem, trial, tests, system=system)
+        actual_pg = error_norm(pg_point, problem) if problem.synthetic else None
+    except SingularSystem:
+        actual_pg = None
+    solution = solve_ms(problem, hierarchy, tests, options, system=system)
     actual_ms = error_norm(solution.point, problem) if problem.synthetic else None
     report = ms_bound(
         decomp,

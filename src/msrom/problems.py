@@ -257,8 +257,9 @@ def check_spectrum(n: int, sigma) -> np.ndarray:
 
 
 def check_profile(n: int, widths, tau=None):
-    """Widths and known distances ``tau``: length n+1, nonnegative, ``tau``
-    nonincreasing and below the widths.  Returns them as float arrays."""
+    """Widths and known distances ``tau``: length n+1, nonnegative, no finite
+    entry whose square overflows, ``tau`` nonincreasing and below the widths.
+    Returns them as float arrays."""
     w = np.asarray(widths, dtype=float)
     t = None if tau is None else np.asarray(tau, dtype=float)
     for key, v in (("tau", t), ("widths", w)):
@@ -268,6 +269,9 @@ def check_profile(n: int, widths, tau=None):
             raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
         if np.any(np.isnan(v)) or np.any(v < 0.0):
             raise InvalidDistances(f"{key} entries must be nonnegative")
+        with np.errstate(over="ignore"):
+            if np.any(np.isfinite(v) & np.isinf(v * v)):
+                raise InvalidDistances(f"finite {key} entries must have a finite square (< 1.34e154)")
     if t is not None:
         if np.any(np.diff(t) > 0.0):
             raise InvalidDistances("tau must be nonincreasing")

@@ -4,17 +4,17 @@ Both read one assembly per instance: the load vector ``d`` and the SVD of
 the test/trial Gram matrix ``G``.  ``solve_pg`` returns the least-squares
 solution of ``G c = d``.  ``solve_ms`` minimizes the same residual subject to
 the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
-over an intersection of centered cylinders, by a primal-dual active-set method
-(Newton on the working-set multipliers) with an accelerated projected-gradient
-fallback whose projection step, :func:`project_slices`, is exact and finite.
-The trial spaces are nested, so a width binds only where it sets a strict new
-running minimum; only those widths enter the working set and the checks.
+over an intersection of centered cylinders.  Its dual in the multipliers of
+the widths is smooth and concave; a projected Newton method (Bertsekas 1982)
+maximizes it, with a primal-dual active-set polish for a stalled line search.
+The certificate is the proximal-gradient residual, whose projection,
+:func:`project_slices`, is exact and finite.  The trial spaces are nested, so
+a width binds only where it sets a strict new running minimum; only those
+widths get multipliers and enter the checks.
 """
 
 from __future__ import annotations
 
-import contextlib
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,9 +55,11 @@ class TruthUnavailable(ValueError):
 class SolverOptions:
     """Iteration budget and stall tolerance for :func:`solve_ms`.
 
-    ``max_iterations`` caps the projected-gradient fallback;
-    ``gradient_tolerance`` is the relative cost decrease below which a
-    fallback step counts as stalled.
+    ``max_iterations`` caps the Newton evaluations (factorizations of the
+    penalized normal matrix) of the dual iteration; ``gradient_tolerance`` is
+    the relative increase of the dual value below which a damped Newton step
+    counts as stalled.  A dual iteration that stalls or reaches the cap hands
+    over to the active-set polish, which runs at most once.
     """
 
     max_iterations: int = 50_000
@@ -87,33 +89,14 @@ class MultiSliceSolution:
     non_unique_hint: bool = False
 
 
-# The innermost `_assembled` block's (problem, trial, tests) and their assembly.
-_lent = ContextVar("msrom_lent_system", default=((None,) * 3, None))
-
-
 def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace):
     """``(riesz, d, decomp)``: the representers, the load vector and the SVD of ``G``."""
-    objects, system = _lent.get()
-    if all(a is b for a, b in zip(objects, (problem, trial, tests))):
-        return system
     if tests.m < trial.n_columns:
         raise ValueError(
             f"need at least as many tests as trial directions (m={tests.m}, n={trial.n_columns})"
         )
     riesz = riesz_representers(problem, tests)
     return riesz, rhs_vector(problem, tests), decompose(gram_matrix(riesz, trial))
-
-
-@contextlib.contextmanager
-def _assembled(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace):
-    """Assemble once; ``solve_pg`` and ``solve_ms`` on the same three objects
-    inside the block reuse it instead of assembling and factoring ``G`` again."""
-    system = _assemble(problem, trial, tests)
-    token = _lent.set(((problem, trial, tests), system))
-    try:
-        yield system
-    finally:
-        _lent.reset(token)
 
 
 def _singular(sigma: np.ndarray) -> bool:
@@ -129,15 +112,17 @@ def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
 
 
 def solve_pg(
-    problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace
+    problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace, *, system=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical projection: solve ``G c = d`` (least squares when m > n).
 
     Returns ``(point, coeffs)``.  Raises :class:`SingularSystem` for a square
     system whose smallest singular value is below ``SINGULAR_REL_TOL`` times
-    the largest.
+    the largest.  ``system`` optionally supplies the assembly
+    ``(riesz, d, decomp)`` of these three objects, so that a caller running
+    both projectors assembles and factors ``G`` once.
     """
-    _, d, decomp = _assemble(problem, trial, tests)
+    _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     m, n = decomp.G.shape
     s = decomp.sigma
     if m == n and _singular(s):
@@ -192,112 +177,102 @@ def _kkt_tol(eps2, cc):
     return 1e-11 * np.maximum(eps2, 1e-30) + 1e-14 * cc
 
 
-def _newton_working_set(H, h, eps, active, c_ls):
-    """Clipped Newton for the multipliers of the working set ``active``.
+def _dual_point(H, h, lam, tails, eps2):
+    """Minimizer of the Lagrangian for the multipliers ``lam``.
+
+    Row i of the 0/1 matrix ``tails`` selects the tail ``c[k_i:]`` that
+    multiplier i penalizes.  Returns ``(c, F, K)``: ``K = H + diag(tails^T
+    lam)`` (plus a tiny ridge when it is exactly singular), ``c = K^{-1} h``
+    and the dual gradient ``F_i = ||c[k_i:]||^2 - eps2_i``; ``None`` when the
+    ridged ``K`` is singular too.
+    """
+    K = H + np.diag(lam @ tails)
+    try:
+        c = np.linalg.solve(K, h)
+    except np.linalg.LinAlgError:
+        K = K + 1e-14 * (np.trace(K) / K.shape[0] + 1.0) * np.eye(K.shape[0])
+        try:
+            c = np.linalg.solve(K, h)
+        except np.linalg.LinAlgError:
+            return None
+    return c, tails @ (c * c) - eps2, K
+
+
+def _newton_working_set(H, h, eps, active):
+    """Clipped Newton for the multipliers of the nonempty working set ``active``.
 
     Seeks ``lam >= 0`` such that the minimizer of the penalized quadratic,
     ``(H + diag(cumulated lam)) c = h``, has squared tail norms equal to
     ``eps_k**2`` wherever ``lam_k > 0`` and within bounds wherever
-    ``lam_k = 0``.  Returns ``(c, lam, ok, evals)``.
+    ``lam_k = 0``.  Returns ``(c, ok, evals)``.
     """
-    n = H.shape[0]
-    if len(active) == 0:
-        return c_ls, np.zeros(0), True, 0
     active = np.asarray(active)
-    tails = np.arange(n) >= active[:, None]  # row i selects c[active[i]:]
+    tails = (np.arange(H.shape[0]) >= active[:, None]).astype(float)  # row i: c[active[i]:]
     eps2 = eps[active] ** 2
 
-    def evaluate(lam_vec):
-        K = H + np.diag(np.cumsum(np.bincount(active, weights=lam_vec, minlength=n)))
-        try:
-            c = np.linalg.solve(K, h)
-        except np.linalg.LinAlgError:
-            ridge = 1e-14 * (np.trace(K) / n + 1.0)
-            try:
-                c = np.linalg.solve(K + ridge * np.eye(n), h)
-            except np.linalg.LinAlgError:
-                return None
-        F = (tails * c) @ c - eps2
-        return c, F, K
-
-    def merit(lam_vec, F):
-        resid = np.where(lam_vec > 0.0, np.abs(F), np.maximum(F, 0.0))
-        return float(np.max(resid))
+    def residual(lam_vec, F):
+        return np.where(lam_vec > 0.0, np.abs(F), np.maximum(F, 0.0))
 
     lam = np.zeros(active.size)
-    state = evaluate(lam)
+    state = _dual_point(H, h, lam, tails, eps2)
     if state is None:
-        return None, lam, False, 1
+        return None, False, 1
     c, F, K = state
     evals = 1
     for _ in range(80):
         tol_f = _kkt_tol(eps2, float(c @ c))
-        resid = np.where(lam > 0.0, np.abs(F), np.maximum(F, 0.0))
+        resid = residual(lam, F)
         if np.all(resid <= tol_f):
-            return c, lam, True, evals
+            return c, True, evals
         free = (lam > 0.0) | (F > tol_f)
-        if not np.any(free):
-            return c, lam, True, evals
-        free_idx = np.nonzero(free)[0]
-        B = (tails[free_idx] * c).T
-        try:
-            V = np.linalg.solve(K, B)
-        except np.linalg.LinAlgError:
-            return c, lam, False, evals
-        J = -2.0 * (B.T @ V)
-        try:
-            step_free = np.linalg.solve(J, -F[free_idx])
-        except np.linalg.LinAlgError:
-            step_free = np.linalg.lstsq(J, -F[free_idx], rcond=None)[0]
+        base = float(np.max(resid))
+        B = (tails[free] * c).T
+        J = -2.0 * (B.T @ np.linalg.solve(K, B))
         step = np.zeros(active.size)
-        step[free_idx] = step_free
-        base = merit(lam, F)
+        try:
+            step[free] = np.linalg.solve(J, -F[free])
+        except np.linalg.LinAlgError:
+            step[free] = np.linalg.lstsq(J, -F[free], rcond=None)[0]
         t = 1.0
-        accepted = False
         while t >= 1e-6:
             lam_try = np.maximum(lam + t * step, 0.0)
-            state = evaluate(lam_try)
+            state = _dual_point(H, h, lam_try, tails, eps2)
             evals += 1
             if state is not None:
-                c_try, F_try, K_try = state
-                m_try = merit(lam_try, F_try)
+                m_try = float(np.max(residual(lam_try, state[1])))
                 if m_try < base * (1.0 - 1e-4) or m_try <= float(np.max(tol_f)):
-                    lam, c, F, K = lam_try, c_try, F_try, K_try
-                    accepted = True
+                    lam, (c, F, K) = lam_try, state
                     break
             t *= 0.5
-        if not accepted:
-            return c, lam, False, evals
-    return c, lam, False, evals
+        else:
+            return c, False, evals
+    return c, False, evals
 
 
 def _active_set_solve(H, h, eps, binding_ks, seed_set, c_ls):
-    """Primal-dual active-set outer loop; the working set only grows.
+    """The polish of :func:`solve_ms`: a primal-dual active-set loop whose
+    working set starts at ``seed_set`` and only grows.
 
     Returns ``(c, newton_evals)`` on success or ``None`` when the inner
     Newton iteration stalls.
     """
     active = sorted(set(seed_set))
     evals = 0
+    eps2 = eps[binding_ks] ** 2
     for _ in range(len(binding_ks) + 3):
         if active:
-            c, lam, ok, ev = _newton_working_set(H, h, eps, active, c_ls)
+            c, ok, ev = _newton_working_set(H, h, eps, active)
             evals += ev
-            if not ok or c is None:
+            if not ok:
                 return None
         else:
             c = c_ls
-        worst_k, worst_excess = None, 0.0
-        cc = float(c @ c)
-        for k in binding_ks.tolist():
-            if k in active:
-                continue
-            excess = float(c[k:] @ c[k:]) - eps[k] ** 2
-            if excess > _kkt_tol(eps[k] ** 2, cc) and excess > worst_excess:
-                worst_k, worst_excess = k, excess
-        if worst_k is None:
+        # add the most violated width outside the working set, if any
+        excess = np.array([float(c[k:] @ c[k:]) for k in binding_ks]) - eps2
+        excess[np.isin(binding_ks, active) | (excess <= _kkt_tol(eps2, float(c @ c)))] = 0.0
+        if not excess.any():
             return c, evals
-        active = sorted(set(active) | {worst_k})
+        active = sorted(set(active) | {int(binding_ks[np.argmax(excess)])})
     return None
 
 
@@ -319,23 +294,20 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
     # strictly falls; nested trial spaces make any other one implied
     running = np.minimum.accumulate(eps[:n])
     binding_ks = np.flatnonzero(running < np.append(np.inf, running[:-1]))
-    tails, eps_b = np.arange(n) >= binding_ks[:, None], eps[binding_ks]
+    tails, eps_b = (np.arange(n) >= binding_ks[:, None]).astype(float), eps[binding_ks]
+    eps2 = eps_b**2
     if s1 == 0.0:
         # flat cost surface; the origin is feasible and optimal
         return np.zeros(n), 0, True, 0.0
     eta = 1.0 / (2.0 * s1 * s1)
     c_ls = _least_squares(decomp, d)
 
-    def cost(c):
-        r = G @ c - d
-        return float(r @ r)
-
     def prox_residual(c):
         g = 2.0 * (H @ c - h)
         return float(np.linalg.norm(c - project_slices(c - eta * g, eps)) / eta)
 
     def tail_norms(c):
-        return np.sqrt((tails * c) @ c)
+        return np.sqrt(tails @ (c * c))
 
     def feasible_loose(c):
         return bool(np.all(tail_norms(c) <= eps_b * (1.0 + 1e-8) + 1e-12))
@@ -344,75 +316,84 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
     cert = max(1e-8, 1e-6 * gnorm0)
     tight = max(1e-9, 1e-7 * gnorm0)
 
-    if x_init is None and np.all(tail_norms(c_ls) <= eps_b * (1.0 - 1e-9)):
+    if np.all(tail_norms(c_ls) <= eps_b * (1.0 - 1e-9)):
         return c_ls, 0, True, prox_residual(c_ls)
 
-    x0 = project_slices(c_ls if x_init is None else np.asarray(x_init, dtype=float), eps)
-
-    def near_active(c):
-        return binding_ks[tail_norms(c) >= eps_b * (1.0 - 1e-6) - 1e-14].tolist()
-
-    total_evals = 0
-    attempt = _active_set_solve(H, h, eps, binding_ks, near_active(x0), c_ls)
-    if attempt is not None:
-        c_cand, evals = attempt
-        total_evals += evals
-        r_cand = prox_residual(c_cand)
-        if r_cand <= tight and feasible_loose(c_cand):
-            return c_cand, total_evals, True, r_cand
-
-    # Accelerated projected gradient with restart; periodically retry the
-    # active-set polish seeded from the current iterate.
-    x = x0.copy()
-    y = x0.copy()
-    t = 1.0
-    fx = cost(x)
-    best_x, best_f = x.copy(), fx
-    stall = 0
-    polish_failures = 0
-    it = 0
-    finished = False
-    while it < opts.max_iterations:
-        it += 1
-        grad_y = 2.0 * (H @ y - h)
-        x_new = project_slices(y - eta * grad_y, eps)
-        f_new = cost(x_new)
-        if f_new > fx:
-            y = x_new.copy()
-            t = 1.0
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x_new + ((t - 1.0) / t_next) * (x_new - x)
-            t = t_next
-        drop = abs(fx - f_new)
-        x, fx = x_new, f_new
-        if fx < best_f:
-            best_x, best_f = x.copy(), fx
-        stall = stall + 1 if drop <= opts.gradient_tolerance * max(fx, 1e-30) else 0
-        if prox_residual(x) <= tight:
-            finished = True
+    # Projected Newton (Bertsekas 1982) on the concave dual
+    # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
+    # A singular H, and the widths an initial point touches, start at a tiny lam.
+    support = _singular(decomp.sigma)
+    if x_init is not None:
+        touched = tail_norms(project_slices(x_init, eps)) >= eps_b * (1.0 - 1e-6) - 1e-14
+        support = support | touched
+    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * support
+    state = _dual_point(H, h, lam, tails, eps2)
+    c, evals, stalled = c_ls, 1, False
+    while state is not None:
+        c, F, K = state
+        if (np.where(lam > 0.0, np.abs(F), F) <= _kkt_tol(eps2, float(c @ c))).all():
+            r = prox_residual(c)
+            if r <= tight and feasible_loose(c):
+                return c, evals, True, r
             break
-        retry = stall >= 25 or (it % 100 == 0 and polish_failures < 12)
-        if retry:
-            attempt = _active_set_solve(H, h, eps, binding_ks, near_active(x), c_ls)
-            polished = False
-            if attempt is not None:
-                c_cand, evals = attempt
-                total_evals += evals
-                r_cand = prox_residual(c_cand)
-                if r_cand <= tight and feasible_loose(c_cand):
-                    x, fx = c_cand, cost(c_cand)
-                    polished = True
-            if polished:
-                finished = True
+        if stalled or evals >= opts.max_iterations:
+            break
+        B = (tails * c).T
+        J = -2.0 * (B.T @ np.linalg.solve(K, B))  # the dual Hessian
+        # diagonally scaled gradient step; -inf where a tail of c vanishes
+        scaled = np.divide(F, -J.diagonal(), out=np.full_like(F, -np.inf), where=J.diagonal() < 0)
+        w = float(np.linalg.norm(lam - np.maximum(lam + scaled, 0.0)))
+        # Newton on the secular form 1/||c[k:]|| - 1/eps_k (More and Sorensen 1983),
+        # nearly linear in lam where F is not: F times 2 t^2 / (eps (t + eps)) for
+        # t = ||c[k:]||; plain Newton when that is no ascent direction
+        t2 = np.maximum(F + eps2, 0.0)
+        for rhs in (F * 2.0 * t2 / (eps_b * (np.sqrt(t2) + eps_b)), F):
+            # multipliers within w of zero are held: the scaled gradient step for
+            # those pushed down, none for those whose Newton step crosses zero
+            held = (lam <= w) & (F < 0.0)
+            down = np.where(held, scaled, 0.0)
+            while True:
+                free = ~held
+                step, J_free = down.copy(), J[free][:, free]
+                try:
+                    step[free] = np.linalg.solve(J_free, -rhs[free])
+                except np.linalg.LinAlgError:
+                    step[free] = np.linalg.lstsq(J_free, -rhs[free], rcond=None)[0]
+                cross = free & (lam <= w) & (lam + step < 0.0)
+                if not cross.any():
+                    break
+                held |= cross
+            slope = float(F[free] @ step[free])
+            if slope > 0.0:
                 break
-            polish_failures += 1
-            if stall >= 25:
-                break
-    if not finished and best_f < fx:
-        x, fx = best_x, best_f
-    r_final = prox_residual(x)
-    return x, it + total_evals, r_final <= cert, r_final
+        stalled, t = True, 1.0
+        while t >= 1e-6 and evals < opts.max_iterations:
+            lam_t = np.maximum(lam + t * step, 0.0)
+            trial = _dual_point(H, h, lam_t, tails, eps2)
+            evals += 1
+            if trial is not None:
+                # q(lam_t) - q(lam) = sum delta_k (<c_t[k:], c[k:]> - eps_k^2)
+                # holds exactly; it avoids differencing the large values of q
+                delta = lam_t - lam
+                increase = float(delta @ (tails @ (trial[0] * c) - eps2))
+                # Armijo along the projection arc; strict, so a step that
+                # moves nothing never passes and the search ends in a stall
+                if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
+                    r = G @ c - d
+                    value = float(r @ r + lam @ F)  # q + ||d||^2
+                    stalled = t < 1.0 and increase <= opts.gradient_tolerance * max(value, 1e-30)
+                    lam, state = lam_t, trial
+                    break
+            t *= 0.5
+
+    # stalled or out of budget: one active-set polish seeded with the support
+    polished = _active_set_solve(H, h, eps, binding_ks, binding_ks[lam > 0.0].tolist(), c_ls)
+    if polished is not None and feasible_loose(polished[0]):
+        best, evals = polished[0], evals + polished[1]
+    else:
+        best = project_slices(c, eps)  # the last dual point, made feasible
+    r = prox_residual(best)
+    return best, evals, r <= cert, r
 
 
 def solve_ms(
@@ -422,12 +403,19 @@ def solve_ms(
     options: SolverOptions | None = None,
     *,
     initial=None,
+    system=None,
 ) -> MultiSliceSolution:
     """Residual minimizer over the trial space subject to the slice widths.
 
-    ``initial`` optionally supplies starting coefficients (projected onto the
-    feasible set before use); by default the solver warm-starts from the
-    projected least-squares coefficients.
+    Unless the least-squares coefficients already satisfy the widths, a
+    projected Newton method on the multipliers of the binding widths solves
+    the problem; if its line search stalls, one active-set polish seeded with
+    its positive multipliers runs, and a solve that neither certifies reports
+    ``converged=False`` at a feasible point.  ``initial`` optionally supplies
+    starting coefficients: the binding widths that their projection onto the
+    feasible set touches start with a tiny positive multiplier.  ``system``
+    optionally supplies the assembly ``(riesz, d, decomp)``, as for
+    :func:`solve_pg`.
     """
     opts = options if options is not None else SolverOptions()
     trial = hierarchy.basis
@@ -435,7 +423,7 @@ def solve_ms(
     eps = np.asarray(hierarchy.widths, dtype=float)
     if np.any(np.isnan(eps)) or np.any(eps < 0.0):
         raise InfeasibleWidths("widths must be nonnegative")
-    _, d, decomp = _assemble(problem, trial, tests)
+    _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     G = decomp.G
 
     # a zero width pins every coordinate from that index on; only then does

@@ -385,6 +385,32 @@ def test_solve_ms_flags_non_unique_spectrum():
     assert solution.converged
 
 
+def test_solve_ms_singular_gram_with_biting_widths():
+    # sigma_n = 0 (or two zeros) and widths below the least-squares tail
+    # norms: the dual Newton must start off the singular H = G^T G
+    for seed in range(70):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        m = n + int(rng.integers(0, 3))
+        sigma = descending(rng, n, 0.05, 1.0)
+        sigma[0] = 1.0
+        sigma[-int(rng.integers(1, 3)) :] = 0.0
+        tau = descending(rng, n + 1, 1e-3, 1.2)
+        problem, hierarchy, tests = synth_prescribed(
+            n, m, n + m + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=seed
+        )
+        G, d = assemble(problem, hierarchy, tests)
+        c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
+        widths = np.append(tail_norms(c_ls) * rng.uniform(0.3, 1.0, n), 0.0)
+        solution = solve_ms(problem, SubspaceHierarchy(hierarchy.basis, widths=widths), tests)
+        assert solution.converged, seed
+        assert solution.non_unique_hint, seed
+        assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
+        if n <= 4:
+            ref_cost, _ = brute_force_ms(G, d, widths, rng)
+            assert solution.cost <= ref_cost + max(1e-9, 1e-7 * ref_cost), seed
+
+
 def test_solve_ms_rejects_bad_widths():
     rng = np.random.default_rng(17)
     problem, hierarchy, tests = square_instance(rng)
@@ -525,20 +551,33 @@ def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
     assert len(calls) <= 2
 
 
-# random-sweep seeds (n 3-10) whose solves reach the projected-gradient fallback
+# random-sweep seeds (n 3-10) whose solves reached the projected-gradient
+# fallback of the former grow-only active-set solver
 FALLBACK_SWEEP_SEEDS = [59, 204, 265, 594, 697, 1095, 1382, 1445]
+
+
+def counting_polish(monkeypatch):
+    """Count the calls ``solve_ms`` makes to the active-set polish."""
+    import msrom.solvers as solvers_module
+
+    calls = []
+    polish = solvers_module._active_set_solve
+    monkeypatch.setattr(
+        solvers_module, "_active_set_solve", lambda *args: calls.append(1) or polish(*args)
+    )
+    return calls
 
 
 def test_fallback_stress_corpus(monkeypatch):
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     rng = np.random.default_rng(43)
-    fallback_runs = 0
+    polish_runs = 0
     for seed in FALLBACK_SWEEP_SEEDS:
         problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
-        calls = counting_projection(monkeypatch)
+        calls = counting_polish(monkeypatch)
         report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         monkeypatch.undo()
-        fallback_runs += len(calls) > 2
+        polish_runs += len(calls)
         widths = hierarchy.widths
         assert solution.converged, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
@@ -553,8 +592,75 @@ def test_fallback_stress_corpus(monkeypatch):
         for _ in range(200):
             c = random_feasible(rng, widths, n, scale=float(widths[0]))
             assert solution.cost <= cost(c) + 1e-12 * max(1.0, cost(c)), seed
-    # the corpus keeps the fallback loop covered
-    assert fallback_runs >= 1
+    # the dual Newton certifies every seed on its own; the polish is covered
+    # by the max_iterations tests below
+    assert polish_runs == 0
+
+
+def biting_instance(seed, n_high=8):
+    """A sweep instance whose widths all cut the least-squares tail norms."""
+    rng = np.random.default_rng(seed)
+    problem, hierarchy, tests = sweep_instance(rng, n_high=n_high)
+    tight, G, d = tightened(problem, hierarchy, tests, rng, high=0.9)
+    return problem, tight, tests, G, d
+
+
+def test_solve_ms_polish_certifies_when_the_newton_budget_runs_out(monkeypatch):
+    # two evaluations stop the dual Newton early; the seeded active-set
+    # polish then finishes the solve
+    for seed in range(6):
+        problem, tight, tests, G, d = biting_instance(60 + seed)
+        full = solve_ms(problem, tight, tests)
+        calls = counting_polish(monkeypatch)
+        capped = solve_ms(problem, tight, tests, SolverOptions(max_iterations=2))
+        monkeypatch.undo()
+        assert calls == [1]
+        assert full.converged and capped.converged
+        assert capped.iterations > 2
+        assert capped.cost == pytest.approx(full.cost, rel=1e-9, abs=1e-300)
+        n = tight.n
+        assert np.all(tail_norms(capped.coeffs) <= tight.widths[:n] * (1.0 + 1e-8) + 1e-12)
+
+
+def test_solve_ms_reports_non_convergence_when_the_polish_fails(monkeypatch):
+    import msrom.solvers as solvers_module
+
+    monkeypatch.setattr(solvers_module, "_active_set_solve", lambda *args: None)
+    for seed in range(6):
+        problem, tight, tests, G, d = biting_instance(80 + seed)
+        solution = solve_ms(problem, tight, tests, SolverOptions(max_iterations=1))
+        assert solution.converged is False
+        assert solution.iterations == 1
+        cert = max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d))
+        assert solution.kkt_residual > cert
+        # the point returned is still feasible
+        n = tight.n
+        assert np.all(tail_norms(solution.coeffs) <= tight.widths[:n] * (1.0 + 1e-8) + 1e-12)
+
+
+def scaled(problem, hierarchy, s):
+    """The same instance with the truth, the widths and the distances times s."""
+    return (
+        ProblemInstance(problem.space, problem.operator, z_true=s * problem.z_true),
+        SubspaceHierarchy(hierarchy.basis, s * hierarchy.widths, s * hierarchy.distances),
+    )
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e6])
+def test_scaling_truth_and_widths_scales_solution_and_bounds(s):
+    # metamorphic: G does not change, d, the widths and the minimizer scale
+    # by s; the KKT slack's absolute floors must not break this
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
+    cases = [_build_instance(cfg, seed)[:3] for seed in FALLBACK_SWEEP_SEEDS]
+    cases.append(example1(1e-4, 10, 40, 17))
+    for problem, hierarchy, tests in cases:
+        base_report, base, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+        report, solution, _ = run_instance(*scaled(problem, hierarchy, s), tests, SolverOptions())
+        assert base.converged and solution.converged
+        gap = np.linalg.norm(solution.coeffs - s * base.coeffs)
+        assert gap <= 1e-9 * s * np.linalg.norm(base.coeffs)
+        assert report.ms_bound == pytest.approx(s * base_report.ms_bound, rel=1e-9)
+        assert report.babuska == pytest.approx(s * base_report.babuska, rel=1e-9)
 
 
 def test_solver_options_validation():
