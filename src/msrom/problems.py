@@ -256,10 +256,16 @@ def check_spectrum(n: int, sigma) -> np.ndarray:
     return sigma
 
 
+# Largest finite width or distance.  The solve and the bounds square values
+# of this scale and sum the squares; a square of at most 1e300 leaves those
+# sums a factor of about 1e8 below the float range.
+PROFILE_LIMIT = 1e150
+
+
 def check_profile(n: int, widths, tau=None):
-    """Widths and known distances ``tau``: length n+1, nonnegative, no finite
-    entry whose square overflows, ``tau`` nonincreasing and below the widths.
-    Returns them as float arrays."""
+    """Widths and known distances ``tau``: length n+1, nonnegative, finite
+    entries at most ``PROFILE_LIMIT``, ``tau`` nonincreasing and below the
+    widths.  Returns them as float arrays."""
     w = np.asarray(widths, dtype=float)
     t = None if tau is None else np.asarray(tau, dtype=float)
     for key, v in (("tau", t), ("widths", w)):
@@ -269,9 +275,8 @@ def check_profile(n: int, widths, tau=None):
             raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
         if np.any(np.isnan(v)) or np.any(v < 0.0):
             raise InvalidDistances(f"{key} entries must be nonnegative")
-        with np.errstate(over="ignore"):
-            if np.any(np.isfinite(v) & np.isinf(v * v)):
-                raise InvalidDistances(f"finite {key} entries must have a finite square (< 1.34e154)")
+        if np.any(np.isfinite(v) & (v > PROFILE_LIMIT)):
+            raise InvalidDistances(f"finite {key} entries must be at most {PROFILE_LIMIT:g}")
     if t is not None:
         if np.any(np.diff(t) > 0.0):
             raise InvalidDistances("tau must be nonincreasing")

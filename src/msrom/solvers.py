@@ -6,11 +6,10 @@ solution of ``G c = d``.  ``solve_ms`` minimizes the same residual subject to
 the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
 over an intersection of centered cylinders.  Its dual in the multipliers of
 the widths is smooth and concave; a projected Newton method (Bertsekas 1982)
-maximizes it, with a primal-dual active-set polish for a stalled line search.
-The certificate is the proximal-gradient residual, whose projection,
-:func:`project_slices`, is exact and finite.  The trial spaces are nested, so
-a width binds only where it sets a strict new running minimum; only those
-widths get multipliers and enter the checks.
+maximizes it.  The certificate is the proximal-gradient residual, whose
+projection, :func:`project_slices`, is exact and finite.  The trial spaces
+are nested, so a width binds only where it sets a strict new running
+minimum; only those widths get multipliers and enter the checks.
 """
 
 from __future__ import annotations
@@ -58,8 +57,8 @@ class SolverOptions:
     ``max_iterations`` caps the Newton evaluations (factorizations of the
     penalized normal matrix) of the dual iteration; ``gradient_tolerance`` is
     the relative increase of the dual value below which a damped Newton step
-    counts as stalled.  A dual iteration that stalls or reaches the cap hands
-    over to the active-set polish, which runs at most once.
+    counts as stalled.  A dual iteration that stalls or reaches the cap ends
+    the solve at the feasible projection of its last point, certified or not.
     """
 
     max_iterations: int = 50_000
@@ -198,84 +197,6 @@ def _dual_point(H, h, lam, tails, eps2):
     return c, tails @ (c * c) - eps2, K
 
 
-def _newton_working_set(H, h, eps, active):
-    """Clipped Newton for the multipliers of the nonempty working set ``active``.
-
-    Seeks ``lam >= 0`` such that the minimizer of the penalized quadratic,
-    ``(H + diag(cumulated lam)) c = h``, has squared tail norms equal to
-    ``eps_k**2`` wherever ``lam_k > 0`` and within bounds wherever
-    ``lam_k = 0``.  Returns ``(c, ok, evals)``.
-    """
-    active = np.asarray(active)
-    tails = (np.arange(H.shape[0]) >= active[:, None]).astype(float)  # row i: c[active[i]:]
-    eps2 = eps[active] ** 2
-
-    def residual(lam_vec, F):
-        return np.where(lam_vec > 0.0, np.abs(F), np.maximum(F, 0.0))
-
-    lam = np.zeros(active.size)
-    state = _dual_point(H, h, lam, tails, eps2)
-    if state is None:
-        return None, False, 1
-    c, F, K = state
-    evals = 1
-    for _ in range(80):
-        tol_f = _kkt_tol(eps2, float(c @ c))
-        resid = residual(lam, F)
-        if np.all(resid <= tol_f):
-            return c, True, evals
-        free = (lam > 0.0) | (F > tol_f)
-        base = float(np.max(resid))
-        B = (tails[free] * c).T
-        J = -2.0 * (B.T @ np.linalg.solve(K, B))
-        step = np.zeros(active.size)
-        try:
-            step[free] = np.linalg.solve(J, -F[free])
-        except np.linalg.LinAlgError:
-            step[free] = np.linalg.lstsq(J, -F[free], rcond=None)[0]
-        t = 1.0
-        while t >= 1e-6:
-            lam_try = np.maximum(lam + t * step, 0.0)
-            state = _dual_point(H, h, lam_try, tails, eps2)
-            evals += 1
-            if state is not None:
-                m_try = float(np.max(residual(lam_try, state[1])))
-                if m_try < base * (1.0 - 1e-4) or m_try <= float(np.max(tol_f)):
-                    lam, (c, F, K) = lam_try, state
-                    break
-            t *= 0.5
-        else:
-            return c, False, evals
-    return c, False, evals
-
-
-def _active_set_solve(H, h, eps, binding_ks, seed_set, c_ls):
-    """The polish of :func:`solve_ms`: a primal-dual active-set loop whose
-    working set starts at ``seed_set`` and only grows.
-
-    Returns ``(c, newton_evals)`` on success or ``None`` when the inner
-    Newton iteration stalls.
-    """
-    active = sorted(set(seed_set))
-    evals = 0
-    eps2 = eps[binding_ks] ** 2
-    for _ in range(len(binding_ks) + 3):
-        if active:
-            c, ok, ev = _newton_working_set(H, h, eps, active)
-            evals += ev
-            if not ok:
-                return None
-        else:
-            c = c_ls
-        # add the most violated width outside the working set, if any
-        excess = np.array([float(c[k:] @ c[k:]) for k in binding_ks]) - eps2
-        excess[np.isin(binding_ks, active) | (excess <= _kkt_tol(eps2, float(c @ c)))] = 0.0
-        if not excess.any():
-            return c, evals
-        active = sorted(set(active) | {int(binding_ks[np.argmax(excess)])})
-    return None
-
-
 def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
     """Minimize ``||G c - d||^2`` over the slice cylinders, ``G = decomp.G``.
 
@@ -345,9 +266,10 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
         w = float(np.linalg.norm(lam - np.maximum(lam + scaled, 0.0)))
         # Newton on the secular form 1/||c[k:]|| - 1/eps_k (More and Sorensen 1983),
         # nearly linear in lam where F is not: F times 2 t^2 / (eps (t + eps)) for
-        # t = ||c[k:]||; plain Newton when that is no ascent direction
+        # t = ||c[k:]||; plain Newton when that is no ascent direction.  The
+        # factor is formed first: F * t^2 would square the problem's scale
         t2 = np.maximum(F + eps2, 0.0)
-        for rhs in (F * 2.0 * t2 / (eps_b * (np.sqrt(t2) + eps_b)), F):
+        for rhs in (F * (2.0 * t2 / (eps_b * (np.sqrt(t2) + eps_b))), F):
             # multipliers within w of zero are held: the scaled gradient step for
             # those pushed down, none for those whose Newton step crosses zero
             held = (lam <= w) & (F < 0.0)
@@ -386,12 +308,8 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
                     break
             t *= 0.5
 
-    # stalled or out of budget: one active-set polish seeded with the support
-    polished = _active_set_solve(H, h, eps, binding_ks, binding_ks[lam > 0.0].tolist(), c_ls)
-    if polished is not None and feasible_loose(polished[0]):
-        best, evals = polished[0], evals + polished[1]
-    else:
-        best = project_slices(c, eps)  # the last dual point, made feasible
+    # stalled, out of budget or uncertified: the last dual point, made feasible
+    best = project_slices(c, eps)
     r = prox_residual(best)
     return best, evals, r <= cert, r
 
@@ -409,9 +327,9 @@ def solve_ms(
 
     Unless the least-squares coefficients already satisfy the widths, a
     projected Newton method on the multipliers of the binding widths solves
-    the problem; if its line search stalls, one active-set polish seeded with
-    its positive multipliers runs, and a solve that neither certifies reports
-    ``converged=False`` at a feasible point.  ``initial`` optionally supplies
+    the problem.  A Newton iteration that stalls or runs out of evaluations
+    returns the projection of its last point onto the widths, with
+    ``converged=False`` unless that point meets the certificate.  ``initial`` optionally supplies
     starting coefficients: the binding widths that their projection onto the
     feasible set touches start with a tiny positive multiplier.  ``system``
     optionally supplies the assembly ``(riesz, d, decomp)``, as for

@@ -114,23 +114,24 @@ def test_parse_rejects_numbers_beyond_the_float_range(text, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, values",
-    [("tau", [1e200, 0.2, 0.1]), ("widths", [0.5, 0.3, 2e154])],
+    [("tau", [1e200, 0.2, 0.1]), ("widths", [0.5, 0.3, 2e154]), ("widths", [0.5, 0.3, 1.3e154])],
 )
-def test_parse_rejects_profiles_whose_squares_overflow(key, values, tmp_path, capsys):
+def test_parse_rejects_profiles_beyond_the_limit(key, values, tmp_path, capsys):
     # squared, 1e200 is inf: such a config used to validate and then write
-    # nan rows after a solve that could not converge
+    # nan rows after a solve that could not converge; 1.3e154 has a finite
+    # square but overflows the sums the solve forms
     doc = dict(PRESCRIBED, **{key: values})
     if key == "tau":
         doc["widths"] = [1e200, 0.3, 0.15]
     text = json.dumps(doc)
-    with pytest.raises(ValidationError, match=f"{key} entries must have a finite square"):
+    with pytest.raises(ValidationError, match=f"{key} entries must be at most 1e\\+150"):
         parse_config(text)
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
-    assert "finite square" in capsys.readouterr().err
-    # the largest width whose square is finite still validates
-    parse_config(json.dumps(dict(PRESCRIBED, widths=[1.3e154, 0.3, 0.15])))
+    assert "at most 1e+150" in capsys.readouterr().err
+    # the limit itself still validates
+    parse_config(json.dumps(dict(PRESCRIBED, widths=[1e150, 0.3, 0.15])))
 
 
 def test_parse_rejects_unreadable_integers_and_nesting():

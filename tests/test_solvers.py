@@ -21,6 +21,7 @@ from helpers import (
 from msrom import (
     AmbientSpace,
     InfeasibleWidths,
+    InvalidDistances,
     ProblemInstance,
     SingularSystem,
     SolverOptions,
@@ -40,6 +41,7 @@ from msrom import (
     synth_prescribed,
 )
 from msrom.cli import _build_instance, parse_config
+from msrom.problems import PROFILE_LIMIT
 
 
 def tail_norms(c):
@@ -556,28 +558,16 @@ def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
 FALLBACK_SWEEP_SEEDS = [59, 204, 265, 594, 697, 1095, 1382, 1445]
 
 
-def counting_polish(monkeypatch):
-    """Count the calls ``solve_ms`` makes to the active-set polish."""
-    import msrom.solvers as solvers_module
-
-    calls = []
-    polish = solvers_module._active_set_solve
-    monkeypatch.setattr(
-        solvers_module, "_active_set_solve", lambda *args: calls.append(1) or polish(*args)
-    )
-    return calls
-
-
 def test_fallback_stress_corpus(monkeypatch):
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     rng = np.random.default_rng(43)
-    polish_runs = 0
+    fallback_runs = 0
     for seed in FALLBACK_SWEEP_SEEDS:
         problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
-        calls = counting_polish(monkeypatch)
+        calls = counting_projection(monkeypatch)
         report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         monkeypatch.undo()
-        polish_runs += len(calls)
+        fallback_runs += len(calls) > 2
         widths = hierarchy.widths
         assert solution.converged, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
@@ -592,9 +582,9 @@ def test_fallback_stress_corpus(monkeypatch):
         for _ in range(200):
             c = random_feasible(rng, widths, n, scale=float(widths[0]))
             assert solution.cost <= cost(c) + 1e-12 * max(1.0, cost(c)), seed
-    # the dual Newton certifies every seed on its own; the polish is covered
-    # by the max_iterations tests below
-    assert polish_runs == 0
+    # the dual Newton certifies every seed with no iterative projection loop:
+    # one project_slices call, for the certificate
+    assert fallback_runs == 0
 
 
 def biting_instance(seed, n_high=8):
@@ -605,27 +595,9 @@ def biting_instance(seed, n_high=8):
     return problem, tight, tests, G, d
 
 
-def test_solve_ms_polish_certifies_when_the_newton_budget_runs_out(monkeypatch):
-    # two evaluations stop the dual Newton early; the seeded active-set
-    # polish then finishes the solve
-    for seed in range(6):
-        problem, tight, tests, G, d = biting_instance(60 + seed)
-        full = solve_ms(problem, tight, tests)
-        calls = counting_polish(monkeypatch)
-        capped = solve_ms(problem, tight, tests, SolverOptions(max_iterations=2))
-        monkeypatch.undo()
-        assert calls == [1]
-        assert full.converged and capped.converged
-        assert capped.iterations > 2
-        assert capped.cost == pytest.approx(full.cost, rel=1e-9, abs=1e-300)
-        n = tight.n
-        assert np.all(tail_norms(capped.coeffs) <= tight.widths[:n] * (1.0 + 1e-8) + 1e-12)
-
-
-def test_solve_ms_reports_non_convergence_when_the_polish_fails(monkeypatch):
-    import msrom.solvers as solvers_module
-
-    monkeypatch.setattr(solvers_module, "_active_set_solve", lambda *args: None)
+def test_solve_ms_reports_non_convergence_when_the_budget_runs_out():
+    # one evaluation stops the dual Newton at lam = 0, far from the answer;
+    # the solve must say so and still return a point within the widths
     for seed in range(6):
         problem, tight, tests, G, d = biting_instance(80 + seed)
         solution = solve_ms(problem, tight, tests, SolverOptions(max_iterations=1))
@@ -633,9 +605,36 @@ def test_solve_ms_reports_non_convergence_when_the_polish_fails(monkeypatch):
         assert solution.iterations == 1
         cert = max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d))
         assert solution.kkt_residual > cert
-        # the point returned is still feasible
         n = tight.n
         assert np.all(tail_norms(solution.coeffs) <= tight.widths[:n] * (1.0 + 1e-8) + 1e-12)
+
+
+def test_solve_ms_initial_support_does_not_change_the_minimizer(monkeypatch):
+    # a zero start touches no width and starts the dual Newton at lam = 0; a
+    # huge start touches the head width of each block its projection pools,
+    # so the two starts seed different multiplier supports
+    import msrom.solvers as solvers_module
+
+    dual_point = solvers_module._dual_point
+    for seed in range(6):
+        problem, tight, tests, G, d = biting_instance(100 + seed)
+        n = tight.n
+        reference = solve_ms(problem, tight, tests)
+        starts = []
+        for initial in (np.zeros(n), 1e6 * np.linalg.lstsq(G, d, rcond=None)[0]):
+            lams = []
+            monkeypatch.setattr(
+                solvers_module,
+                "_dual_point",
+                lambda H, h, lam, *rest: lams.append(lam) or dual_point(H, h, lam, *rest),
+            )
+            solution = solve_ms(problem, tight, tests, initial=initial)
+            monkeypatch.undo()
+            assert solution.converged, seed
+            gap = np.linalg.norm(solution.coeffs - reference.coeffs)
+            assert gap <= 1e-9 * max(1.0, np.linalg.norm(reference.coeffs)), seed
+            starts.append(lams[0] > 0.0)
+        assert not starts[0].any() and starts[1].any(), seed
 
 
 def scaled(problem, hierarchy, s):
@@ -646,14 +645,22 @@ def scaled(problem, hierarchy, s):
     )
 
 
-@pytest.mark.parametrize("s", [1e-6, 1e6])
-def test_scaling_truth_and_widths_scales_solution_and_bounds(s):
+@pytest.mark.parametrize("scale", [1e-6, 1e6, "limit"])
+def test_scaling_truth_and_widths_scales_solution_and_bounds(scale):
     # metamorphic: G does not change, d, the widths and the minimizer scale
-    # by s; the KKT slack's absolute floors must not break this
+    # by s; the KKT slack's absolute floors must not break this.  "limit"
+    # scales the largest finite width or distance to the largest one that
+    # check_profile accepts
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     cases = [_build_instance(cfg, seed)[:3] for seed in FALLBACK_SWEEP_SEEDS]
     cases.append(example1(1e-4, 10, 40, 17))
     for problem, hierarchy, tests in cases:
+        s = scale
+        if scale == "limit":
+            profile = np.concatenate([hierarchy.widths, hierarchy.distances])
+            s = PROFILE_LIMIT / np.max(profile[np.isfinite(profile)])
+            with pytest.raises(InvalidDistances):
+                scaled(problem, hierarchy, 1.01 * s)
         base_report, base, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         report, solution, _ = run_instance(*scaled(problem, hierarchy, s), tests, SolverOptions())
         assert base.converged and solution.converged
