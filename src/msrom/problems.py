@@ -55,44 +55,82 @@ class HadamardUnavailable(ValueError):
     """No orthogonal matrix with flat entry magnitudes is known for this order."""
 
 
-@dataclass(eq=False)
 class ProblemInstance:
     """Weak problem ``a(z, v) = b(v)`` on a discretized space.
 
-    ``operator`` is the matrix ``A`` in ``a(v, z) = v^T M A z``.  Exactly one
-    right-hand side is set: ``z_true`` (synthetic mode, ``b(v) = a(z_true, v)``
-    so the exact solution is known) or ``functional`` (``b(v) = <functional, v>``).
+    ``operator`` is the matrix ``A`` in ``a(v, z) = v^T M A z``.  It is given
+    either densely or, as ``factors=(R, MZ)``, as the low-rank product ``A =
+    R MZ^T`` of two N x k matrices; then every product with ``A`` goes through
+    the factors, and the dense ``operator`` is formed only when it is read
+    (once, then cached).  Exactly one right-hand side is set: ``z_true``
+    (synthetic mode, ``b(v) = a(z_true, v)`` so the exact solution is known)
+    or ``functional`` (``b(v) = <functional, v>``).
     """
 
-    space: AmbientSpace
-    operator: np.ndarray
-    z_true: np.ndarray | None = None
-    functional: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        A = np.asarray(self.operator, dtype=float)
-        N = self.space.dim
-        if A.shape != (N, N):
-            raise ValueError(f"operator must be {N}x{N}, got {A.shape}")
-        self.operator = A
-        if (self.z_true is None) == (self.functional is None):
+    def __init__(
+        self,
+        space: AmbientSpace,
+        operator: np.ndarray | None = None,
+        z_true: np.ndarray | None = None,
+        functional: np.ndarray | None = None,
+        *,
+        factors: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> None:
+        N = space.dim
+        self.space = space
+        if (operator is None) == (factors is None):
+            raise ValueError("exactly one of operator and factors must be given")
+        self.factors = None
+        self._operator = None
+        if operator is not None:
+            self._operator = np.asarray(operator, dtype=float)
+            if self._operator.shape != (N, N):
+                raise ValueError(f"operator must be {N}x{N}, got {self._operator.shape}")
+        else:
+            R, MZ = (np.asarray(f, dtype=float) for f in factors)
+            if R.ndim != 2 or R.shape[0] != N or MZ.shape != R.shape:
+                raise ValueError(
+                    f"factors must be two ({N}, k) matrices, got {R.shape} and {MZ.shape}"
+                )
+            self.factors = (R, MZ)
+        if (z_true is None) == (functional is None):
             raise ValueError("exactly one of z_true and functional must be given")
-        if self.z_true is not None:
-            self.z_true = np.asarray(self.z_true, dtype=float)
-            if self.z_true.shape != (N,):
-                raise ValueError("z_true has the wrong shape")
-        if self.functional is not None:
-            self.functional = np.asarray(self.functional, dtype=float)
-            if self.functional.shape != (N,):
-                raise ValueError("functional has the wrong shape")
+        self.z_true = None if z_true is None else np.asarray(z_true, dtype=float)
+        self.functional = None if functional is None else np.asarray(functional, dtype=float)
+        if self.z_true is not None and self.z_true.shape != (N,):
+            raise ValueError("z_true has the wrong shape")
+        if self.functional is not None and self.functional.shape != (N,):
+            raise ValueError("functional has the wrong shape")
+
+    @property
+    def operator(self) -> np.ndarray:
+        """The dense N x N matrix ``A``, formed from the factors on first read."""
+        if self._operator is None:
+            R, MZ = self.factors
+            self._operator = R @ MZ.T
+        return self._operator
 
     @property
     def synthetic(self) -> bool:
         return self.z_true is not None
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` for a vector or a matrix of columns, through the factors if any."""
+        if self.factors is None:
+            return self.operator @ x
+        R, MZ = self.factors
+        return R @ (MZ.T @ x)
+
+    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
+        """``A^T y``, through the factors if any."""
+        if self.factors is None:
+            return self.operator.T @ y
+        R, MZ = self.factors
+        return MZ @ (R.T @ y)
+
     def bilinear(self, v: np.ndarray, z: np.ndarray) -> float:
         """Evaluate ``a(v, z) = v^T M A z``."""
-        return float(v @ self.space.apply_metric(self.operator @ z))
+        return float(v @ self.space.apply_metric(self.apply(z)))
 
 
 @dataclass(eq=False)
@@ -146,8 +184,12 @@ class RieszFamily:
 
 
 def riesz_representers(problem: ProblemInstance, tests: TestSpace) -> RieszFamily:
-    """Representers of ``v -> a(v, z_j)``; with the stored convention r_j = A z_j."""
-    return RieszFamily(problem.operator @ tests.basis.columns)
+    """Representers of ``v -> a(v, z_j)``; with the stored convention r_j = A z_j.
+
+    With factors ``A = R MZ^T`` this is ``R (MZ^T Z)`` for any test frame ``Z``,
+    without forming ``A``.
+    """
+    return RieszFamily(problem.apply(tests.basis.columns))
 
 
 def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
@@ -161,11 +203,13 @@ def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
 def rhs_vector(problem: ProblemInstance, tests: TestSpace) -> np.ndarray:
     """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
 
-    ``d = Z^T A^T M z_true`` in synthetic mode and ``Z^T M f`` otherwise.
+    ``d = Z^T A^T M z_true`` in synthetic mode, which with factors ``A = R
+    MZ^T`` is ``Z^T (MZ (R^T M z_true))`` for any test frame ``Z``, and
+    ``Z^T M f`` otherwise.
     """
     Z = tests.basis.columns
     if problem.synthetic:
-        return Z.T @ (problem.operator.T @ problem.space.apply_metric(problem.z_true))
+        return Z.T @ problem.apply_transpose(problem.space.apply_metric(problem.z_true))
     return Z.T @ problem.space.apply_metric(problem.functional)
 
 
@@ -330,9 +374,11 @@ def synth_prescribed(
     so the Gram matrix of ``{r_j}`` against ``{w_i}`` has singular values
     ``sigma`` and right factor ``X``, while ``{r_j}`` stays orthonormal.  The
     operator is ``A = R (M Z)^T`` for a random orthonormal test basis Z, which
-    makes ``A z_j = r_j``.  The truth is ``z_true = sum_k c_k w_k + tau_n u``
-    with ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random unit ``u``
-    orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.
+    makes ``A z_j = r_j``; the instance keeps it as the factor pair ``(R, M
+    Z)`` and never forms the N x N matrix unless ``operator`` is read.  The
+    truth is ``z_true = sum_k c_k w_k + tau_n u`` with
+    ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random unit ``u`` orthogonal
+    to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.
     """
     n, m, N = int(n), int(m), int(N)
     check_dimensions(n, m, N)
@@ -355,7 +401,6 @@ def synth_prescribed(
     R[:, n:] = Q[:, n:]
 
     Z = orthonormalize(rng.standard_normal((N, m)), space)
-    A = R @ space.apply_metric(Z.columns).T
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     trial = OrthonormalFrame(space, W)
@@ -365,7 +410,7 @@ def synth_prescribed(
     u /= space.norm(u)
     z_true = W @ coeff + tau[-1] * u
 
-    problem = ProblemInstance(space, A, z_true=z_true)
+    problem = ProblemInstance(space, z_true=z_true, factors=(R, space.apply_metric(Z.columns)))
     hierarchy = SubspaceHierarchy(trial, widths=widths, distances=tau)
     return problem, hierarchy, TestSpace(Z)
 

@@ -96,12 +96,10 @@ def decompose(G: np.ndarray) -> GramDecomposition:
     X = Vt.T
     sigma = np.zeros(n)
     sigma[: s.shape[0]] = s
-    for j in range(n):
-        i = int(np.argmax(np.abs(X[:, j])))
-        if X[i, j] < 0.0:
-            X[:, j] = -X[:, j]
-            if j < m:
-                U[:, j] = -U[:, j]
+    if n:
+        flip = X[np.argmax(np.abs(X), axis=0), np.arange(n)] < 0.0
+        X[:, flip] *= -1.0
+        U[:, np.flatnonzero(flip[:m])] *= -1.0
     return GramDecomposition(G=G, U=U, X=X, sigma=sigma)
 
 
@@ -119,19 +117,24 @@ def gamma(riesz: RieszFamily, trial: OrthonormalFrame) -> float:
 
     Equals ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| = 1 }``,
     the metric operator norm of the representers' component orthogonal to
-    the trial span, ``(I - W W^T M) R``.  Computed as the top singular value
-    of ``L^T (R - W (W^T M R))`` with ``M = L L^T`` the metric's Cholesky
-    factorization (``L`` drops out for the Euclidean metric).  Returns 0 when
-    the trial space fills the whole space or there are no representers.
+    the trial span, ``P = (I - W W^T M) R``.  Computed as the square root of
+    the top eigenvalue of the m x m Gram ``P^T M P`` (``P^T P`` for the
+    Euclidean metric), with ``P`` first divided by its largest-magnitude
+    entry so the squares neither overflow nor underflow; the top eigenvalue
+    carries full relative accuracy.  Returns 0 when the trial space fills the
+    whole space, there are no representers, or ``P`` is exactly zero.
     """
     space = trial.space
     if trial.n_columns >= space.dim or riesz.m == 0:
         return 0.0
     W, R = trial.columns, riesz.vectors
     P = R - W @ (W.T @ space.apply_metric(R))
-    if space.cholesky is not None:
-        P = space.cholesky.T @ P
-    return float(np.linalg.svd(P, compute_uv=False)[0])
+    scale = float(np.max(np.abs(P)))
+    if scale == 0.0:
+        return 0.0
+    P = P / scale
+    top = np.linalg.eigvalsh(P.T @ space.apply_metric(P))[-1]
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def deltas(

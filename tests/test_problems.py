@@ -3,15 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, random_orthogonal, random_spd
+from helpers import descending, metric_example1, random_orthogonal, random_spd
 from msrom import (
     AmbientSpace,
     DimensionTooSmall,
     HadamardUnavailable,
     InvalidDistances,
     InvalidSpectrum,
+    OrthonormalFrame,
     ProblemInstance,
     RieszFamily,
+    SolverOptions,
     SubspaceHierarchy,
     TestSpace,
     evaluate_b,
@@ -23,6 +25,7 @@ from msrom import (
     project,
     riesz_representers,
     rhs_vector,
+    run_instance,
     synth_prescribed,
 )
 from msrom.problems import (
@@ -41,6 +44,86 @@ def test_problem_requires_exactly_one_rhs():
         ProblemInstance(space, np.eye(2))
     with pytest.raises(ValueError):
         ProblemInstance(space, np.eye(2), z_true=np.ones(2), functional=np.ones(2))
+
+
+def test_problem_requires_exactly_one_operator_form():
+    space = AmbientSpace(3)
+    factors = (np.ones((3, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        ProblemInstance(space, z_true=np.ones(3))
+    with pytest.raises(ValueError):
+        ProblemInstance(space, np.eye(3), z_true=np.ones(3), factors=factors)
+    with pytest.raises(ValueError):
+        ProblemInstance(space, z_true=np.ones(3), factors=(np.ones((3, 2)), np.ones((3, 1))))
+
+
+def relative_gap(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_factored_operator_matches_dense(metric):
+    rng = np.random.default_rng(6)
+    n, m, N = 4, 6, 17
+    sigma = descending(rng, n, 0.05, 1.0)
+    tau = descending(rng, n + 1, 0.01, 1.0)
+    problem, _, tests = synth_prescribed(
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=31,
+        metric=random_spd(rng, N) if metric else None,
+    )
+    space = problem.space
+    R, MZ = problem.factors
+    dense = ProblemInstance(space, R @ MZ.T, z_true=problem.z_true)
+    Z = tests.basis.columns
+    frames = [
+        tests,
+        TestSpace(OrthonormalFrame(space, Z @ random_orthogonal(rng, m))),
+        TestSpace(orthonormalize(rng.standard_normal((N, 5)), space)),
+    ]
+    for frame in frames:
+        got = riesz_representers(problem, frame).vectors
+        assert relative_gap(got, riesz_representers(dense, frame).vectors) <= 1e-13
+        assert relative_gap(rhs_vector(problem, frame), rhs_vector(dense, frame)) <= 1e-13
+    V = rng.standard_normal((N, 10))
+    pairs = [(V[:, k], V[:, k + 5]) for k in range(5)]
+    got = [problem.bilinear(v, z) for v, z in pairs] + [evaluate_b(problem, v) for v in V.T]
+    want = [dense.bilinear(v, z) for v, z in pairs] + [evaluate_b(dense, v) for v in V.T]
+    assert relative_gap(got, want) <= 1e-13
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_dense_rebuild_reproduces_run_instance(metric):
+    rng = np.random.default_rng(7)
+    problem, hierarchy, tests = metric_example1(
+        8, 40, 41, random_spd(rng, 40) if metric else None
+    )
+    dense = ProblemInstance(problem.space, problem.operator, z_true=problem.z_true)
+    options = SolverOptions()
+    (a, sol_a, dec_a), (b, sol_b, dec_b) = (
+        run_instance(p, hierarchy, tests, options) for p in (problem, dense)
+    )
+    pairs = [
+        (a.intermediates.gamma, b.intermediates.gamma),
+        (a.water_filling.sup_value, b.water_filling.sup_value),
+        (a.ms_bound, b.ms_bound),
+        (a.babuska, b.babuska),
+        (a.actual_pg_error, b.actual_pg_error),
+        (a.actual_ms_error, b.actual_ms_error),
+        (sol_a.cost, sol_b.cost),
+    ]
+    for got, want in pairs:
+        assert abs(got - want) <= 1e-10 * abs(want)
+    assert np.max(np.abs(dec_a.sigma - dec_b.sigma)) <= 1e-10 * dec_b.sigma[0]
+
+
+def test_run_instance_leaves_synthetic_operator_unformed():
+    rng = np.random.default_rng(8)
+    instances = [example1(1e-4, 8, 40, seed=3), metric_example1(8, 40, 3, random_spd(rng, 40))]
+    for problem, hierarchy, tests in instances:
+        run_instance(problem, hierarchy, tests, SolverOptions())
+        assert problem._operator is None  # the cache behind problem.operator
+        A = problem.operator
+        assert problem._operator is A
 
 
 def test_synthetic_rhs_identity():

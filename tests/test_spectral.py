@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     complement_frame,
+    decompose_loop,
     descending,
+    metric_example1,
     random_orthogonal,
     random_spd,
     sweep_instance,
@@ -96,6 +98,28 @@ def test_decompose_is_deterministic():
     assert np.array_equal(a.sigma, b.sigma)
 
 
+def test_decompose_signs_match_loop_oracle():
+    rng = np.random.default_rng(3)
+    H = flat_orthogonal(4)
+    cases = [
+        rng.standard_normal((5, 5)),
+        rng.standard_normal((9, 4)),
+        rng.standard_normal((3, 6)),  # m < n: U has fewer columns than X
+        # right singular vectors with tied magnitudes 1/2
+        random_orthogonal(rng, 4) @ np.diag([4.0, 3.0, 2.0, 1.0]) @ H.T,
+        np.ones((3, 2)),
+        -np.eye(3),
+        np.zeros((4, 0)),  # n = 0, the reduced system of a zero width
+        np.zeros((0, 0)),
+    ]
+    for G in cases:
+        decomp = decompose(G)
+        U, X, sigma = decompose_loop(G)
+        assert decomp.U.tobytes() == U.tobytes()
+        assert decomp.X.tobytes() == X.tobytes()
+        assert decomp.sigma.tobytes() == sigma.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_decompose_reconstruction_property(seed):
@@ -177,6 +201,42 @@ def test_gamma_matches_complement_basis_oracle():
         C = riesz.vectors.T @ space.apply_metric(comp.columns)
         want = np.linalg.svd(C, compute_uv=False)[0]
         assert abs(gamma(riesz, trial) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_gamma_scales_with_extreme_representers(metric):
+    rng = np.random.default_rng(14)
+    space = AmbientSpace(9, random_spd(rng, 9) if metric else None)
+    trial = orthonormalize(rng.standard_normal((9, 3)), space)
+    R = rng.standard_normal((9, 4))
+    g = gamma(RieszFamily(R), trial)
+    for c in (1e-200, 1e200):
+        assert abs(gamma(RieszFamily(c * R), trial) - c * g) <= 1e-12 * c * g
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_gamma_in_span_is_rounding_sized(metric):
+    rng = np.random.default_rng(15)
+    space = AmbientSpace(8, random_spd(rng, 8) if metric else None)
+    trial = orthonormalize(rng.standard_normal((8, 4)), space)
+    B = trial.columns @ rng.standard_normal((4, 5))
+    for c in (1e-200, 1.0, 1e200):
+        g = gamma(RieszFamily(c * B), trial)
+        assert np.isfinite(g)
+        assert 0.0 <= g <= 1e-12 * c * np.linalg.norm(B)  # ||c B|| itself would underflow
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_gamma_large_matches_svd_of_complement_component(metric):
+    N = 500
+    rng = np.random.default_rng(16)
+    problem, hierarchy, tests = metric_example1(100, N, 16, random_spd(rng, N) if metric else None)
+    W = hierarchy.basis.columns
+    R = riesz_representers(problem, tests).vectors
+    M = problem.space.metric if metric else np.eye(N)
+    P = np.linalg.cholesky(M).T @ (R - W @ (W.T @ M @ R))
+    want = np.linalg.svd(P, compute_uv=False)[0]
+    assert abs(gamma(RieszFamily(R), hierarchy.basis) - want) <= 1e-12 * want
 
 
 def test_gamma_zero_without_complement_or_representers():
