@@ -172,8 +172,8 @@ def project_slices(c, widths) -> np.ndarray:
 
 
 def _kkt_tol(eps2, cc):
-    """Slack allowed on ``||c[k:]||^2 <= eps_k^2``, for eps_k^2 and ||c||^2."""
-    return 1e-11 * np.maximum(eps2, 1e-30) + 1e-14 * cc
+    """Slack on ``||c[k:]||^2 <= eps_k^2``, for eps_k^2 (widest first) and ||c||^2."""
+    return 1e-11 * np.maximum(eps2, 1e-30 * eps2[0]) + 1e-14 * cc
 
 
 def _dual_point(H, h, lam, tails, eps2):
@@ -230,22 +230,25 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
     def tail_norms(c):
         return np.sqrt(tails @ (c * c))
 
-    def feasible_loose(c):
-        return bool(np.all(tail_norms(c) <= eps_b * (1.0 + 1e-8) + 1e-12))
-
-    gnorm0 = float(np.linalg.norm(2.0 * h))
-    cert = max(1e-8, 1e-6 * gnorm0)
-    tight = max(1e-9, 1e-7 * gnorm0)
-
     if np.all(tail_norms(c_ls) <= eps_b * (1.0 - 1e-9)):
         return c_ls, 0, True, prox_residual(c_ls)
+
+    # floors scale with the problem, so that scaling d and the widths scales every
+    # decision: the widest binding width is the unit of c, s1^2 times it that of the gradient
+    wide = float(eps_b[0])
+    gnorm0 = float(np.linalg.norm(2.0 * h))
+    cert = max(1e-8 * s1 * s1 * wide, 1e-6 * gnorm0)
+    tight = max(1e-9 * s1 * s1 * wide, 1e-7 * gnorm0)
+
+    def feasible_loose(c):
+        return bool(np.all(tail_norms(c) <= eps_b * (1.0 + 1e-8) + 1e-12 * wide))
 
     # Projected Newton (Bertsekas 1982) on the concave dual
     # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
     # A singular H, and the widths an initial point touches, start at a tiny lam.
     support = _singular(decomp.sigma)
     if x_init is not None:
-        touched = tail_norms(project_slices(x_init, eps)) >= eps_b * (1.0 - 1e-6) - 1e-14
+        touched = tail_norms(project_slices(x_init, eps)) >= eps_b * (1.0 - 1e-6) - 1e-14 * wide
         support = support | touched
     lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * support
     state = _dual_point(H, h, lam, tails, eps2)
@@ -303,7 +306,8 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
                 if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
                     r = G @ c - d
                     value = float(r @ r + lam @ F)  # q + ||d||^2
-                    stalled = t < 1.0 and increase <= opts.gradient_tolerance * max(value, 1e-30)
+                    negligible = opts.gradient_tolerance * max(value, 1e-30 * (s1 * wide) ** 2)
+                    stalled = t < 1.0 and increase <= negligible
                     lam, state = lam_t, trial
                     break
             t *= 0.5

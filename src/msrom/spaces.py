@@ -38,8 +38,8 @@ class AmbientSpace:
     ``metric`` is a symmetric positive-definite matrix; ``None`` means the
     Euclidean inner product.  The metric is factored once on construction,
     ``metric = cholesky @ cholesky.T`` with ``cholesky`` lower triangular
-    (``None`` in the Euclidean case); a failed factorization is what rejects
-    a metric that is not positive definite.
+    (``None`` in the Euclidean case, public, unused by :func:`orthonormalize`):
+    a failed factorization is what rejects a metric that is not positive definite.
     """
 
     dim: int
@@ -126,12 +126,16 @@ def _as_columns(vectors) -> np.ndarray:
 def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
     """Metric-orthonormal basis of the vectors' span, in the given order.
 
-    One Householder QR of ``cholesky.T @ V`` (of ``V`` itself for the
-    Euclidean case), signs chosen so that ``R_jj > 0``, and ``Q = cholesky^-T
-    Q~``: column j is then what Gram-Schmidt makes of vector j, up to
-    rounding.  Raises :class:`RankDeficient` at the first pivot ``|R_jj|`` at
-    or below ``RANK_TOL`` times the largest input norm, and when there are
-    more vectors than dimensions.  No vectors give an empty frame.
+    One Householder QR ``V = Q~ R~``, which is ``Q R`` in the Euclidean case.
+    In a metric the k x k Gram ``Q~^T M Q~`` is SPD and no worse conditioned
+    than ``M``; its Cholesky factor ``C`` gives ``Q = Q~ C^-T`` and ``R = C^T
+    R~`` (Cholesky QR in an oblique inner product, Lowery and Langou 2014).
+    Columns are flipped so that ``R_jj > 0``: column j is then what
+    Gram-Schmidt makes of vector j, up to rounding.  Raises
+    :class:`RankDeficient` at the first pivot ``|R_jj|`` at or below
+    ``RANK_TOL`` times the largest input norm (column norm of ``R``), and
+    when there are more vectors than dimensions.  No vectors give an empty
+    frame.
     """
     V = _as_columns(vectors)
     N, k = V.shape
@@ -144,11 +148,16 @@ def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
             f"input vector {N} is numerically dependent on its predecessors "
             f"({k} vectors in R^{N})"
         )
-    L = space.cholesky
-    B = V if L is None else L.T @ V
-    Q, R = np.linalg.qr(B)
+    Q, R = np.linalg.qr(V)
+    if space.metric is None:
+        norms = np.linalg.norm(V, axis=0)
+    else:
+        C = np.linalg.cholesky(Q.T @ (space.metric @ Q))
+        R = C.T @ R
+        norms = np.linalg.norm(R, axis=0)  # the metric norms of the inputs
+        Q = Q @ np.linalg.inv(C).T
     pivots = np.diag(R)
-    tol = RANK_TOL * float(np.linalg.norm(B, axis=0).max())
+    tol = RANK_TOL * float(norms.max())
     small = np.flatnonzero(np.abs(pivots) <= tol)
     if small.size:
         j = int(small[0])
@@ -157,8 +166,6 @@ def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
             f"(pivot norm {abs(pivots[j]):.3e}, tolerance {tol:.3e})"
         )
     Q *= np.where(pivots < 0.0, -1.0, 1.0)
-    if L is not None:
-        Q = np.linalg.solve(L.T, Q)
     return OrthonormalFrame(space, Q)
 
 

@@ -91,6 +91,60 @@ def test_orthonormalize_matches_gram_schmidt_reference(with_metric):
         assert np.max(np.abs(frame.columns - mgs_orthonormalize(V, space))) <= 1e-12
 
 
+@pytest.mark.parametrize("spread,tol", [(4.0, 1e-13), (1e2, 1e-13), (1e4, 1e-10), (1e6, 1e-8)])
+def test_orthonormalize_ill_conditioned_metric(spread, tol):
+    # cond(M) = spread^2; the k x k Gram of the Householder factor is no worse
+    rng = np.random.default_rng(11)
+    N, k = 60, 20
+    space = AmbientSpace(N, random_spd(rng, N, spread=spread))
+    V = rng.standard_normal((N, k))
+    Q = orthonormalize(V, space).columns
+    assert np.max(np.abs(frame_gram(OrthonormalFrame(space, Q)) - np.eye(k))) <= tol
+    assert np.max(np.abs(Q - mgs_orthonormalize(V, space))) <= tol * np.max(np.abs(Q))
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_orthonormalize_near_dependence(with_metric):
+    # a column 1e-9 (relative) off its predecessor is independent, one 1e-12
+    # off is not: RANK_TOL = 1e-10 sits between them
+    rng = np.random.default_rng(12)
+    N = 9
+    space = AmbientSpace(N, random_spd(rng, N) if with_metric else None)
+    a, b, e = rng.standard_normal((3, N))
+    e /= np.linalg.norm(e)
+    close = [a, b, b + 1e-9 * np.linalg.norm(b) * e]
+    frame = orthonormalize(close, space)
+    assert np.max(np.abs(frame_gram(frame) - np.eye(3))) <= 1e-12
+    with pytest.raises(RankDeficient, match="input vector 2 "):
+        orthonormalize([a, b, b + 1e-12 * np.linalg.norm(b) * e], space)
+
+
+def test_orthonormalize_euclidean_is_signed_householder_qr():
+    rng = np.random.default_rng(13)
+    V = rng.standard_normal((30, 12))
+    Q, R = np.linalg.qr(V)
+    Q *= np.where(np.diag(R) < 0.0, -1.0, 1.0)
+    assert np.array_equal(orthonormalize(V, AmbientSpace(30)).columns, Q)
+
+
+def test_orthonormalize_metric_factors_only_k_by_k(monkeypatch):
+    # the metric's N x N Cholesky factor is not needed: every factorization
+    # is of the k x k Gram of the Householder factor
+    rng = np.random.default_rng(14)
+    N, k = 60, 5
+    space = AmbientSpace(N, random_spd(rng, N))
+    shapes = []
+    for name in ("solve", "inv", "cholesky"):
+        routine = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda a, *rest, f=routine: shapes.append(np.shape(a)) or f(a, *rest)
+        )
+    frame = orthonormalize(rng.standard_normal((N, k)), space)
+    monkeypatch.undo()
+    assert shapes and all(max(shape) <= k for shape in shapes), shapes
+    assert np.max(np.abs(frame_gram(frame) - np.eye(k))) <= 1e-13
+
+
 def test_orthonormalize_reports_first_dependent_index():
     rng = np.random.default_rng(9)
     a, b, c = rng.standard_normal((3, 5))
