@@ -150,7 +150,7 @@ def _solver_options(doc) -> SolverOptions:
     raw = doc.get("solver", {})
     if not isinstance(raw, dict):
         raise ValidationError("field 'solver' must be an object")
-    readers = {"max_iterations": _require_int, "gradient_tolerance": _require_float}
+    readers = {"max_iterations": _require_int}
     unknown = set(raw) - set(readers)
     if unknown:
         raise ValidationError(f"unknown solver option(s): {sorted(unknown)}")

@@ -388,13 +388,15 @@ def synth_prescribed(
         raise InvalidSpectrum(f"X must be {n}x{n}")
     if np.max(np.abs(X.T @ X - np.eye(n))) > 1e-10:
         raise InvalidSpectrum("X must be orthogonal")
-    widths, tau = check_profile(n, widths, tau)
 
     rng = np.random.default_rng(seed)
     space = AmbientSpace(N, metric)
     base = orthonormalize(rng.standard_normal((N, n + m)), space)
     W = base.columns[:, :n]
     Q = base.columns[:, n:]
+    trial = OrthonormalFrame(space, W)
+    hierarchy = SubspaceHierarchy(trial, widths=widths, distances=tau)  # checks the profile
+    tau = hierarchy.distances
 
     R = np.empty((N, m))
     R[:, :n] = (W @ X) * sigma + Q[:, :n] * np.sqrt(1.0 - sigma**2)
@@ -403,7 +405,6 @@ def synth_prescribed(
     Z = orthonormalize(rng.standard_normal((N, m)), space)
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
-    trial = OrthonormalFrame(space, W)
     u = rng.standard_normal(N)
     for _ in range(2):
         u -= project(u, trial)[0]
@@ -411,7 +412,6 @@ def synth_prescribed(
     z_true = W @ coeff + tau[-1] * u
 
     problem = ProblemInstance(space, z_true=z_true, factors=(R, space.apply_metric(Z.columns)))
-    hierarchy = SubspaceHierarchy(trial, widths=widths, distances=tau)
     return problem, hierarchy, TestSpace(Z)
 
 

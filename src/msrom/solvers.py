@@ -6,10 +6,11 @@ solution of ``G c = d``.  ``solve_ms`` minimizes the same residual subject to
 the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
 over an intersection of centered cylinders.  Its dual in the multipliers of
 the widths is smooth and concave; a projected Newton method (Bertsekas 1982)
-maximizes it.  The certificate is the proximal-gradient residual, whose
-projection, :func:`project_slices`, is exact and finite.  The trial spaces
-are nested, so a width binds only where it sets a strict new running
-minimum; only those widths get multipliers and enter the checks.
+maximizes it.  Every exit returns the projection of the last Lagrangian
+minimizer onto the widths, :func:`project_slices` (exact and finite), and
+certifies it by its proximal-gradient residual.  The trial spaces are
+nested, so a width binds only where it sets a strict new running minimum;
+only those widths get multipliers and enter the checks.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ __all__ = [
 
 # Relative threshold below which the smallest singular value is treated as zero.
 SINGULAR_REL_TOL = 1e-12
+# Relative increase of the dual value below which a damped Newton step stalls.
+STALL_REL_TOL = 1e-10
 
 
 class SingularSystem(ValueError):
@@ -52,21 +55,19 @@ class TruthUnavailable(ValueError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Iteration budget and stall tolerance for :func:`solve_ms`.
+    """Iteration budget for :func:`solve_ms`.
 
     ``max_iterations`` caps the Newton evaluations (factorizations of the
-    penalized normal matrix) of the dual iteration; ``gradient_tolerance`` is
-    the relative increase of the dual value below which a damped Newton step
-    counts as stalled.  A dual iteration that stalls or reaches the cap ends
-    the solve at the feasible projection of its last point, certified or not.
+    penalized normal matrix) of the dual iteration.  A dual iteration that
+    reaches the cap ends like any other: at the projection of its last point
+    onto the widths, certified or not.
     """
 
     max_iterations: int = 50_000
-    gradient_tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1 or self.gradient_tolerance <= 0.0:
-            raise ValueError("max_iterations and gradient_tolerance must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
 
 
 @dataclass(eq=False)
@@ -181,23 +182,20 @@ def _dual_point(H, h, lam, tails, eps2):
 
     Row i of the 0/1 matrix ``tails`` selects the tail ``c[k_i:]`` that
     multiplier i penalizes.  Returns ``(c, F, K)``: ``K = H + diag(tails^T
-    lam)`` (plus a tiny ridge when it is exactly singular), ``c = K^{-1} h``
-    and the dual gradient ``F_i = ||c[k_i:]||^2 - eps2_i``; ``None`` when the
-    ridged ``K`` is singular too.
+    lam)`` (plus a tiny ridge when it is exactly singular; ``K`` is positive
+    semidefinite, so the ridged one is definite), ``c = K^{-1} h`` and the
+    dual gradient ``F_i = ||c[k_i:]||^2 - eps2_i``.
     """
     K = H + np.diag(lam @ tails)
     try:
         c = np.linalg.solve(K, h)
     except np.linalg.LinAlgError:
         K = K + 1e-14 * (np.trace(K) / K.shape[0] + 1.0) * np.eye(K.shape[0])
-        try:
-            c = np.linalg.solve(K, h)
-        except np.linalg.LinAlgError:
-            return None
+        c = np.linalg.solve(K, h)
     return c, tails @ (c * c) - eps2, K
 
 
-def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
+def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
     """Minimize ``||G c - d||^2`` over the slice cylinders, ``G = decomp.G``.
 
     ``eps`` has length n+1 with all entries for k < n strictly positive
@@ -227,40 +225,23 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
         g = 2.0 * (H @ c - h)
         return float(np.linalg.norm(c - project_slices(c - eta * g, eps)) / eta)
 
-    def tail_norms(c):
-        return np.sqrt(tails @ (c * c))
-
-    if np.all(tail_norms(c_ls) <= eps_b * (1.0 - 1e-9)):
+    if np.all(np.sqrt(tails @ (c_ls * c_ls)) <= eps_b * (1.0 - 1e-9)):
         return c_ls, 0, True, prox_residual(c_ls)
 
     # floors scale with the problem, so that scaling d and the widths scales every
     # decision: the widest binding width is the unit of c, s1^2 times it that of the gradient
     wide = float(eps_b[0])
-    gnorm0 = float(np.linalg.norm(2.0 * h))
-    cert = max(1e-8 * s1 * s1 * wide, 1e-6 * gnorm0)
-    tight = max(1e-9 * s1 * s1 * wide, 1e-7 * gnorm0)
-
-    def feasible_loose(c):
-        return bool(np.all(tail_norms(c) <= eps_b * (1.0 + 1e-8) + 1e-12 * wide))
+    cert = max(1e-8 * s1 * s1 * wide, 1e-6 * float(np.linalg.norm(2.0 * h)))
 
     # Projected Newton (Bertsekas 1982) on the concave dual
     # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
-    # A singular H, and the widths an initial point touches, start at a tiny lam.
-    support = _singular(decomp.sigma)
-    if x_init is not None:
-        touched = tail_norms(project_slices(x_init, eps)) >= eps_b * (1.0 - 1e-6) - 1e-14 * wide
-        support = support | touched
-    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * support
-    state = _dual_point(H, h, lam, tails, eps2)
-    c, evals, stalled = c_ls, 1, False
-    while state is not None:
-        c, F, K = state
+    # A singular H starts at a tiny lam.
+    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * _singular(decomp.sigma)
+    c, F, K = _dual_point(H, h, lam, tails, eps2)
+    evals, stalled = 1, False
+    # stop at a KKT point, a stall or the cap
+    while not stalled and evals < opts.max_iterations:
         if (np.where(lam > 0.0, np.abs(F), F) <= _kkt_tol(eps2, float(c @ c))).all():
-            r = prox_residual(c)
-            if r <= tight and feasible_loose(c):
-                return c, evals, True, r
-            break
-        if stalled or evals >= opts.max_iterations:
             break
         B = (tails * c).T
         J = -2.0 * (B.T @ np.linalg.solve(K, B))  # the dual Hessian
@@ -296,23 +277,22 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions, x_init):
             lam_t = np.maximum(lam + t * step, 0.0)
             trial = _dual_point(H, h, lam_t, tails, eps2)
             evals += 1
-            if trial is not None:
-                # q(lam_t) - q(lam) = sum delta_k (<c_t[k:], c[k:]> - eps_k^2)
-                # holds exactly; it avoids differencing the large values of q
-                delta = lam_t - lam
-                increase = float(delta @ (tails @ (trial[0] * c) - eps2))
-                # Armijo along the projection arc; strict, so a step that
-                # moves nothing never passes and the search ends in a stall
-                if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
-                    r = G @ c - d
-                    value = float(r @ r + lam @ F)  # q + ||d||^2
-                    negligible = opts.gradient_tolerance * max(value, 1e-30 * (s1 * wide) ** 2)
-                    stalled = t < 1.0 and increase <= negligible
-                    lam, state = lam_t, trial
-                    break
+            # q(lam_t) - q(lam) = sum delta_k (<c_t[k:], c[k:]> - eps_k^2)
+            # holds exactly; it avoids differencing the large values of q
+            delta = lam_t - lam
+            increase = float(delta @ (tails @ (trial[0] * c) - eps2))
+            # Armijo along the projection arc; strict, so a step that
+            # moves nothing never passes and the search ends in a stall
+            if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
+                r = G @ c - d
+                value = float(r @ r + lam @ F)  # q + ||d||^2
+                negligible = STALL_REL_TOL * max(value, 1e-30 * (s1 * wide) ** 2)
+                stalled = t < 1.0 and increase <= negligible
+                lam, (c, F, K) = lam_t, trial
+                break
             t *= 0.5
 
-    # stalled, out of budget or uncertified: the last dual point, made feasible
+    # one exit: the last Lagrangian minimizer, made feasible, and its certificate
     best = project_slices(c, eps)
     r = prox_residual(best)
     return best, evals, r <= cert, r
@@ -324,20 +304,18 @@ def solve_ms(
     tests: TestSpace,
     options: SolverOptions | None = None,
     *,
-    initial=None,
     system=None,
 ) -> MultiSliceSolution:
     """Residual minimizer over the trial space subject to the slice widths.
 
     Unless the least-squares coefficients already satisfy the widths, a
     projected Newton method on the multipliers of the binding widths solves
-    the problem.  A Newton iteration that stalls or runs out of evaluations
-    returns the projection of its last point onto the widths, with
-    ``converged=False`` unless that point meets the certificate.  ``initial`` optionally supplies
-    starting coefficients: the binding widths that their projection onto the
-    feasible set touches start with a tiny positive multiplier.  ``system``
-    optionally supplies the assembly ``(riesz, d, decomp)``, as for
-    :func:`solve_pg`.
+    the problem.  However the Newton iteration ends (at a KKT point, stalled
+    or out of evaluations), the solve returns the projection of its last
+    point onto the widths, so every returned point lies within them, with
+    ``converged`` telling whether that point meets the certificate.
+    ``system`` optionally supplies the assembly ``(riesz, d, decomp)``, as
+    for :func:`solve_pg`.
     """
     opts = options if options is not None else SolverOptions()
     trial = hierarchy.basis
@@ -354,8 +332,7 @@ def solve_ms(
     n_free = int(zero_idx[0]) if zero_idx.size else n
     reduced = decomp if n_free == n else decompose(G[:, :n_free])
     reduced_eps = np.concatenate([eps[:n_free], [0.0]])
-    reduced_init = None if initial is None else np.asarray(initial, dtype=float)[:n_free]
-    c_red, iterations, converged, kkt = _solve_core(reduced, d, reduced_eps, opts, reduced_init)
+    c_red, iterations, converged, kkt = _solve_core(reduced, d, reduced_eps, opts)
     coeffs = np.zeros(n)
     coeffs[:n_free] = c_red
     residual = G @ coeffs - d

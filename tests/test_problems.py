@@ -365,6 +365,22 @@ def test_check_messages_name_config_keys():
         check_example2(1e-300, 10**400)
 
 
+def test_synth_prescribed_checks_the_profile_once(monkeypatch):
+    # the hierarchy validates the profile; synth_prescribed reads tau from it
+    import msrom.problems as problems_module
+
+    calls = []
+    monkeypatch.setattr(
+        problems_module,
+        "check_profile",
+        lambda *args: calls.append(1) or check_profile(*args),
+    )
+    tau = np.array([1.0, 0.6, 0.3, 0.1])
+    _, hierarchy, _ = synth_prescribed(3, 4, 9, [0.9, 0.5, 0.2], np.eye(3), tau, tau.copy(), 51)
+    assert len(calls) == 1
+    assert np.array_equal(hierarchy.distances, tau)
+
+
 def test_synth_prescribed_validation():
     n, m, N = 3, 3, 8
     good_tau = np.array([1.0, 0.5, 0.3, 0.1])

@@ -22,6 +22,7 @@ from msrom import (
     AmbientSpace,
     InfeasibleWidths,
     InvalidDistances,
+    OrthonormalFrame,
     ProblemInstance,
     SingularSystem,
     SolverOptions,
@@ -345,16 +346,6 @@ def test_solve_ms_newton_converges_in_few_evaluations():
     assert np.median(counts) <= 15
 
 
-def test_solve_ms_unique_minimizer_from_random_starts():
-    rng = np.random.default_rng(14)
-    problem, hierarchy, tests = sweep_instance(rng, n_low=5, n_high=5)
-    tight, _, _ = tightened(problem, hierarchy, tests, rng)
-    a = solve_ms(problem, tight, tests, initial=rng.standard_normal(5) * 3.0)
-    b = solve_ms(problem, tight, tests, initial=rng.standard_normal(5) * 0.1)
-    assert a.converged and b.converged
-    assert np.linalg.norm(a.point - b.point) <= 1e-6
-
-
 def test_solve_ms_truth_projection_chain():
     # f(z_MS) <= f(P(z*)) <= gamma^2 tau_n^2, and P(z*) is feasible
     rng = np.random.default_rng(15)
@@ -546,7 +537,7 @@ def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
     # the tied widths (1, ..., 1, sqrt(tau), sqrt(tau)), all in the working
     # set, make near-duplicate constraints, a singular Newton system and
     # hundreds of fallback projections; with only the binding widths the
-    # solve projects once to start and once for the certificate
+    # solve projects once for the point and once for its certificate
     calls = counting_projection(monkeypatch)
     solution = solve_ms(*example1(1e-4, 10, 40, seed))
     assert solution.converged
@@ -583,7 +574,7 @@ def test_fallback_stress_corpus(monkeypatch):
             c = random_feasible(rng, widths, n, scale=float(widths[0]))
             assert solution.cost <= cost(c) + 1e-12 * max(1.0, cost(c)), seed
     # the dual Newton certifies every seed with no iterative projection loop:
-    # one project_slices call, for the certificate
+    # two project_slices calls, for the point and its certificate
     assert fallback_runs == 0
 
 
@@ -609,39 +600,15 @@ def test_solve_ms_reports_non_convergence_when_the_budget_runs_out():
         assert np.all(tail_norms(solution.coeffs) <= tight.widths[:n] * (1.0 + 1e-8) + 1e-12)
 
 
-def test_solve_ms_initial_support_does_not_change_the_minimizer(monkeypatch):
-    # a zero start touches no width and starts the dual Newton at lam = 0; a
-    # huge start touches the head width of each block its projection pools,
-    # so the two starts seed different multiplier supports
-    import msrom.solvers as solvers_module
-
-    dual_point = solvers_module._dual_point
-    for seed in range(6):
-        problem, tight, tests, G, d = biting_instance(100 + seed)
-        n = tight.n
-        reference = solve_ms(problem, tight, tests)
-        starts = []
-        for initial in (np.zeros(n), 1e6 * np.linalg.lstsq(G, d, rcond=None)[0]):
-            lams = []
-            monkeypatch.setattr(
-                solvers_module,
-                "_dual_point",
-                lambda H, h, lam, *rest: lams.append(lam) or dual_point(H, h, lam, *rest),
-            )
-            solution = solve_ms(problem, tight, tests, initial=initial)
-            monkeypatch.undo()
-            assert solution.converged, seed
-            gap = np.linalg.norm(solution.coeffs - reference.coeffs)
-            assert gap <= 1e-9 * max(1.0, np.linalg.norm(reference.coeffs)), seed
-            starts.append(lams[0] > 0.0)
-        assert not starts[0].any() and starts[1].any(), seed
-
-
 def scaled(problem, hierarchy, s):
     """The same instance with the truth, the widths and the distances times s."""
     return (
         ProblemInstance(problem.space, problem.operator, z_true=s * problem.z_true),
-        SubspaceHierarchy(hierarchy.basis, s * hierarchy.widths, s * hierarchy.distances),
+        SubspaceHierarchy(
+            hierarchy.basis,
+            s * hierarchy.widths,
+            None if hierarchy.distances is None else s * hierarchy.distances,
+        ),
     )
 
 
@@ -671,11 +638,76 @@ def test_scaling_truth_and_widths_scales_solution_and_bounds(scale):
         assert report.babuska == pytest.approx(s * base_report.babuska, rel=1e-9)
 
 
+def test_solve_ms_certificate_floor_scales_with_the_problem():
+    # at 1e-20 every prox residual is tiny in absolute terms: one evaluation
+    # leaves the point far off, and only a floor relative to the problem's
+    # scale tells (an absolute floor max(1e-8, ...) certifies all six)
+    for seed in range(6):
+        problem, tight, tests, _, _ = biting_instance(80 + seed)
+        solution = solve_ms(*scaled(problem, tight, 1e-20), tests, SolverOptions(max_iterations=1))
+        assert solution.converged is False, seed
+
+
+def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
+    # G = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]: c_0 costs nothing and only the
+    # infinite width eps_0 covers it, so K = H + diag(tails^T lam) (3 x 3)
+    # keeps an exact zero pivot
+    space = AmbientSpace(6)
+    E = np.eye(6)
+    A = np.zeros((6, 6))
+    A[1, 3] = A[2, 4] = A[3, 5] = 1.0
+    problem = ProblemInstance(space, A, z_true=np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]))
+    trial = OrthonormalFrame(space, E[:, :3])
+    tests = TestSpace(OrthonormalFrame(space, E[:, 3:]))
+    hierarchy = SubspaceHierarchy(trial, widths=np.array([np.inf, 0.5, 0.3, 0.0]))
+    raised, solve = [], np.linalg.solve
+
+    def counting_solve(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            raised.append(np.shape(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    solution = solve_ms(problem, hierarchy, tests)
+    monkeypatch.undo()
+    assert (3, 3) in raised
+    assert solution.converged
+    assert np.max(np.abs(solution.coeffs - [0.0, 0.4, -0.3])) <= 1e-9
+
+
+def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):
+    # a stall tolerance of 1 ends the dual Newton at its first damped step
+    import msrom.solvers as solvers_module
+
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
+    for seed in (2, 3, 44):
+        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        full = solve_ms(problem, hierarchy, tests)
+        monkeypatch.setattr(solvers_module, "STALL_REL_TOL", 1.0)
+        stalled = solve_ms(problem, hierarchy, tests)
+        monkeypatch.undo()
+        assert full.converged and stalled.converged is False, seed
+        assert stalled.iterations < full.iterations, seed
+        assert np.all(tail_norms(stalled.coeffs) <= hierarchy.widths[:n] * (1.0 + 1e-14)), seed
+
+
+def test_solve_ms_points_lie_within_the_widths():
+    # every exit returns the projection onto the widths, never a point
+    # outside them by the KKT slack
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
+    for seed in range(3000):
+        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        _, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+        assert np.all(tail_norms(solution.coeffs) <= hierarchy.widths[:n] * (1.0 + 1e-14)), seed
+
+
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(gradient_tolerance=-1.0)
+    with pytest.raises(TypeError):  # the stall tolerance is no option
+        SolverOptions(gradient_tolerance=1e-10)
 
 
 @settings(max_examples=20, deadline=None)
