@@ -8,133 +8,22 @@ error bounds, plus synthetic instance generators with known ground truth so
 the bounds can be checked against actual errors.
 """
 
-from .bounds import (
-    BoundReport,
-    InvalidInput,
-    InvalidState,
-    SingularGram,
-    TooLarge,
-    WaterFillingSolution,
-    babuska_bound,
-    ms_bound,
-    sup_oracle,
-    water_filling,
-)
-from .cli import (
-    ExperimentConfig,
-    ParseError,
-    ValidationError,
-    main,
-    oracle_sweep,
-    parse_config,
-    run_experiment,
-    run_instance,
-)
-from .problems import (
-    DimensionTooSmall,
-    HadamardUnavailable,
-    InvalidDistances,
-    InvalidSpectrum,
-    ProblemInstance,
-    RieszFamily,
-    SubspaceHierarchy,
-    TestSpace,
-    evaluate_b,
-    example1,
-    example2,
-    flat_orthogonal,
-    rhs_vector,
-    riesz_representers,
-    synth_prescribed,
-)
-from .solvers import (
-    InfeasibleWidths,
-    MultiSliceSolution,
-    SingularSystem,
-    SolverOptions,
-    TruthUnavailable,
-    error_norm,
-    project_slices,
-    solve_ms,
-    solve_pg,
-)
-from .spaces import (
-    AmbientSpace,
-    OrthonormalFrame,
-    RankDeficient,
-    orthonormalize,
-    project,
-)
-from .spectral import (
-    AdaptedBases,
-    BoundIntermediates,
-    GramDecomposition,
-    LengthMismatch,
-    adapted_bases,
-    decompose,
-    deltas,
-    gamma,
-    gram_matrix,
-)
+from . import bounds, cli, problems, solvers, spaces, spectral
+from .bounds import *
+from .cli import *
+from .problems import *
+from .solvers import *
+from .spaces import *
+from .spectral import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbientSpace",
-    "OrthonormalFrame",
-    "RankDeficient",
-    "orthonormalize",
-    "project",
-    "ProblemInstance",
-    "SubspaceHierarchy",
-    "TestSpace",
-    "RieszFamily",
-    "InvalidSpectrum",
-    "InvalidDistances",
-    "DimensionTooSmall",
-    "HadamardUnavailable",
-    "riesz_representers",
-    "evaluate_b",
-    "rhs_vector",
-    "flat_orthogonal",
-    "synth_prescribed",
-    "example1",
-    "example2",
-    "GramDecomposition",
-    "AdaptedBases",
-    "BoundIntermediates",
-    "LengthMismatch",
-    "gram_matrix",
-    "decompose",
-    "adapted_bases",
-    "gamma",
-    "deltas",
-    "SolverOptions",
-    "MultiSliceSolution",
-    "SingularSystem",
-    "InfeasibleWidths",
-    "TruthUnavailable",
-    "solve_pg",
-    "project_slices",
-    "solve_ms",
-    "error_norm",
-    "WaterFillingSolution",
-    "BoundReport",
-    "SingularGram",
-    "InvalidInput",
-    "TooLarge",
-    "InvalidState",
-    "babuska_bound",
-    "water_filling",
-    "sup_oracle",
-    "ms_bound",
-    "ExperimentConfig",
-    "ParseError",
-    "ValidationError",
-    "parse_config",
-    "run_experiment",
-    "run_instance",
-    "oracle_sweep",
-    "main",
+    *spaces.__all__,
+    *problems.__all__,
+    *spectral.__all__,
+    *solvers.__all__,
+    *bounds.__all__,
+    *cli.__all__,
     "__version__",
 ]

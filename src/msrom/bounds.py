@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SubspaceHierarchy
-from .solvers import SINGULAR_REL_TOL
-from .spectral import BoundIntermediates, GramDecomposition
+from .spectral import SINGULAR_REL_TOL, BoundIntermediates, GramDecomposition
 
 __all__ = [
     "SingularGram",
     "InvalidInput",
     "TooLarge",
-    "InvalidState",
     "WaterFillingSolution",
     "BoundReport",
     "babuska_bound",
@@ -46,10 +44,6 @@ class InvalidInput(ValueError):
 
 class TooLarge(ValueError):
     """Enumeration oracle refused: dimension exceeds ORACLE_MAX_DIM."""
-
-
-class InvalidState(RuntimeError):
-    """Internal invariant of the bound computation failed."""
 
 
 @dataclass(frozen=True)
@@ -93,7 +87,7 @@ def babuska_bound(decomp: GramDecomposition, dist_n: float) -> float:
     sigma = decomp.sigma
     if sigma.size == 0:
         raise InvalidInput("empty decomposition")
-    if sigma[-1] <= SINGULAR_REL_TOL * sigma[0]:
+    if decomp.singular:
         raise SingularGram(
             f"sigma_n = {sigma[-1]:.3e} below {SINGULAR_REL_TOL} * sigma_1 = "
             f"{SINGULAR_REL_TOL * sigma[0]:.3e}"
@@ -135,7 +129,10 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
         return WaterFillingSolution(ell=None, rho=None, sup_value=0.0, active_case=False)
     budget = 4.0 * gamma * gamma * tau_n * tau_n
     cost = sigma * sigma * delta * delta
-    total = float(np.sum(cost))
+    # suffix[l] = sum of cost[l:], with suffix[n] = 0; suffix[0] is the total
+    suffix = np.zeros(n + 1)
+    suffix[:n] = np.cumsum(cost[::-1])[::-1]
+    total = float(suffix[0])
     # with zero total cost the constraint never binds: every coordinate with
     # positive cost has zero reward, so the saturated value is also the
     # constrained one
@@ -147,20 +144,10 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
         last_paying = int(np.max(np.nonzero(cost > 0.0)[0]))
         sup = float(np.sum(delta[last_paying + 1 :] ** 2))
         return WaterFillingSolution(ell=n, rho=0.0, sup_value=sup, active_case=True)
-    # suffix[l] = sum of cost[l:], with suffix[n] = 0
-    suffix = np.zeros(n + 1)
-    suffix[:n] = np.cumsum(cost[::-1])[::-1]
-    candidates = [l for l in range(n) if suffix[l] >= budget]
-    if not candidates:
-        raise InvalidState("no suffix reaches the budget despite total >= budget")
-    ell = max(candidates)
+    # the last suffix to meet the budget: suffix[0] = total does, and the cost
+    # at ell is positive, or suffix[ell + 1] would equal suffix[ell] and meet it too
+    ell = int(np.flatnonzero(suffix[:n] >= budget)[-1])
     cost_ell = float(cost[ell])
-    if cost_ell == 0.0:
-        # cannot happen with a positive budget: the suffix sum from ell
-        # strictly exceeds the one from ell + 1 at the selected index
-        raise InvalidState(
-            f"selected index {ell + 1} carries zero cost; fill fraction undetermined"
-        )
     tail = float(np.sum(delta[ell + 1 :] ** 2))
     rho = (budget - float(suffix[ell + 1])) / cost_ell
     rho = min(max(rho, 0.0), 1.0)

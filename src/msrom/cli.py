@@ -40,6 +40,8 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "run_experiment",
+    "run_instance",
+    "oracle_sweep",
     "main",
 ]
 

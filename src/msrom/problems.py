@@ -26,12 +26,6 @@ __all__ = [
     "riesz_representers",
     "evaluate_b",
     "rhs_vector",
-    "check_dimensions",
-    "check_spectrum",
-    "check_profile",
-    "check_example1",
-    "check_example2",
-    "hadamard_available",
     "flat_orthogonal",
     "synth_prescribed",
     "example1",

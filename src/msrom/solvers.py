@@ -21,7 +21,7 @@ import numpy as np
 
 from .problems import ProblemInstance, SubspaceHierarchy, TestSpace, rhs_vector, riesz_representers
 from .spaces import OrthonormalFrame
-from .spectral import GramDecomposition, decompose, gram_matrix
+from .spectral import SINGULAR_REL_TOL, GramDecomposition, decompose, gram_matrix
 
 __all__ = [
     "SingularSystem",
@@ -35,8 +35,6 @@ __all__ = [
     "error_norm",
 ]
 
-# Relative threshold below which the smallest singular value is treated as zero.
-SINGULAR_REL_TOL = 1e-12
 # Relative increase of the dual value below which a damped Newton step stalls.
 STALL_REL_TOL = 1e-10
 
@@ -99,10 +97,6 @@ def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpac
     return riesz, rhs_vector(problem, tests), decompose(gram_matrix(riesz, trial))
 
 
-def _singular(sigma: np.ndarray) -> bool:
-    return sigma.size > 0 and bool(sigma[-1] <= SINGULAR_REL_TOL * sigma[0])
-
-
 def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
     """``X diag(sigma)^+ U^T d`` with ``lstsq``'s cutoff ``eps * max(m, n) * sigma_1``."""
     m, n = decomp.G.shape
@@ -125,7 +119,7 @@ def solve_pg(
     _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     m, n = decomp.G.shape
     s = decomp.sigma
-    if m == n and _singular(s):
+    if m == n and decomp.singular:
         raise SingularSystem(
             f"smallest singular value {s[-1]:.3e} below {SINGULAR_REL_TOL} * {s[0]:.3e}"
         )
@@ -236,7 +230,7 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
     # Projected Newton (Bertsekas 1982) on the concave dual
     # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
     # A singular H starts at a tiny lam.
-    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * _singular(decomp.sigma)
+    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * decomp.singular
     c, F, K = _dual_point(H, h, lam, tails, eps2)
     evals, stalled = 1, False
     # stop at a KKT point, a stall or the cap
@@ -343,7 +337,7 @@ def solve_ms(
         iterations=int(iterations),
         converged=bool(converged),
         kkt_residual=float(kkt),
-        non_unique_hint=_singular(decomp.sigma),
+        non_unique_hint=decomp.singular,
     )
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "RANK_TOL",
     "AmbientSpace",
     "OrthonormalFrame",
     "RankDeficient",

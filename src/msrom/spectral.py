@@ -21,6 +21,9 @@ __all__ = [
     "deltas",
 ]
 
+# Relative threshold below which the smallest singular value is treated as zero.
+SINGULAR_REL_TOL = 1e-12
+
 
 class LengthMismatch(ValueError):
     """A distance or width vector does not have length n + 1."""
@@ -46,6 +49,12 @@ class GramDecomposition:
             raise ValueError("inconsistent factor shapes")
         if np.any(np.diff(self.sigma) > 0.0) or np.any(self.sigma < 0.0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
+
+    @property
+    def singular(self) -> bool:
+        """Whether sigma_n is at most ``SINGULAR_REL_TOL`` times sigma_1."""
+        s = self.sigma
+        return s.size > 0 and bool(s[-1] <= SINGULAR_REL_TOL * s[0])
 
 
 @dataclass(eq=False)
@@ -141,13 +150,13 @@ def deltas(
     decomp: GramDecomposition,
     hierarchy: SubspaceHierarchy,
     distances,
-    gamma: float = 0.0,
+    gamma: float,
 ) -> BoundIntermediates:
     """Aggregate distances and widths through |X| into the bound coefficients.
 
     ``eta_j = sum_i |x_ij| distances[i-1]`` and ``eta_hat_j`` likewise with the
     hierarchy widths; only the first n entries of each length-(n+1) vector
-    enter.  Pass the value from :func:`gamma` to carry it alongside.
+    enter.  ``gamma`` is the value from :func:`gamma`, carried alongside.
     """
     n = hierarchy.n
     distances = np.asarray(distances, dtype=float)

@@ -1,6 +1,9 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import descending, random_orthogonal
@@ -224,6 +227,44 @@ def test_water_filling_branch_continuity():
             wf = water_filling(delta, sigma, gam, tau_star * wiggle)
             values.append(wf.sup_value)
         assert abs(values[0] - values[1]) <= 1e-6 * max(values)
+
+
+def test_water_filling_budget_between_summation_orders():
+    # the pairwise and the tail-first sums of the costs differ in the last
+    # bit here, and the budget lies between them
+    args = ([1.992, 0.486, 0.514], [0.763, 0.258, 0.073], 0.5, 1.5255208624741914)
+    wf = water_filling(*args)
+    assert wf.sup_value == pytest.approx(4.468456, abs=5e-7)
+    assert abs(wf.sup_value - sup_oracle(*args)) <= 1e-9 * wf.sup_value
+
+
+def steps(x, k):
+    """The floats within k ulps of x, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_water_filling_budget_at_cost_total(seed, n):
+    # budgets equal to the cost total summed in either order, and one ulp
+    # either side, found by searching gamma and tau_n near the exact solution
+    rng = np.random.default_rng(seed)
+    delta, sigma, gam, _ = random_tuple(rng, n)
+    gam = gam or 0.5
+    cost = sigma * sigma * delta * delta
+    totals = {float(np.sum(cost)), float(np.cumsum(cost[::-1])[-1])}
+    assume(min(totals) > 0.0)
+    for target in {b for total in totals for b in steps(total, 1)}:
+        tau_n = math.sqrt(target) / (2.0 * gam)
+        for g, t in itertools.product(steps(gam, 3), steps(tau_n, 3)):
+            if 4.0 * g * g * t * t == target:
+                closed = water_filling(delta, sigma, g, t).sup_value
+                brute = sup_oracle(delta, sigma, g, t)
+                assert abs(closed - brute) <= 1e-9 * max(closed, brute, 1e-12)
 
 
 # -------------------------------------------------------------------- ms_bound

@@ -20,6 +20,7 @@ from msrom.cli import (
     oracle_sweep,
     parse_config,
     run_experiment,
+    run_instance,
 )
 from msrom.solvers import MultiSliceSolution
 
@@ -385,6 +386,27 @@ def test_run_random_sweep_bound_holds(tmp_path):
         if row["ell"] == "inactive":
             assert row["rho"] == ""
         assert row["converged"] == "true"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "example1", "tau": 1e-4, "n": 10, "m": 40, "N": 60, "seed": 0},
+        {"mode": "example2", "tau": 1e-3, "n": 8, "m": 32, "N": 48, "seed": 0},
+    ],
+    ids=lambda doc: doc["mode"],
+)
+def test_bound_holds_with_many_more_tests_than_trial_directions(doc):
+    cfg = parse_config(json.dumps(doc))
+    for seed in range(100):
+        problem, hierarchy, tests, _, _ = _build_instance(cfg, seed)
+        report, solution, _ = run_instance(problem, hierarchy, tests, cfg.solver)
+        tau_n = float(hierarchy.distances[-1])
+        assert solution.converged, seed
+        assert report.actual_ms_error <= report.ms_bound, seed
+        assert report.ms_bound**2 == pytest.approx(
+            report.water_filling.sup_value + tau_n**2, rel=1e-12
+        ), seed
 
 
 def test_run_writes_stdout_without_path(capsys):

@@ -346,7 +346,7 @@ def test_deltas_all_zero_profile():
     zeros = np.zeros(n + 1)
     hierarchy = identity_hierarchy(n, zeros, zeros.copy())
     decomp = decompose(np.eye(n))
-    inter = deltas(decomp, hierarchy, zeros)
+    inter = deltas(decomp, hierarchy, zeros, gamma=0.0)
     assert np.allclose(inter.delta, 0.0)
 
 
@@ -354,9 +354,16 @@ def test_deltas_length_checks():
     hierarchy = identity_hierarchy(3, np.array([1.0, 0.5, 0.3, 0.2]))
     decomp = decompose(np.eye(3))
     with pytest.raises(LengthMismatch):
-        deltas(decomp, hierarchy, np.array([1.0, 0.5, 0.3]))
+        deltas(decomp, hierarchy, np.array([1.0, 0.5, 0.3]), gamma=0.0)
     with pytest.raises(LengthMismatch):
-        deltas(decompose(np.eye(4)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]))
+        deltas(decompose(np.eye(4)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]), gamma=0.0)
+
+
+def test_deltas_requires_gamma():
+    # a silent gamma = 0 would drop the complement term from the bound
+    hierarchy = identity_hierarchy(3, np.array([1.0, 0.5, 0.3, 0.2]))
+    with pytest.raises(TypeError):
+        deltas(decompose(np.eye(3)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,14 +377,14 @@ def test_deltas_monotone_in_profiles(seed):
     widths = descending(rng, n + 1, 0.0, 2.0)
     distances = np.minimum(descending(rng, n + 1, 0.0, 2.0), widths)
     hierarchy = identity_hierarchy(n, widths, distances)
-    base = deltas(decomp, hierarchy, distances)
+    base = deltas(decomp, hierarchy, distances, gamma=0.0)
     assert np.allclose(base.delta, base.eta + base.eta_hat)
     assert np.all(base.delta >= 0.0)
     # growing one width entry never shrinks any delta
     k = int(rng.integers(0, n + 1))
     wider = widths.copy()
     wider[: k + 1] += 0.5  # keep the profile nonincreasing
-    grown = deltas(decomp, identity_hierarchy(n, wider, distances), distances)
+    grown = deltas(decomp, identity_hierarchy(n, wider, distances), distances, gamma=0.0)
     assert np.all(grown.delta >= base.delta - 1e-12)
 
 
