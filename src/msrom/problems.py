@@ -367,8 +367,10 @@ def synth_prescribed(
 
     so the Gram matrix of ``{r_j}`` against ``{w_i}`` has singular values
     ``sigma`` and right factor ``X``, while ``{r_j}`` stays orthonormal.  The
-    operator is ``A = R (M Z)^T`` for a random orthonormal test basis Z, which
-    makes ``A z_j = r_j``; the instance keeps it as the factor pair ``(R, M
+    operator is ``A = R (M Z)^T``, which makes ``A z_j = r_j`` for any
+    orthonormal test basis Z, so outputs depend on Z only through rounding.
+    Z is not random: it is the first m columns of the frame ``[W Q]``, which
+    for m = n is W itself.  The instance keeps A as the factor pair ``(R, M
     Z)`` and never forms the N x N matrix unless ``operator`` is read.  The
     truth is ``z_true = sum_k c_k w_k + tau_n u`` with
     ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random unit ``u`` orthogonal
@@ -396,7 +398,10 @@ def synth_prescribed(
     R[:, :n] = (W @ X) * sigma + Q[:, :n] * np.sqrt(1.0 - sigma**2)
     R[:, n:] = Q[:, n:]
 
-    Z = orthonormalize(rng.standard_normal((N, m)), space)
+    # Z moves no output beyond rounding, so it reuses the frame.  These N x m
+    # normals are discarded; drawing them keeps each seed's u and z_true.
+    rng.standard_normal((N, m))
+    Z = base.prefix(m)
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     u = rng.standard_normal(N)

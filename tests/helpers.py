@@ -4,14 +4,15 @@ Everything here deliberately avoids the library's own code paths: feasible
 points come from direct tail clipping, reference minimizers from scipy's
 SLSQP, reference projections from sampling plus polish and from Dykstra's
 alternating projections, orthonormal and complement bases from vector-loop
-Gram-Schmidt.  Agreement between
+Gram-Schmidt, the columns of a synthetic row from the generator's inputs and
+scipy's linprog.  Agreement between
 these routines and the package is then evidence, not a tautology.
 """
 
 import itertools
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from msrom import (
     OrthonormalFrame,
@@ -302,3 +303,84 @@ def brute_force_projection(c, widths, rng, n_starts=40):
     if fun(x) < best:
         best_x = x
     return best_x
+
+
+def _fill_by_lp(delta, sigma, gamma, tau_n):
+    """``(ell, rho, sup_value)`` of the bound's fill, solved by linprog.
+
+    Maximizes ``sum(delta_j**2 t_j)`` over ``t_j`` in [0, 1] subject to
+    ``sum(sigma_j**2 delta_j**2 t_j) <= 4 gamma**2 tau_n**2``, the objective
+    scaled by its largest reward and the budget row by the budget.  The dual simplex returns a vertex, so at most one
+    ``t_j`` is fractional.  ``ell`` is the 1-based first paying coordinate
+    with ``t > 0`` and ``rho`` its ``t``; both are None when every paying
+    coordinate saturates (the budget does not bind), and a zero budget that
+    binds reads ``ell = n, rho = 0``.
+    """
+    reward = delta * delta
+    cost = sigma * sigma * reward
+    budget = 4.0 * gamma * gamma * tau_n * tau_n
+    unit = budget or float(cost.max(initial=0.0)) or 1.0
+    res = linprog(
+        -reward / (float(reward.max(initial=0.0)) or 1.0),
+        A_ub=(cost / unit)[None, :],
+        b_ub=[budget / unit],
+        bounds=(0.0, 1.0),
+        method="highs-ds",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    t = res.x
+    paying = np.flatnonzero(cost > 0.0)
+    if np.all(t[paying] == 1.0):
+        ell, rho = None, None
+    else:
+        filled = paying[t[paying] > 0.0]
+        ell, rho = (int(filled[0]) + 1, float(t[filled[0]])) if filled.size else (delta.size, 0.0)
+    return ell, rho, float(reward @ t)
+
+
+def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="known"):
+    """Predicted CSV columns of a ``synth_prescribed`` instance.
+
+    ``sigma``, ``X``, ``tau`` and ``widths`` are the generator's inputs;
+    ``R``, ``W`` (the trial basis), ``z_true`` and ``metric`` are the
+    instance's public arrays.  By construction the Gram matrix is
+    ``G = [diag(sigma) X^T; 0]``, so ``sigma`` is its spectrum and ``X`` its
+    right factor, and the representers' component off the trial span is
+    ``sqrt(1 - sigma_j**2) q_j`` (j <= n) or ``q_j`` (j > n) for orthonormal
+    ``q_j``: ``gamma = sqrt(1 - sigma_n**2)`` when m = n and 1 when m > n.
+    The classical projection solves ``G c = d`` in the least-squares sense;
+    with ``coeff`` the truth's trial coefficients, ``d - G coeff = R^T M (z_true
+    - W coeff)`` and ``c - coeff = X (d - G coeff)[:n] / sigma``, so its error
+    is ``sqrt(||c - coeff||**2 + tau_n**2)``.  Calls nothing of ``spectral``,
+    ``bounds`` or ``solvers``.  Returns a dict keyed by CSV column, with
+    ``babuska_bound`` and ``actual_pg_error`` None when ``sigma_n = 0`` (the
+    CSV's ``undefined`` at m = n; not predicted at m > n).
+    """
+    sigma, X, tau, widths = (np.asarray(a, dtype=float) for a in (sigma, X, tau, widths))
+    n, m = sigma.size, R.shape[1]
+    profile = tau if tau_mode == "known" else widths
+    tau_n = float(profile[-1])
+    gamma = float(np.sqrt(1.0 - sigma[-1] ** 2)) if m == n else 1.0
+    delta = np.abs(X).T @ (profile[:n] + widths[:n])
+    ell, rho, sup = _fill_by_lp(delta, sigma, gamma, tau_n)
+    row = {
+        "sigma_1": float(sigma[0]),
+        "sigma_n": float(sigma[-1]),
+        "gamma": gamma,
+        "ell": ell,
+        "rho": rho,
+        "sup_value": sup,
+        "tau_n": tau_n,
+        "ms_bound": float(np.sqrt(sup + tau_n * tau_n)),
+        "babuska_bound": None,
+        "actual_pg_error": None,
+    }
+    if sigma[-1] > 0.0:
+        coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
+        outside = z_true - W @ coeff
+        residual = R.T @ (outside if metric is None else metric @ outside)
+        shift = X @ (residual[:n] / sigma)
+        row["babuska_bound"] = float(sigma[0] / sigma[-1] * tau_n)
+        row["actual_pg_error"] = float(np.sqrt(shift @ shift + tau[-1] ** 2))
+    return row

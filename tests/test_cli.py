@@ -481,6 +481,47 @@ def test_sweep_seeds_that_stalled_the_fallback_converge(tmp_path, seed):
     assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
 
 
+def run_through_main(tmp_path, doc):
+    """``(exit code, rows)`` of ``msrom run`` on the config document."""
+    cfg_path, out_path = tmp_path / "cfg.json", tmp_path / "out.csv"
+    cfg_path.write_text(json.dumps(doc))
+    code = main(["run", str(cfg_path), "--output", str(out_path), "--quiet"])
+    return code, read_rows(out_path)
+
+
+def test_main_zero_smallest_singular_value(tmp_path):
+    doc = {
+        "mode": "prescribed", "n": 3, "m": 3, "N": 10, "sigma": [1.0, 0.5, 0.0],
+        "tau": [0.8, 0.4, 0.2, 0.1], "widths": [1.0, 0.5, 0.3, 0.2], "seed": 3, "repetitions": 3,
+    }
+    code, rows = run_through_main(tmp_path, doc)
+    assert code == 0
+    assert [r["seed"] for r in rows] == ["3", "4", "5"]
+    for row in rows:
+        # the square system is singular: no classical bound and no classical solution
+        assert row["babuska_bound"] == "undefined"
+        assert row["actual_pg_error"] == "undefined"
+        assert row["converged"] == "true"
+        assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
+
+
+def test_main_zero_widths_confine_the_solution(tmp_path):
+    # widths vanish from V_2 on and the truth lies in V_2: the bound is exactly 0,
+    # and the realized error is 0 up to rounding
+    doc = {
+        "mode": "prescribed", "n": 4, "m": 5, "N": 14, "sigma": [1.0, 0.6, 0.4, 0.2],
+        "tau": [0.8, 0.4, 0.0, 0.0, 0.0], "widths": [1.0, 0.5, 0.0, 0.0, 0.0],
+        "seed": 3, "repetitions": 3,
+    }
+    code, rows = run_through_main(tmp_path, doc)
+    assert code == 0
+    for row in rows:
+        assert row["ms_bound"] == "0.0"
+        assert row["ms_iterations"] == "0"
+        assert row["converged"] == "true"
+        assert float(row["actual_ms_error"]) <= float(row["ms_bound"]) + 1e-12 * doc["tau"][0]
+
+
 # ------------------------------------------------------------------ CLI shell
 
 

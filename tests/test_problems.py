@@ -3,7 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, metric_example1, random_orthogonal, random_spd
+from helpers import (
+    descending,
+    metric_example1,
+    metric_norm,
+    metric_of,
+    mgs_orthonormalize,
+    random_orthogonal,
+    random_spd,
+)
 from msrom import (
     AmbientSpace,
     DimensionTooSmall,
@@ -313,6 +321,48 @@ def test_synth_prescribed_with_metric():
     assert np.max(np.abs(s - sigma)) <= 1e-9
     _, res = project(problem.z_true, hierarchy.basis)
     assert abs(res - tau[-1]) <= 1e-9
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_test_basis_is_the_leading_base_frame(metric):
+    rng = np.random.default_rng(12)
+    n, N = 4, 17
+    sigma = descending(rng, n, 0.05, 1.0)
+    tau = descending(rng, n + 1, 0.01, 1.0)
+    X = random_orthogonal(rng, n)
+    M = random_spd(rng, N) if metric else None
+    _, hierarchy, tests = synth_prescribed(n, n, N, sigma, X, tau, tau.copy(), 5, metric=M)
+    assert np.array_equal(tests.basis.columns, hierarchy.basis.columns)
+    m = 9
+    problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau.copy(), 5, metric=M)
+    Z = tests.basis.columns
+    assert np.array_equal(Z[:, :n], hierarchy.basis.columns)
+    assert np.max(np.abs(Z.T @ metric_of(problem.space) @ Z - np.eye(m))) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_truth_rebuilt_from_the_seed(metric):
+    # the generator's draws, in order: the base frame's normals, the test
+    # basis's discarded normals, then u
+    rng = np.random.default_rng(13)
+    n, m, N, seed = 4, 6, 15, 77
+    sigma = descending(rng, n, 0.05, 1.0)
+    tau = descending(rng, n + 1, 0.01, 1.0)
+    M = random_spd(rng, N) if metric else None
+    problem, _, _ = synth_prescribed(
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed, metric=M
+    )
+    space = problem.space
+    metric = metric_of(space)
+    draws = np.random.default_rng(seed)
+    W = mgs_orthonormalize(draws.standard_normal((N, n + m)), space)[:, :n]
+    draws.standard_normal((N, m))
+    u = draws.standard_normal(N)
+    for _ in range(2):
+        u -= W @ (W.T @ (metric @ u))
+    u /= metric_norm(metric, u)
+    want = W @ np.sqrt(tau[:-1] ** 2 - tau[1:] ** 2) + tau[-1] * u
+    assert np.linalg.norm(problem.z_true - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_hadamard_available_matches_flat_orthogonal():
