@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import AmbientSpace, OrthonormalFrame, orthonormalize, project
+from .spaces import AmbientSpace, OrthonormalFrame, orthonormalize
 
 __all__ = [
     "InvalidSpectrum",
@@ -398,19 +398,19 @@ def synth_prescribed(
     R[:, :n] = (W @ X) * sigma + Q[:, :n] * np.sqrt(1.0 - sigma**2)
     R[:, n:] = Q[:, n:]
 
-    # Z moves no output beyond rounding, so it reuses the frame.  These N x m
-    # normals are discarded; drawing them keeps each seed's u and z_true.
+    # Z moves no output beyond rounding, so it reuses the frame (at m = n the trial
+    # frame itself).  The N x m normals drawn here keep each seed's u and z_true.
     rng.standard_normal((N, m))
-    Z = base.prefix(m)
+    Z = trial if m == n else base.prefix(m)
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     u = rng.standard_normal(N)
     for _ in range(2):
-        u -= project(u, trial)[0]
+        u -= W @ (W.T @ space.apply_metric(u))
     u /= space.norm(u)
     z_true = W @ coeff + tau[-1] * u
 
-    problem = ProblemInstance(space, z_true=z_true, factors=(R, space.apply_metric(Z.columns)))
+    problem = ProblemInstance(space, z_true=z_true, factors=(R, Z.metric_image))
     return problem, hierarchy, TestSpace(Z)
 
 

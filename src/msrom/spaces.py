@@ -9,6 +9,7 @@ pure functions of their inputs; returned arrays are fresh and may be shared.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -34,8 +35,10 @@ class RankDeficient(ValueError):
 class AmbientSpace:
     """R^dim with inner product ``<u, v> = u^T metric v``.
 
-    ``metric`` is a symmetric positive-definite matrix; ``None`` means the
-    Euclidean inner product.  The metric is factored once on construction,
+    ``metric`` is a symmetric positive-definite matrix with finite entries;
+    ``None`` means the Euclidean inner product.  The space keeps a private
+    copy, symmetrized as ``0.5 * (M + M^T)`` only when M is not exactly equal
+    to its transpose.  The metric is factored once on construction,
     ``metric = cholesky @ cholesky.T`` with ``cholesky`` lower triangular
     (``None`` in the Euclidean case, public, unused by :func:`orthonormalize`):
     a failed factorization is what rejects a metric that is not positive definite.
@@ -50,13 +53,16 @@ class AmbientSpace:
             raise ValueError("dim must be a positive integer")
         self.dim = int(self.dim)
         if self.metric is not None:
-            M = np.asarray(self.metric, dtype=float)
+            M = np.array(self.metric, dtype=float)
             if M.shape != (self.dim, self.dim):
                 raise ValueError(f"metric must be {self.dim}x{self.dim}, got {M.shape}")
             scale = np.max(np.abs(M))
-            if scale == 0.0 or np.max(np.abs(M - M.T)) > _METRIC_SYM_TOL * scale:
-                raise ValueError("metric must be symmetric")
-            M = 0.5 * (M + M.T)
+            if not np.isfinite(scale):
+                raise ValueError("metric entries must be finite")
+            if not np.array_equal(M, M.T):
+                if np.max(np.abs(M - M.T)) > _METRIC_SYM_TOL * scale:
+                    raise ValueError("metric must be symmetric")
+                M = 0.5 * (M + M.T)
             try:
                 self.cholesky = np.linalg.cholesky(M)
             except np.linalg.LinAlgError:
@@ -86,7 +92,11 @@ class AmbientSpace:
 
 @dataclass(eq=False)
 class OrthonormalFrame:
-    """Metric-orthonormal columns spanning a subspace of an ambient space."""
+    """Metric-orthonormal columns spanning a subspace of an ambient space.
+
+    Frames are never mutated after construction: :attr:`metric_image` is
+    computed from ``columns`` on first read and kept.
+    """
 
     space: AmbientSpace
     columns: np.ndarray
@@ -103,6 +113,11 @@ class OrthonormalFrame:
     def n_columns(self) -> int:
         return self.columns.shape[1]
 
+    @cached_property
+    def metric_image(self) -> np.ndarray:
+        """``metric @ columns``, formed once; ``columns`` itself in the Euclidean case."""
+        return self.space.apply_metric(self.columns)
+
     def prefix(self, k: int) -> "OrthonormalFrame":
         """Frame made of the first ``k`` columns."""
         if not 0 <= k <= self.n_columns:
@@ -113,7 +128,7 @@ class OrthonormalFrame:
 def _as_columns(vectors) -> np.ndarray:
     """Coerce a sequence of vectors (or an (N, k) array of columns) to a matrix."""
     if isinstance(vectors, np.ndarray):
-        arr = np.array(vectors, dtype=float)
+        arr = np.asarray(vectors, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         if arr.ndim != 2:

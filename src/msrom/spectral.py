@@ -94,7 +94,7 @@ class BoundIntermediates:
 
 def gram_matrix(riesz: RieszFamily, trial: OrthonormalFrame) -> np.ndarray:
     """Matrix with entry (i, j) = <r_i, w_j>."""
-    return riesz.vectors.T @ trial.space.apply_metric(trial.columns)
+    return riesz.vectors.T @ trial.metric_image
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:

@@ -1,5 +1,9 @@
 """Metamorphic tests of the whole pipeline: a metric instance against its
-Euclidean image, and a rotated test basis against the original one."""
+Euclidean image, a rotated test basis against the original one, a nearly
+symmetric metric against its symmetrization, and trial vectors with flipped
+signs against the original ones."""
+
+import json
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from msrom import (
     solve_pg,
     synth_prescribed,
 )
+from msrom.cli import _build_instance, parse_config
 
 REL = 1e-10
 CASES = [(None, 8), ("spd", 8), ("spd", 11)]  # (metric, m) with n = 8
@@ -91,3 +96,106 @@ def test_rotated_test_basis_leaves_solutions_and_bounds(metric, m):
     want = outcome(problem, hierarchy, tests)
     got = outcome(problem, hierarchy, rotated)
     assert_same(got, want, ["pg_coeffs", "ms_coeffs", "ms_bound", "babuska"])
+
+
+def row(problem, hierarchy, tests):
+    """The numbers of a CSV row that depend on the instance."""
+    report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
+    wf = report.water_filling
+    return {
+        "sigma_1": decomp.sigma[0],
+        "sigma_n": decomp.sigma[-1],
+        "gamma": report.intermediates.gamma,
+        "ell": wf.ell,
+        "rho": wf.rho,
+        "sup_value": wf.sup_value,
+        "babuska_bound": report.babuska,
+        "ms_bound": report.ms_bound,
+        "actual_pg_error": report.actual_pg_error,
+        "actual_ms_error": report.actual_ms_error,
+        "ms_cost": solution.cost,
+        "ms_iterations": solution.iterations,
+        "converged": solution.converged,
+    }
+
+
+def assert_same_row(got, want, skip=()):
+    for key, value in want.items():
+        if key in skip:
+            continue
+        if value is None or isinstance(value, (bool, int)):
+            assert got[key] == value, key
+        else:
+            assert abs(got[key] - value) <= 1e-12 * abs(value), (key, got[key], value)
+
+
+def example1_in_metric(M, seed, n, tau):
+    """example1's spectrum and profile at m = n in the metric M."""
+    root = float(np.sqrt(tau))
+    sigma = np.array([1.0] * (n - 3) + [root, root, tau])
+    profile = np.array([1.0] * (n - 2) + [root, root, tau])
+    return synth_prescribed(n, n, len(M), sigma, np.eye(n), profile, profile.copy(), seed, metric=M)
+
+
+def test_nearly_symmetric_metric_gives_the_rows_of_its_symmetrization():
+    rng = np.random.default_rng(31)
+    M = random_spd(rng, 40, spread=10.0)
+    S = rng.standard_normal((40, 40))
+    skewed = M + 1e-14 * np.max(np.abs(M)) * (S - S.T)
+    rows = [
+        row(*example1_in_metric(A, 5, n=8, tau=1e-3))
+        for A in (skewed, 0.5 * (skewed + skewed.T))
+    ]
+    assert_same_row(*rows)
+
+
+def metric_instances(seeds, n=40, N=200):
+    """The benchmark's metric instance: example1 in the metric M = B B^T / N + I."""
+    for seed in seeds:
+        B = np.random.default_rng([seed, 1]).standard_normal((N, N))
+        yield example1_in_metric(B @ B.T / N + np.eye(N), seed, n, tau=1e-4)
+
+
+def config_instances(doc, seeds):
+    cfg = parse_config(json.dumps(doc))
+    for seed in seeds:
+        yield _build_instance(cfg, seed)[:3]
+
+
+SIGN_FLIP_CORPUS = {
+    "sweep": lambda: config_instances(
+        {"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}, range(200)
+    ),
+    "example1": lambda: config_instances(
+        {"mode": "example1", "tau": 1e-4, "n": 10, "m": 10, "N": 40, "seed": 0}, range(7, 27)
+    ),
+    "example2": lambda: config_instances(
+        {"mode": "example2", "tau": 1e-3, "n": 16, "m": 16, "N": 64, "seed": 0}, range(7, 27)
+    ),
+    "large": lambda: config_instances(
+        {"mode": "example1", "tau": 1e-4, "n": 100, "m": 100, "N": 500, "seed": 0}, range(7, 10)
+    ),
+    "metric": lambda: metric_instances(range(7, 12)),
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(SIGN_FLIP_CORPUS))
+def test_flipped_trial_signs_leave_the_rows(corpus):
+    # the nested V_k fix each trial vector up to its sign, so flipping a
+    # random subset turns G into G S and X into S X, S = diag(+-1): |X| and
+    # sigma, hence every bound, do not change.  Where sigma repeats, LAPACK's
+    # basis inside the tie can move with S, and with it ell and rho; sweep
+    # rows have no ties, so there they must not move at all.
+    rng = np.random.default_rng(41)
+    for problem, hierarchy, tests in SIGN_FLIP_CORPUS[corpus]():
+        signs = np.where(rng.random(hierarchy.n) < 0.5, -1.0, 1.0)
+        flipped = SubspaceHierarchy(
+            OrthonormalFrame(problem.space, hierarchy.basis.columns * signs),
+            hierarchy.widths,
+            hierarchy.distances,
+        )
+        want = row(problem, hierarchy, tests)
+        got = row(problem, flipped, tests)
+        if corpus == "sweep":
+            assert (got["ell"], got["rho"]) == (want["ell"], want["rho"])
+        assert_same_row(got, want, skip=("ell", "rho"))

@@ -341,6 +341,22 @@ def test_test_basis_is_the_leading_base_frame(metric):
 
 
 @pytest.mark.parametrize("metric", [False, True])
+def test_square_instance_shares_the_trial_frame(metric):
+    # at m = n the test basis is the trial frame, and M W is formed once for
+    # the operator's factor and the Gram
+    rng = np.random.default_rng(14)
+    n, N = 5, 16
+    sigma = descending(rng, n, 0.05, 1.0)
+    tau = descending(rng, n + 1, 0.01, 1.0)
+    M = random_spd(rng, N) if metric else None
+    problem, hierarchy, tests = synth_prescribed(
+        n, n, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), 3, metric=M
+    )
+    assert tests.basis is hierarchy.basis
+    assert problem.factors[1] is hierarchy.basis.metric_image
+
+
+@pytest.mark.parametrize("metric", [False, True])
 def test_truth_rebuilt_from_the_seed(metric):
     # the generator's draws, in order: the base frame's normals, the test
     # basis's discarded normals, then u

@@ -35,6 +35,70 @@ def test_metric_must_not_be_only_semidefinite():
         AmbientSpace(2, np.diag([1.0, 0.0]))
 
 
+def nan_off_diagonal_pair():
+    M = np.eye(3)
+    M[0, 1] = M[1, 0] = np.nan
+    return M
+
+
+@pytest.mark.parametrize(
+    "M",
+    [
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.nan, 1.0]),
+        np.diag([1.0, np.inf, 1.0]),
+        nan_off_diagonal_pair(),
+    ],
+    ids=["all-nan", "nan-diagonal", "inf-diagonal", "nan-off-diagonal-pair"],
+)
+def test_metric_must_be_finite(M):
+    # numpy's cholesky returns NaN factors for these instead of raising
+    with pytest.raises(ValueError, match="finite"):
+        AmbientSpace(3, M)
+
+
+def test_zero_metric_is_not_positive_definite():
+    with pytest.raises(ValueError, match="positive definite"):
+        AmbientSpace(3, np.zeros((3, 3)))
+
+
+def test_exactly_symmetric_metric_is_kept_as_a_private_copy():
+    B = np.random.default_rng(21).standard_normal((6, 6))
+    M = B @ B.T / 6 + np.eye(6)  # the metric workload's form
+    assert np.array_equal(M, M.T)
+    space = AmbientSpace(6, M)
+    assert space.metric is not M
+    assert np.array_equal(space.metric, M)
+    # the symmetrization it skips would return M bit for bit
+    assert np.array_equal(space.cholesky, np.linalg.cholesky(0.5 * (M + M.T)))
+    kept = M.copy()
+    M[0, 0] = 1e6
+    assert np.array_equal(space.metric, kept)
+
+
+def test_nearly_symmetric_metric_is_symmetrized():
+    rng = np.random.default_rng(22)
+    M = random_spd(rng, 6)
+    S = rng.standard_normal((6, 6))
+    skewed = M + 1e-14 * np.max(np.abs(M)) * (S - S.T)
+    assert not np.array_equal(skewed, skewed.T)
+    space = AmbientSpace(6, skewed)
+    assert np.array_equal(space.metric, 0.5 * (skewed + skewed.T))
+
+
+@pytest.mark.parametrize("with_metric", [False, True])
+def test_metric_image_is_formed_once(with_metric):
+    rng = np.random.default_rng(23)
+    space = AmbientSpace(7, random_spd(rng, 7) if with_metric else None)
+    frame = orthonormalize(rng.standard_normal((7, 3)), space)
+    image = frame.metric_image
+    assert frame.metric_image is image
+    if with_metric:
+        assert np.array_equal(image, space.metric @ frame.columns)
+    else:
+        assert image is frame.columns
+
+
 def test_metric_cholesky_factor():
     rng = np.random.default_rng(6)
     M = random_spd(rng, 5)
