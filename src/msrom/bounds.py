@@ -1,6 +1,8 @@
 """A-priori error bounds for the two projectors.
 
-``babuska_bound`` is the classical quotient bound for the plain projection.
+``babuska_bound`` is the classical quotient bound for the plain projection:
+the continuity constant ``||R||_2`` (the norm of the representer family)
+over the inf-sup constant ``sigma_n``, times the distance ``tau_n``.
 ``water_filling`` evaluates the worst-case bound for the slice-constrained
 projection: the squared bound is ``tau_n**2`` plus the value of a fractional
 knapsack in which coordinate j carries reward ``delta_j**2`` and cost
@@ -17,10 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SubspaceHierarchy
-from .spectral import SINGULAR_REL_TOL, BoundIntermediates, GramDecomposition
+from .spectral import BoundIntermediates, GramDecomposition, SingularGram
 
 __all__ = [
-    "SingularGram",
     "InvalidInput",
     "TooLarge",
     "WaterFillingSolution",
@@ -32,10 +33,6 @@ __all__ = [
 ]
 
 ORACLE_MAX_DIM = 6
-
-
-class SingularGram(ValueError):
-    """Quotient bound requested for a numerically singular Gram matrix."""
 
 
 class InvalidInput(ValueError):
@@ -59,7 +56,6 @@ class WaterFillingSolution:
     ell: int | None
     rho: float | None
     sup_value: float
-    active_case: bool
 
 
 @dataclass(eq=False)
@@ -80,19 +76,23 @@ class BoundReport:
     tau_source: str = "known"
 
 
-def babuska_bound(decomp: GramDecomposition, dist_n: float) -> float:
-    """Quotient bound ``(sigma_1 / sigma_n) * dist_n`` for the plain projection."""
+def babuska_bound(decomp: GramDecomposition, dist_n: float, continuity: float) -> float:
+    """Quotient bound ``(continuity / sigma_n) * dist_n`` for the plain projection.
+
+    ``continuity`` is the norm ``||R||_2`` of the representer family (the
+    second value of :func:`msrom.spectral.gamma`); it is at least
+    ``sigma_1``, and equals it only when the representers' coupling with the
+    trial span carries their whole norm.
+    """
     if dist_n < 0.0 or not np.isfinite(dist_n):
         raise InvalidInput(f"dist_n must be finite and nonnegative, got {dist_n}")
+    if continuity < 0.0 or not np.isfinite(continuity):
+        raise InvalidInput(f"continuity must be finite and nonnegative, got {continuity}")
     sigma = decomp.sigma
     if sigma.size == 0:
         raise InvalidInput("empty decomposition")
-    if decomp.singular:
-        raise SingularGram(
-            f"sigma_n = {sigma[-1]:.3e} below {SINGULAR_REL_TOL} * sigma_1 = "
-            f"{SINGULAR_REL_TOL * sigma[0]:.3e}"
-        )
-    return float(sigma[0] / sigma[-1] * dist_n)
+    decomp.check_nonsingular()
+    return float(continuity / sigma[-1] * dist_n)
 
 
 def _check_fill_inputs(delta, sigma, gamma: float, tau_n: float):
@@ -126,7 +126,7 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     delta, sigma = _check_fill_inputs(delta, sigma, gamma, tau_n)
     n = delta.shape[0]
     if n == 0:
-        return WaterFillingSolution(ell=None, rho=None, sup_value=0.0, active_case=False)
+        return WaterFillingSolution(ell=None, rho=None, sup_value=0.0)
     budget = 4.0 * gamma * gamma * tau_n * tau_n
     cost = sigma * sigma * delta * delta
     # suffix[l] = sum of cost[l:], with suffix[n] = 0; suffix[0] is the total
@@ -137,13 +137,11 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     # positive cost has zero reward, so the saturated value is also the
     # constrained one
     if total < budget or total == 0.0:
-        return WaterFillingSolution(
-            ell=None, rho=None, sup_value=float(np.sum(delta * delta)), active_case=False
-        )
+        return WaterFillingSolution(ell=None, rho=None, sup_value=float(np.sum(delta * delta)))
     if budget == 0.0:
         last_paying = int(np.max(np.nonzero(cost > 0.0)[0]))
         sup = float(np.sum(delta[last_paying + 1 :] ** 2))
-        return WaterFillingSolution(ell=n, rho=0.0, sup_value=sup, active_case=True)
+        return WaterFillingSolution(ell=n, rho=0.0, sup_value=sup)
     # the last suffix to meet the budget: suffix[0] = total does, and the cost
     # at ell is positive, or suffix[ell + 1] would equal suffix[ell] and meet it too
     ell = int(np.flatnonzero(suffix[:n] >= budget)[-1])
@@ -152,9 +150,7 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     rho = (budget - float(suffix[ell + 1])) / cost_ell
     rho = min(max(rho, 0.0), 1.0)
     sup = tail + rho * float(delta[ell]) ** 2
-    return WaterFillingSolution(
-        ell=ell + 1, rho=float(rho), sup_value=float(sup), active_case=True
-    )
+    return WaterFillingSolution(ell=ell + 1, rho=float(rho), sup_value=float(sup))
 
 
 def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
@@ -198,6 +194,7 @@ def ms_bound(
     distances,
     hierarchy: SubspaceHierarchy | None = None,
     *,
+    continuity: float,
     tau_source: str = "known",
     actual_pg_error: float | None = None,
     actual_ms_error: float | None = None,
@@ -207,7 +204,8 @@ def ms_bound(
     ``distances`` is the length-n+1 profile whose last entry is the distance
     of the exact solution to the full trial space (or the terminal slice
     width when ``tau_source == "practitioner"``).  When ``hierarchy`` is
-    given, the profile is checked against its widths.
+    given, the profile is checked against its widths.  ``continuity`` is the
+    representer-family norm that :func:`babuska_bound` takes.
     """
     if tau_source not in ("known", "practitioner"):
         raise InvalidInput(
@@ -232,7 +230,7 @@ def ms_bound(
     wf = water_filling(intermediates.delta, decomp.sigma, intermediates.gamma, tau_n)
     value = float(np.sqrt(wf.sup_value + tau_n * tau_n))
     try:
-        bab = babuska_bound(decomp, tau_n)
+        bab = babuska_bound(decomp, tau_n, continuity)
     except SingularGram:
         bab = None
     return BoundReport(

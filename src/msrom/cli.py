@@ -21,7 +21,6 @@ from .bounds import ms_bound, sup_oracle, water_filling
 from .problems import (
     ProblemInstance,
     SubspaceHierarchy,
-    TestSpace,
     check_dimensions,
     check_example1,
     check_example2,
@@ -31,8 +30,9 @@ from .problems import (
     example2,
     synth_prescribed,
 )
-from .solvers import SingularSystem, SolverOptions, _assemble, error_norm, solve_ms, solve_pg
-from .spectral import deltas, gamma
+from .solvers import SolverOptions, _assemble, error_norm, solve_ms, solve_pg
+from .spaces import OrthonormalFrame
+from .spectral import SingularGram, deltas, gamma
 
 __all__ = [
     "ParseError",
@@ -241,7 +241,7 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _build_instance(
     cfg: ExperimentConfig, rep_seed: int
-) -> tuple[ProblemInstance, SubspaceHierarchy, TestSpace, float, int]:
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame, float, int]:
     """Materialize one instance; returns (problem, hierarchy, tests, tau_input, n)."""
     if cfg.mode == "example1":
         problem, hierarchy, tests = example1(cfg.tau, cfg.n, cfg.N, rep_seed, m=cfg.m)
@@ -261,8 +261,8 @@ def _build_instance(
             rep_seed,
         )
         return problem, hierarchy, tests, float(cfg.distances[-1]), cfg.n
-    # random-sweep: instances with orthonormal representers, sigma_1 pinned to
-    # 1 (the representer-family norm), widths equal to the true distances
+    # random-sweep: orthonormal representers, sigma_1 pinned to 1 (their
+    # norm), widths equal to the true distances
     rng = np.random.default_rng(rep_seed)
     n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
     m = int(rng.integers(n, 2 * n + 1))
@@ -289,7 +289,7 @@ def _fmt(value) -> str:
 def run_instance(
     problem: ProblemInstance,
     hierarchy: SubspaceHierarchy,
-    tests: TestSpace,
+    tests: OrthonormalFrame,
     options: SolverOptions,
     tau_mode: str = "known",
 ):
@@ -308,11 +308,12 @@ def run_instance(
     # one assembly and one SVD of G serve the bounds and both projectors
     system = _assemble(problem, trial, tests)
     riesz, _, decomp = system
-    inter = deltas(decomp, hierarchy, profile, gamma=gamma(riesz, trial))
+    gam, continuity = gamma(riesz, trial)
+    inter = deltas(decomp, hierarchy, profile, gamma=gam)
     try:
         pg_point, _ = solve_pg(problem, trial, tests, system=system)
         actual_pg = error_norm(pg_point, problem) if problem.synthetic else None
-    except SingularSystem:
+    except SingularGram:
         actual_pg = None
     solution = solve_ms(problem, hierarchy, tests, options, system=system)
     actual_ms = error_norm(solution.point, problem) if problem.synthetic else None
@@ -321,6 +322,7 @@ def run_instance(
         inter,
         profile,
         hierarchy,
+        continuity=continuity,
         tau_source=tau_mode,
         actual_pg_error=actual_pg,
         actual_ms_error=actual_ms,
@@ -341,7 +343,7 @@ def run_experiment(
     for i in range(cfg.repetitions):
         rep_seed = cfg.seed + i
         problem, hierarchy, tests, tau_input, n = _build_instance(cfg, rep_seed)
-        m = tests.m
+        m = tests.n_columns
         N = problem.space.dim
         report, solution, decomp = run_instance(
             problem, hierarchy, tests, cfg.solver, cfg.tau_mode

@@ -21,8 +21,6 @@ __all__ = [
     "HadamardUnavailable",
     "ProblemInstance",
     "SubspaceHierarchy",
-    "TestSpace",
-    "RieszFamily",
     "riesz_representers",
     "evaluate_b",
     "rhs_vector",
@@ -148,42 +146,14 @@ class SubspaceHierarchy:
         return self.basis.n_columns
 
 
-@dataclass(eq=False)
-class TestSpace:
-    """Span of the test vectors z_1..z_m (stored as an orthonormal frame)."""
-
-    __test__ = False  # not a test case despite the name
-
-    basis: OrthonormalFrame
-
-    @property
-    def m(self) -> int:
-        return self.basis.n_columns
-
-
-@dataclass(eq=False)
-class RieszFamily:
-    """Columns are the representers r_j of the functionals v -> a(v, z_j)."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.vectors = np.asarray(self.vectors, dtype=float)
-        if self.vectors.ndim != 2:
-            raise ValueError("vectors must be an (N, m) matrix")
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[1]
-
-
-def riesz_representers(problem: ProblemInstance, tests: TestSpace) -> RieszFamily:
-    """Representers of ``v -> a(v, z_j)``; with the stored convention r_j = A z_j.
+def riesz_representers(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
+    """The (N, m) matrix whose column j represents ``v -> a(v, z_j)``; with the
+    stored convention r_j = A z_j for the test frame's columns z_j.
 
     With factors ``A = R MZ^T`` this is ``R (MZ^T Z)`` for any test frame ``Z``,
     without forming ``A``.
     """
-    return RieszFamily(problem.apply(tests.basis.columns))
+    return problem.apply(tests.columns)
 
 
 def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
@@ -194,14 +164,14 @@ def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
     return problem.space.inner(problem.functional, v)
 
 
-def rhs_vector(problem: ProblemInstance, tests: TestSpace) -> np.ndarray:
+def rhs_vector(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
     """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
 
     ``d = Z^T A^T M z_true`` in synthetic mode, which with factors ``A = R
     MZ^T`` is ``Z^T (MZ (R^T M z_true))`` for any test frame ``Z``, and
     ``Z^T M f`` otherwise.
     """
-    Z = tests.basis.columns
+    Z = tests.columns
     if problem.synthetic:
         return Z.T @ problem.apply_transpose(problem.space.apply_metric(problem.z_true))
     return Z.T @ problem.space.apply_metric(problem.functional)
@@ -356,7 +326,7 @@ def synth_prescribed(
     seed: int,
     *,
     metric: np.ndarray | None = None,
-) -> tuple[ProblemInstance, SubspaceHierarchy, TestSpace]:
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
     """Synthesize an instance with prescribed Gram spectrum and distances.
 
     Draws a random orthonormal trial basis w_1..w_n together with m
@@ -374,7 +344,8 @@ def synth_prescribed(
     Z)`` and never forms the N x N matrix unless ``operator`` is read.  The
     truth is ``z_true = sum_k c_k w_k + tau_n u`` with
     ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random unit ``u`` orthogonal
-    to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.
+    to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.  Returns
+    ``(problem, hierarchy, Z)``.
     """
     n, m, N = int(n), int(m), int(N)
     check_dimensions(n, m, N)
@@ -411,12 +382,12 @@ def synth_prescribed(
     z_true = W @ coeff + tau[-1] * u
 
     problem = ProblemInstance(space, z_true=z_true, factors=(R, Z.metric_image))
-    return problem, hierarchy, TestSpace(Z)
+    return problem, hierarchy, Z
 
 
 def example1(
     tau: float, n: int, N: int, seed: int, m: int | None = None
-) -> tuple[ProblemInstance, SubspaceHierarchy, TestSpace]:
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
     """Instance whose classical bound is 1 while the slice bound is O(sqrt(tau)).
 
     Spectrum and distances share the profile ``(1, ..., 1, sqrt(tau),
@@ -433,15 +404,15 @@ def example1(
 
 def example2(
     tau: float, n: int, N: int, seed: int, m: int | None = None
-) -> tuple[ProblemInstance, SubspaceHierarchy, TestSpace]:
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
     """Instance whose classical bound is 1/tau while the slice bound is O(n**-0.5).
 
     Uses a flat orthogonal X, distances ``(1/2, 1/(2(n-1)), ..., 1/(2(n-1)),
     tau)`` with widths equal to distances, smallest singular value ``tau**2``,
     and the bulk value chosen so the budget threshold sits exactly at the
-    second-to-last index.  The leading singular value is pinned to 1, which is
-    the norm of the representer family here, so the classical quotient bound
-    evaluates to ``tau**-2 * tau``.
+    second-to-last index.  For n >= 3 the leading singular value is pinned to
+    1, the norm of the (orthonormal) representer family, which the classical
+    quotient bound reads at every n: it evaluates to ``tau**-2 * tau``.
     """
     limit = check_example2(tau, n)
     m = n if m is None else int(m)

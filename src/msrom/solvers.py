@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, SubspaceHierarchy, TestSpace, rhs_vector, riesz_representers
+from .problems import ProblemInstance, SubspaceHierarchy, rhs_vector, riesz_representers
 from .spaces import OrthonormalFrame
-from .spectral import SINGULAR_REL_TOL, GramDecomposition, decompose, gram_matrix
+from .spectral import GramDecomposition, decompose, gram_matrix
 
 __all__ = [
-    "SingularSystem",
     "InfeasibleWidths",
     "TruthUnavailable",
     "SolverOptions",
@@ -37,10 +36,6 @@ __all__ = [
 
 # Relative increase of the dual value below which a damped Newton step stalls.
 STALL_REL_TOL = 1e-10
-
-
-class SingularSystem(ValueError):
-    """The square test/trial system is numerically singular."""
 
 
 class InfeasibleWidths(ValueError):
@@ -87,12 +82,11 @@ class MultiSliceSolution:
     non_unique_hint: bool = False
 
 
-def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace):
+def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame):
     """``(riesz, d, decomp)``: the representers, the load vector and the SVD of ``G``."""
-    if tests.m < trial.n_columns:
-        raise ValueError(
-            f"need at least as many tests as trial directions (m={tests.m}, n={trial.n_columns})"
-        )
+    m, n = tests.n_columns, trial.n_columns
+    if m < n:
+        raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
     riesz = riesz_representers(problem, tests)
     return riesz, rhs_vector(problem, tests), decompose(gram_matrix(riesz, trial))
 
@@ -106,23 +100,20 @@ def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
 
 
 def solve_pg(
-    problem: ProblemInstance, trial: OrthonormalFrame, tests: TestSpace, *, system=None
+    problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame, *, system=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical projection: solve ``G c = d`` (least squares when m > n).
 
-    Returns ``(point, coeffs)``.  Raises :class:`SingularSystem` for a square
-    system whose smallest singular value is below ``SINGULAR_REL_TOL`` times
-    the largest.  ``system`` optionally supplies the assembly
-    ``(riesz, d, decomp)`` of these three objects, so that a caller running
-    both projectors assembles and factors ``G`` once.
+    Returns ``(point, coeffs)``.  Raises :class:`msrom.spectral.SingularGram`
+    for a square system whose Gram decomposition is ``singular``.  ``system``
+    optionally supplies the assembly ``(riesz, d, decomp)`` of these three
+    objects, so that a caller running both projectors assembles and factors
+    ``G`` once.
     """
     _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     m, n = decomp.G.shape
-    s = decomp.sigma
-    if m == n and decomp.singular:
-        raise SingularSystem(
-            f"smallest singular value {s[-1]:.3e} below {SINGULAR_REL_TOL} * {s[0]:.3e}"
-        )
+    if m == n:
+        decomp.check_nonsingular()
     coeffs = _least_squares(decomp, d)
     return trial.columns @ coeffs, coeffs
 
@@ -295,7 +286,7 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
 def solve_ms(
     problem: ProblemInstance,
     hierarchy: SubspaceHierarchy,
-    tests: TestSpace,
+    tests: OrthonormalFrame,
     options: SolverOptions | None = None,
     *,
     system=None,

@@ -6,11 +6,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import RieszFamily, SubspaceHierarchy
+from .problems import SubspaceHierarchy
 from .spaces import OrthonormalFrame
 
 __all__ = [
     "LengthMismatch",
+    "SingularGram",
     "GramDecomposition",
     "AdaptedBases",
     "BoundIntermediates",
@@ -26,7 +27,11 @@ SINGULAR_REL_TOL = 1e-12
 
 
 class LengthMismatch(ValueError):
-    """A distance or width vector does not have length n + 1."""
+    """A distance vector or the decomposition does not match the hierarchy's n."""
+
+
+class SingularGram(ValueError):
+    """A quotient bound or a square solve met a numerically singular Gram matrix."""
 
 
 @dataclass(eq=False)
@@ -55,6 +60,15 @@ class GramDecomposition:
         """Whether sigma_n is at most ``SINGULAR_REL_TOL`` times sigma_1."""
         s = self.sigma
         return s.size > 0 and bool(s[-1] <= SINGULAR_REL_TOL * s[0])
+
+    def check_nonsingular(self) -> None:
+        """Raise :class:`SingularGram` when :attr:`singular` holds."""
+        if self.singular:
+            s = self.sigma
+            raise SingularGram(
+                f"sigma_n = {s[-1]:.3e} below {SINGULAR_REL_TOL} * sigma_1 = "
+                f"{SINGULAR_REL_TOL * s[0]:.3e}"
+            )
 
 
 @dataclass(eq=False)
@@ -92,9 +106,17 @@ class BoundIntermediates:
             setattr(self, name, arr)
 
 
-def gram_matrix(riesz: RieszFamily, trial: OrthonormalFrame) -> np.ndarray:
-    """Matrix with entry (i, j) = <r_i, w_j>."""
-    return riesz.vectors.T @ trial.metric_image
+def _representers(riesz) -> np.ndarray:
+    """The representers as an (N, m) float matrix, one column each."""
+    R = np.asarray(riesz, dtype=float)
+    if R.ndim != 2:
+        raise ValueError(f"representers must be an (N, m) matrix, got shape {R.shape}")
+    return R
+
+
+def gram_matrix(riesz, trial: OrthonormalFrame) -> np.ndarray:
+    """Matrix with entry (i, j) = <r_i, w_j> for the columns r_i of ``riesz``."""
+    return _representers(riesz).T @ trial.metric_image
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
@@ -112,38 +134,46 @@ def decompose(G: np.ndarray) -> GramDecomposition:
     return GramDecomposition(G=G, U=U, X=X, sigma=sigma)
 
 
-def adapted_bases(
-    decomp: GramDecomposition, trial: OrthonormalFrame, riesz: RieszFamily
-) -> AdaptedBases:
+def adapted_bases(decomp: GramDecomposition, trial: OrthonormalFrame, riesz) -> AdaptedBases:
     return AdaptedBases(
         trial_star=trial.columns @ decomp.X,
-        riesz_star=riesz.vectors @ decomp.U,
+        riesz_star=_representers(riesz) @ decomp.U,
     )
 
 
-def gamma(riesz: RieszFamily, trial: OrthonormalFrame) -> float:
-    """Largest coupling of the representers with the trial complement.
+def gamma(riesz, trial: OrthonormalFrame) -> tuple[float, float]:
+    """``(gamma, norm)``: two metric operator norms of the representers ``R``.
 
-    Equals ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| = 1 }``,
-    the metric operator norm of the representers' component orthogonal to
-    the trial span, ``P = (I - W W^T M) R``.  Computed as the square root of
-    the top eigenvalue of the m x m Gram ``P^T M P`` (``P^T P`` for the
-    Euclidean metric), with ``P`` first divided by its largest-magnitude
-    entry so the squares neither overflow nor underflow; the top eigenvalue
-    carries full relative accuracy.  Returns 0 when the trial space fills the
-    whole space, there are no representers, or ``P`` is exactly zero.
+    ``gamma`` is the largest coupling of the representers with the trial
+    complement, ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| =
+    1 }``: the norm of their component off the trial span, ``P = (I - W W^T
+    M) R``.  ``norm`` is the norm of the whole family, the continuity
+    constant of the quotient bound; with ``C = W^T M R`` (the transposed
+    Gram matrix), ``R = W C + P`` gives ``R^T M R = C^T C + P^T M P``.  Each
+    is the square root of the top eigenvalue of an m x m Gram, formed from
+    its factors divided by their largest-magnitude entry so the squares
+    neither overflow nor underflow; the top eigenvalue carries full
+    relative accuracy.  ``gamma`` is 0 when the trial space fills the whole
+    space or ``P`` is exactly zero; both are 0 without representers.
     """
-    space = trial.space
-    if trial.n_columns >= space.dim or riesz.m == 0:
-        return 0.0
-    W, R = trial.columns, riesz.vectors
-    P = R - W @ (W.T @ space.apply_metric(R))
-    scale = float(np.max(np.abs(P)))
-    if scale == 0.0:
-        return 0.0
-    P = P / scale
-    top = np.linalg.eigvalsh(P.T @ space.apply_metric(P))[-1]
-    return scale * float(np.sqrt(max(top, 0.0)))
+    R = _representers(riesz)
+    if R.shape[1] == 0:
+        return 0.0, 0.0
+    space, W = trial.space, trial.columns
+    C = W.T @ space.apply_metric(R)
+    P = R - W @ C
+    scale = float(np.max(np.abs(P))) if trial.n_columns < space.dim else 0.0
+    gam, PMP = 0.0, 0.0
+    if scale > 0.0:
+        P = P / scale
+        PMP = P.T @ space.apply_metric(P)
+        gam = scale * float(np.sqrt(max(np.linalg.eigvalsh(PMP)[-1], 0.0)))
+    unit = max(scale, float(np.max(np.abs(C), initial=0.0)))
+    if unit == 0.0:
+        return gam, 0.0
+    C = C / unit
+    top = np.linalg.eigvalsh(C.T @ C + (scale / unit) ** 2 * PMP)[-1]
+    return gam, unit * float(np.sqrt(max(top, 0.0)))
 
 
 def deltas(
@@ -156,14 +186,12 @@ def deltas(
 
     ``eta_j = sum_i |x_ij| distances[i-1]`` and ``eta_hat_j`` likewise with the
     hierarchy widths; only the first n entries of each length-(n+1) vector
-    enter.  ``gamma`` is the value from :func:`gamma`, carried alongside.
+    enter.  ``gamma`` is the first value of :func:`gamma`, carried alongside.
     """
     n = hierarchy.n
     distances = np.asarray(distances, dtype=float)
     if distances.shape != (n + 1,):
         raise LengthMismatch(f"distances must have length n+1 = {n + 1}")
-    if hierarchy.widths.shape != (n + 1,):
-        raise LengthMismatch(f"widths must have length n+1 = {n + 1}")
     if decomp.X.shape != (n, n):
         raise LengthMismatch("decomposition size does not match the hierarchy")
     absX = np.abs(decomp.X)

@@ -156,8 +156,7 @@ def square_instance(rng, n_low=3, n_high=10):
     """m = n instance with sigma_1 pinned to the representer-family norm 1.
 
     With m = n the complement coupling is gamma = sqrt(1 - sigma_n^2), so
-    sigma_1 = 1 guarantees sigma_n^2 + gamma^2 <= sigma_1^2 and the quotient
-    bound is provable for the construction.  sigma_n stays >= 0.05.
+    sigma_n^2 + gamma^2 <= sigma_1^2 = ||R||^2.  sigma_n stays >= 0.05.
     """
     n = int(rng.integers(n_low, n_high + 1))
     N = 2 * n + int(rng.integers(2, 6))
@@ -349,6 +348,8 @@ def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="kn
     right factor, and the representers' component off the trial span is
     ``sqrt(1 - sigma_j**2) q_j`` (j <= n) or ``q_j`` (j > n) for orthonormal
     ``q_j``: ``gamma = sqrt(1 - sigma_n**2)`` when m = n and 1 when m > n.
+    The representers are orthonormal, so the quotient bound's constant, their
+    norm, is 1.
     The classical projection solves ``G c = d`` in the least-squares sense;
     with ``coeff`` the truth's trial coefficients, ``d - G coeff = R^T M (z_true
     - W coeff)`` and ``c - coeff = X (d - G coeff)[:n] / sigma``, so its error
@@ -381,6 +382,6 @@ def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="kn
         outside = z_true - W @ coeff
         residual = R.T @ (outside if metric is None else metric @ outside)
         shift = X @ (residual[:n] / sigma)
-        row["babuska_bound"] = float(sigma[0] / sigma[-1] * tau_n)
+        row["babuska_bound"] = float(1.0 / sigma[-1] * tau_n)
         row["actual_pg_error"] = float(np.sqrt(shift @ shift + tau[-1] ** 2))
     return row

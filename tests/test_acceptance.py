@@ -118,9 +118,11 @@ def test_criterion_4_quotient_bound_validity_sweep():
     margin = np.inf
     for _ in range(100):
         problem, hierarchy, tests = square_instance(rng)
-        decomp = decompose(gram_matrix(riesz_representers(problem, tests), hierarchy.basis))
+        riesz = riesz_representers(problem, tests)
+        decomp = decompose(gram_matrix(riesz, hierarchy.basis))
         assert decomp.sigma[-1] >= 0.05
-        bound = babuska_bound(decomp, float(hierarchy.distances[-1]))
+        _, norm = gamma(riesz, hierarchy.basis)
+        bound = babuska_bound(decomp, float(hierarchy.distances[-1]), norm)
         point, _ = solve_pg(problem, hierarchy.basis, tests)
         err = error_norm(point, problem)
         assert err <= bound + 1e-9
@@ -128,6 +130,30 @@ def test_criterion_4_quotient_bound_validity_sweep():
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     print(f"ACCEPTANCE 4: PASS - 100 instances, min slack {margin:.3e}, {elapsed:.1f}s")
+
+
+def test_criterion_4_quotient_bound_validity_below_a_unit_sigma_1():
+    # sigma_1 = top * U(0.05, 1) stays below the representer-family norm 1,
+    # which is the quotient bound's constant; m ranges over n..2n
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    margin = np.inf
+    for _ in range(300):
+        n = int(rng.integers(3, 8))
+        m = int(rng.integers(n, 2 * n + 1))
+        top = rng.uniform(0.05, 1.0)
+        sigma = top * np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
+        tau = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
+        X = random_orthogonal(rng, n)
+        seed = int(rng.integers(0, 2**31))
+        problem, hierarchy, tests = synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau.copy(), seed)
+        report, _, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+        assert report.actual_pg_error <= report.babuska, seed
+        assert report.actual_ms_error <= report.ms_bound + 1e-12, seed
+        margin = min(margin, report.babuska - report.actual_pg_error)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 10.0
+    print(f"ACCEPTANCE 4: PASS - 300 instances below sigma_1 = 1, min slack {margin:.3e}")
 
 
 def test_criterion_5_water_filling_matches_enumeration_oracle():
@@ -210,7 +236,7 @@ def test_criterion_7_structural_property_suite():
         np.fill_diagonal(target, decomp.sigma)
         assert float(np.max(np.abs(coupling - target))) <= 1e-9
 
-        gam = gamma(riesz, trial)
+        gam = gamma(riesz, trial)[0]
         assert gam <= 1.0 + 1e-10
 
         # the trial-space projection of the truth satisfies every slice bound

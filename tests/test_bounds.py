@@ -46,23 +46,30 @@ def random_tuple(rng, n):
 
 
 def test_babuska_unit_conditioning():
-    assert babuska_bound(diag_decomp(np.ones(4)), 0.3) == pytest.approx(0.3)
+    assert babuska_bound(diag_decomp(np.ones(4)), 0.3, 1.0) == pytest.approx(0.3)
 
 
 def test_babuska_quotient():
-    assert babuska_bound(diag_decomp([1.0, 0.25]), 0.5) == pytest.approx(2.0)
+    assert babuska_bound(diag_decomp([1.0, 0.25]), 0.5, 1.0) == pytest.approx(2.0)
+    # the constant is the representer-family norm, not sigma_1
+    assert babuska_bound(diag_decomp([0.5, 0.25]), 0.5, 1.0) == pytest.approx(2.0)
 
 
 def test_babuska_singular():
     with pytest.raises(SingularGram):
-        babuska_bound(diag_decomp([1.0, 0.5, 0.0]), 0.1)
+        babuska_bound(diag_decomp([1.0, 0.5, 0.0]), 0.1, 1.0)
 
 
 def test_babuska_rejects_bad_distance():
     with pytest.raises(InvalidInput):
-        babuska_bound(diag_decomp(np.ones(2)), -0.1)
+        babuska_bound(diag_decomp(np.ones(2)), -0.1, 1.0)
     with pytest.raises(InvalidInput):
-        babuska_bound(diag_decomp(np.ones(2)), np.nan)
+        babuska_bound(diag_decomp(np.ones(2)), np.nan, 1.0)
+    for continuity in (-1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInput, match="continuity"):
+            babuska_bound(diag_decomp(np.ones(2)), 0.1, continuity)
+    with pytest.raises(InvalidInput, match="empty decomposition"):
+        babuska_bound(diag_decomp(np.zeros(0)), 0.1, 1.0)
 
 
 # --------------------------------------------------------------- water filling
@@ -74,7 +81,6 @@ def test_water_filling_frozen_tuple():
     # the last coordinate alone exhausts the budget exactly, so ell = 2
     # (1-based), rho = 1, and the attained value is delta_2^2 = 1
     wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 1.0, 0.25)
-    assert wf.active_case
     assert wf.ell == 2
     assert wf.rho == pytest.approx(1.0)
     assert wf.sup_value == pytest.approx(1.0)
@@ -84,7 +90,6 @@ def test_water_filling_frozen_tuple():
 def test_water_filling_inactive():
     # total cost 0.05 < budget 4: every coordinate saturates
     wf = water_filling(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1.0, 1.0)
-    assert not wf.active_case
     assert wf.ell is None and wf.rho is None
     assert wf.sup_value == pytest.approx(5.0)
 
@@ -92,7 +97,7 @@ def test_water_filling_inactive():
 def test_water_filling_all_zero_spectrum():
     # first constraint vacuous: inactive even with a zero budget
     wf = water_filling(np.array([1.0, 2.0]), np.zeros(2), 1.0, 0.5)
-    assert not wf.active_case
+    assert wf.ell is None
     assert wf.sup_value == pytest.approx(5.0)
 
 
@@ -102,7 +107,6 @@ def test_water_filling_zero_budget_counts_costless_tail():
     delta = np.array([1.0, 1.0, 2.0])
     sigma = np.array([1.0, 0.5, 0.0])
     wf = water_filling(delta, sigma, 0.0, 0.7)
-    assert wf.active_case
     assert wf.ell == 3
     assert wf.rho == 0.0
     assert wf.sup_value == pytest.approx(4.0)
@@ -111,7 +115,7 @@ def test_water_filling_zero_budget_counts_costless_tail():
 
 def test_water_filling_zero_budget_all_paying():
     wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 0.0, 0.7)
-    assert wf.active_case
+    assert wf.ell is not None
     assert wf.sup_value == 0.0
 
 
@@ -120,7 +124,6 @@ def test_water_filling_single_term_edge():
     delta = np.array([1.0, 2.0])
     sigma = np.array([1.0, 1.0])
     wf = water_filling(delta, sigma, 0.5, 0.5)  # budget 0.25, costs (1, 4)
-    assert wf.active_case
     assert wf.ell == 2
     assert wf.rho == pytest.approx(0.25 / 4.0)
     assert wf.sup_value == pytest.approx(0.25)
@@ -133,7 +136,6 @@ def test_water_filling_interior_fraction():
     delta = np.array([1.0, 1.0])
     sigma = np.array([1.0, 0.5])
     wf = water_filling(delta, sigma, 1.0, 0.5)
-    assert wf.active_case
     assert wf.ell == 1
     assert wf.rho == pytest.approx(0.75)
     assert wf.sup_value == pytest.approx(1.75)
@@ -143,7 +145,7 @@ def test_water_filling_interior_fraction():
 def test_water_filling_empty():
     wf = water_filling(np.zeros(0), np.zeros(0), 1.0, 1.0)
     assert wf.sup_value == 0.0
-    assert not wf.active_case
+    assert wf.ell is None
 
 
 def test_water_filling_input_validation():
@@ -173,7 +175,7 @@ def test_water_filling_active_invariants():
         wf = water_filling(delta, sigma, gam, tau_n)
         budget = 4.0 * gam**2 * tau_n**2
         cost = sigma**2 * delta**2
-        if not wf.active_case:
+        if wf.ell is None:
             assert wf.sup_value == pytest.approx(float(np.sum(delta**2)))
             assert float(np.sum(cost)) < budget or float(np.sum(cost)) == 0.0
             continue
@@ -288,13 +290,14 @@ def test_ms_bound_squares_to_sup_plus_tau():
         widths = descending(rng, n + 1, 0.0, 1.5)
         distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
         inter = intermediates_for(decomp, widths, distances, float(rng.uniform(0.0, 1.0)))
-        report = ms_bound(decomp, inter, distances)
+        # sigma_1 <= 1, so 1 is a representer-family norm these spectra admit
+        report = ms_bound(decomp, inter, distances, continuity=1.0)
         tau_n = distances[-1]
         lhs = report.ms_bound**2
         rhs = report.water_filling.sup_value + tau_n**2
         assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1e-12)
         if sigma[-1] > 1e-12 * max(sigma[0], 1e-300):
-            assert report.babuska == pytest.approx(sigma[0] / sigma[-1] * tau_n)
+            assert report.babuska == pytest.approx(1.0 / sigma[-1] * tau_n)
         else:
             assert report.babuska is None
 
@@ -303,7 +306,7 @@ def test_ms_bound_zero_case():
     decomp = diag_decomp(np.array([0.5, 0.2]))
     zeros = np.zeros(3)
     inter = intermediates_for(decomp, zeros, zeros, 0.0)
-    report = ms_bound(decomp, inter, zeros)
+    report = ms_bound(decomp, inter, zeros, continuity=1.0)
     assert report.ms_bound == 0.0
 
 
@@ -312,11 +315,11 @@ def test_ms_bound_validation():
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths, tau_source="guessed")
+        ms_bound(decomp, inter, widths, continuity=1.0, tau_source="guessed")
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths[:2])
+        ms_bound(decomp, inter, widths[:2], continuity=1.0)
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, np.array([1.0, 0.5, -0.2]))
+        ms_bound(decomp, inter, np.array([1.0, 0.5, -0.2]), continuity=1.0)
 
 
 def test_ms_bound_hierarchy_consistency():
@@ -328,20 +331,20 @@ def test_ms_bound_hierarchy_consistency():
     space = AmbientSpace(3)
     basis = OrthonormalFrame(space, np.eye(3)[:, :2])
     hierarchy = SubspaceHierarchy(basis, widths=widths)
-    report = ms_bound(decomp, inter, widths, hierarchy)
+    report = ms_bound(decomp, inter, widths, hierarchy, continuity=1.0)
     assert report.ms_bound > 0.0
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths * 2.0, hierarchy)  # profile above widths
+        ms_bound(decomp, inter, widths * 2.0, hierarchy, continuity=1.0)  # profile above widths
     small = SubspaceHierarchy(OrthonormalFrame(space, np.eye(3)[:, :1]), widths=np.array([1.0, 0.5]))
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths, small)
+        ms_bound(decomp, inter, widths, small, continuity=1.0)
 
 
 def test_ms_bound_practitioner_label():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
-    report = ms_bound(decomp, inter, widths, tau_source="practitioner")
+    report = ms_bound(decomp, inter, widths, continuity=1.0, tau_source="practitioner")
     assert report.tau_source == "practitioner"
 
 
@@ -349,7 +352,9 @@ def test_ms_bound_carries_actual_errors():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
-    report = ms_bound(decomp, inter, widths, actual_pg_error=0.1, actual_ms_error=0.05)
+    report = ms_bound(
+        decomp, inter, widths, continuity=1.0, actual_pg_error=0.1, actual_ms_error=0.05
+    )
     assert report.actual_pg_error == 0.1
     assert report.actual_ms_error == 0.05
 
@@ -361,5 +366,5 @@ def test_decomposed_identity_round_trip():
     decomp = decompose(G)
     widths = descending(rng, 4, 0.1, 1.0)
     inter = intermediates_for(decomp, widths, widths, 0.5)
-    report = ms_bound(decomp, inter, widths, tau_source="practitioner")
+    report = ms_bound(decomp, inter, widths, continuity=1.0, tau_source="practitioner")
     assert report.ms_bound >= widths[-1]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from msrom import SubspaceHierarchy
 from msrom.cli import (
     _COMMON_KEYS,
     _MODE_KEYS,
@@ -131,6 +132,21 @@ def test_parse_rejects_profiles_beyond_the_limit(key, values, tmp_path, capsys):
     assert "at most 1e+150" in capsys.readouterr().err
     # the limit itself still validates
     parse_config(json.dumps(dict(PRESCRIBED, widths=[1e150, 0.3, 0.15])))
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        (example1_doc(tau="0.1"), "field 'tau' must be a number"),
+        (example1_doc(tau=True), "field 'tau' must be a number"),
+        (json.dumps(dict(PRESCRIBED, sigma=[0.9, "0.5"])), r"field 'sigma\[1\]' must be a number"),
+        (json.dumps(dict(PRESCRIBED, widths=0.5)), "field 'widths' must be a list of numbers"),
+    ],
+    ids=["string", "bool", "list-entry", "not-a-list"],
+)
+def test_parse_rejects_fields_that_are_not_numbers(text, match):
+    with pytest.raises(ValidationError, match=match):
+        parse_config(text)
 
 
 def test_parse_rejects_unreadable_integers_and_nesting():
@@ -322,7 +338,7 @@ def test_parse_config_fuzz(doc):
     sizes = [cfg.n_max if cfg.mode == "random-sweep" else cfg.n, cfg.N]
     if all(size is None or size <= 40 for size in sizes):
         problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
-        assert hierarchy.n == n and tests.m >= n
+        assert hierarchy.n == n and tests.n_columns >= n
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -331,9 +347,9 @@ def test_checked_in_configs_validate_and_build(path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
     cfg = parse_config(path.read_text())
     problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
-    assert hierarchy.n == n and tests.m >= n
+    assert hierarchy.n == n and tests.n_columns >= n
     if cfg.n is not None:
-        assert (n, tests.m, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
+        assert (n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
 
 
 # ---------------------------------------------------------------- experiments
@@ -522,6 +538,43 @@ def test_main_zero_widths_confine_the_solution(tmp_path):
         assert float(row["actual_ms_error"]) <= float(row["ms_bound"]) + 1e-12 * doc["tau"][0]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "example2", "tau": 0.1, "n": 2, "N": 12, "seed": 0, "repetitions": 50},
+        {
+            "mode": "prescribed", "n": 4, "m": 4, "N": 12, "sigma": [0.5, 0.5, 0.5, 0.5],
+            "tau": [0.8, 0.4, 0.2, 0.1, 0.05], "widths": [1.0, 0.5, 0.3, 0.2, 0.1],
+            "seed": 3, "repetitions": 20,
+        },
+    ],
+    ids=["example2-n2", "prescribed-flat-half"],
+)
+def test_main_quotient_bound_holds_with_sigma_1_below_one(tmp_path, doc):
+    # sigma_1 < 1 = ||R||: the quotient bound's constant is the norm of the
+    # (orthonormal) representers, so it reads tau_n / sigma_n
+    code, rows = run_through_main(tmp_path, doc)
+    assert code == 0
+    assert len(rows) == doc["repetitions"]
+    for row in rows:
+        assert float(row["sigma_1"]) < 0.6
+        assert float(row["actual_pg_error"]) <= float(row["babuska_bound"]), row["seed"]
+        assert float(row["babuska_bound"]) == pytest.approx(
+            float(row["tau_n"]) / float(row["sigma_n"]), rel=1e-12
+        )
+        assert float(row["actual_ms_error"]) <= float(row["ms_bound"]), row["seed"]
+
+
+def test_run_instance_known_tau_needs_distances():
+    cfg = parse_config(example1_doc())
+    problem, known, tests, _, _ = _build_instance(cfg, cfg.seed)
+    hierarchy = SubspaceHierarchy(known.basis, widths=known.widths)
+    with pytest.raises(ValidationError, match="true distance profile"):
+        run_instance(problem, hierarchy, tests, cfg.solver)
+    report, _, _ = run_instance(problem, hierarchy, tests, cfg.solver, "practitioner")
+    assert report.tau_source == "practitioner"
+
+
 # ------------------------------------------------------------------ CLI shell
 
 
@@ -539,6 +592,15 @@ def test_main_validate_and_run(tmp_path, capsys):
 def test_main_reports_missing_file(capsys):
     assert main(["run", "/no/such/config.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_main_reports_unwritable_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(example1_doc())
+    out_path = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["run", str(cfg_path), "--output", str(out_path), "--quiet"]) == 1
+    assert "error" in capsys.readouterr().err
+    assert not out_path.exists()
 
 
 def test_main_reports_bad_config(tmp_path, capsys):

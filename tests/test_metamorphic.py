@@ -15,7 +15,6 @@ from msrom import (
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
-    TestSpace,
     run_instance,
     solve_pg,
     synth_prescribed,
@@ -70,7 +69,7 @@ def test_metric_instance_equals_its_euclidean_image(metric, m):
     L = np.eye(space.dim) if space.euclidean else space.cholesky
     R, _ = problem.factors
     flat = AmbientSpace(space.dim)
-    LZ = L.T @ tests.basis.columns
+    LZ = L.T @ tests.columns
     image = (
         ProblemInstance(flat, z_true=L.T @ problem.z_true, factors=(L.T @ R, LZ)),
         SubspaceHierarchy(
@@ -78,7 +77,7 @@ def test_metric_instance_equals_its_euclidean_image(metric, m):
             hierarchy.widths,
             hierarchy.distances,
         ),
-        TestSpace(OrthonormalFrame(flat, LZ)),
+        OrthonormalFrame(flat, LZ),
     )
     want = outcome(problem, hierarchy, tests)
     assert want["ms_iterations"] > 0  # the widths bite: MS is not the LS solution
@@ -92,7 +91,7 @@ def test_rotated_test_basis_leaves_solutions_and_bounds(metric, m):
     # both projections, and the singular values and gamma do not change
     problem, hierarchy, tests = instance(metric, m)
     O = random_orthogonal(np.random.default_rng(17), m)
-    rotated = TestSpace(OrthonormalFrame(problem.space, tests.basis.columns @ O))
+    rotated = OrthonormalFrame(problem.space, tests.columns @ O)
     want = outcome(problem, hierarchy, tests)
     got = outcome(problem, hierarchy, rotated)
     assert_same(got, want, ["pg_coeffs", "ms_coeffs", "ms_bound", "babuska"])

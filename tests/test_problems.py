@@ -20,14 +20,15 @@ from msrom import (
     InvalidSpectrum,
     OrthonormalFrame,
     ProblemInstance,
-    RieszFamily,
     SolverOptions,
     SubspaceHierarchy,
-    TestSpace,
+    adapted_bases,
+    decompose,
     evaluate_b,
     example1,
     example2,
     flat_orthogonal,
+    gamma,
     gram_matrix,
     orthonormalize,
     project,
@@ -65,6 +66,20 @@ def test_problem_requires_exactly_one_operator_form():
         ProblemInstance(space, z_true=np.ones(3), factors=(np.ones((3, 2)), np.ones((3, 1))))
 
 
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"operator": np.eye(2), "z_true": np.ones(3)}, "operator must be 3x3"),
+        ({"operator": np.eye(3), "z_true": np.ones(2)}, "z_true has the wrong shape"),
+        ({"operator": np.eye(3), "functional": np.ones((3, 1))}, "functional has the wrong shape"),
+    ],
+    ids=["operator", "z_true", "functional"],
+)
+def test_problem_rejects_wrong_shapes(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        ProblemInstance(AmbientSpace(3), **kwargs)
+
+
 def relative_gap(got, want):
     return np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
 
@@ -82,15 +97,15 @@ def test_factored_operator_matches_dense(metric):
     space = problem.space
     R, MZ = problem.factors
     dense = ProblemInstance(space, R @ MZ.T, z_true=problem.z_true)
-    Z = tests.basis.columns
+    Z = tests.columns
     frames = [
         tests,
-        TestSpace(OrthonormalFrame(space, Z @ random_orthogonal(rng, m))),
-        TestSpace(orthonormalize(rng.standard_normal((N, 5)), space)),
+        OrthonormalFrame(space, Z @ random_orthogonal(rng, m)),
+        orthonormalize(rng.standard_normal((N, 5)), space),
     ]
     for frame in frames:
-        got = riesz_representers(problem, frame).vectors
-        assert relative_gap(got, riesz_representers(dense, frame).vectors) <= 1e-13
+        got = riesz_representers(problem, frame)
+        assert relative_gap(got, riesz_representers(dense, frame)) <= 1e-13
         assert relative_gap(rhs_vector(problem, frame), rhs_vector(dense, frame)) <= 1e-13
     V = rng.standard_normal((N, 10))
     pairs = [(V[:, k], V[:, k + 5]) for k in range(5)]
@@ -171,9 +186,9 @@ def test_rhs_vector_matches_columnwise_evaluate_b(synthetic):
     space = AmbientSpace(7, random_spd(rng, 7))
     rhs = {"z_true" if synthetic else "functional": rng.standard_normal(7)}
     problem = ProblemInstance(space, rng.standard_normal((7, 7)), **rhs)
-    tests = TestSpace(orthonormalize(rng.standard_normal((7, 5)), space))
+    tests = orthonormalize(rng.standard_normal((7, 5)), space)
     d = rhs_vector(problem, tests)
-    want = [evaluate_b(problem, tests.basis.columns[:, j]) for j in range(5)]
+    want = [evaluate_b(problem, tests.columns[:, j]) for j in range(5)]
     assert d.shape == (5,)
     assert np.max(np.abs(d - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -183,16 +198,16 @@ def test_riesz_identity_operator():
     space = AmbientSpace(4)
     Z = orthonormalize(rng.standard_normal((4, 3)), space)
     problem = ProblemInstance(space, np.eye(4), functional=np.zeros(4))
-    family = riesz_representers(problem, TestSpace(Z))
-    assert np.allclose(family.vectors, Z.columns)
+    family = riesz_representers(problem, Z)
+    assert np.allclose(family, Z.columns)
 
 
 def test_riesz_zero_operator():
     space = AmbientSpace(3)
     Z = orthonormalize(np.eye(3)[:, :2], space)
     problem = ProblemInstance(space, np.zeros((3, 3)), functional=np.zeros(3))
-    family = riesz_representers(problem, TestSpace(Z))
-    assert np.allclose(family.vectors, 0.0)
+    family = riesz_representers(problem, Z)
+    assert np.allclose(family, 0.0)
 
 
 def test_riesz_defining_identity_random_metric():
@@ -201,11 +216,11 @@ def test_riesz_defining_identity_random_metric():
     A = rng.standard_normal((6, 6))
     Z = orthonormalize(rng.standard_normal((6, 6)), space)
     problem = ProblemInstance(space, A, functional=np.zeros(6))
-    family = riesz_representers(problem, TestSpace(Z))
+    family = riesz_representers(problem, Z)
     for _ in range(20):
         v = rng.standard_normal(6)
         for j in range(6):
-            lhs = space.inner(family.vectors[:, j], v)
+            lhs = space.inner(family[:, j], v)
             rhs = problem.bilinear(v, Z.columns[:, j])
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
@@ -304,7 +319,7 @@ def test_synth_prescribed_orthonormal_representers():
     problem, hierarchy, tests = synth_prescribed(
         n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=41
     )
-    R = riesz_representers(problem, tests).vectors
+    R = riesz_representers(problem, tests)
     assert np.max(np.abs(R.T @ R - np.eye(m))) <= 1e-9
 
 
@@ -332,10 +347,10 @@ def test_test_basis_is_the_leading_base_frame(metric):
     X = random_orthogonal(rng, n)
     M = random_spd(rng, N) if metric else None
     _, hierarchy, tests = synth_prescribed(n, n, N, sigma, X, tau, tau.copy(), 5, metric=M)
-    assert np.array_equal(tests.basis.columns, hierarchy.basis.columns)
+    assert np.array_equal(tests.columns, hierarchy.basis.columns)
     m = 9
     problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau.copy(), 5, metric=M)
-    Z = tests.basis.columns
+    Z = tests.columns
     assert np.array_equal(Z[:, :n], hierarchy.basis.columns)
     assert np.max(np.abs(Z.T @ metric_of(problem.space) @ Z - np.eye(m))) <= 1e-12
 
@@ -352,7 +367,7 @@ def test_square_instance_shares_the_trial_frame(metric):
     problem, hierarchy, tests = synth_prescribed(
         n, n, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), 3, metric=M
     )
-    assert tests.basis is hierarchy.basis
+    assert tests is hierarchy.basis
     assert problem.factors[1] is hierarchy.basis.metric_image
 
 
@@ -456,6 +471,8 @@ def test_synth_prescribed_validation():
         synth_prescribed(n, m, N, [0.5, 0.8, 0.1], np.eye(n), good_tau, good_tau, 0)
     with pytest.raises(InvalidSpectrum):
         synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.ones((3, 3)), good_tau, good_tau, 0)
+    with pytest.raises(InvalidSpectrum, match="X must be 3x3"):
+        synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.eye(3)[:, :2], good_tau, good_tau, 0)
     with pytest.raises(InvalidDistances):
         synth_prescribed(
             n, m, N, [1.0, 0.5, 0.1], np.eye(n), [0.1, 0.5, 0.3, 0.1], good_tau, 0
@@ -486,7 +503,7 @@ def test_synth_prescribed_properties(seed):
     # b really is a(z_true, .) on this instance
     d = rhs_vector(problem, tests)
     for j in range(m):
-        want = problem.bilinear(problem.z_true, tests.basis.columns[:, j])
+        want = problem.bilinear(problem.z_true, tests.columns[:, j])
         assert abs(d[j] - want) <= 1e-9 * max(1.0, abs(want))
 
 
@@ -535,5 +552,14 @@ def test_example2_validation():
 
 
 def test_riesz_family_shape_check():
-    with pytest.raises(ValueError):
-        RieszFamily(np.zeros(3))
+    # the representers are an (N, m) matrix; a single vector is refused
+    space = AmbientSpace(3)
+    trial = OrthonormalFrame(space, np.eye(3)[:, :1])
+    decomp = decompose(np.ones((1, 1)))
+    for call in (
+        lambda R: gram_matrix(R, trial),
+        lambda R: gamma(R, trial),
+        lambda R: adapted_bases(decomp, trial, R),
+    ):
+        with pytest.raises(ValueError, match="representers must be an"):
+            call(np.zeros(3))

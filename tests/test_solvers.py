@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -24,10 +25,9 @@ from msrom import (
     InvalidDistances,
     OrthonormalFrame,
     ProblemInstance,
-    SingularSystem,
+    SingularGram,
     SolverOptions,
     SubspaceHierarchy,
-    TestSpace,
     TruthUnavailable,
     decompose,
     error_norm,
@@ -166,8 +166,8 @@ def test_solve_pg_defining_equations():
     point, coeffs = solve_pg(problem, hierarchy.basis, tests)
     _, d = assemble(problem, hierarchy, tests)
     scale = np.linalg.norm(d)
-    for j in range(tests.m):
-        z_j = tests.basis.columns[:, j]
+    for j in range(tests.n_columns):
+        z_j = tests.columns[:, j]
         gap = problem.bilinear(point, z_j) - problem.bilinear(problem.z_true, z_j)
         assert abs(gap) <= 1e-8 * max(scale, 1e-12)
 
@@ -203,14 +203,14 @@ def test_solve_pg_singular_system():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 2 * n + 2, sigma, np.eye(n), tau, tau.copy(), seed=23
     )
-    with pytest.raises(SingularSystem):
+    with pytest.raises(SingularGram):
         solve_pg(problem, hierarchy.basis, tests)
 
 
 def test_solve_pg_least_squares_when_overdetermined():
     rng = np.random.default_rng(6)
     problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
-    while tests.m == hierarchy.n:
+    while tests.n_columns == hierarchy.n:
         problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
     _, coeffs = solve_pg(problem, hierarchy.basis, tests)
     G, d = assemble(problem, hierarchy, tests)
@@ -239,7 +239,7 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
 def test_rejects_fewer_tests_than_trial_directions():
     rng = np.random.default_rng(7)
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
-    short = TestSpace(tests.basis.prefix(2))
+    short = tests.prefix(2)
     with pytest.raises(ValueError):
         solve_pg(problem, hierarchy.basis, short)
     with pytest.raises(ValueError):
@@ -360,7 +360,7 @@ def test_solve_ms_truth_projection_chain():
         r_star = G @ c_star - d
         f_star = float(r_star @ r_star)
         assert solution.cost <= f_star + 1e-9
-        gam = gamma(riesz_representers(problem, tests), trial)
+        gam = gamma(riesz_representers(problem, tests), trial)[0]
         tau_n = hierarchy.distances[-1]
         assert f_star <= gam**2 * tau_n**2 + 1e-9
 
@@ -450,7 +450,7 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
     assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
     assert solution.non_unique_hint == alone.non_unique_hint == (kind == "singular")
     if kind == "singular":
-        with pytest.raises(SingularSystem):
+        with pytest.raises(SingularGram):
             solve_pg(problem, hierarchy.basis, tests)
         assert report.actual_pg_error is None
     else:
@@ -658,7 +658,7 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     A[1, 3] = A[2, 4] = A[3, 5] = 1.0
     problem = ProblemInstance(space, A, z_true=np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]))
     trial = OrthonormalFrame(space, E[:, :3])
-    tests = TestSpace(OrthonormalFrame(space, E[:, 3:]))
+    tests = OrthonormalFrame(space, E[:, 3:])
     hierarchy = SubspaceHierarchy(trial, widths=np.array([np.inf, 0.5, 0.3, 0.0]))
     raised, solve = [], np.linalg.solve
 
@@ -675,6 +675,48 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     assert (3, 3) in raised
     assert solution.converged
     assert np.max(np.abs(solution.coeffs - [0.0, 0.4, -0.3])) <= 1e-9
+
+
+def test_solve_ms_flat_cost_returns_the_origin():
+    # a zero operator makes G = 0 (sigma_1 = 0): every point costs ||d||^2,
+    # and the origin, feasible for any widths, is returned without iterating
+    space = AmbientSpace(6)
+    E = np.eye(6)
+    problem = ProblemInstance(space, np.zeros((6, 6)), functional=E[:, 3] + 2.0 * E[:, 4])
+    hierarchy = SubspaceHierarchy(OrthonormalFrame(space, E[:, :3]), widths=np.array([1.0, 0.5, 0.2, 0.1]))
+    tests = OrthonormalFrame(space, E[:, 3:])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solution = solve_ms(problem, hierarchy, tests)
+    assert np.array_equal(solution.coeffs, np.zeros(3))
+    assert solution.converged and solution.iterations == 0
+    assert solution.cost == 5.0
+
+
+def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
+    # G = diag(1, 0.5, 0.25) and d = (1, 0, 1): c_1 = 0 at the solution, so its
+    # tail column of the dual Hessian vanishes and the free block is singular
+    space = AmbientSpace(8)
+    E = np.eye(8)
+    A = np.zeros((8, 8))
+    for j, a in enumerate((1.0, 0.5, 0.25)):
+        A[j, 3 + j] = a
+    problem = ProblemInstance(space, A, functional=E[:, 3] + E[:, 5])
+    trial = OrthonormalFrame(space, E[:, :3])
+    hierarchy = SubspaceHierarchy(trial, widths=np.array([2.0, 1.0, 0.5, 0.1]))
+    tests = OrthonormalFrame(space, E[:, 3:6])
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counting_lstsq(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    solution = solve_ms(problem, hierarchy, tests)
+    monkeypatch.undo()
+    assert len(calls) == 2
+    assert solution.converged and solution.iterations == 4
+    assert np.max(np.abs(solution.coeffs - [1.0, 0.0, 0.5])) <= 1e-9
 
 
 def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):

@@ -346,3 +346,38 @@ def test_frame_prefix():
     assert frame.prefix(2).n_columns == 2
     with pytest.raises(ValueError):
         frame.prefix(5)
+
+
+E3 = AmbientSpace(3)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: AmbientSpace(0), "dim must be a positive integer"),
+        (lambda: AmbientSpace(3, np.eye(2)), "metric must be 3x3"),
+        (lambda: OrthonormalFrame(E3, np.eye(4)[:, :2]), r"columns must have shape \(3, k\)"),
+        (lambda: OrthonormalFrame(E3, np.ones(3)), r"columns must have shape \(3, k\)"),
+        (lambda: orthonormalize(np.ones((3, 2, 2)), E3), "2-d array of columns"),
+        (lambda: orthonormalize(np.ones((4, 2)), E3), "space has dim 3"),
+        (lambda: project(np.ones(4), orthonormalize(np.eye(3)[:, :1], E3)), r"shape \(3,\)"),
+    ],
+    ids=[
+        "space-dim-zero",
+        "metric-shape",
+        "frame-rows",
+        "frame-one-dimensional",
+        "orthonormalize-three-dimensional",
+        "orthonormalize-dimension",
+        "project-shape",
+    ],
+)
+def test_shape_checks(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_orthonormalize_single_vector():
+    frame = orthonormalize(np.array([3.0, 0.0, -4.0]), E3)
+    assert frame.columns.shape == (3, 1)
+    assert np.allclose(frame.columns[:, 0], [0.6, 0.0, -0.8], atol=1e-15)

@@ -18,7 +18,6 @@ from msrom import (
     GramDecomposition,
     LengthMismatch,
     OrthonormalFrame,
-    RieszFamily,
     SubspaceHierarchy,
     adapted_bases,
     decompose,
@@ -50,14 +49,14 @@ def test_gram_matrix_self():
     rng = np.random.default_rng(0)
     space = AmbientSpace(5)
     trial = orthonormalize(rng.standard_normal((5, 3)), space)
-    riesz = RieszFamily(trial.columns.copy())
+    riesz = trial.columns.copy()
     assert np.allclose(gram_matrix(riesz, trial), np.eye(3), atol=1e-12)
 
 
 def test_gram_matrix_orthogonal_representers():
     space = AmbientSpace(4)
     trial = orthonormalize(np.eye(4)[:, :2], space)
-    riesz = RieszFamily(np.eye(4)[:, 2:])
+    riesz = np.eye(4)[:, 2:]
     assert np.allclose(gram_matrix(riesz, trial), 0.0)
 
 
@@ -130,6 +129,23 @@ def test_decompose_reconstruction_property(seed):
     assert reconstruction_error(decompose(G)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        ({"U": np.eye(2)}, "inconsistent factor shapes"),
+        ({"X": np.eye(3)}, "inconsistent factor shapes"),
+        ({"sigma": np.ones(3)}, "inconsistent factor shapes"),
+        ({"sigma": np.array([0.5, 1.0])}, "nonincreasing"),
+        ({"sigma": np.array([1.0, -0.5])}, "nonnegative"),
+    ],
+    ids=["U", "X", "sigma-length", "sigma-unsorted", "sigma-negative"],
+)
+def test_gram_decomposition_checks(fields, match):
+    parts = {"G": np.ones((3, 2)), "U": np.eye(3), "X": np.eye(2), "sigma": np.array([1.0, 0.5])}
+    with pytest.raises(ValueError, match=match):
+        GramDecomposition(**{**parts, **fields})
+
+
 def test_adapted_bases_self_coupling():
     # representers equal to the trial family give a fully degenerate unit
     # spectrum; the factor pair may then rotate freely inside the cluster,
@@ -137,7 +153,7 @@ def test_adapted_bases_self_coupling():
     rng = np.random.default_rng(3)
     space = AmbientSpace(6)
     trial = orthonormalize(rng.standard_normal((6, 3)), space)
-    riesz = RieszFamily(trial.columns.copy())
+    riesz = trial.columns.copy()
     decomp = decompose(gram_matrix(riesz, trial))
     star = adapted_bases(decomp, trial, riesz)
     assert np.allclose(decomp.sigma, np.ones(3), atol=1e-12)
@@ -184,8 +200,8 @@ def test_gamma_zero_when_representers_in_span():
     rng = np.random.default_rng(6)
     space = AmbientSpace(6)
     trial = orthonormalize(rng.standard_normal((6, 3)), space)
-    riesz = RieszFamily(trial.columns @ rng.standard_normal((3, 4)))
-    assert gamma(riesz, trial) <= 1e-12
+    riesz = trial.columns @ rng.standard_normal((3, 4))
+    assert gamma(riesz, trial)[0] <= 1e-12
 
 
 def test_gamma_matches_complement_basis_oracle():
@@ -196,11 +212,11 @@ def test_gamma_matches_complement_basis_oracle():
         m = int(rng.integers(1, 7))
         space = AmbientSpace(N, random_spd(rng, N) if i % 2 else None)
         trial = orthonormalize(rng.standard_normal((N, n)), space)
-        riesz = RieszFamily(rng.standard_normal((N, m)))
+        riesz = rng.standard_normal((N, m))
         comp = complement_frame(trial)
-        C = riesz.vectors.T @ space.apply_metric(comp.columns)
+        C = riesz.T @ space.apply_metric(comp.columns)
         want = np.linalg.svd(C, compute_uv=False)[0]
-        assert abs(gamma(riesz, trial) - want) <= 1e-12 * want
+        assert abs(gamma(riesz, trial)[0] - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -209,9 +225,11 @@ def test_gamma_scales_with_extreme_representers(metric):
     space = AmbientSpace(9, random_spd(rng, 9) if metric else None)
     trial = orthonormalize(rng.standard_normal((9, 3)), space)
     R = rng.standard_normal((9, 4))
-    g = gamma(RieszFamily(R), trial)
+    g, norm = gamma(R, trial)
     for c in (1e-200, 1e200):
-        assert abs(gamma(RieszFamily(c * R), trial) - c * g) <= 1e-12 * c * g
+        g_c, norm_c = gamma(c * R, trial)
+        assert abs(g_c - c * g) <= 1e-12 * c * g
+        assert abs(norm_c - c * norm) <= 1e-12 * c * norm
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -221,7 +239,7 @@ def test_gamma_in_span_is_rounding_sized(metric):
     trial = orthonormalize(rng.standard_normal((8, 4)), space)
     B = trial.columns @ rng.standard_normal((4, 5))
     for c in (1e-200, 1.0, 1e200):
-        g = gamma(RieszFamily(c * B), trial)
+        g = gamma(c * B, trial)[0]
         assert np.isfinite(g)
         assert 0.0 <= g <= 1e-12 * c * np.linalg.norm(B)  # ||c B|| itself would underflow
 
@@ -232,20 +250,46 @@ def test_gamma_large_matches_svd_of_complement_component(metric):
     rng = np.random.default_rng(16)
     problem, hierarchy, tests = metric_example1(100, N, 16, random_spd(rng, N) if metric else None)
     W = hierarchy.basis.columns
-    R = riesz_representers(problem, tests).vectors
+    R = riesz_representers(problem, tests)
     M = problem.space.metric if metric else np.eye(N)
     P = np.linalg.cholesky(M).T @ (R - W @ (W.T @ M @ R))
     want = np.linalg.svd(P, compute_uv=False)[0]
-    assert abs(gamma(RieszFamily(R), hierarchy.basis) - want) <= 1e-12 * want
+    assert abs(gamma(R, hierarchy.basis)[0] - want) <= 1e-12 * want
 
 
 def test_gamma_zero_without_complement_or_representers():
     rng = np.random.default_rng(13)
     space = AmbientSpace(4, random_spd(rng, 4))
     full = orthonormalize(rng.standard_normal((4, 4)), space)
-    assert gamma(RieszFamily(rng.standard_normal((4, 3))), full) == 0.0
+    assert gamma(rng.standard_normal((4, 3)), full)[0] == 0.0
     trial = orthonormalize(rng.standard_normal((4, 2)), space)
-    assert gamma(RieszFamily(np.zeros((4, 0))), trial) == 0.0
+    assert gamma(np.zeros((4, 0)), trial)[0] == 0.0
+    assert gamma(np.zeros((4, 2)), trial) == (0.0, 0.0)
+    # coordinate trial vectors make P = R - W (W^T R) exactly zero
+    coordinates = OrthonormalFrame(AmbientSpace(6), np.eye(6)[:, :3])
+    R = np.zeros((6, 4))
+    R[:3] = rng.standard_normal((3, 4))
+    g, norm = gamma(R, coordinates)
+    assert g == 0.0
+    assert abs(norm - np.linalg.norm(R, 2)) <= 1e-14 * norm
+
+
+@pytest.mark.parametrize("metric", [False, True])
+def test_gamma_norm_matches_svd_of_the_family(metric):
+    # ||R||_2 in the metric is the top singular value of L^T R, M = L L^T
+    rng = np.random.default_rng(18)
+    for N, n, m in ((9, 3, 4), (7, 0, 3), (5, 5, 2), (12, 4, 8)):
+        M = random_spd(rng, N) if metric else np.eye(N)
+        space = AmbientSpace(N, M if metric else None)
+        trial = orthonormalize(rng.standard_normal((N, n)), space)
+        R = rng.standard_normal((N, m))
+        L = np.linalg.cholesky(M)
+        want = np.linalg.svd(L.T @ R, compute_uv=False)[0]
+        g, norm = gamma(R, trial)
+        assert abs(norm - want) <= 1e-12 * want, (N, n, m)
+        assert g <= norm * (1.0 + 1e-12)
+        if n:
+            assert np.linalg.svd(gram_matrix(R, trial), compute_uv=False)[0] <= norm * (1.0 + 1e-12)
 
 
 def test_gamma_orthonormal_representers_bounded_by_one():
@@ -253,7 +297,9 @@ def test_gamma_orthonormal_representers_bounded_by_one():
     for _ in range(5):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
         riesz = riesz_representers(problem, tests)
-        assert gamma(riesz, hierarchy.basis) <= 1.0 + 1e-10
+        g, norm = gamma(riesz, hierarchy.basis)
+        assert g <= 1.0 + 1e-10
+        assert abs(norm - 1.0) <= 1e-12
 
 
 def test_gamma_square_case_closed_form():
@@ -266,7 +312,7 @@ def test_gamma_square_case_closed_form():
         n, n, 2 * n + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=17
     )
     riesz = riesz_representers(problem, tests)
-    g = gamma(riesz, hierarchy.basis)
+    g = gamma(riesz, hierarchy.basis)[0]
     assert abs(g - np.sqrt(1.0 - sigma[-1] ** 2)) <= 1e-8
 
 
@@ -279,7 +325,7 @@ def test_gamma_extra_representers_reach_one():
         n, m, n + m + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=27
     )
     riesz = riesz_representers(problem, tests)
-    assert abs(gamma(riesz, hierarchy.basis) - 1.0) <= 1e-9
+    assert abs(gamma(riesz, hierarchy.basis)[0] - 1.0) <= 1e-9
 
 
 def test_gamma_dominates_random_complement_samples():
@@ -287,13 +333,13 @@ def test_gamma_dominates_random_complement_samples():
     problem, hierarchy, tests = sweep_instance(rng, n_high=6)
     trial = hierarchy.basis
     riesz = riesz_representers(problem, tests)
-    g = gamma(riesz, trial)
+    g = gamma(riesz, trial)[0]
     comp = complement_frame(trial)
     M = problem.space.apply_metric
     coefs = rng.standard_normal((comp.n_columns, 10_000))
     coefs /= np.linalg.norm(coefs, axis=0)
     V = comp.columns @ coefs
-    vals = np.linalg.norm(riesz.vectors.T @ M(V), axis=0)
+    vals = np.linalg.norm(riesz.T @ M(V), axis=0)
     assert np.all(vals <= g + 1e-9)
 
 
@@ -303,13 +349,13 @@ def test_gamma_matches_sampled_supremum_on_plane_complement():
     rng = np.random.default_rng(11)
     space = AmbientSpace(6)
     trial = orthonormalize(rng.standard_normal((6, 4)), space)
-    riesz = RieszFamily(0.5 * rng.standard_normal((6, 3)))
-    g = gamma(riesz, trial)
+    riesz = 0.5 * rng.standard_normal((6, 3))
+    g = gamma(riesz, trial)[0]
     comp = complement_frame(trial)
     K = 10_000
     theta = (np.arange(K) + rng.random(K)) * (2.0 * np.pi / K)
     V = comp.columns @ np.vstack([np.cos(theta), np.sin(theta)])
-    vals = np.linalg.norm(riesz.vectors.T @ V, axis=0)
+    vals = np.linalg.norm(riesz.T @ V, axis=0)
     assert np.all(vals <= g + 1e-9)
     assert vals.max() >= g - 1e-6
 
