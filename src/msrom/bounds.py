@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SubspaceHierarchy
+from .problems import SubspaceHierarchy, check_below, check_vector
 from .spectral import BoundIntermediates, GramDecomposition, SingularGram
 
 __all__ = [
@@ -203,29 +203,23 @@ def ms_bound(
 
     ``distances`` is the length-n+1 profile whose last entry is the distance
     of the exact solution to the full trial space (or the terminal slice
-    width when ``tau_source == "practitioner"``).  When ``hierarchy`` is
-    given, the profile is checked against its widths.  ``continuity`` is the
+    width when ``tau_source == "practitioner"``).  A bad profile, or one
+    above the widths of ``hierarchy`` when given, raises
+    :class:`msrom.problems.InvalidDistances`.  ``continuity`` is the
     representer-family norm that :func:`babuska_bound` takes.
     """
     if tau_source not in ("known", "practitioner"):
         raise InvalidInput(
             f"tau_source must be 'known' or 'practitioner', got {tau_source!r}"
         )
-    distances = np.asarray(distances, dtype=float)
     n = intermediates.delta.shape[0]
-    if distances.shape != (n + 1,):
-        raise InvalidInput(
-            f"distances must have length n+1 = {n + 1}, got {distances.shape}"
-        )
-    if np.any(np.isnan(distances)) or np.any(distances < 0.0):
-        raise InvalidInput("distances must be nonnegative")
+    distances = check_vector(n, distances, "distances")
     if hierarchy is not None:
         if hierarchy.n != n:
             raise InvalidInput(
                 f"hierarchy has n = {hierarchy.n}, intermediates have n = {n}"
             )
-        if np.any(distances > hierarchy.widths):
-            raise InvalidInput("distance profile exceeds the slice widths")
+        check_below(distances, hierarchy.widths)
     tau_n = float(distances[-1])
     wf = water_filling(intermediates.delta, decomp.sigma, intermediates.gamma, tau_n)
     value = float(np.sqrt(wf.sup_value + tau_n * tau_n))

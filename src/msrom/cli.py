@@ -308,7 +308,7 @@ def run_instance(
     # one assembly and one SVD of G serve the bounds and both projectors
     system = _assemble(problem, trial, tests)
     riesz, _, decomp = system
-    gam, continuity = gamma(riesz, trial)
+    gam, continuity = gamma(riesz, trial, decomp.G)
     inter = deltas(decomp, hierarchy, profile, gamma=gam)
     try:
         pg_point, _ = solve_pg(problem, trial, tests, system=system)

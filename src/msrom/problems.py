@@ -270,26 +270,35 @@ def check_spectrum(n: int, sigma) -> np.ndarray:
 PROFILE_LIMIT = 1e150
 
 
+def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
+    """A width or distance vector as a float array: length n+1, no NaN, no negative
+    entry, no finite entry above ``PROFILE_LIMIT``.  The one check of such a vector
+    at every entry point; ``key`` names it in the :class:`InvalidDistances` message."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != (n + 1,):
+        raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
+    if not (v >= 0.0).all():  # NaN fails the comparison too
+        raise InvalidDistances(f"{key} entries must be nonnegative")
+    if (v[v > PROFILE_LIMIT] < np.inf).any():
+        raise InvalidDistances(f"finite {key} entries must be at most {PROFILE_LIMIT:g}")
+    return v
+
+
+def check_below(tau: np.ndarray, widths: np.ndarray) -> None:
+    """The prior: the widths dominate the distances ``tau`` entrywise."""
+    if np.any(tau > widths):
+        raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
+
+
 def check_profile(n: int, widths, tau=None):
-    """Widths and known distances ``tau``: length n+1, nonnegative, finite
-    entries at most ``PROFILE_LIMIT``, ``tau`` nonincreasing and below the
-    widths.  Returns them as float arrays."""
-    w = np.asarray(widths, dtype=float)
-    t = None if tau is None else np.asarray(tau, dtype=float)
-    for key, v in (("tau", t), ("widths", w)):
-        if v is None:
-            continue
-        if v.shape != (n + 1,):
-            raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
-        if np.any(np.isnan(v)) or np.any(v < 0.0):
-            raise InvalidDistances(f"{key} entries must be nonnegative")
-        if np.any(np.isfinite(v) & (v > PROFILE_LIMIT)):
-            raise InvalidDistances(f"finite {key} entries must be at most {PROFILE_LIMIT:g}")
+    """Widths and known distances ``tau``, each valid for :func:`check_vector`, with
+    ``tau`` nonincreasing and below the widths.  Returns them as float arrays."""
+    t = None if tau is None else check_vector(n, tau, "tau")
+    w = check_vector(n, widths)
     if t is not None:
         if np.any(np.diff(t) > 0.0):
             raise InvalidDistances("tau must be nonincreasing")
-        if np.any(t > w):
-            raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
+        check_below(t, w)
     return w, t
 
 

@@ -19,12 +19,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, SubspaceHierarchy, rhs_vector, riesz_representers
+from .problems import (
+    ProblemInstance,
+    SubspaceHierarchy,
+    check_vector,
+    rhs_vector,
+    riesz_representers,
+)
 from .spaces import OrthonormalFrame
 from .spectral import GramDecomposition, decompose, gram_matrix
 
 __all__ = [
-    "InfeasibleWidths",
     "TruthUnavailable",
     "SolverOptions",
     "MultiSliceSolution",
@@ -36,10 +41,6 @@ __all__ = [
 
 # Relative increase of the dual value below which a damped Newton step stalls.
 STALL_REL_TOL = 1e-10
-
-
-class InfeasibleWidths(ValueError):
-    """Slice widths contain negative or NaN entries."""
 
 
 class TruthUnavailable(ValueError):
@@ -92,10 +93,9 @@ def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: Orthonor
 
 
 def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
-    """``X diag(sigma)^+ U^T d`` with ``lstsq``'s cutoff ``eps * max(m, n) * sigma_1``."""
-    m, n = decomp.G.shape
-    cutoff = np.finfo(float).eps * max(m, n) * np.max(decomp.sigma, initial=0.0)
-    inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=decomp.sigma > cutoff)
+    """``X diag(sigma)^+ U^T d``, inverting only the ``decomp.nonzero`` sigma_j."""
+    n = decomp.sigma.shape[0]
+    inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=decomp.nonzero)
     return decomp.X @ (inverse * (decomp.U[:, :n].T @ d))
 
 
@@ -104,11 +104,12 @@ def solve_pg(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Classical projection: solve ``G c = d`` (least squares when m > n).
 
-    Returns ``(point, coeffs)``.  Raises :class:`msrom.spectral.SingularGram`
-    for a square system whose Gram decomposition is ``singular``.  ``system``
-    optionally supplies the assembly ``(riesz, d, decomp)`` of these three
-    objects, so that a caller running both projectors assembles and factors
-    ``G`` once.
+    Returns ``(point, coeffs)``: the minimum-norm least-squares solution with
+    the singular values that ``decomp.nonzero`` calls zero dropped.  Raises
+    :class:`msrom.spectral.SingularGram` for a square system whose Gram
+    decomposition is ``singular``.  ``system`` optionally supplies the assembly
+    ``(riesz, d, decomp)`` of these three objects, so that a caller running
+    both projectors assembles and factors ``G`` once.
     """
     _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     m, n = decomp.G.shape
@@ -134,11 +135,7 @@ def project_slices(c, widths) -> np.ndarray:
     if c.ndim != 1:
         raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
     n = c.shape[0]
-    widths = np.asarray(widths, dtype=float)
-    if widths.shape != (n + 1,):
-        raise ValueError(f"widths must have length n+1 = {n + 1}, got {widths.shape}")
-    if np.any(np.isnan(widths)) or np.any(widths < 0.0):
-        raise InfeasibleWidths("widths must be nonnegative")
+    widths = check_vector(n, widths)
     caps = (np.minimum.accumulate(widths[:n]) ** 2).tolist()
     blocks = []  # [head index, squared mass, mass behind it, squared factor], tail first
     for j in range(n - 1, -1, -1):
@@ -305,9 +302,7 @@ def solve_ms(
     opts = options if options is not None else SolverOptions()
     trial = hierarchy.basis
     n = trial.n_columns
-    eps = np.asarray(hierarchy.widths, dtype=float)
-    if np.any(np.isnan(eps)) or np.any(eps < 0.0):
-        raise InfeasibleWidths("widths must be nonnegative")
+    eps = check_vector(n, hierarchy.widths)
     _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
     G = decomp.G
 

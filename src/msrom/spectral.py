@@ -6,11 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SubspaceHierarchy
+from .problems import SubspaceHierarchy, check_vector
 from .spaces import OrthonormalFrame
 
 __all__ = [
-    "LengthMismatch",
     "SingularGram",
     "GramDecomposition",
     "AdaptedBases",
@@ -22,12 +21,9 @@ __all__ = [
     "deltas",
 ]
 
-# Relative threshold below which the smallest singular value is treated as zero.
+# A singular value at most this times sigma_1 counts as zero, for the
+# singularity test and for every pseudo-inverse of G.
 SINGULAR_REL_TOL = 1e-12
-
-
-class LengthMismatch(ValueError):
-    """A distance vector or the decomposition does not match the hierarchy's n."""
 
 
 class SingularGram(ValueError):
@@ -56,10 +52,14 @@ class GramDecomposition:
             raise ValueError("singular values must be nonnegative and nonincreasing")
 
     @property
+    def nonzero(self) -> np.ndarray:
+        """Mask of the sigma_j above ``SINGULAR_REL_TOL`` times sigma_1; the rest count as zero."""
+        return self.sigma > SINGULAR_REL_TOL * self.sigma[:1]
+
+    @property
     def singular(self) -> bool:
-        """Whether sigma_n is at most ``SINGULAR_REL_TOL`` times sigma_1."""
-        s = self.sigma
-        return s.size > 0 and bool(s[-1] <= SINGULAR_REL_TOL * s[0])
+        """Whether sigma_n counts as zero (see :attr:`nonzero`)."""
+        return self.sigma.size > 0 and not self.nonzero[-1]
 
     def check_nonsingular(self) -> None:
         """Raise :class:`SingularGram` when :attr:`singular` holds."""
@@ -141,15 +141,17 @@ def adapted_bases(decomp: GramDecomposition, trial: OrthonormalFrame, riesz) -> 
     )
 
 
-def gamma(riesz, trial: OrthonormalFrame) -> tuple[float, float]:
+def gamma(riesz, trial: OrthonormalFrame, gram=None) -> tuple[float, float]:
     """``(gamma, norm)``: two metric operator norms of the representers ``R``.
 
     ``gamma`` is the largest coupling of the representers with the trial
     complement, ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| =
     1 }``: the norm of their component off the trial span, ``P = (I - W W^T
     M) R``.  ``norm`` is the norm of the whole family, the continuity
-    constant of the quotient bound; with ``C = W^T M R`` (the transposed
-    Gram matrix), ``R = W C + P`` gives ``R^T M R = C^T C + P^T M P``.  Each
+    constant of the quotient bound; with ``C = W^T M R``, the transposed
+    Gram matrix, ``R = W C + P`` gives ``R^T M R = C^T C + P^T M P``.
+    ``gram`` is that Gram, :func:`gram_matrix` of these arguments, when the
+    caller has formed it already; without it ``gamma`` forms it.  Each
     is the square root of the top eigenvalue of an m x m Gram, formed from
     its factors divided by their largest-magnitude entry so the squares
     neither overflow nor underflow; the top eigenvalue carries full
@@ -160,7 +162,7 @@ def gamma(riesz, trial: OrthonormalFrame) -> tuple[float, float]:
     if R.shape[1] == 0:
         return 0.0, 0.0
     space, W = trial.space, trial.columns
-    C = W.T @ space.apply_metric(R)
+    C = (gram_matrix(R, trial) if gram is None else gram).T
     P = R - W @ C
     scale = float(np.max(np.abs(P))) if trial.n_columns < space.dim else 0.0
     gam, PMP = 0.0, 0.0
@@ -189,11 +191,9 @@ def deltas(
     enter.  ``gamma`` is the first value of :func:`gamma`, carried alongside.
     """
     n = hierarchy.n
-    distances = np.asarray(distances, dtype=float)
-    if distances.shape != (n + 1,):
-        raise LengthMismatch(f"distances must have length n+1 = {n + 1}")
+    distances = check_vector(n, distances, "distances")
     if decomp.X.shape != (n, n):
-        raise LengthMismatch("decomposition size does not match the hierarchy")
+        raise ValueError("decomposition size does not match the hierarchy")
     absX = np.abs(decomp.X)
     eta = absX.T @ distances[:n]
     eta_hat = absX.T @ hierarchy.widths[:n]

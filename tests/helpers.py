@@ -10,6 +10,7 @@ these routines and the package is then evidence, not a tautology.
 """
 
 import itertools
+import re
 
 import numpy as np
 from scipy.optimize import linprog, minimize
@@ -22,6 +23,7 @@ from msrom import (
     riesz_representers,
     synth_prescribed,
 )
+from msrom.problems import PROFILE_LIMIT
 
 # a Gram-Schmidt pivot below this times the reference norm counts as zero
 GS_RANK_TOL = 1e-10
@@ -132,6 +134,22 @@ def metric_example1(n, N, seed, metric, tau=1e-4):
     return synth_prescribed(
         n, n, N, sigma, np.eye(n), profile, profile.copy(), seed, metric=metric
     )
+
+
+def bad_profiles(good, key="widths"):
+    """``(profile, message)`` for the four ways to spoil the valid profile
+    ``good``: a NaN, a negative entry, a wrong length and a finite entry above
+    ``PROFILE_LIMIT``.  ``message`` matches what ``check_profile`` says of
+    such a vector named ``key``."""
+    good = np.asarray(good, dtype=float)
+    nan, negative, big = good.copy(), good.copy(), good.copy()
+    nan[1], negative[1], big[0] = np.nan, -0.5, 2.0 * PROFILE_LIMIT
+    return [
+        (nan, f"^{key} entries must be nonnegative$"),
+        (negative, f"^{key} entries must be nonnegative$"),
+        (good[:-1], rf"^{key} must have length n\+1 = {good.size}, got shape"),
+        (big, f"^finite {key} entries must be at most {re.escape(f'{PROFILE_LIMIT:g}')}$"),
+    ]
 
 
 def assemble(problem, hierarchy, tests):

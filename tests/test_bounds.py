@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, random_orthogonal
+from helpers import bad_profiles, descending, random_orthogonal
 from msrom import (
     BoundIntermediates,
     GramDecomposition,
+    InvalidDistances,
     InvalidInput,
     SingularGram,
     TooLarge,
@@ -316,10 +317,9 @@ def test_ms_bound_validation():
     inter = intermediates_for(decomp, widths, widths, 0.3)
     with pytest.raises(InvalidInput):
         ms_bound(decomp, inter, widths, continuity=1.0, tau_source="guessed")
-    with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths[:2], continuity=1.0)
-    with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, np.array([1.0, 0.5, -0.2]), continuity=1.0)
+    for distances, message in bad_profiles(widths, "distances"):
+        with pytest.raises(InvalidDistances, match=message):
+            ms_bound(decomp, inter, distances, continuity=1.0)
 
 
 def test_ms_bound_hierarchy_consistency():
@@ -333,7 +333,10 @@ def test_ms_bound_hierarchy_consistency():
     hierarchy = SubspaceHierarchy(basis, widths=widths)
     report = ms_bound(decomp, inter, widths, hierarchy, continuity=1.0)
     assert report.ms_bound > 0.0
-    with pytest.raises(InvalidInput):
+    for distances, message in bad_profiles(widths, "distances"):
+        with pytest.raises(InvalidDistances, match=message):
+            ms_bound(decomp, inter, distances, hierarchy, continuity=1.0)
+    with pytest.raises(InvalidDistances, match=r"^widths must dominate tau entrywise"):
         ms_bound(decomp, inter, widths * 2.0, hierarchy, continuity=1.0)  # profile above widths
     small = SubspaceHierarchy(OrthonormalFrame(space, np.eye(3)[:, :1]), widths=np.array([1.0, 0.5]))
     with pytest.raises(InvalidInput):

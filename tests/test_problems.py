@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bad_profiles,
     descending,
     metric_example1,
     metric_norm,
@@ -441,6 +442,10 @@ def test_check_messages_name_config_keys():
     for call, kind, pattern in cases:
         with pytest.raises(kind, match=pattern):
             call()
+    # the table that each profile entry point is checked against
+    for widths, pattern in bad_profiles([1.0, 0.5, 0.2]):
+        with pytest.raises(InvalidDistances, match=pattern):
+            check_profile(2, widths)
     assert check_example2(1e-3, 16) == 1 / 30
     with pytest.raises(InvalidDistances):  # the plateau underflows, no OverflowError
         check_example2(1e-300, 10**400)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     assemble,
+    bad_profiles,
     brute_force_ms,
     brute_force_projection,
     clip_to_feasible,
@@ -21,7 +22,6 @@ from helpers import (
 )
 from msrom import (
     AmbientSpace,
-    InfeasibleWidths,
     InvalidDistances,
     OrthonormalFrame,
     ProblemInstance,
@@ -43,6 +43,7 @@ from msrom import (
 )
 from msrom.cli import _build_instance, parse_config
 from msrom.problems import PROFILE_LIMIT
+from msrom.spectral import SINGULAR_REL_TOL
 
 
 def tail_norms(c):
@@ -104,12 +105,9 @@ def test_project_slices_matches_brute_force_n2():
 
 
 def test_project_slices_rejects_bad_widths():
-    with pytest.raises(InfeasibleWidths):
-        project_slices(np.ones(2), np.array([1.0, -0.5, 0.2]))
-    with pytest.raises(InfeasibleWidths):
-        project_slices(np.ones(2), np.array([1.0, np.nan, 0.2]))
-    with pytest.raises(ValueError):
-        project_slices(np.ones(2), np.array([1.0, 0.5]))
+    for widths, message in bad_profiles([1.0, 0.5, 0.2]):
+        with pytest.raises(InvalidDistances, match=message):
+            project_slices(np.ones(2), widths)
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
         project_slices(np.ones((2, 1)), np.array([1.0, 0.5, 0.2]))
 
@@ -222,7 +220,7 @@ def test_solve_pg_least_squares_when_overdetermined():
 @pytest.mark.parametrize("m, sigma_n", [(5, 1e-6), (8, 0.0)])
 def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
     # a tall system with sigma_n = 0 has no square singularity: PG is the
-    # minimum-norm least-squares solution, as numpy's lstsq cutoff gives it
+    # minimum-norm least-squares solution that drops what counts as zero
     rng = np.random.default_rng(7)
     n = 5
     sigma = np.array([1.0, 0.6, 0.3, 0.1, sigma_n])
@@ -232,8 +230,35 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
     )
     _, coeffs = solve_pg(problem, hierarchy.basis, tests)
     G, d = assemble(problem, hierarchy, tests)
-    want = np.linalg.lstsq(G, d, rcond=None)[0]
+    want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert np.max(np.abs(coeffs - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m", [5, 3])
+def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, seed):
+    # sigma_3 / sigma_1 = 1e-13 makes the quotient bound undefined, so PG's
+    # pseudo-inverse and MS's least-squares shortcut must drop it too:
+    # inverting it would put actual_pg_error near 1e11 on the tall rows
+    config = {
+        "mode": "prescribed", "n": 3, "m": m, "N": 11, "seed": seed,
+        "sigma": [1.0, 0.5, 1e-13],
+        "tau": [0.5, 0.3, 0.2, 0.1],
+        "widths": [0.6, 0.4, 0.25, 0.1],
+    }
+    problem, hierarchy, tests = _build_instance(parse_config(json.dumps(config)), seed)[:3]
+    report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
+    assert decomp.singular and report.babuska is None
+    G, d = assemble(problem, hierarchy, tests)
+    want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
+    if m > 3:
+        pg_error = error_norm(hierarchy.basis.columns @ want, problem)
+        assert report.actual_pg_error == pytest.approx(pg_error, rel=1e-9)
+    else:
+        assert report.actual_pg_error is None  # a square singular system has no PG
+    residual = G @ want - d
+    assert solution.iterations == 0 and solution.converged
+    assert solution.cost == pytest.approx(residual @ residual, rel=1e-12)
 
 
 def test_rejects_fewer_tests_than_trial_directions():
@@ -407,9 +432,10 @@ def test_solve_ms_singular_gram_with_biting_widths():
 def test_solve_ms_rejects_bad_widths():
     rng = np.random.default_rng(17)
     problem, hierarchy, tests = square_instance(rng)
-    hierarchy.widths[0] = -1.0  # bypasses construction-time validation
-    with pytest.raises(InfeasibleWidths):
-        solve_ms(problem, hierarchy, tests)
+    for widths, message in bad_profiles(hierarchy.widths):
+        hierarchy.widths = widths  # bypasses construction-time validation
+        with pytest.raises(InvalidDistances, match=message):
+            solve_ms(problem, hierarchy, tests)
 
 
 def threaded_instance(kind):

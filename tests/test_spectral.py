@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    bad_profiles,
     complement_frame,
     decompose_loop,
     descending,
@@ -16,7 +17,7 @@ from msrom import (
     AmbientSpace,
     BoundIntermediates,
     GramDecomposition,
-    LengthMismatch,
+    InvalidDistances,
     OrthonormalFrame,
     SubspaceHierarchy,
     adapted_bases,
@@ -399,9 +400,10 @@ def test_deltas_all_zero_profile():
 def test_deltas_length_checks():
     hierarchy = identity_hierarchy(3, np.array([1.0, 0.5, 0.3, 0.2]))
     decomp = decompose(np.eye(3))
-    with pytest.raises(LengthMismatch):
-        deltas(decomp, hierarchy, np.array([1.0, 0.5, 0.3]), gamma=0.0)
-    with pytest.raises(LengthMismatch):
+    for distances, message in bad_profiles(hierarchy.widths, "distances"):
+        with pytest.raises(InvalidDistances, match=message):
+            deltas(decomp, hierarchy, distances, gamma=0.0)
+    with pytest.raises(ValueError, match="decomposition size"):
         deltas(decompose(np.eye(4)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]), gamma=0.0)
 
 
