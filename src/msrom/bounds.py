@@ -219,7 +219,7 @@ def ms_bound(
             raise InvalidInput(
                 f"hierarchy has n = {hierarchy.n}, intermediates have n = {n}"
             )
-        check_below(distances, hierarchy.widths)
+        check_below(distances, hierarchy.widths, "distances")
     tau_n = float(distances[-1])
     wf = water_filling(intermediates.delta, decomp.sigma, intermediates.gamma, tau_n)
     value = float(np.sqrt(wf.sup_value + tau_n * tau_n))

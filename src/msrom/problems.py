@@ -284,10 +284,10 @@ def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
     return v
 
 
-def check_below(tau: np.ndarray, widths: np.ndarray) -> None:
-    """The prior: the widths dominate the distances ``tau`` entrywise."""
-    if np.any(tau > widths):
-        raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
+def check_below(values: np.ndarray, widths: np.ndarray, key: str) -> None:
+    """The prior: the widths dominate the distances ``values``, named ``key``, entrywise."""
+    if np.any(values > widths):
+        raise InvalidDistances(f"widths must dominate {key} entrywise (the prior must hold)")
 
 
 def check_profile(n: int, widths, tau=None):
@@ -298,7 +298,7 @@ def check_profile(n: int, widths, tau=None):
     if t is not None:
         if np.any(np.diff(t) > 0.0):
             raise InvalidDistances("tau must be nonincreasing")
-        check_below(t, w)
+        check_below(t, w, "tau")
     return w, t
 
 

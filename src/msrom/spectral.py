@@ -141,17 +141,16 @@ def adapted_bases(decomp: GramDecomposition, trial: OrthonormalFrame, riesz) -> 
     )
 
 
-def gamma(riesz, trial: OrthonormalFrame, gram=None) -> tuple[float, float]:
+def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     """``(gamma, norm)``: two metric operator norms of the representers ``R``.
 
     ``gamma`` is the largest coupling of the representers with the trial
     complement, ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| =
     1 }``: the norm of their component off the trial span, ``P = (I - W W^T
     M) R``.  ``norm`` is the norm of the whole family, the continuity
-    constant of the quotient bound; with ``C = W^T M R``, the transposed
-    Gram matrix, ``R = W C + P`` gives ``R^T M R = C^T C + P^T M P``.
-    ``gram`` is that Gram, :func:`gram_matrix` of these arguments, when the
-    caller has formed it already; without it ``gamma`` forms it.  Each
+    constant of the quotient bound; with ``C = W^T M R = gram^T``, where
+    ``gram`` is :func:`gram_matrix` of ``riesz`` and ``trial``, ``R = W C +
+    P`` gives ``R^T M R = C^T C + P^T M P``.  Each
     is the square root of the top eigenvalue of an m x m Gram, formed from
     its factors divided by their largest-magnitude entry so the squares
     neither overflow nor underflow; the top eigenvalue carries full
@@ -162,7 +161,7 @@ def gamma(riesz, trial: OrthonormalFrame, gram=None) -> tuple[float, float]:
     if R.shape[1] == 0:
         return 0.0, 0.0
     space, W = trial.space, trial.columns
-    C = (gram_matrix(R, trial) if gram is None else gram).T
+    C = np.asarray(gram, dtype=float).T
     P = R - W @ C
     scale = float(np.max(np.abs(P))) if trial.n_columns < space.dim else 0.0
     gam, PMP = 0.0, 0.0

@@ -18,6 +18,7 @@ from scipy.optimize import linprog, minimize
 from msrom import (
     OrthonormalFrame,
     RankDeficient,
+    gamma,
     gram_matrix,
     rhs_vector,
     riesz_representers,
@@ -134,6 +135,11 @@ def metric_example1(n, N, seed, metric, tau=1e-4):
     return synth_prescribed(
         n, n, N, sigma, np.eye(n), profile, profile.copy(), seed, metric=metric
     )
+
+
+def gamma_of(riesz, trial):
+    """:func:`msrom.gamma` with the Gram formed here, as the assembly forms it."""
+    return gamma(riesz, trial, gram_matrix(riesz, trial))
 
 
 def bad_profiles(good, key="widths"):

@@ -15,6 +15,7 @@ from helpers import (
     assemble,
     brute_force_ms,
     descending,
+    gamma_of,
     random_orthogonal,
     square_instance,
     sweep_instance,
@@ -28,7 +29,6 @@ from msrom import (
     error_norm,
     example1,
     example2,
-    gamma,
     gram_matrix,
     main,
     parse_config,
@@ -121,7 +121,7 @@ def test_criterion_4_quotient_bound_validity_sweep():
         riesz = riesz_representers(problem, tests)
         decomp = decompose(gram_matrix(riesz, hierarchy.basis))
         assert decomp.sigma[-1] >= 0.05
-        _, norm = gamma(riesz, hierarchy.basis)
+        _, norm = gamma_of(riesz, hierarchy.basis)
         bound = babuska_bound(decomp, float(hierarchy.distances[-1]), norm)
         point, _ = solve_pg(problem, hierarchy.basis, tests)
         err = error_norm(point, problem)
@@ -236,7 +236,7 @@ def test_criterion_7_structural_property_suite():
         np.fill_diagonal(target, decomp.sigma)
         assert float(np.max(np.abs(coupling - target))) <= 1e-9
 
-        gam = gamma(riesz, trial)[0]
+        gam = gamma_of(riesz, trial)[0]
         assert gam <= 1.0 + 1e-10
 
         # the trial-space projection of the truth satisfies every slice bound

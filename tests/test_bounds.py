@@ -336,7 +336,7 @@ def test_ms_bound_hierarchy_consistency():
     for distances, message in bad_profiles(widths, "distances"):
         with pytest.raises(InvalidDistances, match=message):
             ms_bound(decomp, inter, distances, hierarchy, continuity=1.0)
-    with pytest.raises(InvalidDistances, match=r"^widths must dominate tau entrywise"):
+    with pytest.raises(InvalidDistances, match=r"^widths must dominate distances entrywise"):
         ms_bound(decomp, inter, widths * 2.0, hierarchy, continuity=1.0)  # profile above widths
     small = SubspaceHierarchy(OrthonormalFrame(space, np.eye(3)[:, :1]), widths=np.array([1.0, 0.5]))
     with pytest.raises(InvalidInput):

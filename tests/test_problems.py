@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     bad_profiles,
     descending,
+    gamma_of,
     metric_example1,
     metric_norm,
     metric_of,
@@ -29,7 +30,6 @@ from msrom import (
     example1,
     example2,
     flat_orthogonal,
-    gamma,
     gram_matrix,
     orthonormalize,
     project,
@@ -563,7 +563,7 @@ def test_riesz_family_shape_check():
     decomp = decompose(np.ones((1, 1)))
     for call in (
         lambda R: gram_matrix(R, trial),
-        lambda R: gamma(R, trial),
+        lambda R: gamma_of(R, trial),
         lambda R: adapted_bases(decomp, trial, R),
     ):
         with pytest.raises(ValueError, match="representers must be an"):

@@ -14,9 +14,10 @@ from helpers import (
     clip_to_feasible,
     descending,
     dykstra_projection,
+    gamma_of,
     random_feasible,
-    random_spd,
     random_orthogonal,
+    random_spd,
     square_instance,
     sweep_instance,
 )
@@ -32,7 +33,6 @@ from msrom import (
     decompose,
     error_norm,
     example1,
-    gamma,
     project,
     project_slices,
     riesz_representers,
@@ -237,9 +237,10 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("m", [5, 3])
 def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, seed):
-    # sigma_3 / sigma_1 = 1e-13 makes the quotient bound undefined, so PG's
-    # pseudo-inverse and MS's least-squares shortcut must drop it too:
-    # inverting it would put actual_pg_error near 1e11 on the tall rows
+    # sigma_3 / sigma_1 = 1e-13 makes the quotient bound undefined, so the
+    # row reports no PG error, tall or square, and the pseudo-inverse and
+    # MS's least-squares shortcut drop sigma_3 too; inverting it put
+    # actual_pg_error near 1e11 on the tall rows
     config = {
         "mode": "prescribed", "n": 3, "m": m, "N": 11, "seed": seed,
         "sigma": [1.0, 0.5, 1e-13],
@@ -251,11 +252,13 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
     assert decomp.singular and report.babuska is None
     G, d = assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
-    if m > 3:
-        pg_error = error_norm(hierarchy.basis.columns @ want, problem)
-        assert report.actual_pg_error == pytest.approx(pg_error, rel=1e-9)
+    assert report.actual_pg_error is None
+    if m > 3:  # the library solve is the truncated least-squares solution
+        _, coeffs = solve_pg(problem, hierarchy.basis, tests)
+        assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
     else:
-        assert report.actual_pg_error is None  # a square singular system has no PG
+        with pytest.raises(SingularGram):
+            solve_pg(problem, hierarchy.basis, tests)
     residual = G @ want - d
     assert solution.iterations == 0 and solution.converged
     assert solution.cost == pytest.approx(residual @ residual, rel=1e-12)
@@ -385,7 +388,7 @@ def test_solve_ms_truth_projection_chain():
         r_star = G @ c_star - d
         f_star = float(r_star @ r_star)
         assert solution.cost <= f_star + 1e-9
-        gam = gamma(riesz_representers(problem, tests), trial)[0]
+        gam = gamma_of(riesz_representers(problem, tests), trial)[0]
         tau_n = hierarchy.distances[-1]
         assert f_star <= gam**2 * tau_n**2 + 1e-9
 

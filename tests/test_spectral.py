@@ -8,6 +8,7 @@ from helpers import (
     complement_frame,
     decompose_loop,
     descending,
+    gamma_of,
     metric_example1,
     random_orthogonal,
     random_spd,
@@ -24,7 +25,6 @@ from msrom import (
     decompose,
     deltas,
     flat_orthogonal,
-    gamma,
     gram_matrix,
     orthonormalize,
     riesz_representers,
@@ -202,7 +202,7 @@ def test_gamma_zero_when_representers_in_span():
     space = AmbientSpace(6)
     trial = orthonormalize(rng.standard_normal((6, 3)), space)
     riesz = trial.columns @ rng.standard_normal((3, 4))
-    assert gamma(riesz, trial)[0] <= 1e-12
+    assert gamma_of(riesz, trial)[0] <= 1e-12
 
 
 def test_gamma_matches_complement_basis_oracle():
@@ -217,7 +217,7 @@ def test_gamma_matches_complement_basis_oracle():
         comp = complement_frame(trial)
         C = riesz.T @ space.apply_metric(comp.columns)
         want = np.linalg.svd(C, compute_uv=False)[0]
-        assert abs(gamma(riesz, trial)[0] - want) <= 1e-12 * want
+        assert abs(gamma_of(riesz, trial)[0] - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -226,9 +226,9 @@ def test_gamma_scales_with_extreme_representers(metric):
     space = AmbientSpace(9, random_spd(rng, 9) if metric else None)
     trial = orthonormalize(rng.standard_normal((9, 3)), space)
     R = rng.standard_normal((9, 4))
-    g, norm = gamma(R, trial)
+    g, norm = gamma_of(R, trial)
     for c in (1e-200, 1e200):
-        g_c, norm_c = gamma(c * R, trial)
+        g_c, norm_c = gamma_of(c * R, trial)
         assert abs(g_c - c * g) <= 1e-12 * c * g
         assert abs(norm_c - c * norm) <= 1e-12 * c * norm
 
@@ -240,7 +240,7 @@ def test_gamma_in_span_is_rounding_sized(metric):
     trial = orthonormalize(rng.standard_normal((8, 4)), space)
     B = trial.columns @ rng.standard_normal((4, 5))
     for c in (1e-200, 1.0, 1e200):
-        g = gamma(c * B, trial)[0]
+        g = gamma_of(c * B, trial)[0]
         assert np.isfinite(g)
         assert 0.0 <= g <= 1e-12 * c * np.linalg.norm(B)  # ||c B|| itself would underflow
 
@@ -255,22 +255,22 @@ def test_gamma_large_matches_svd_of_complement_component(metric):
     M = problem.space.metric if metric else np.eye(N)
     P = np.linalg.cholesky(M).T @ (R - W @ (W.T @ M @ R))
     want = np.linalg.svd(P, compute_uv=False)[0]
-    assert abs(gamma(R, hierarchy.basis)[0] - want) <= 1e-12 * want
+    assert abs(gamma_of(R, hierarchy.basis)[0] - want) <= 1e-12 * want
 
 
 def test_gamma_zero_without_complement_or_representers():
     rng = np.random.default_rng(13)
     space = AmbientSpace(4, random_spd(rng, 4))
     full = orthonormalize(rng.standard_normal((4, 4)), space)
-    assert gamma(rng.standard_normal((4, 3)), full)[0] == 0.0
+    assert gamma_of(rng.standard_normal((4, 3)), full)[0] == 0.0
     trial = orthonormalize(rng.standard_normal((4, 2)), space)
-    assert gamma(np.zeros((4, 0)), trial)[0] == 0.0
-    assert gamma(np.zeros((4, 2)), trial) == (0.0, 0.0)
+    assert gamma_of(np.zeros((4, 0)), trial)[0] == 0.0
+    assert gamma_of(np.zeros((4, 2)), trial) == (0.0, 0.0)
     # coordinate trial vectors make P = R - W (W^T R) exactly zero
     coordinates = OrthonormalFrame(AmbientSpace(6), np.eye(6)[:, :3])
     R = np.zeros((6, 4))
     R[:3] = rng.standard_normal((3, 4))
-    g, norm = gamma(R, coordinates)
+    g, norm = gamma_of(R, coordinates)
     assert g == 0.0
     assert abs(norm - np.linalg.norm(R, 2)) <= 1e-14 * norm
 
@@ -286,7 +286,7 @@ def test_gamma_norm_matches_svd_of_the_family(metric):
         R = rng.standard_normal((N, m))
         L = np.linalg.cholesky(M)
         want = np.linalg.svd(L.T @ R, compute_uv=False)[0]
-        g, norm = gamma(R, trial)
+        g, norm = gamma_of(R, trial)
         assert abs(norm - want) <= 1e-12 * want, (N, n, m)
         assert g <= norm * (1.0 + 1e-12)
         if n:
@@ -298,7 +298,7 @@ def test_gamma_orthonormal_representers_bounded_by_one():
     for _ in range(5):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
         riesz = riesz_representers(problem, tests)
-        g, norm = gamma(riesz, hierarchy.basis)
+        g, norm = gamma_of(riesz, hierarchy.basis)
         assert g <= 1.0 + 1e-10
         assert abs(norm - 1.0) <= 1e-12
 
@@ -313,7 +313,7 @@ def test_gamma_square_case_closed_form():
         n, n, 2 * n + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=17
     )
     riesz = riesz_representers(problem, tests)
-    g = gamma(riesz, hierarchy.basis)[0]
+    g = gamma_of(riesz, hierarchy.basis)[0]
     assert abs(g - np.sqrt(1.0 - sigma[-1] ** 2)) <= 1e-8
 
 
@@ -326,7 +326,7 @@ def test_gamma_extra_representers_reach_one():
         n, m, n + m + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=27
     )
     riesz = riesz_representers(problem, tests)
-    assert abs(gamma(riesz, hierarchy.basis)[0] - 1.0) <= 1e-9
+    assert abs(gamma_of(riesz, hierarchy.basis)[0] - 1.0) <= 1e-9
 
 
 def test_gamma_dominates_random_complement_samples():
@@ -334,7 +334,7 @@ def test_gamma_dominates_random_complement_samples():
     problem, hierarchy, tests = sweep_instance(rng, n_high=6)
     trial = hierarchy.basis
     riesz = riesz_representers(problem, tests)
-    g = gamma(riesz, trial)[0]
+    g = gamma_of(riesz, trial)[0]
     comp = complement_frame(trial)
     M = problem.space.apply_metric
     coefs = rng.standard_normal((comp.n_columns, 10_000))
@@ -351,7 +351,7 @@ def test_gamma_matches_sampled_supremum_on_plane_complement():
     space = AmbientSpace(6)
     trial = orthonormalize(rng.standard_normal((6, 4)), space)
     riesz = 0.5 * rng.standard_normal((6, 3))
-    g = gamma(riesz, trial)[0]
+    g = gamma_of(riesz, trial)[0]
     comp = complement_frame(trial)
     K = 10_000
     theta = (np.arange(K) + rng.random(K)) * (2.0 * np.pi / K)
