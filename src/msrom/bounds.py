@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import SubspaceHierarchy, check_below, check_vector
-from .spectral import BoundIntermediates, GramDecomposition, SingularGram
+from .spectral import Assembly, BoundIntermediates
 
 __all__ = [
     "InvalidInput",
@@ -76,23 +76,22 @@ class BoundReport:
     tau_source: str = "known"
 
 
-def babuska_bound(decomp: GramDecomposition, dist_n: float, continuity: float) -> float:
-    """Quotient bound ``(continuity / sigma_n) * dist_n`` for the plain projection.
+def babuska_bound(assembly: Assembly, dist_n: float) -> float:
+    """Quotient bound ``(||R||_2 / sigma_n) * dist_n`` for the plain projection.
 
-    ``continuity`` is the norm ``||R||_2`` of the representer family (the
-    second value of :func:`msrom.spectral.gamma`); it is at least
-    ``sigma_1``, and equals it only when the representers' coupling with the
-    trial span carries their whole norm.
+    The continuity constant ``||R||_2`` is the assembly's ``norm``, the norm
+    of the representer family; it is at least ``sigma_1``, and equals it only
+    when the representers' coupling with the trial span carries their whole
+    norm.  Raises :class:`msrom.spectral.SingularGram` when the assembly is
+    ``singular``.
     """
     if dist_n < 0.0 or not np.isfinite(dist_n):
         raise InvalidInput(f"dist_n must be finite and nonnegative, got {dist_n}")
-    if continuity < 0.0 or not np.isfinite(continuity):
-        raise InvalidInput(f"continuity must be finite and nonnegative, got {continuity}")
-    sigma = decomp.sigma
+    sigma = assembly.decomp.sigma
     if sigma.size == 0:
         raise InvalidInput("empty decomposition")
-    decomp.check_nonsingular()
-    return float(continuity / sigma[-1] * dist_n)
+    assembly.check_nonsingular()
+    return float(assembly.norm / sigma[-1] * dist_n)
 
 
 def _check_fill_inputs(delta, sigma, gamma: float, tau_n: float):
@@ -189,12 +188,11 @@ def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
 
 
 def ms_bound(
-    decomp: GramDecomposition,
+    assembly: Assembly,
     intermediates: BoundIntermediates,
     distances,
     hierarchy: SubspaceHierarchy | None = None,
     *,
-    continuity: float,
     tau_source: str = "known",
     actual_pg_error: float | None = None,
     actual_ms_error: float | None = None,
@@ -205,8 +203,8 @@ def ms_bound(
     of the exact solution to the full trial space (or the terminal slice
     width when ``tau_source == "practitioner"``).  A bad profile, or one
     above the widths of ``hierarchy`` when given, raises
-    :class:`msrom.problems.InvalidDistances`.  ``continuity`` is the
-    representer-family norm that :func:`babuska_bound` takes.
+    :class:`msrom.problems.InvalidDistances`.  ``babuska`` is None when the
+    assembly is ``singular``.
     """
     if tau_source not in ("known", "practitioner"):
         raise InvalidInput(
@@ -221,14 +219,10 @@ def ms_bound(
             )
         check_below(distances, hierarchy.widths, "distances")
     tau_n = float(distances[-1])
-    wf = water_filling(intermediates.delta, decomp.sigma, intermediates.gamma, tau_n)
+    wf = water_filling(intermediates.delta, assembly.decomp.sigma, intermediates.gamma, tau_n)
     value = float(np.sqrt(wf.sup_value + tau_n * tau_n))
-    try:
-        bab = babuska_bound(decomp, tau_n, continuity)
-    except SingularGram:
-        bab = None
     return BoundReport(
-        babuska=bab,
+        babuska=None if assembly.singular else babuska_bound(assembly, tau_n),
         ms_bound=value,
         intermediates=intermediates,
         water_filling=wf,

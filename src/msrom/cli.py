@@ -30,9 +30,9 @@ from .problems import (
     example2,
     synth_prescribed,
 )
-from .solvers import SolverOptions, _assemble, error_norm, solve_ms, solve_pg
+from .solvers import SolverOptions, error_norm, solve_ms, solve_pg
 from .spaces import OrthonormalFrame
-from .spectral import deltas, gamma
+from .spectral import assemble, deltas
 
 __all__ = [
     "ParseError",
@@ -306,27 +306,24 @@ def run_instance(
     else:
         profile = hierarchy.widths
     # one assembly and one SVD of G serve the bounds and both projectors
-    system = _assemble(problem, trial, tests)
-    riesz, _, decomp = system
-    gam, continuity = gamma(riesz, trial, decomp.G)
-    inter = deltas(decomp, hierarchy, profile, gamma=gam)
+    assembly = assemble(problem, trial, tests)
+    inter = deltas(assembly, hierarchy, profile)
     # PG is defined where the quotient bound is: not on a singular Gram, tall or square
     actual_pg = None
-    if problem.synthetic and not decomp.singular:
-        actual_pg = error_norm(solve_pg(problem, trial, tests, system=system)[0], problem)
-    solution = solve_ms(problem, hierarchy, tests, options, system=system)
+    if problem.synthetic and not assembly.singular:
+        actual_pg = error_norm(solve_pg(assembly, trial)[0], problem)
+    solution = solve_ms(assembly, hierarchy, options)
     actual_ms = error_norm(solution.point, problem) if problem.synthetic else None
     report = ms_bound(
-        decomp,
+        assembly,
         inter,
         profile,
         hierarchy,
-        continuity=continuity,
         tau_source=tau_mode,
         actual_pg_error=actual_pg,
         actual_ms_error=actual_ms,
     )
-    return report, solution, decomp
+    return report, solution, assembly.decomp
 
 
 def run_experiment(

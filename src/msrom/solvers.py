@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import (
-    ProblemInstance,
-    SubspaceHierarchy,
-    check_vector,
-    rhs_vector,
-    riesz_representers,
-)
+# gram_matrix and rhs_vector are not called here; they stay importable from
+# this module because the benchmark's tracing test patches them here
+from .problems import ProblemInstance, SubspaceHierarchy, check_vector, rhs_vector  # noqa: F401
 from .spaces import OrthonormalFrame
-from .spectral import GramDecomposition, decompose, gram_matrix
+from .spectral import Assembly, GramDecomposition, decompose, gram_matrix  # noqa: F401
 
 __all__ = [
     "TruthUnavailable",
@@ -83,39 +79,27 @@ class MultiSliceSolution:
     non_unique_hint: bool = False
 
 
-def _assemble(problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame):
-    """``(riesz, d, decomp)``: the representers, the load vector and the SVD of ``G``."""
-    m, n = tests.n_columns, trial.n_columns
-    if m < n:
-        raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
-    riesz = riesz_representers(problem, tests)
-    return riesz, rhs_vector(problem, tests), decompose(gram_matrix(riesz, trial))
-
-
-def _least_squares(decomp: GramDecomposition, d: np.ndarray) -> np.ndarray:
-    """``X diag(sigma)^+ U^T d``, inverting only the ``decomp.nonzero`` sigma_j."""
+def _least_squares(decomp: GramDecomposition, d: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
+    """``X diag(sigma)^+ U^T d``, inverting only the sigma_j in the mask ``nonzero``."""
     n = decomp.sigma.shape[0]
-    inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=decomp.nonzero)
+    inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=nonzero)
     return decomp.X @ (inverse * (decomp.U[:, :n].T @ d))
 
 
-def solve_pg(
-    problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame, *, system=None
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_pg(assembly: Assembly, trial: OrthonormalFrame) -> tuple[np.ndarray, np.ndarray]:
     """Classical projection: solve ``G c = d`` (least squares when m > n).
 
     Returns ``(point, coeffs)``: the minimum-norm least-squares solution with
-    the singular values that ``decomp.nonzero`` calls zero dropped.  Raises
-    :class:`msrom.spectral.SingularGram` for a square system whose Gram
-    decomposition is ``singular``.  ``system`` optionally supplies the assembly
-    ``(riesz, d, decomp)`` of these three objects, so that a caller running
-    both projectors assembles and factors ``G`` once.
+    the singular values that count as zero against ``assembly.norm``
+    dropped.  Raises :class:`msrom.spectral.SingularGram` for a square
+    system whose assembly is ``singular``.  ``trial`` is the trial basis the
+    assembly was formed on.
     """
-    _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
+    decomp = assembly.decomp
     m, n = decomp.G.shape
     if m == n:
-        decomp.check_nonsingular()
-    coeffs = _least_squares(decomp, d)
+        assembly.check_nonsingular()
+    coeffs = _least_squares(decomp, assembly.d, decomp.nonzero(assembly.norm))
     return trial.columns @ coeffs, coeffs
 
 
@@ -177,12 +161,13 @@ def _dual_point(H, h, lam, tails, eps2):
     return c, tails @ (c * c) - eps2, K
 
 
-def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
+def _solve_core(decomp: GramDecomposition, scale: float, d, eps, opts: SolverOptions):
     """Minimize ``||G c - d||^2`` over the slice cylinders, ``G = decomp.G``.
 
-    ``eps`` has length n+1 with all entries for k < n strictly positive
-    (zero widths are eliminated by the caller).  Returns
-    ``(c, iterations, converged, kkt_residual)``.
+    ``scale`` is the norm against which a singular value counts as zero
+    (:meth:`GramDecomposition.nonzero`).  ``eps`` has length n+1 with all
+    entries for k < n strictly positive (zero widths are eliminated by the
+    caller).  Returns ``(c, iterations, converged, kkt_residual)``.
     """
     G = decomp.G
     n = G.shape[1]
@@ -191,17 +176,19 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
     H = G.T @ G
     h = G.T @ d
     s1 = float(decomp.sigma[0])
+    nonzero = decomp.nonzero(scale)
     # a width binds only where the running minimum (project_slices' caps)
     # strictly falls; nested trial spaces make any other one implied
     running = np.minimum.accumulate(eps[:n])
     binding_ks = np.flatnonzero(running < np.append(np.inf, running[:-1]))
     tails, eps_b = (np.arange(n) >= binding_ks[:, None]).astype(float), eps[binding_ks]
     eps2 = eps_b**2
-    if s1 == 0.0:
-        # flat cost surface; the origin is feasible and optimal
+    if not nonzero[0]:
+        # every singular value counts as zero: a flat cost surface, on which
+        # the origin is feasible and optimal
         return np.zeros(n), 0, True, 0.0
     eta = 1.0 / (2.0 * s1 * s1)
-    c_ls = _least_squares(decomp, d)
+    c_ls = _least_squares(decomp, d, nonzero)
 
     def prox_residual(c):
         g = 2.0 * (H @ c - h)
@@ -218,7 +205,7 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
     # Projected Newton (Bertsekas 1982) on the concave dual
     # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
     # A singular H starts at a tiny lam.
-    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * decomp.singular
+    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * (not nonzero[-1])
     c, F, K = _dual_point(H, h, lam, tails, eps2)
     evals, stalled = 1, False
     # stop at a KKT point, a stall or the cap
@@ -281,12 +268,7 @@ def _solve_core(decomp: GramDecomposition, d, eps, opts: SolverOptions):
 
 
 def solve_ms(
-    problem: ProblemInstance,
-    hierarchy: SubspaceHierarchy,
-    tests: OrthonormalFrame,
-    options: SolverOptions | None = None,
-    *,
-    system=None,
+    assembly: Assembly, hierarchy: SubspaceHierarchy, options: SolverOptions | None = None
 ) -> MultiSliceSolution:
     """Residual minimizer over the trial space subject to the slice widths.
 
@@ -295,15 +277,14 @@ def solve_ms(
     the problem.  However the Newton iteration ends (at a KKT point, stalled
     or out of evaluations), the solve returns the projection of its last
     point onto the widths, so every returned point lies within them, with
-    ``converged`` telling whether that point meets the certificate.
-    ``system`` optionally supplies the assembly ``(riesz, d, decomp)``, as
-    for :func:`solve_pg`.
+    ``converged`` telling whether that point meets the certificate.  The
+    assembly is formed on ``hierarchy.basis``.
     """
     opts = options if options is not None else SolverOptions()
     trial = hierarchy.basis
     n = trial.n_columns
     eps = check_vector(n, hierarchy.widths)
-    _, d, decomp = system if system is not None else _assemble(problem, trial, tests)
+    d, decomp = assembly.d, assembly.decomp
     G = decomp.G
 
     # a zero width pins every coordinate from that index on; only then does
@@ -312,7 +293,7 @@ def solve_ms(
     n_free = int(zero_idx[0]) if zero_idx.size else n
     reduced = decomp if n_free == n else decompose(G[:, :n_free])
     reduced_eps = np.concatenate([eps[:n_free], [0.0]])
-    c_red, iterations, converged, kkt = _solve_core(reduced, d, reduced_eps, opts)
+    c_red, iterations, converged, kkt = _solve_core(reduced, assembly.norm, d, reduced_eps, opts)
     coeffs = np.zeros(n)
     coeffs[:n_free] = c_red
     residual = G @ coeffs - d
@@ -323,7 +304,7 @@ def solve_ms(
         iterations=int(iterations),
         converged=bool(converged),
         kkt_residual=float(kkt),
-        non_unique_hint=decomp.singular,
+        non_unique_hint=assembly.singular,
     )
 
 

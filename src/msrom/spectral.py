@@ -1,4 +1,4 @@
-"""Gram matrix assembly, its SVD, adapted bases, and bound intermediates."""
+"""Gram matrix assembly, its SVD, and bound intermediates."""
 
 from __future__ import annotations
 
@@ -6,23 +6,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SubspaceHierarchy, check_vector
+from .problems import (
+    ProblemInstance,
+    SubspaceHierarchy,
+    check_vector,
+    rhs_vector,
+    riesz_representers,
+)
 from .spaces import OrthonormalFrame
 
 __all__ = [
     "SingularGram",
     "GramDecomposition",
-    "AdaptedBases",
+    "Assembly",
     "BoundIntermediates",
     "gram_matrix",
     "decompose",
-    "adapted_bases",
     "gamma",
+    "assemble",
     "deltas",
 ]
 
-# A singular value at most this times sigma_1 counts as zero, for the
-# singularity test and for every pseudo-inverse of G.
+# A singular value at most this times the representer-family norm ||R||_2
+# counts as zero, for the singularity test and for every pseudo-inverse of G.
 SINGULAR_REL_TOL = 1e-12
 
 
@@ -51,35 +57,44 @@ class GramDecomposition:
         if np.any(np.diff(self.sigma) > 0.0) or np.any(self.sigma < 0.0):
             raise ValueError("singular values must be nonnegative and nonincreasing")
 
-    @property
-    def nonzero(self) -> np.ndarray:
-        """Mask of the sigma_j above ``SINGULAR_REL_TOL`` times sigma_1; the rest count as zero."""
-        return self.sigma > SINGULAR_REL_TOL * self.sigma[:1]
+    def nonzero(self, scale: float) -> np.ndarray:
+        """Mask of the sigma_j above ``SINGULAR_REL_TOL * scale``; the rest count as zero.
+
+        ``scale`` is the representer-family norm ``||R||_2``
+        (:attr:`Assembly.norm`), an upper bound on sigma_1 that is not itself
+        rounding when G is zero up to rounding.
+        """
+        return self.sigma > SINGULAR_REL_TOL * scale
+
+
+@dataclass(eq=False)
+class Assembly:
+    """One instance's discrete system, read by both projectors and both bounds.
+
+    ``R`` holds the test representers (an (N, m) array, one column each),
+    ``d`` the load vector, ``decomp`` the SVD of the Gram matrix ``G = R^T M
+    W``, and ``gamma`` and ``norm`` the two values of :func:`gamma`: the
+    complement coupling and the representer-family norm ``||R||_2``.
+    """
+
+    R: np.ndarray
+    d: np.ndarray
+    decomp: GramDecomposition
+    gamma: float
+    norm: float
 
     @property
     def singular(self) -> bool:
-        """Whether sigma_n counts as zero (see :attr:`nonzero`)."""
-        return self.sigma.size > 0 and not self.nonzero[-1]
+        """Whether sigma_n counts as zero against :attr:`norm` (see ``decomp.nonzero``)."""
+        return self.decomp.sigma.size > 0 and not self.decomp.nonzero(self.norm)[-1]
 
     def check_nonsingular(self) -> None:
         """Raise :class:`SingularGram` when :attr:`singular` holds."""
         if self.singular:
-            s = self.sigma
             raise SingularGram(
-                f"sigma_n = {s[-1]:.3e} below {SINGULAR_REL_TOL} * sigma_1 = "
-                f"{SINGULAR_REL_TOL * s[0]:.3e}"
+                f"sigma_n = {self.decomp.sigma[-1]:.3e} below {SINGULAR_REL_TOL} * "
+                f"||R||_2 = {SINGULAR_REL_TOL * self.norm:.3e}"
             )
-
-
-@dataclass(eq=False)
-class AdaptedBases:
-    """Rotated bases w*_j = sum_i X_ij w_i and r*_j = sum_i U_ij r_i.
-
-    In these bases the Gram coupling is diagonal: <r*_i, w*_j> = sigma_j delta_ij.
-    """
-
-    trial_star: np.ndarray
-    riesz_star: np.ndarray
 
 
 @dataclass(eq=False)
@@ -134,13 +149,6 @@ def decompose(G: np.ndarray) -> GramDecomposition:
     return GramDecomposition(G=G, U=U, X=X, sigma=sigma)
 
 
-def adapted_bases(decomp: GramDecomposition, trial: OrthonormalFrame, riesz) -> AdaptedBases:
-    return AdaptedBases(
-        trial_star=trial.columns @ decomp.X,
-        riesz_star=_representers(riesz) @ decomp.U,
-    )
-
-
 def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     """``(gamma, norm)``: two metric operator norms of the representers ``R``.
 
@@ -177,23 +185,39 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     return gam, unit * float(np.sqrt(max(top, 0.0)))
 
 
-def deltas(
-    decomp: GramDecomposition,
-    hierarchy: SubspaceHierarchy,
-    distances,
-    gamma: float,
-) -> BoundIntermediates:
+def assemble(
+    problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame
+) -> Assembly:
+    """The discrete system of ``problem`` on ``trial`` tested against ``tests``.
+
+    Forms the representers, the load vector, the Gram matrix, its SVD and
+    the two norms of :func:`gamma` once each, so that the projectors and the
+    bounds of one instance share them.  Needs at least as many tests as trial
+    directions.
+    """
+    m, n = tests.n_columns, trial.n_columns
+    if m < n:
+        raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
+    R = riesz_representers(problem, tests)
+    d = rhs_vector(problem, tests)
+    decomp = decompose(gram_matrix(R, trial))
+    gam, norm = gamma(R, trial, decomp.G)
+    return Assembly(R, d, decomp, gam, norm)
+
+
+def deltas(assembly: Assembly, hierarchy: SubspaceHierarchy, distances) -> BoundIntermediates:
     """Aggregate distances and widths through |X| into the bound coefficients.
 
     ``eta_j = sum_i |x_ij| distances[i-1]`` and ``eta_hat_j`` likewise with the
     hierarchy widths; only the first n entries of each length-(n+1) vector
-    enter.  ``gamma`` is the first value of :func:`gamma`, carried alongside.
+    enter.  The assembly's ``gamma`` is carried alongside.
     """
     n = hierarchy.n
     distances = check_vector(n, distances, "distances")
-    if decomp.X.shape != (n, n):
+    X = assembly.decomp.X
+    if X.shape != (n, n):
         raise ValueError("decomposition size does not match the hierarchy")
-    absX = np.abs(decomp.X)
+    absX = np.abs(X)
     eta = absX.T @ distances[:n]
     eta_hat = absX.T @ hierarchy.widths[:n]
-    return BoundIntermediates(gamma=gamma, delta=eta + eta_hat, eta=eta, eta_hat=eta_hat)
+    return BoundIntermediates(assembly.gamma, eta + eta_hat, eta, eta_hat)

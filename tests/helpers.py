@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from msrom import (
+    Assembly,
     OrthonormalFrame,
     RankDeficient,
     gamma,
@@ -142,6 +143,14 @@ def gamma_of(riesz, trial):
     return gamma(riesz, trial, gram_matrix(riesz, trial))
 
 
+def system_of(decomp, gamma=0.0):
+    """An assembly around ``decomp`` for the bound routines, which read only
+    its decomposition, ``gamma`` and ``norm``: orthonormal representers
+    (``R = I``, so ``norm = 1``) and a zero load."""
+    m = decomp.G.shape[0]
+    return Assembly(R=np.eye(m), d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
+
+
 def bad_profiles(good, key="widths"):
     """``(profile, message)`` for the four ways to spoil the valid profile
     ``good``: a NaN, a negative entry, a wrong length and a finite entry above
@@ -162,6 +171,34 @@ def assemble(problem, hierarchy, tests):
     """The (G, d) pair of the discrete system, via the public plumbing."""
     riesz = riesz_representers(problem, tests)
     return gram_matrix(riesz, hierarchy.basis), rhs_vector(problem, tests)
+
+
+def bound_step_ratios(problem, hierarchy, decomp, intermediates, coeffs, slack=1e-9):
+    """Check the two steps of the slice-constrained bound on one row.
+
+    With ``c = W^T M z_true`` the truth's trial coefficients, ``e = coeffs -
+    c`` the error of the solve's coefficients and ``beta = X^T e`` for the
+    row's right singular vectors X:
+
+    - both ``coeffs`` and c lie in their slices (widths and distances), so
+      ``|e_i| <= eps_i + tau_i`` and ``|beta_j| <= delta_j``;
+    - c is feasible and ``coeffs`` optimal, and ``||d - G c|| <= gamma
+      tau_n``, so ``sum_j sigma_j^2 beta_j^2 = ||G e||^2 <= 4 gamma^2
+      tau_n^2``.
+
+    Asserts both to ``slack`` (the solve is optimal only to its certificate)
+    and returns the largest ratios ``(max |beta_j| / delta_j, ||G e||^2 /
+    budget)``, each 0 where its denominator is.
+    """
+    c = hierarchy.basis.columns.T @ problem.space.apply_metric(problem.z_true)
+    beta = decomp.X.T @ (coeffs - c)
+    delta = intermediates.delta
+    assert np.all(np.abs(beta) <= delta + slack), (beta, delta)
+    spent = float(np.sum((decomp.sigma * beta) ** 2))
+    budget = 4.0 * (intermediates.gamma * hierarchy.distances[-1]) ** 2
+    assert spent <= budget + slack, (spent, budget)
+    ratio = np.divide(np.abs(beta), delta, out=np.zeros_like(delta), where=delta > 0.0)
+    return float(np.max(ratio, initial=0.0)), spent / budget if budget > 0.0 else 0.0
 
 
 def sweep_instance(rng, n_low=3, n_high=12):

@@ -11,11 +11,11 @@ import time
 
 import numpy as np
 
+import helpers
 from helpers import (
-    assemble,
+    bound_step_ratios,
     brute_force_ms,
     descending,
-    gamma_of,
     random_orthogonal,
     square_instance,
     sweep_instance,
@@ -23,16 +23,14 @@ from helpers import (
 from msrom import (
     SolverOptions,
     SubspaceHierarchy,
-    adapted_bases,
+    assemble,
     babuska_bound,
-    decompose,
+    deltas,
     error_norm,
     example1,
     example2,
-    gram_matrix,
     main,
     parse_config,
-    riesz_representers,
     run_experiment,
     run_instance,
     solve_ms,
@@ -100,16 +98,23 @@ def test_criterion_3_worst_case_bound_validity_sweep():
     rng = np.random.default_rng(31003)
     options = SolverOptions()
     start = time.perf_counter()
-    margin = np.inf
+    margin, steps = np.inf, (0.0, 0.0)
     for _ in range(100):
         problem, hierarchy, tests = sweep_instance(rng)
-        report, solution, _ = run_instance(problem, hierarchy, tests, options)
+        report, solution, decomp = run_instance(problem, hierarchy, tests, options)
         assert solution.converged
         assert report.actual_ms_error <= report.ms_bound + 1e-9
         margin = min(margin, report.ms_bound - report.actual_ms_error)
+        ratios = bound_step_ratios(
+            problem, hierarchy, decomp, report.intermediates, solution.coeffs
+        )
+        steps = tuple(map(max, steps, ratios))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
-    print(f"ACCEPTANCE 3: PASS - 100 instances, min slack {margin:.3e}, {elapsed:.1f}s")
+    print(
+        f"ACCEPTANCE 3: PASS - 100 instances, min slack {margin:.3e}, largest "
+        f"|beta|/delta {steps[0]:.3f} and cost/budget {steps[1]:.3f}, {elapsed:.1f}s"
+    )
 
 
 def test_criterion_4_quotient_bound_validity_sweep():
@@ -118,12 +123,10 @@ def test_criterion_4_quotient_bound_validity_sweep():
     margin = np.inf
     for _ in range(100):
         problem, hierarchy, tests = square_instance(rng)
-        riesz = riesz_representers(problem, tests)
-        decomp = decompose(gram_matrix(riesz, hierarchy.basis))
-        assert decomp.sigma[-1] >= 0.05
-        _, norm = gamma_of(riesz, hierarchy.basis)
-        bound = babuska_bound(decomp, float(hierarchy.distances[-1]), norm)
-        point, _ = solve_pg(problem, hierarchy.basis, tests)
+        assembly = assemble(problem, hierarchy.basis, tests)
+        assert assembly.decomp.sigma[-1] >= 0.05
+        bound = babuska_bound(assembly, float(hierarchy.distances[-1]))
+        point, _ = solve_pg(assembly, hierarchy.basis)
         err = error_norm(point, problem)
         assert err <= bound + 1e-9
         margin = min(margin, bound - err)
@@ -137,7 +140,7 @@ def test_criterion_4_quotient_bound_validity_below_a_unit_sigma_1():
     # which is the quotient bound's constant; m ranges over n..2n
     rng = np.random.default_rng(0)
     start = time.perf_counter()
-    margin = np.inf
+    margin, steps = np.inf, (0.0, 0.0)
     for _ in range(300):
         n = int(rng.integers(3, 8))
         m = int(rng.integers(n, 2 * n + 1))
@@ -147,13 +150,20 @@ def test_criterion_4_quotient_bound_validity_below_a_unit_sigma_1():
         X = random_orthogonal(rng, n)
         seed = int(rng.integers(0, 2**31))
         problem, hierarchy, tests = synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau.copy(), seed)
-        report, _, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+        report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
         assert report.actual_pg_error <= report.babuska, seed
         assert report.actual_ms_error <= report.ms_bound + 1e-12, seed
         margin = min(margin, report.babuska - report.actual_pg_error)
+        ratios = bound_step_ratios(
+            problem, hierarchy, decomp, report.intermediates, solution.coeffs
+        )
+        steps = tuple(map(max, steps, ratios))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
-    print(f"ACCEPTANCE 4: PASS - 300 instances below sigma_1 = 1, min slack {margin:.3e}")
+    print(
+        f"ACCEPTANCE 4: PASS - 300 instances below sigma_1 = 1, min slack {margin:.3e}, "
+        f"largest |beta|/delta {steps[0]:.3f} and cost/budget {steps[1]:.3f}"
+    )
 
 
 def test_criterion_5_water_filling_matches_enumeration_oracle():
@@ -185,12 +195,12 @@ def _tightened_instance(rng):
     X = random_orthogonal(rng, 4)
     seed = int(rng.integers(0, 2**31))
     problem, hierarchy, tests = synth_prescribed(4, 6, 13, sigma, X, tau, tau.copy(), seed)
-    G, d = assemble(problem, hierarchy, tests)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     tails = np.array([float(np.linalg.norm(c_ls[k:])) for k in range(4)] + [0.0])
     widths = tails * rng.uniform(0.35, 1.1, size=5)
     tight = SubspaceHierarchy(hierarchy.basis, widths)
-    return problem, tight, tests, G, d
+    return assemble(problem, tight.basis, tests), tight, G, d
 
 
 def test_criterion_6_solver_cross_validation():
@@ -199,8 +209,8 @@ def test_criterion_6_solver_cross_validation():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        problem, tight, tests, G, d = _tightened_instance(rng)
-        solution = solve_ms(problem, tight, tests, options)
+        assembly, tight, G, d = _tightened_instance(rng)
+        solution = solve_ms(assembly, tight, options)
         assert solution.converged
         ref_cost, _ = brute_force_ms(G, d, tight.widths, rng)
         scale = max(solution.cost, ref_cost)
@@ -208,11 +218,11 @@ def test_criterion_6_solver_cross_validation():
         worst = max(worst, abs(solution.cost - ref_cost) / max(scale, 1e-12))
 
         # roomy widths turn the constraints off and the two projectors agree
-        sigma_n = decompose(G).sigma[-1]
+        sigma_n = np.linalg.svd(G, compute_uv=False)[-1]
         roomy = np.full(5, 10.0 * float(np.linalg.norm(d)) / sigma_n)
         loose = SubspaceHierarchy(tight.basis, roomy)
-        ms = solve_ms(problem, loose, tests, options)
-        _, pg_coeffs = solve_pg(problem, tight.basis, tests)
+        ms = solve_ms(assembly, loose, options)
+        _, pg_coeffs = solve_pg(assembly, tight.basis)
         assert float(np.linalg.norm(ms.coeffs - pg_coeffs)) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -225,18 +235,19 @@ def test_criterion_7_structural_property_suite():
     instances.append(example1(1e-4, 10, 40, seed=3))
     instances.append(example2(1e-3, 16, 64, seed=3))
     options = SolverOptions()
+    steps = (0.0, 0.0)
     for problem, hierarchy, tests in instances:
         trial = hierarchy.basis
-        riesz = riesz_representers(problem, tests)
-        G = gram_matrix(riesz, trial)
-        decomp = decompose(G)
-        bases = adapted_bases(decomp, trial, riesz)
-        coupling = bases.riesz_star.T @ problem.space.apply_metric(bases.trial_star)
+        assembly = assemble(problem, trial, tests)
+        decomp = assembly.decomp
+        # the rotated bases R U and W X couple diagonally: U^T G X = diag(sigma)
+        G = assembly.R.T @ problem.space.apply_metric(trial.columns)
+        coupling = decomp.U.T @ G @ decomp.X
         target = np.zeros_like(coupling)
         np.fill_diagonal(target, decomp.sigma)
         assert float(np.max(np.abs(coupling - target))) <= 1e-9
 
-        gam = gamma_of(riesz, trial)[0]
+        gam = assembly.gamma
         assert gam <= 1.0 + 1e-10
 
         # the trial-space projection of the truth satisfies every slice bound
@@ -245,15 +256,21 @@ def test_criterion_7_structural_property_suite():
         for k in range(n):
             assert float(np.linalg.norm(c_star[k:])) <= hierarchy.widths[k] + 1e-10
 
-        solution = solve_ms(problem, hierarchy, tests, options)
+        solution = solve_ms(assembly, hierarchy, options)
         tau_n = float(hierarchy.distances[-1])
         assert solution.cost <= gam * gam * tau_n * tau_n + 1e-9
+        inter = deltas(assembly, hierarchy, hierarchy.distances)
+        ratios = bound_step_ratios(problem, hierarchy, decomp, inter, solution.coeffs)
+        steps = tuple(map(max, steps, ratios))
 
         projected = trial.columns @ c_star
         lhs = error_norm(solution.point, problem) ** 2
         rhs = problem.space.norm(projected - solution.point) ** 2 + tau_n * tau_n
         assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)
-    print(f"ACCEPTANCE 7: PASS - structural invariants on {len(instances)} instances")
+    print(
+        f"ACCEPTANCE 7: PASS - structural invariants on {len(instances)} instances, "
+        f"largest |beta|/delta {steps[0]:.3f} and cost/budget {steps[1]:.3f}"
+    )
 
 
 def test_criterion_8_byte_identical_reruns(tmp_path):

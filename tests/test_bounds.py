@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import bad_profiles, descending, random_orthogonal
+from helpers import bad_profiles, descending, random_orthogonal, system_of
 from msrom import (
     BoundIntermediates,
     GramDecomposition,
@@ -28,6 +28,10 @@ def diag_decomp(sigma):
     return GramDecomposition(G=np.diag(sigma), U=np.eye(n), X=np.eye(n), sigma=sigma)
 
 
+def diag_system(sigma):
+    return system_of(diag_decomp(sigma))
+
+
 def random_tuple(rng, n):
     """Random (delta, sigma, gamma, tau_n) with the degenerate corners mixed in."""
     delta = rng.uniform(0.0, 2.0, size=n)
@@ -47,30 +51,31 @@ def random_tuple(rng, n):
 
 
 def test_babuska_unit_conditioning():
-    assert babuska_bound(diag_decomp(np.ones(4)), 0.3, 1.0) == pytest.approx(0.3)
+    assert babuska_bound(diag_system(np.ones(4)), 0.3) == pytest.approx(0.3)
 
 
 def test_babuska_quotient():
-    assert babuska_bound(diag_decomp([1.0, 0.25]), 0.5, 1.0) == pytest.approx(2.0)
+    assert babuska_bound(diag_system([1.0, 0.25]), 0.5) == pytest.approx(2.0)
     # the constant is the representer-family norm, not sigma_1
-    assert babuska_bound(diag_decomp([0.5, 0.25]), 0.5, 1.0) == pytest.approx(2.0)
+    assert babuska_bound(diag_system([0.5, 0.25]), 0.5) == pytest.approx(2.0)
 
 
 def test_babuska_singular():
     with pytest.raises(SingularGram):
-        babuska_bound(diag_decomp([1.0, 0.5, 0.0]), 0.1, 1.0)
+        babuska_bound(diag_system([1.0, 0.5, 0.0]), 0.1)
+    # zero up to rounding: sigma_n is a tenth of sigma_1, but both are
+    # rounding against the representer-family norm 1
+    with pytest.raises(SingularGram, match=r"\|\|R\|\|_2"):
+        babuska_bound(diag_system([2.2e-16, 2.1e-17]), 0.1)
 
 
 def test_babuska_rejects_bad_distance():
     with pytest.raises(InvalidInput):
-        babuska_bound(diag_decomp(np.ones(2)), -0.1, 1.0)
+        babuska_bound(diag_system(np.ones(2)), -0.1)
     with pytest.raises(InvalidInput):
-        babuska_bound(diag_decomp(np.ones(2)), np.nan, 1.0)
-    for continuity in (-1.0, np.inf, np.nan):
-        with pytest.raises(InvalidInput, match="continuity"):
-            babuska_bound(diag_decomp(np.ones(2)), 0.1, continuity)
+        babuska_bound(diag_system(np.ones(2)), np.nan)
     with pytest.raises(InvalidInput, match="empty decomposition"):
-        babuska_bound(diag_decomp(np.zeros(0)), 0.1, 1.0)
+        babuska_bound(diag_system(np.zeros(0)), 0.1)
 
 
 # --------------------------------------------------------------- water filling
@@ -292,12 +297,12 @@ def test_ms_bound_squares_to_sup_plus_tau():
         distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
         inter = intermediates_for(decomp, widths, distances, float(rng.uniform(0.0, 1.0)))
         # sigma_1 <= 1, so 1 is a representer-family norm these spectra admit
-        report = ms_bound(decomp, inter, distances, continuity=1.0)
+        report = ms_bound(system_of(decomp), inter, distances)
         tau_n = distances[-1]
         lhs = report.ms_bound**2
         rhs = report.water_filling.sup_value + tau_n**2
         assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1e-12)
-        if sigma[-1] > 1e-12 * max(sigma[0], 1e-300):
+        if sigma[-1] > 1e-12:
             assert report.babuska == pytest.approx(1.0 / sigma[-1] * tau_n)
         else:
             assert report.babuska is None
@@ -307,7 +312,8 @@ def test_ms_bound_zero_case():
     decomp = diag_decomp(np.array([0.5, 0.2]))
     zeros = np.zeros(3)
     inter = intermediates_for(decomp, zeros, zeros, 0.0)
-    report = ms_bound(decomp, inter, zeros, continuity=1.0)
+    system = system_of(decomp)
+    report = ms_bound(system, inter, zeros)
     assert report.ms_bound == 0.0
 
 
@@ -315,11 +321,12 @@ def test_ms_bound_validation():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
+    system = system_of(decomp)
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths, continuity=1.0, tau_source="guessed")
+        ms_bound(system, inter, widths, tau_source="guessed")
     for distances, message in bad_profiles(widths, "distances"):
         with pytest.raises(InvalidDistances, match=message):
-            ms_bound(decomp, inter, distances, continuity=1.0)
+            ms_bound(system, inter, distances)
 
 
 def test_ms_bound_hierarchy_consistency():
@@ -328,26 +335,28 @@ def test_ms_bound_hierarchy_consistency():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
+    system = system_of(decomp)
     space = AmbientSpace(3)
     basis = OrthonormalFrame(space, np.eye(3)[:, :2])
     hierarchy = SubspaceHierarchy(basis, widths=widths)
-    report = ms_bound(decomp, inter, widths, hierarchy, continuity=1.0)
+    report = ms_bound(system, inter, widths, hierarchy)
     assert report.ms_bound > 0.0
     for distances, message in bad_profiles(widths, "distances"):
         with pytest.raises(InvalidDistances, match=message):
-            ms_bound(decomp, inter, distances, hierarchy, continuity=1.0)
+            ms_bound(system, inter, distances, hierarchy)
     with pytest.raises(InvalidDistances, match=r"^widths must dominate distances entrywise"):
-        ms_bound(decomp, inter, widths * 2.0, hierarchy, continuity=1.0)  # profile above widths
+        ms_bound(system, inter, widths * 2.0, hierarchy)  # profile above widths
     small = SubspaceHierarchy(OrthonormalFrame(space, np.eye(3)[:, :1]), widths=np.array([1.0, 0.5]))
     with pytest.raises(InvalidInput):
-        ms_bound(decomp, inter, widths, small, continuity=1.0)
+        ms_bound(system, inter, widths, small)
 
 
 def test_ms_bound_practitioner_label():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
-    report = ms_bound(decomp, inter, widths, continuity=1.0, tau_source="practitioner")
+    system = system_of(decomp)
+    report = ms_bound(system, inter, widths, tau_source="practitioner")
     assert report.tau_source == "practitioner"
 
 
@@ -355,8 +364,9 @@ def test_ms_bound_carries_actual_errors():
     decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     inter = intermediates_for(decomp, widths, widths, 0.3)
+    system = system_of(decomp)
     report = ms_bound(
-        decomp, inter, widths, continuity=1.0, actual_pg_error=0.1, actual_ms_error=0.05
+        system, inter, widths, actual_pg_error=0.1, actual_ms_error=0.05
     )
     assert report.actual_pg_error == 0.1
     assert report.actual_ms_error == 0.05
@@ -369,5 +379,6 @@ def test_decomposed_identity_round_trip():
     decomp = decompose(G)
     widths = descending(rng, 4, 0.1, 1.0)
     inter = intermediates_for(decomp, widths, widths, 0.5)
-    report = ms_bound(decomp, inter, widths, continuity=1.0, tau_source="practitioner")
+    system = system_of(decomp)
+    report = ms_bound(system, inter, widths, tau_source="practitioner")
     assert report.ms_bound >= widths[-1]

@@ -466,10 +466,10 @@ def test_run_practitioner_mode(tmp_path):
 def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     import msrom.cli as cli_module
 
-    def stuck(problem, hierarchy, tests, options=None, **kwargs):
+    def stuck(assembly, hierarchy, options=None):
         n = hierarchy.n
         return MultiSliceSolution(
-            point=np.zeros(problem.space.dim),
+            point=np.zeros(hierarchy.basis.space.dim),
             coeffs=np.zeros(n),
             cost=1.0,
             iterations=options.max_iterations if options else 0,
@@ -518,6 +518,28 @@ def test_main_zero_smallest_singular_value(tmp_path):
         assert row["babuska_bound"] == "undefined"
         assert row["actual_pg_error"] == "undefined"
         assert row["converged"] == "true"
+        assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
+
+
+@pytest.mark.parametrize("sigma", [[0.0, 0.0], [1e-13, 0.0]])
+def test_main_gram_zero_up_to_rounding_is_singular(tmp_path, sigma):
+    # the Gram reads sigma of about 1e-16 (and 1e-13), which is rounding
+    # against the representers' norm 1; measured against sigma_1, itself
+    # rounding, these rows wrote babuska_bound near 1e16 and a PG error near 1e15
+    doc = {
+        "mode": "prescribed", "n": 2, "m": 2, "N": 6, "sigma": sigma,
+        "tau": [0.5, 0.3, 0.2], "widths": [0.6, 0.4, 0.25], "seed": 1, "repetitions": 5,
+    }
+    code, rows = run_through_main(tmp_path, doc)
+    assert code == 0
+    assert [r["seed"] for r in rows] == ["1", "2", "3", "4", "5"]
+    for row in rows:
+        assert row["babuska_bound"] == "undefined"
+        assert row["actual_pg_error"] == "undefined"
+        # every singular value counts as zero: MS returns the origin, whose
+        # error is the norm tau_0 of the truth
+        assert row["ms_iterations"] == "0" and row["converged"] == "true"
+        assert float(row["actual_ms_error"]) == pytest.approx(0.5, rel=1e-12)
         assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
 
 

@@ -24,8 +24,6 @@ from msrom import (
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
-    adapted_bases,
-    decompose,
     evaluate_b,
     example1,
     example2,
@@ -560,11 +558,9 @@ def test_riesz_family_shape_check():
     # the representers are an (N, m) matrix; a single vector is refused
     space = AmbientSpace(3)
     trial = OrthonormalFrame(space, np.eye(3)[:, :1])
-    decomp = decompose(np.ones((1, 1)))
     for call in (
         lambda R: gram_matrix(R, trial),
         lambda R: gamma_of(R, trial),
-        lambda R: adapted_bases(decomp, trial, R),
     ):
         with pytest.raises(ValueError, match="representers must be an"):
             call(np.zeros(3))

@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
-    assemble,
     bad_profiles,
     brute_force_ms,
     brute_force_projection,
     clip_to_feasible,
     descending,
     dykstra_projection,
-    gamma_of,
     random_feasible,
     random_orthogonal,
     random_spd,
@@ -30,12 +29,12 @@ from msrom import (
     SolverOptions,
     SubspaceHierarchy,
     TruthUnavailable,
+    assemble,
     decompose,
     error_norm,
     example1,
     project,
     project_slices,
-    riesz_representers,
     run_instance,
     solve_ms,
     solve_pg,
@@ -53,7 +52,7 @@ def tail_norms(c):
 
 def tightened(problem, hierarchy, tests, rng, low=0.35, high=1.1):
     """Rebuild the hierarchy with widths that actually bite."""
-    G, d = assemble(problem, hierarchy, tests)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     n = hierarchy.n
     factors = rng.uniform(low, high, size=n)
@@ -161,8 +160,8 @@ def test_project_slices_matches_dykstra_oracle():
 def test_solve_pg_defining_equations():
     rng = np.random.default_rng(2)
     problem, hierarchy, tests = square_instance(rng)
-    point, coeffs = solve_pg(problem, hierarchy.basis, tests)
-    _, d = assemble(problem, hierarchy, tests)
+    point, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    _, d = helpers.assemble(problem, hierarchy, tests)
     scale = np.linalg.norm(d)
     for j in range(tests.n_columns):
         z_j = tests.columns[:, j]
@@ -178,7 +177,7 @@ def test_solve_pg_recovers_truth_inside_trial():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 2 * n + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=13
     )
-    point, _ = solve_pg(problem, hierarchy.basis, tests)
+    point, _ = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
     assert np.linalg.norm(point - problem.z_true) <= 1e-8
 
 
@@ -188,7 +187,7 @@ def test_solve_pg_zero_rhs():
     silent = ProblemInstance(
         problem.space, problem.operator, functional=np.zeros(problem.space.dim)
     )
-    point, coeffs = solve_pg(silent, hierarchy.basis, tests)
+    point, coeffs = solve_pg(assemble(silent, hierarchy.basis, tests), hierarchy.basis)
     assert np.allclose(point, 0.0)
     assert np.allclose(coeffs, 0.0)
 
@@ -202,7 +201,7 @@ def test_solve_pg_singular_system():
         n, n, 2 * n + 2, sigma, np.eye(n), tau, tau.copy(), seed=23
     )
     with pytest.raises(SingularGram):
-        solve_pg(problem, hierarchy.basis, tests)
+        solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
 
 
 def test_solve_pg_least_squares_when_overdetermined():
@@ -210,8 +209,8 @@ def test_solve_pg_least_squares_when_overdetermined():
     problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
     while tests.n_columns == hierarchy.n:
         problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
-    _, coeffs = solve_pg(problem, hierarchy.basis, tests)
-    G, d = assemble(problem, hierarchy, tests)
+    _, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     # normal equations of the least-squares formulation
     grad = G.T @ (G @ coeffs - d)
     assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, np.linalg.norm(d))
@@ -228,8 +227,8 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
     problem, hierarchy, tests = synth_prescribed(
         n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=9
     )
-    _, coeffs = solve_pg(problem, hierarchy.basis, tests)
-    G, d = assemble(problem, hierarchy, tests)
+    _, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert np.max(np.abs(coeffs - want)) <= 1e-8 * np.max(np.abs(want))
 
@@ -237,10 +236,10 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("m", [5, 3])
 def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, seed):
-    # sigma_3 / sigma_1 = 1e-13 makes the quotient bound undefined, so the
-    # row reports no PG error, tall or square, and the pseudo-inverse and
-    # MS's least-squares shortcut drop sigma_3 too; inverting it put
-    # actual_pg_error near 1e11 on the tall rows
+    # sigma_3 = 1e-13 against the representer norm 1 makes the quotient
+    # bound undefined, so the row reports no PG error, tall or square, and
+    # the pseudo-inverse and MS's least-squares shortcut drop sigma_3 too;
+    # inverting it put actual_pg_error near 1e11 on the tall rows
     config = {
         "mode": "prescribed", "n": 3, "m": m, "N": 11, "seed": seed,
         "sigma": [1.0, 0.5, 1e-13],
@@ -248,17 +247,18 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
         "widths": [0.6, 0.4, 0.25, 0.1],
     }
     problem, hierarchy, tests = _build_instance(parse_config(json.dumps(config)), seed)[:3]
-    report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
-    assert decomp.singular and report.babuska is None
-    G, d = assemble(problem, hierarchy, tests)
+    report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+    assembly = assemble(problem, hierarchy.basis, tests)
+    assert assembly.singular and report.babuska is None
+    G, d = helpers.assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert report.actual_pg_error is None
     if m > 3:  # the library solve is the truncated least-squares solution
-        _, coeffs = solve_pg(problem, hierarchy.basis, tests)
+        _, coeffs = solve_pg(assembly, hierarchy.basis)
         assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
     else:
         with pytest.raises(SingularGram):
-            solve_pg(problem, hierarchy.basis, tests)
+            solve_pg(assembly, hierarchy.basis)
     residual = G @ want - d
     assert solution.iterations == 0 and solution.converged
     assert solution.cost == pytest.approx(residual @ residual, rel=1e-12)
@@ -268,10 +268,8 @@ def test_rejects_fewer_tests_than_trial_directions():
     rng = np.random.default_rng(7)
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
     short = tests.prefix(2)
-    with pytest.raises(ValueError):
-        solve_pg(problem, hierarchy.basis, short)
-    with pytest.raises(ValueError):
-        solve_ms(problem, hierarchy, short)
+    with pytest.raises(ValueError, match="at least as many tests as trial directions"):
+        assemble(problem, hierarchy.basis, short)
 
 
 # ------------------------------------------------------------ slice-constrained
@@ -280,13 +278,14 @@ def test_rejects_fewer_tests_than_trial_directions():
 def test_solve_ms_inactive_constraints_match_pg():
     rng = np.random.default_rng(8)
     problem, hierarchy, tests = square_instance(rng)
-    G, d = assemble(problem, hierarchy, tests)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     sigma_min = np.linalg.svd(G, compute_uv=False)[-1]
     bound = 10.0 * np.linalg.norm(d) / sigma_min
     n = hierarchy.n
     roomy = SubspaceHierarchy(hierarchy.basis, widths=np.full(n + 1, bound))
-    pg_point, _ = solve_pg(problem, hierarchy.basis, tests)
-    solution = solve_ms(problem, roomy, tests)
+    assembly = assemble(problem, hierarchy.basis, tests)
+    pg_point, _ = solve_pg(assembly, hierarchy.basis)
+    solution = solve_ms(assembly, roomy)
     assert solution.converged
     assert np.linalg.norm(solution.point - pg_point) <= 1e-8
 
@@ -296,7 +295,7 @@ def test_solve_ms_all_zero_widths():
     problem, hierarchy, tests = square_instance(rng)
     n = hierarchy.n
     pinched = SubspaceHierarchy(hierarchy.basis, widths=np.zeros(n + 1))
-    solution = solve_ms(problem, pinched, tests)
+    solution = solve_ms(assemble(problem, pinched.basis, tests), pinched)
     assert solution.converged
     assert np.allclose(solution.coeffs, 0.0)
     assert np.allclose(solution.point, 0.0)
@@ -308,7 +307,7 @@ def test_solve_ms_zero_width_pins_tail():
     widths = hierarchy.widths.copy()
     widths[3:] = 0.0
     cut = SubspaceHierarchy(hierarchy.basis, widths=widths)
-    solution = solve_ms(problem, cut, tests)
+    solution = solve_ms(assemble(problem, cut.basis, tests), cut)
     assert solution.converged
     assert np.all(solution.coeffs[3:] == 0.0)
     assert np.all(tail_norms(solution.coeffs) <= widths[:5] + 1e-8)
@@ -319,7 +318,7 @@ def test_solve_ms_certificate_and_feasibility():
     for _ in range(8):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
         tight, G, d = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(problem, tight, tests)
+        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
         assert solution.converged
         # the returned point really lives in the trial span
         _, outside = project(solution.point, hierarchy.basis)
@@ -336,7 +335,7 @@ def test_solve_ms_beats_random_feasible_points():
     rng = np.random.default_rng(12)
     problem, hierarchy, tests = sweep_instance(rng, n_high=7)
     tight, G, d = tightened(problem, hierarchy, tests, rng)
-    solution = solve_ms(problem, tight, tests)
+    solution = solve_ms(assemble(problem, tight.basis, tests), tight)
 
     def cost(c):
         r = G @ c - d
@@ -352,7 +351,7 @@ def test_solve_ms_matches_brute_force_small():
     for _ in range(5):
         problem, hierarchy, tests = sweep_instance(rng, n_low=4, n_high=4)
         tight, G, d = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(problem, tight, tests)
+        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
         assert solution.converged
         ref_cost, _ = brute_force_ms(G, d, tight.widths, rng)
         slack = max(1e-9, 1e-7 * max(solution.cost, ref_cost))
@@ -368,7 +367,7 @@ def test_solve_ms_newton_converges_in_few_evaluations():
     for _ in range(40):
         problem, hierarchy, tests = sweep_instance(rng, n_high=10)
         tight, _, _ = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(problem, tight, tests)
+        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
         assert solution.converged
         counts.append(solution.iterations)
     assert np.median(counts) <= 15
@@ -379,16 +378,17 @@ def test_solve_ms_truth_projection_chain():
     rng = np.random.default_rng(15)
     for _ in range(6):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
-        G, d = assemble(problem, hierarchy, tests)
-        solution = solve_ms(problem, hierarchy, tests)
+        G, d = helpers.assemble(problem, hierarchy, tests)
         trial = hierarchy.basis
+        assembly = assemble(problem, trial, tests)
+        solution = solve_ms(assembly, hierarchy)
         M = problem.space.apply_metric
         c_star = trial.columns.T @ M(problem.z_true)
         assert np.all(tail_norms(c_star) <= hierarchy.widths[: hierarchy.n] + 1e-10)
         r_star = G @ c_star - d
         f_star = float(r_star @ r_star)
         assert solution.cost <= f_star + 1e-9
-        gam = gamma_of(riesz_representers(problem, tests), trial)[0]
+        gam = assembly.gamma
         tau_n = hierarchy.distances[-1]
         assert f_star <= gam**2 * tau_n**2 + 1e-9
 
@@ -401,7 +401,7 @@ def test_solve_ms_flags_non_unique_spectrum():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 8, sigma, np.eye(n), tau, tau.copy(), seed=3
     )
-    solution = solve_ms(problem, hierarchy, tests)
+    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
     assert solution.non_unique_hint
     assert solution.converged
 
@@ -420,10 +420,11 @@ def test_solve_ms_singular_gram_with_biting_widths():
         problem, hierarchy, tests = synth_prescribed(
             n, m, n + m + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=seed
         )
-        G, d = assemble(problem, hierarchy, tests)
+        G, d = helpers.assemble(problem, hierarchy, tests)
         c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
         widths = np.append(tail_norms(c_ls) * rng.uniform(0.3, 1.0, n), 0.0)
-        solution = solve_ms(problem, SubspaceHierarchy(hierarchy.basis, widths=widths), tests)
+        biting = SubspaceHierarchy(hierarchy.basis, widths=widths)
+        solution = solve_ms(assemble(problem, biting.basis, tests), biting)
         assert solution.converged, seed
         assert solution.non_unique_hint, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
@@ -435,10 +436,11 @@ def test_solve_ms_singular_gram_with_biting_widths():
 def test_solve_ms_rejects_bad_widths():
     rng = np.random.default_rng(17)
     problem, hierarchy, tests = square_instance(rng)
+    assembly = assemble(problem, hierarchy.basis, tests)
     for widths, message in bad_profiles(hierarchy.widths):
         hierarchy.widths = widths  # bypasses construction-time validation
         with pytest.raises(InvalidDistances, match=message):
-            solve_ms(problem, hierarchy, tests)
+            solve_ms(assembly, hierarchy)
 
 
 def threaded_instance(kind):
@@ -463,27 +465,28 @@ def threaded_instance(kind):
 @pytest.mark.parametrize("kind", ["square", "tall", "singular", "zero_width", "metric"])
 def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
     import msrom.solvers as solvers_module
+    import msrom.spectral as spectral_module
 
     problem, hierarchy, tests = threaded_instance(kind)
     shapes = []
-    monkeypatch.setattr(
-        solvers_module, "decompose", lambda G: shapes.append(G.shape) or decompose(G)
-    )
+    for module in (spectral_module, solvers_module):
+        monkeypatch.setattr(module, "decompose", lambda G: shapes.append(G.shape) or decompose(G))
     report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
     # one SVD of G per instance, plus the reduced matrix's when a width is zero
     assert [n for _, n in shapes] == ([6, 3] if kind == "zero_width" else [6])
     monkeypatch.undo()
-    alone = solve_ms(problem, hierarchy, tests)
+    assembly = assemble(problem, hierarchy.basis, tests)
+    alone = solve_ms(assembly, hierarchy)
     scale = max(1.0, float(np.max(np.abs(alone.coeffs))))
     assert np.max(np.abs(solution.coeffs - alone.coeffs)) <= 1e-12 * scale
     assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
     assert solution.non_unique_hint == alone.non_unique_hint == (kind == "singular")
     if kind == "singular":
         with pytest.raises(SingularGram):
-            solve_pg(problem, hierarchy.basis, tests)
+            solve_pg(assembly, hierarchy.basis)
         assert report.actual_pg_error is None
     else:
-        point, _ = solve_pg(problem, hierarchy.basis, tests)
+        point, _ = solve_pg(assembly, hierarchy.basis)
         assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
     if kind == "zero_width":
         assert np.all(solution.coeffs[3:] == 0.0)
@@ -518,7 +521,7 @@ def plateau_case(rng, metric):
     problem, hierarchy, tests = synth_prescribed(
         n, n, N, sigma, X, tau, tau.copy(), seed=seed, metric=spd
     )
-    G, d = assemble(problem, hierarchy, tests)
+    G, d = helpers.assemble(problem, hierarchy, tests)
     widths = np.append(tail_norms(np.linalg.lstsq(G, d, rcond=None)[0]), 0.0)
     widths[:n] *= rng.uniform(0.3, 1.1, size=n)
     # plateaus of ties, rises above the running minimum, and infinite widths
@@ -545,7 +548,8 @@ def test_solve_ms_ignores_dominated_widths(metric):
         problem, hierarchy, tests = example1(1e-4, 10, 40, 17)
         cases.append((problem, hierarchy.basis, tests, hierarchy.widths.copy()))
     for problem, basis, tests, widths in cases:
-        base = solve_ms(problem, SubspaceHierarchy(basis, widths=widths), tests)
+        assembly = assemble(problem, basis, tests)
+        base = solve_ms(assembly, SubspaceHierarchy(basis, widths=widths))
         assert base.converged
         assert np.all(tail_norms(base.coeffs) <= widths[:-1] * (1.0 + 1e-8) + 1e-12)
         drop = dominated(widths)
@@ -556,7 +560,7 @@ def test_solve_ms_ignores_dominated_widths(metric):
         lifted[drop] = [np.min(widths[:k]) * rng.uniform(1.0, 4.0) for k in drop]
         scale = max(1.0, float(np.max(np.abs(base.coeffs))))
         for variant in (raised, lifted):
-            other = solve_ms(problem, SubspaceHierarchy(basis, widths=variant), tests)
+            other = solve_ms(assembly, SubspaceHierarchy(basis, widths=variant))
             assert other.converged
             assert np.max(np.abs(other.coeffs - base.coeffs)) <= 1e-10 * scale
 
@@ -568,7 +572,8 @@ def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
     # hundreds of fallback projections; with only the binding widths the
     # solve projects once for the point and once for its certificate
     calls = counting_projection(monkeypatch)
-    solution = solve_ms(*example1(1e-4, 10, 40, seed))
+    problem, hierarchy, tests = example1(1e-4, 10, 40, seed)
+    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
     assert solution.converged
     assert len(calls) <= 2
 
@@ -591,7 +596,7 @@ def test_fallback_stress_corpus(monkeypatch):
         widths = hierarchy.widths
         assert solution.converged, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
-        G, d = assemble(problem, hierarchy, tests)
+        G, d = helpers.assemble(problem, hierarchy, tests)
         assert solution.kkt_residual <= max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d)), seed
         assert report.actual_ms_error <= report.ms_bound, seed
 
@@ -620,7 +625,8 @@ def test_solve_ms_reports_non_convergence_when_the_budget_runs_out():
     # the solve must say so and still return a point within the widths
     for seed in range(6):
         problem, tight, tests, G, d = biting_instance(80 + seed)
-        solution = solve_ms(problem, tight, tests, SolverOptions(max_iterations=1))
+        assembly = assemble(problem, tight.basis, tests)
+        solution = solve_ms(assembly, tight, SolverOptions(max_iterations=1))
         assert solution.converged is False
         assert solution.iterations == 1
         cert = max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d))
@@ -673,7 +679,9 @@ def test_solve_ms_certificate_floor_scales_with_the_problem():
     # scale tells (an absolute floor max(1e-8, ...) certifies all six)
     for seed in range(6):
         problem, tight, tests, _, _ = biting_instance(80 + seed)
-        solution = solve_ms(*scaled(problem, tight, 1e-20), tests, SolverOptions(max_iterations=1))
+        problem, tight = scaled(problem, tight, 1e-20)
+        assembly = assemble(problem, tight.basis, tests)
+        solution = solve_ms(assembly, tight, SolverOptions(max_iterations=1))
         assert solution.converged is False, seed
 
 
@@ -698,8 +706,9 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
             raised.append(np.shape(a))
             raise
 
+    assembly = assemble(problem, trial, tests)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    solution = solve_ms(problem, hierarchy, tests)
+    solution = solve_ms(assembly, hierarchy)
     monkeypatch.undo()
     assert (3, 3) in raised
     assert solution.converged
@@ -707,19 +716,27 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
 
 
 def test_solve_ms_flat_cost_returns_the_origin():
-    # a zero operator makes G = 0 (sigma_1 = 0): every point costs ||d||^2,
-    # and the origin, feasible for any widths, is returned without iterating
+    # a zero operator makes G = 0 (sigma_1 = 0), and unit representers that
+    # meet the trial span only at 1e-17 make G zero up to rounding (sigma_j
+    # = 1e-17 against ||R||_2 = 1): every point costs ||d||^2, and the
+    # origin, feasible for any widths, is returned without iterating
     space = AmbientSpace(6)
     E = np.eye(6)
-    problem = ProblemInstance(space, np.zeros((6, 6)), functional=E[:, 3] + 2.0 * E[:, 4])
     hierarchy = SubspaceHierarchy(OrthonormalFrame(space, E[:, :3]), widths=np.array([1.0, 0.5, 0.2, 0.1]))
     tests = OrthonormalFrame(space, E[:, 3:])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        solution = solve_ms(problem, hierarchy, tests)
-    assert np.array_equal(solution.coeffs, np.zeros(3))
-    assert solution.converged and solution.iterations == 0
-    assert solution.cost == 5.0
+    rounding = np.zeros((6, 6))
+    rounding[3:, 3:] = np.eye(3)  # A z_j = z_j + 1e-17 w_j
+    rounding[:3, 3:] = 1e-17 * np.eye(3)
+    for operator in (np.zeros((6, 6)), rounding):
+        problem = ProblemInstance(space, operator, functional=E[:, 3] + 2.0 * E[:, 4])
+        assembly = assemble(problem, hierarchy.basis, tests)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_ms(assembly, hierarchy)
+        assert np.array_equal(solution.coeffs, np.zeros(3))
+        assert solution.converged and solution.iterations == 0
+        assert solution.cost == 5.0
+        assert solution.non_unique_hint
 
 
 def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
@@ -740,8 +757,9 @@ def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
         calls.append(np.shape(args[0]))
         return lstsq(*args, **kwargs)
 
+    assembly = assemble(problem, trial, tests)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    solution = solve_ms(problem, hierarchy, tests)
+    solution = solve_ms(assembly, hierarchy)
     monkeypatch.undo()
     assert len(calls) == 2
     assert solution.converged and solution.iterations == 4
@@ -755,9 +773,10 @@ def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     for seed in (2, 3, 44):
         problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
-        full = solve_ms(problem, hierarchy, tests)
+        assembly = assemble(problem, hierarchy.basis, tests)
+        full = solve_ms(assembly, hierarchy)
         monkeypatch.setattr(solvers_module, "STALL_REL_TOL", 1.0)
-        stalled = solve_ms(problem, hierarchy, tests)
+        stalled = solve_ms(assembly, hierarchy)
         monkeypatch.undo()
         assert full.converged and stalled.converged is False, seed
         assert stalled.iterations < full.iterations, seed
@@ -786,7 +805,7 @@ def test_solver_options_validation():
 def test_solve_ms_properties(seed):
     rng = np.random.default_rng(seed)
     problem, hierarchy, tests = sweep_instance(rng, n_high=7)
-    solution = solve_ms(problem, hierarchy, tests)
+    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
     assert solution.converged
     n = hierarchy.n
     assert np.all(tail_norms(solution.coeffs) <= hierarchy.widths[:n] + 1e-8)

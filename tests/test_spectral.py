@@ -13,15 +13,16 @@ from helpers import (
     random_orthogonal,
     random_spd,
     sweep_instance,
+    system_of,
 )
 from msrom import (
     AmbientSpace,
+    Assembly,
     BoundIntermediates,
     GramDecomposition,
     InvalidDistances,
     OrthonormalFrame,
     SubspaceHierarchy,
-    adapted_bases,
     decompose,
     deltas,
     flat_orthogonal,
@@ -145,56 +146,6 @@ def test_gram_decomposition_checks(fields, match):
     parts = {"G": np.ones((3, 2)), "U": np.eye(3), "X": np.eye(2), "sigma": np.array([1.0, 0.5])}
     with pytest.raises(ValueError, match=match):
         GramDecomposition(**{**parts, **fields})
-
-
-def test_adapted_bases_self_coupling():
-    # representers equal to the trial family give a fully degenerate unit
-    # spectrum; the factor pair may then rotate freely inside the cluster,
-    # so assert the invariants rather than a particular factorization
-    rng = np.random.default_rng(3)
-    space = AmbientSpace(6)
-    trial = orthonormalize(rng.standard_normal((6, 3)), space)
-    riesz = trial.columns.copy()
-    decomp = decompose(gram_matrix(riesz, trial))
-    star = adapted_bases(decomp, trial, riesz)
-    assert np.allclose(decomp.sigma, np.ones(3), atol=1e-12)
-    coupling = star.riesz_star.T @ star.trial_star
-    assert np.allclose(coupling, np.eye(3), atol=1e-11)
-    projector_star = star.trial_star @ star.trial_star.T
-    projector = trial.columns @ trial.columns.T
-    assert np.allclose(projector_star, projector, atol=1e-11)
-
-
-def test_adapted_bases_diagonal_coupling():
-    rng = np.random.default_rng(4)
-    problem, hierarchy, tests = sweep_instance(rng)
-    riesz = riesz_representers(problem, tests)
-    trial = hierarchy.basis
-    decomp = decompose(gram_matrix(riesz, trial))
-    star = adapted_bases(decomp, trial, riesz)
-    M = problem.space.metric if problem.space.metric is not None else np.eye(problem.space.dim)
-    coupling = star.riesz_star.T @ M @ star.trial_star
-    n = trial.n_columns
-    target = np.zeros_like(coupling)
-    target[:n, :n] = np.diag(decomp.sigma)
-    assert np.max(np.abs(coupling - target)) <= 1e-9
-    # the rotated trial basis stays orthonormal
-    assert np.max(np.abs(star.trial_star.T @ M @ star.trial_star - np.eye(n))) <= 1e-10
-
-
-def test_adapted_bases_preserve_orthonormal_representers():
-    rng = np.random.default_rng(5)
-    n = 5
-    sigma = descending(rng, n, 0.1, 1.0)
-    tau = descending(rng, n + 1, 0.05, 1.0)
-    problem, hierarchy, tests = synth_prescribed(
-        n, n, 2 * n + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=7
-    )
-    riesz = riesz_representers(problem, tests)
-    decomp = decompose(gram_matrix(riesz, hierarchy.basis))
-    star = adapted_bases(decomp, hierarchy.basis, riesz)
-    gram = star.riesz_star.T @ star.riesz_star
-    assert np.max(np.abs(gram - np.eye(n))) <= 1e-9
 
 
 def test_gamma_zero_when_representers_in_span():
@@ -367,7 +318,7 @@ def test_deltas_identity_rotation():
     hierarchy = identity_hierarchy(3, widths, distances)
     G = np.diag([0.9, 0.6, 0.3])
     decomp = GramDecomposition(G=G, U=np.eye(3), X=np.eye(3), sigma=np.array([0.9, 0.6, 0.3]))
-    inter = deltas(decomp, hierarchy, distances, gamma=0.4)
+    inter = deltas(system_of(decomp, gamma=0.4), hierarchy, distances)
     assert np.allclose(inter.eta, distances[:3])
     assert np.allclose(inter.eta_hat, widths[:3])
     assert np.allclose(inter.delta, distances[:3] + widths[:3])
@@ -384,7 +335,7 @@ def test_deltas_flat_rotation_collapses_profile():
     sigma = np.linspace(1.0, 0.1, n)
     decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
     hierarchy = identity_hierarchy(n, profile, profile.copy())
-    inter = deltas(decomp, hierarchy, profile, gamma=0.0)
+    inter = deltas(system_of(decomp), hierarchy, profile)
     assert np.allclose(inter.delta, 2.0 * n**-0.5, atol=1e-12)
 
 
@@ -393,7 +344,7 @@ def test_deltas_all_zero_profile():
     zeros = np.zeros(n + 1)
     hierarchy = identity_hierarchy(n, zeros, zeros.copy())
     decomp = decompose(np.eye(n))
-    inter = deltas(decomp, hierarchy, zeros, gamma=0.0)
+    inter = deltas(system_of(decomp), hierarchy, zeros)
     assert np.allclose(inter.delta, 0.0)
 
 
@@ -402,16 +353,16 @@ def test_deltas_length_checks():
     decomp = decompose(np.eye(3))
     for distances, message in bad_profiles(hierarchy.widths, "distances"):
         with pytest.raises(InvalidDistances, match=message):
-            deltas(decomp, hierarchy, distances, gamma=0.0)
+            deltas(system_of(decomp), hierarchy, distances)
     with pytest.raises(ValueError, match="decomposition size"):
-        deltas(decompose(np.eye(4)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]), gamma=0.0)
+        deltas(system_of(decompose(np.eye(4))), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]))
 
 
 def test_deltas_requires_gamma():
-    # a silent gamma = 0 would drop the complement term from the bound
-    hierarchy = identity_hierarchy(3, np.array([1.0, 0.5, 0.3, 0.2]))
+    # a silent gamma = 0 would drop the complement term from the bound: the
+    # assembly that deltas reads it from has no default for it
     with pytest.raises(TypeError):
-        deltas(decompose(np.eye(3)), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]))
+        Assembly(R=np.eye(3), d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,14 +376,14 @@ def test_deltas_monotone_in_profiles(seed):
     widths = descending(rng, n + 1, 0.0, 2.0)
     distances = np.minimum(descending(rng, n + 1, 0.0, 2.0), widths)
     hierarchy = identity_hierarchy(n, widths, distances)
-    base = deltas(decomp, hierarchy, distances, gamma=0.0)
+    base = deltas(system_of(decomp), hierarchy, distances)
     assert np.allclose(base.delta, base.eta + base.eta_hat)
     assert np.all(base.delta >= 0.0)
     # growing one width entry never shrinks any delta
     k = int(rng.integers(0, n + 1))
     wider = widths.copy()
     wider[: k + 1] += 0.5  # keep the profile nonincreasing
-    grown = deltas(decomp, identity_hierarchy(n, wider, distances), distances, gamma=0.0)
+    grown = deltas(system_of(decomp), identity_hierarchy(n, wider, distances), distances)
     assert np.all(grown.delta >= base.delta - 1e-12)
 
 
