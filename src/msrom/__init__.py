@@ -4,8 +4,8 @@ The package solves discretized weak problems ``a(z, v) = b(v)`` two ways:
 the classical projection onto a trial space tested against a test space, and
 a constrained variant that additionally keeps the approximation inside a
 nested family of distance slices.  Both come with computable worst-case
-error bounds, plus synthetic instance generators with known ground truth so
-the bounds can be checked against actual errors.
+error bounds.  Every problem is a synthetic instance with a known solution,
+built by a generator, so the bounds are checked against actual errors.
 """
 
 from . import bounds, cli, problems, solvers, spaces, spectral

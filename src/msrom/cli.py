@@ -310,10 +310,10 @@ def run_instance(
     inter = deltas(assembly, hierarchy, profile)
     # PG is defined where the quotient bound is: not on a singular Gram, tall or square
     actual_pg = None
-    if problem.synthetic and not assembly.singular:
+    if not assembly.singular:
         actual_pg = error_norm(solve_pg(assembly, trial)[0], problem)
     solution = solve_ms(assembly, hierarchy, options)
-    actual_ms = error_norm(solution.point, problem) if problem.synthetic else None
+    actual_ms = error_norm(solution.point, problem)
     report = ms_bound(
         assembly,
         inter,

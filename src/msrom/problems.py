@@ -1,9 +1,11 @@
 """Variational problem instances, trial hierarchies, and synthetic generators.
 
 A problem is the discretized weak formulation ``a(z, v) = b(v)`` with
-``a(v, z) = v^T M A z``.  The synthetic generators construct instances whose
-Gram spectrum, nested approximation distances, and slice widths are known
-exactly, so error bounds can be compared against ground truth.
+``a(v, z) = v^T M A z``, the operator kept as a factor pair ``A = R MZ^T``,
+and a known solution: ``b(v) = a(z_true, v)``.  The synthetic generators
+construct instances whose Gram spectrum, nested approximation distances, and
+slice widths are known exactly, so error bounds can be compared against
+ground truth.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ __all__ = [
     "ProblemInstance",
     "SubspaceHierarchy",
     "riesz_representers",
-    "evaluate_b",
     "rhs_vector",
     "flat_orthogonal",
     "synth_prescribed",
@@ -48,81 +49,28 @@ class HadamardUnavailable(ValueError):
 
 
 class ProblemInstance:
-    """Weak problem ``a(z, v) = b(v)`` on a discretized space.
+    """Weak problem ``a(z, v) = b(v)`` with a known exact solution ``z_true``.
 
-    ``operator`` is the matrix ``A`` in ``a(v, z) = v^T M A z``.  It is given
-    either densely or, as ``factors=(R, MZ)``, as the low-rank product ``A =
-    R MZ^T`` of two N x k matrices; then every product with ``A`` goes through
-    the factors, and the dense ``operator`` is formed only when it is read
-    (once, then cached).  Exactly one right-hand side is set: ``z_true``
-    (synthetic mode, ``b(v) = a(z_true, v)`` so the exact solution is known)
-    or ``functional`` (``b(v) = <functional, v>``).
+    The form is ``a(v, z) = v^T M A z`` with ``A = R MZ^T``, given as
+    ``factors=(R, MZ)``, two N x k matrices; every product with ``A`` goes
+    through the factors.  A dense ``A`` is the pair ``(A, I)``.  The
+    right-hand side is ``b(v) = a(z_true, v)``.
     """
 
     def __init__(
-        self,
-        space: AmbientSpace,
-        operator: np.ndarray | None = None,
-        z_true: np.ndarray | None = None,
-        functional: np.ndarray | None = None,
-        *,
-        factors: tuple[np.ndarray, np.ndarray] | None = None,
+        self, space: AmbientSpace, z_true: np.ndarray, *, factors: tuple[np.ndarray, np.ndarray]
     ) -> None:
         N = space.dim
         self.space = space
-        if (operator is None) == (factors is None):
-            raise ValueError("exactly one of operator and factors must be given")
-        self.factors = None
-        self._operator = None
-        if operator is not None:
-            self._operator = np.asarray(operator, dtype=float)
-            if self._operator.shape != (N, N):
-                raise ValueError(f"operator must be {N}x{N}, got {self._operator.shape}")
-        else:
-            R, MZ = (np.asarray(f, dtype=float) for f in factors)
-            if R.ndim != 2 or R.shape[0] != N or MZ.shape != R.shape:
-                raise ValueError(
-                    f"factors must be two ({N}, k) matrices, got {R.shape} and {MZ.shape}"
-                )
-            self.factors = (R, MZ)
-        if (z_true is None) == (functional is None):
-            raise ValueError("exactly one of z_true and functional must be given")
-        self.z_true = None if z_true is None else np.asarray(z_true, dtype=float)
-        self.functional = None if functional is None else np.asarray(functional, dtype=float)
-        if self.z_true is not None and self.z_true.shape != (N,):
+        R, MZ = (np.asarray(f, dtype=float) for f in factors)
+        if R.ndim != 2 or R.shape[0] != N or MZ.shape != R.shape:
+            raise ValueError(
+                f"factors must be two ({N}, k) matrices, got {R.shape} and {MZ.shape}"
+            )
+        self.factors = (R, MZ)
+        self.z_true = np.asarray(z_true, dtype=float)
+        if self.z_true.shape != (N,):
             raise ValueError("z_true has the wrong shape")
-        if self.functional is not None and self.functional.shape != (N,):
-            raise ValueError("functional has the wrong shape")
-
-    @property
-    def operator(self) -> np.ndarray:
-        """The dense N x N matrix ``A``, formed from the factors on first read."""
-        if self._operator is None:
-            R, MZ = self.factors
-            self._operator = R @ MZ.T
-        return self._operator
-
-    @property
-    def synthetic(self) -> bool:
-        return self.z_true is not None
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """``A x`` for a vector or a matrix of columns, through the factors if any."""
-        if self.factors is None:
-            return self.operator @ x
-        R, MZ = self.factors
-        return R @ (MZ.T @ x)
-
-    def apply_transpose(self, y: np.ndarray) -> np.ndarray:
-        """``A^T y``, through the factors if any."""
-        if self.factors is None:
-            return self.operator.T @ y
-        R, MZ = self.factors
-        return MZ @ (R.T @ y)
-
-    def bilinear(self, v: np.ndarray, z: np.ndarray) -> float:
-        """Evaluate ``a(v, z) = v^T M A z``."""
-        return float(v @ self.space.apply_metric(self.apply(z)))
 
 
 @dataclass(eq=False)
@@ -150,31 +98,21 @@ def riesz_representers(problem: ProblemInstance, tests: OrthonormalFrame) -> np.
     """The (N, m) matrix whose column j represents ``v -> a(v, z_j)``; with the
     stored convention r_j = A z_j for the test frame's columns z_j.
 
-    With factors ``A = R MZ^T`` this is ``R (MZ^T Z)`` for any test frame ``Z``,
+    With ``A = R MZ^T`` this is ``R (MZ^T Z)`` for any test frame ``Z``,
     without forming ``A``.
     """
-    return problem.apply(tests.columns)
-
-
-def evaluate_b(problem: ProblemInstance, v: np.ndarray) -> float:
-    """Right-hand side ``b(v)``: ``a(z_true, v)`` in synthetic mode, ``<f, v>`` otherwise."""
-    v = np.asarray(v, dtype=float)
-    if problem.synthetic:
-        return problem.bilinear(problem.z_true, v)
-    return problem.space.inner(problem.functional, v)
+    R, MZ = problem.factors
+    return R @ (MZ.T @ tests.columns)
 
 
 def rhs_vector(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
     """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
 
-    ``d = Z^T A^T M z_true`` in synthetic mode, which with factors ``A = R
-    MZ^T`` is ``Z^T (MZ (R^T M z_true))`` for any test frame ``Z``, and
-    ``Z^T M f`` otherwise.
+    ``d = Z^T A^T M z_true``, which with ``A = R MZ^T`` is ``Z^T (MZ (R^T M
+    z_true))`` for any test frame ``Z``.
     """
-    Z = tests.columns
-    if problem.synthetic:
-        return Z.T @ problem.apply_transpose(problem.space.apply_metric(problem.z_true))
-    return Z.T @ problem.space.apply_metric(problem.functional)
+    R, MZ = problem.factors
+    return tests.columns.T @ (MZ @ (R.T @ problem.space.apply_metric(problem.z_true)))
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -350,11 +288,10 @@ def synth_prescribed(
     orthonormal test basis Z, so outputs depend on Z only through rounding.
     Z is not random: it is the first m columns of the frame ``[W Q]``, which
     for m = n is W itself.  The instance keeps A as the factor pair ``(R, M
-    Z)`` and never forms the N x N matrix unless ``operator`` is read.  The
-    truth is ``z_true = sum_k c_k w_k + tau_n u`` with
-    ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random unit ``u`` orthogonal
-    to the trial span, so ``dist(z_true, V_k) = tau_k`` for all k.  Returns
-    ``(problem, hierarchy, Z)``.
+    Z)`` and never forms the N x N matrix.  The truth is ``z_true = sum_k c_k
+    w_k + tau_n u`` with ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random
+    unit ``u`` orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k``
+    for all k.  Returns ``(problem, hierarchy, Z)``.
     """
     n, m, N = int(n), int(m), int(N)
     check_dimensions(n, m, N)
@@ -362,7 +299,7 @@ def synth_prescribed(
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise InvalidSpectrum(f"X must be {n}x{n}")
-    if np.max(np.abs(X.T @ X - np.eye(n))) > 1e-10:
+    if not np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10:  # NaN fails the comparison too
         raise InvalidSpectrum("X must be orthogonal")
 
     rng = np.random.default_rng(seed)
@@ -390,7 +327,7 @@ def synth_prescribed(
     u /= space.norm(u)
     z_true = W @ coeff + tau[-1] * u
 
-    problem = ProblemInstance(space, z_true=z_true, factors=(R, Z.metric_image))
+    problem = ProblemInstance(space, z_true, factors=(R, Z.metric_image))
     return problem, hierarchy, Z
 
 

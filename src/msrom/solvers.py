@@ -26,7 +26,6 @@ from .spaces import OrthonormalFrame
 from .spectral import Assembly, GramDecomposition, decompose, gram_matrix  # noqa: F401
 
 __all__ = [
-    "TruthUnavailable",
     "SolverOptions",
     "MultiSliceSolution",
     "solve_pg",
@@ -37,10 +36,6 @@ __all__ = [
 
 # Relative increase of the dual value below which a damped Newton step stalls.
 STALL_REL_TOL = 1e-10
-
-
-class TruthUnavailable(ValueError):
-    """The problem carries no exact solution to compare against."""
 
 
 @dataclass(frozen=True)
@@ -310,7 +305,5 @@ def solve_ms(
 
 def error_norm(solution_point, problem: ProblemInstance) -> float:
     """Metric-norm distance between a computed point and the exact solution."""
-    if not problem.synthetic:
-        raise TruthUnavailable("problem has no exact solution attached")
     diff = np.asarray(solution_point, dtype=float) - problem.z_true
     return problem.space.norm(diff)

@@ -2,8 +2,10 @@
 
 Vectors live in R^N equipped with the inner product ``<u, v> = u^T M v`` for
 a symmetric positive-definite metric ``M`` (identity when omitted).  Frames
-bundle metric-orthonormal columns with their ambient space.  All routines are
-pure functions of their inputs; returned arrays are fresh and may be shared.
+bundle metric-orthonormal columns with their ambient space.  Nothing here
+writes to its inputs, but in the Euclidean case ``apply_metric`` and
+``metric_image`` return their input itself, so callers must not write to
+what they return.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ __all__ = [
     "OrthonormalFrame",
     "RankDeficient",
     "orthonormalize",
-    "project",
 ]
 
 # A pivot below RANK_TOL times the largest input norm is treated as zero.
@@ -69,20 +70,11 @@ class AmbientSpace:
                 raise ValueError("metric must be positive definite") from None
             self.metric = M
 
-    @property
-    def euclidean(self) -> bool:
-        return self.metric is None
-
     def apply_metric(self, arr: np.ndarray) -> np.ndarray:
         """Return ``metric @ arr`` (``arr`` itself for the Euclidean case)."""
         if self.metric is None:
             return arr
         return self.metric @ arr
-
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        if self.metric is None:
-            return float(u @ v)
-        return float(u @ self.metric @ v)
 
     def norm(self, v: np.ndarray) -> float:
         if self.metric is None:
@@ -125,20 +117,9 @@ class OrthonormalFrame:
         return OrthonormalFrame(self.space, self.columns[:, :k])
 
 
-def _as_columns(vectors) -> np.ndarray:
-    """Coerce a sequence of vectors (or an (N, k) array of columns) to a matrix."""
-    if isinstance(vectors, np.ndarray):
-        arr = np.asarray(vectors, dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.ndim != 2:
-            raise ValueError("expected vectors or a 2-d array of columns")
-        return arr
-    return np.column_stack([np.asarray(v, dtype=float) for v in vectors])
-
-
-def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
-    """Metric-orthonormal basis of the vectors' span, in the given order.
+def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame:
+    """Metric-orthonormal basis of the span of the columns of ``vectors``, an
+    (N, k) array, in the given order.
 
     One Householder QR ``V = Q~ R~``, which is ``Q R`` in the Euclidean case.
     In a metric the k x k Gram ``Q~^T M Q~`` is SPD and no worse conditioned
@@ -151,7 +132,9 @@ def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
     when there are more vectors than dimensions.  No vectors give an empty
     frame.
     """
-    V = _as_columns(vectors)
+    V = np.asarray(vectors, dtype=float)
+    if V.ndim != 2:
+        raise ValueError(f"expected a 2-d array of columns, got shape {V.shape}")
     N, k = V.shape
     if N != space.dim:
         raise ValueError(f"vectors live in R^{N}, space has dim {space.dim}")
@@ -181,18 +164,3 @@ def orthonormalize(vectors, space: AmbientSpace) -> OrthonormalFrame:
         )
     Q *= np.where(pivots < 0.0, -1.0, 1.0)
     return OrthonormalFrame(space, Q)
-
-
-def project(v, frame: OrthonormalFrame) -> tuple[np.ndarray, float]:
-    """Orthogonal projection onto the frame's span.
-
-    Returns ``(inside, residual_norm)`` where ``inside`` is the projection and
-    ``residual_norm = ||v - inside||`` is the distance to the span.
-    """
-    v = np.asarray(v, dtype=float)
-    space = frame.space
-    if v.shape != (space.dim,):
-        raise ValueError(f"vector must have shape ({space.dim},), got {v.shape}")
-    coeffs = frame.columns.T @ space.apply_metric(v)
-    inside = frame.columns @ coeffs
-    return inside, space.norm(v - inside)

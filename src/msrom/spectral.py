@@ -101,24 +101,20 @@ class Assembly:
 class BoundIntermediates:
     """Per-direction quantities feeding the slice-projector error bound.
 
-    ``eta_j`` aggregates distances, ``eta_hat_j`` aggregates slice widths,
-    ``delta_j = eta_j + eta_hat_j``, and ``gamma`` is the complement coupling
-    norm computed by :func:`gamma`.
+    ``delta_j`` aggregates the distances and the slice widths (see
+    :func:`deltas`), and ``gamma`` is the complement coupling norm computed by
+    :func:`gamma`.
     """
 
     gamma: float
     delta: np.ndarray
-    eta: np.ndarray
-    eta_hat: np.ndarray
 
     def __post_init__(self) -> None:
         if self.gamma < 0.0:
             raise ValueError("gamma must be nonnegative")
-        for name in ("delta", "eta", "eta_hat"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if np.any(arr < 0.0):
-                raise ValueError(f"{name} must be nonnegative")
-            setattr(self, name, arr)
+        self.delta = np.asarray(self.delta, dtype=float)
+        if np.any(self.delta < 0.0):
+            raise ValueError("delta must be nonnegative")
 
 
 def _representers(riesz) -> np.ndarray:
@@ -208,9 +204,9 @@ def assemble(
 def deltas(assembly: Assembly, hierarchy: SubspaceHierarchy, distances) -> BoundIntermediates:
     """Aggregate distances and widths through |X| into the bound coefficients.
 
-    ``eta_j = sum_i |x_ij| distances[i-1]`` and ``eta_hat_j`` likewise with the
-    hierarchy widths; only the first n entries of each length-(n+1) vector
-    enter.  The assembly's ``gamma`` is carried alongside.
+    ``delta_j = sum_i |x_ij| distances[i-1] + sum_i |x_ij| widths[i-1]``, the
+    widths being the hierarchy's; only the first n entries of each
+    length-(n+1) vector enter.  The assembly's ``gamma`` is carried alongside.
     """
     n = hierarchy.n
     distances = check_vector(n, distances, "distances")
@@ -218,6 +214,5 @@ def deltas(assembly: Assembly, hierarchy: SubspaceHierarchy, distances) -> Bound
     if X.shape != (n, n):
         raise ValueError("decomposition size does not match the hierarchy")
     absX = np.abs(X)
-    eta = absX.T @ distances[:n]
-    eta_hat = absX.T @ hierarchy.widths[:n]
-    return BoundIntermediates(assembly.gamma, eta + eta_hat, eta, eta_hat)
+    delta = absX.T @ distances[:n] + absX.T @ hierarchy.widths[:n]
+    return BoundIntermediates(assembly.gamma, delta)

@@ -281,9 +281,7 @@ def test_water_filling_budget_at_cost_total(seed, n):
 def intermediates_for(decomp, widths, distances, gam):
     absX = np.abs(decomp.X)
     n = decomp.X.shape[0]
-    eta = absX.T @ distances[:n]
-    eta_hat = absX.T @ widths[:n]
-    return BoundIntermediates(gamma=gam, delta=eta + eta_hat, eta=eta, eta_hat=eta_hat)
+    return BoundIntermediates(gamma=gam, delta=absX.T @ distances[:n] + absX.T @ widths[:n])
 
 
 def test_ms_bound_squares_to_sup_plus_tau():

@@ -24,13 +24,11 @@ from msrom import (
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
-    evaluate_b,
     example1,
     example2,
     flat_orthogonal,
     gram_matrix,
     orthonormalize,
-    project,
     riesz_representers,
     rhs_vector,
     run_instance,
@@ -46,33 +44,20 @@ from msrom.problems import (
 )
 
 
-def test_problem_requires_exactly_one_rhs():
-    space = AmbientSpace(2)
-    with pytest.raises(ValueError):
-        ProblemInstance(space, np.eye(2))
-    with pytest.raises(ValueError):
-        ProblemInstance(space, np.eye(2), z_true=np.ones(2), functional=np.ones(2))
-
-
-def test_problem_requires_exactly_one_operator_form():
-    space = AmbientSpace(3)
-    factors = (np.ones((3, 2)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        ProblemInstance(space, z_true=np.ones(3))
-    with pytest.raises(ValueError):
-        ProblemInstance(space, np.eye(3), z_true=np.ones(3), factors=factors)
-    with pytest.raises(ValueError):
-        ProblemInstance(space, z_true=np.ones(3), factors=(np.ones((3, 2)), np.ones((3, 1))))
-
-
 @pytest.mark.parametrize(
     "kwargs, match",
     [
-        ({"operator": np.eye(2), "z_true": np.ones(3)}, "operator must be 3x3"),
-        ({"operator": np.eye(3), "z_true": np.ones(2)}, "z_true has the wrong shape"),
-        ({"operator": np.eye(3), "functional": np.ones((3, 1))}, "functional has the wrong shape"),
+        (
+            {"factors": (np.eye(2), np.eye(2)), "z_true": np.ones(3)},
+            r"factors must be two \(3, k\) matrices",
+        ),
+        (
+            {"factors": (np.ones((3, 2)), np.ones((3, 1))), "z_true": np.ones(3)},
+            r"factors must be two \(3, k\) matrices",
+        ),
+        ({"factors": (np.eye(3), np.eye(3)), "z_true": np.ones(2)}, "z_true has the wrong shape"),
     ],
-    ids=["operator", "z_true", "functional"],
+    ids=["operator", "factors", "z_true"],
 )
 def test_problem_rejects_wrong_shapes(kwargs, match):
     with pytest.raises(ValueError, match=match):
@@ -95,7 +80,8 @@ def test_factored_operator_matches_dense(metric):
     )
     space = problem.space
     R, MZ = problem.factors
-    dense = ProblemInstance(space, R @ MZ.T, z_true=problem.z_true)
+    A = R @ MZ.T
+    M = metric_of(space)
     Z = tests.columns
     frames = [
         tests,
@@ -103,14 +89,9 @@ def test_factored_operator_matches_dense(metric):
         orthonormalize(rng.standard_normal((N, 5)), space),
     ]
     for frame in frames:
-        got = riesz_representers(problem, frame)
-        assert relative_gap(got, riesz_representers(dense, frame)) <= 1e-13
-        assert relative_gap(rhs_vector(problem, frame), rhs_vector(dense, frame)) <= 1e-13
-    V = rng.standard_normal((N, 10))
-    pairs = [(V[:, k], V[:, k + 5]) for k in range(5)]
-    got = [problem.bilinear(v, z) for v, z in pairs] + [evaluate_b(problem, v) for v in V.T]
-    want = [dense.bilinear(v, z) for v, z in pairs] + [evaluate_b(dense, v) for v in V.T]
-    assert relative_gap(got, want) <= 1e-13
+        Y = frame.columns
+        assert relative_gap(riesz_representers(problem, frame), A @ Y) <= 1e-13
+        assert relative_gap(rhs_vector(problem, frame), Y.T @ A.T @ M @ problem.z_true) <= 1e-13
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -119,7 +100,10 @@ def test_dense_rebuild_reproduces_run_instance(metric):
     problem, hierarchy, tests = metric_example1(
         8, 40, 41, random_spd(rng, 40) if metric else None
     )
-    dense = ProblemInstance(problem.space, problem.operator, z_true=problem.z_true)
+    R, MZ = problem.factors
+    dense = ProblemInstance(
+        problem.space, problem.z_true, factors=(R @ MZ.T, np.eye(problem.space.dim))
+    )
     options = SolverOptions()
     (a, sol_a, dec_a), (b, sol_b, dec_b) = (
         run_instance(p, hierarchy, tests, options) for p in (problem, dense)
@@ -138,65 +122,26 @@ def test_dense_rebuild_reproduces_run_instance(metric):
     assert np.max(np.abs(dec_a.sigma - dec_b.sigma)) <= 1e-10 * dec_b.sigma[0]
 
 
-def test_run_instance_leaves_synthetic_operator_unformed():
-    rng = np.random.default_rng(8)
-    instances = [example1(1e-4, 8, 40, seed=3), metric_example1(8, 40, 3, random_spd(rng, 40))]
-    for problem, hierarchy, tests in instances:
-        run_instance(problem, hierarchy, tests, SolverOptions())
-        assert problem._operator is None  # the cache behind problem.operator
-        A = problem.operator
-        assert problem._operator is A
-
-
 def test_synthetic_rhs_identity():
+    # d_j = b(z_j) = a(z_true, z_j) = z_true^T M A z_j for a dense A in a metric
     rng = np.random.default_rng(0)
-    space = AmbientSpace(5, random_spd(rng, 5))
+    M = random_spd(rng, 5)
+    space = AmbientSpace(5, M)
     A = rng.standard_normal((5, 5))
     z = rng.standard_normal(5)
-    problem = ProblemInstance(space, A, z_true=z)
-    for _ in range(10):
-        v = rng.standard_normal(5)
-        b = evaluate_b(problem, v)
-        assert abs(b - problem.bilinear(z, v)) <= 1e-9 * max(1.0, abs(b))
-
-
-def test_evaluate_b_trivial_cases():
-    space = AmbientSpace(3)
-    z = np.array([1.0, 2.0, 2.0])
-    problem = ProblemInstance(space, np.eye(3), z_true=z)
-    assert evaluate_b(problem, np.zeros(3)) == 0.0
-    # A = I, M = I: b(z_true) = ||z_true||^2
-    assert evaluate_b(problem, z) == pytest.approx(9.0)
-
-
-def test_evaluate_b_linearity():
-    rng = np.random.default_rng(1)
-    space = AmbientSpace(4)
-    problem = ProblemInstance(space, rng.standard_normal((4, 4)), functional=rng.standard_normal(4))
-    u, v = rng.standard_normal(4), rng.standard_normal(4)
-    lhs = evaluate_b(problem, 2.0 * u + 3.0 * v)
-    rhs = 2.0 * evaluate_b(problem, u) + 3.0 * evaluate_b(problem, v)
-    assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
-
-
-@pytest.mark.parametrize("synthetic", [True, False])
-def test_rhs_vector_matches_columnwise_evaluate_b(synthetic):
-    rng = np.random.default_rng(4)
-    space = AmbientSpace(7, random_spd(rng, 7))
-    rhs = {"z_true" if synthetic else "functional": rng.standard_normal(7)}
-    problem = ProblemInstance(space, rng.standard_normal((7, 7)), **rhs)
-    tests = orthonormalize(rng.standard_normal((7, 5)), space)
+    problem = ProblemInstance(space, z, factors=(A, np.eye(5)))
+    tests = orthonormalize(rng.standard_normal((5, 4)), space)
     d = rhs_vector(problem, tests)
-    want = [evaluate_b(problem, tests.columns[:, j]) for j in range(5)]
-    assert d.shape == (5,)
-    assert np.max(np.abs(d - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    for j in range(4):
+        b = z @ M @ A @ tests.columns[:, j]
+        assert abs(d[j] - b) <= 1e-9 * max(1.0, abs(b))
 
 
 def test_riesz_identity_operator():
     rng = np.random.default_rng(2)
     space = AmbientSpace(4)
     Z = orthonormalize(rng.standard_normal((4, 3)), space)
-    problem = ProblemInstance(space, np.eye(4), functional=np.zeros(4))
+    problem = ProblemInstance(space, np.zeros(4), factors=(np.eye(4), np.eye(4)))
     family = riesz_representers(problem, Z)
     assert np.allclose(family, Z.columns)
 
@@ -204,23 +149,24 @@ def test_riesz_identity_operator():
 def test_riesz_zero_operator():
     space = AmbientSpace(3)
     Z = orthonormalize(np.eye(3)[:, :2], space)
-    problem = ProblemInstance(space, np.zeros((3, 3)), functional=np.zeros(3))
+    problem = ProblemInstance(space, np.zeros(3), factors=(np.zeros((3, 3)), np.eye(3)))
     family = riesz_representers(problem, Z)
     assert np.allclose(family, 0.0)
 
 
 def test_riesz_defining_identity_random_metric():
     rng = np.random.default_rng(3)
-    space = AmbientSpace(6, random_spd(rng, 6))
+    M = random_spd(rng, 6)
+    space = AmbientSpace(6, M)
     A = rng.standard_normal((6, 6))
     Z = orthonormalize(rng.standard_normal((6, 6)), space)
-    problem = ProblemInstance(space, A, functional=np.zeros(6))
+    problem = ProblemInstance(space, np.zeros(6), factors=(A, np.eye(6)))
     family = riesz_representers(problem, Z)
     for _ in range(20):
         v = rng.standard_normal(6)
         for j in range(6):
-            lhs = space.inner(family[:, j], v)
-            rhs = problem.bilinear(v, Z.columns[:, j])
+            lhs = family[:, j] @ M @ v  # <r_j, v> = a(v, z_j) = v^T M A z_j
+            rhs = v @ M @ A @ Z.columns[:, j]
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
@@ -305,8 +251,9 @@ def test_synth_prescribed_exact_distances():
     problem, hierarchy, tests = synth_prescribed(
         n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=31
     )
+    z, W = problem.z_true, hierarchy.basis.columns
     for k in range(n + 1):
-        _, res = project(problem.z_true, hierarchy.basis.prefix(k))
+        res = np.linalg.norm(z - W[:, :k] @ (W[:, :k].T @ z))
         assert abs(res - tau[k]) <= 1e-9
 
 
@@ -333,8 +280,8 @@ def test_synth_prescribed_with_metric():
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
     assert np.max(np.abs(s - sigma)) <= 1e-9
-    _, res = project(problem.z_true, hierarchy.basis)
-    assert abs(res - tau[-1]) <= 1e-9
+    M, z, W = metric_of(problem.space), problem.z_true, hierarchy.basis.columns
+    assert abs(metric_norm(M, z - W @ (W.T @ M @ z)) - tau[-1]) <= 1e-9
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -476,6 +423,11 @@ def test_synth_prescribed_validation():
         synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.ones((3, 3)), good_tau, good_tau, 0)
     with pytest.raises(InvalidSpectrum, match="X must be 3x3"):
         synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.eye(3)[:, :2], good_tau, good_tau, 0)
+    for bad in (np.nan, np.inf):  # X^T X - I holds a NaN, which fails any comparison
+        X = np.eye(n)
+        X[1, 2] = bad
+        with pytest.raises(InvalidSpectrum, match="X must be orthogonal"):
+            synth_prescribed(n, m, N, [1.0, 0.5, 0.1], X, good_tau, good_tau, 0)
     with pytest.raises(InvalidDistances):
         synth_prescribed(
             n, m, N, [1.0, 0.5, 0.1], np.eye(n), [0.1, 0.5, 0.3, 0.1], good_tau, 0
@@ -501,13 +453,12 @@ def test_synth_prescribed_properties(seed):
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
     assert np.max(np.abs(s - sigma)) <= 1e-9
-    _, res = project(problem.z_true, hierarchy.basis)
-    assert abs(res - tau[-1]) <= 1e-9
-    # b really is a(z_true, .) on this instance
+    z, W = problem.z_true, hierarchy.basis.columns
+    assert abs(np.linalg.norm(z - W @ (W.T @ z)) - tau[-1]) <= 1e-9
+    # b really is a(z_true, .) on this instance: d_j = a(z_true, z_j) = <r_j, z_true>
     d = rhs_vector(problem, tests)
-    for j in range(m):
-        want = problem.bilinear(problem.z_true, tests.columns[:, j])
-        assert abs(d[j] - want) <= 1e-9 * max(1.0, abs(want))
+    want = riesz_representers(problem, tests).T @ z
+    assert np.max(np.abs(d - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
 
 
 def test_example1_construction():

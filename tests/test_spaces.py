@@ -9,7 +9,6 @@ from msrom import (
     OrthonormalFrame,
     RankDeficient,
     orthonormalize,
-    project,
 )
 
 
@@ -125,7 +124,7 @@ def test_orthonormalize_identity_columns_unchanged():
 def test_orthonormalize_forced_order():
     # Gram-Schmidt on [(1,0), (1,1)] has only one possible answer
     space = AmbientSpace(2)
-    frame = orthonormalize([np.array([1.0, 0.0]), np.array([1.0, 1.0])], space)
+    frame = orthonormalize(np.array([[1.0, 1.0], [0.0, 1.0]]), space)
     assert np.allclose(frame.columns, np.eye(2), atol=1e-14)
 
 
@@ -140,7 +139,7 @@ def test_orthonormalize_rejects_dependent_input():
     space = AmbientSpace(3)
     v = np.array([1.0, 2.0, 0.0])
     with pytest.raises(RankDeficient):
-        orthonormalize([v, 2.0 * v], space)
+        orthonormalize(np.column_stack([v, 2.0 * v]), space)
 
 
 @pytest.mark.parametrize("with_metric", [False, True])
@@ -176,11 +175,11 @@ def test_orthonormalize_near_dependence(with_metric):
     space = AmbientSpace(N, random_spd(rng, N) if with_metric else None)
     a, b, e = rng.standard_normal((3, N))
     e /= np.linalg.norm(e)
-    close = [a, b, b + 1e-9 * np.linalg.norm(b) * e]
+    close = np.column_stack([a, b, b + 1e-9 * np.linalg.norm(b) * e])
     frame = orthonormalize(close, space)
     assert np.max(np.abs(frame_gram(frame) - np.eye(3))) <= 1e-12
     with pytest.raises(RankDeficient, match="input vector 2 "):
-        orthonormalize([a, b, b + 1e-12 * np.linalg.norm(b) * e], space)
+        orthonormalize(np.column_stack([a, b, b + 1e-12 * np.linalg.norm(b) * e]), space)
 
 
 def test_orthonormalize_euclidean_is_signed_householder_qr():
@@ -214,7 +213,7 @@ def test_orthonormalize_reports_first_dependent_index():
     a, b, c = rng.standard_normal((3, 5))
     for metric in (None, random_spd(rng, 5)):
         with pytest.raises(RankDeficient, match="input vector 2 "):
-            orthonormalize([a, b, a + b, c], AmbientSpace(5, metric))
+            orthonormalize(np.column_stack([a, b, a + b, c]), AmbientSpace(5, metric))
 
 
 def test_orthonormalize_rejects_more_vectors_than_dimensions():
@@ -233,57 +232,10 @@ def test_orthonormalize_preserves_span():
     rng = np.random.default_rng(2)
     space = AmbientSpace(6)
     V = rng.standard_normal((6, 3))
-    frame = orthonormalize(V, space)
+    Q = orthonormalize(V, space).columns
     # every input vector projects onto the frame with zero residual
-    for j in range(3):
-        _, res = project(V[:, j], frame)
-        assert res <= 1e-10 * np.linalg.norm(V[:, j])
-
-
-def test_project_vector_in_span():
-    rng = np.random.default_rng(3)
-    space = AmbientSpace(5)
-    frame = orthonormalize(rng.standard_normal((5, 2)), space)
-    v = frame.columns @ np.array([0.7, -1.3])
-    inside, res = project(v, frame)
-    assert np.allclose(inside, v, atol=1e-12)
-    assert res <= 1e-10
-
-
-def test_project_orthogonal_vector():
-    space = AmbientSpace(3)
-    frame = orthonormalize(np.eye(3)[:, :1], space)
-    v = np.array([0.0, 2.0, 0.0])
-    inside, res = project(v, frame)
-    assert np.allclose(inside, 0.0)
-    assert res == pytest.approx(2.0)
-
-
-def test_project_hand_computed():
-    space = AmbientSpace(2)
-    frame = OrthonormalFrame(space, np.array([[1.0], [0.0]]))
-    inside, res = project(np.array([3.0, 4.0]), frame)
-    assert np.allclose(inside, [3.0, 0.0])
-    assert res == pytest.approx(4.0)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_project_pythagoras_and_idempotence(seed):
-    rng = np.random.default_rng(seed)
-    N = int(rng.integers(2, 9))
-    k = int(rng.integers(1, N))
-    metric = random_spd(rng, N) if rng.random() < 0.5 else None
-    space = AmbientSpace(N, metric)
-    frame = orthonormalize(rng.standard_normal((N, k)), space)
-    v = rng.standard_normal(N) * float(rng.uniform(0.1, 5.0))
-    inside, res = project(v, frame)
-    lhs = space.norm(v) ** 2
-    rhs = space.norm(inside) ** 2 + res**2
-    assert abs(lhs - rhs) <= 1e-9 * max(lhs, 1e-12)
-    again, res2 = project(inside, frame)
-    assert np.max(np.abs(again - inside)) <= 1e-9 * max(1.0, np.max(np.abs(inside)))
-    assert res2 <= 1e-9 * max(1.0, space.norm(inside))
+    residuals = np.linalg.norm(V - Q @ (Q.T @ V), axis=0)
+    assert np.all(residuals <= 1e-10 * np.linalg.norm(V, axis=0))
 
 
 def test_complement_of_e1_in_r3():
@@ -360,7 +312,6 @@ E3 = AmbientSpace(3)
         (lambda: OrthonormalFrame(E3, np.ones(3)), r"columns must have shape \(3, k\)"),
         (lambda: orthonormalize(np.ones((3, 2, 2)), E3), "2-d array of columns"),
         (lambda: orthonormalize(np.ones((4, 2)), E3), "space has dim 3"),
-        (lambda: project(np.ones(4), orthonormalize(np.eye(3)[:, :1], E3)), r"shape \(3,\)"),
     ],
     ids=[
         "space-dim-zero",
@@ -369,7 +320,6 @@ E3 = AmbientSpace(3)
         "frame-one-dimensional",
         "orthonormalize-three-dimensional",
         "orthonormalize-dimension",
-        "project-shape",
     ],
 )
 def test_shape_checks(build, match):
@@ -378,6 +328,9 @@ def test_shape_checks(build, match):
 
 
 def test_orthonormalize_single_vector():
-    frame = orthonormalize(np.array([3.0, 0.0, -4.0]), E3)
+    # one vector is one column; a 1-d array is refused, not read as a column
+    frame = orthonormalize(np.array([[3.0], [0.0], [-4.0]]), E3)
     assert frame.columns.shape == (3, 1)
     assert np.allclose(frame.columns[:, 0], [0.6, 0.0, -0.8], atol=1e-15)
+    with pytest.raises(ValueError, match="2-d array of columns"):
+        orthonormalize(np.array([3.0, 0.0, -4.0]), E3)

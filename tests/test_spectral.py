@@ -319,8 +319,6 @@ def test_deltas_identity_rotation():
     G = np.diag([0.9, 0.6, 0.3])
     decomp = GramDecomposition(G=G, U=np.eye(3), X=np.eye(3), sigma=np.array([0.9, 0.6, 0.3]))
     inter = deltas(system_of(decomp, gamma=0.4), hierarchy, distances)
-    assert np.allclose(inter.eta, distances[:3])
-    assert np.allclose(inter.eta_hat, widths[:3])
     assert np.allclose(inter.delta, distances[:3] + widths[:3])
     assert inter.gamma == 0.4
 
@@ -377,7 +375,7 @@ def test_deltas_monotone_in_profiles(seed):
     distances = np.minimum(descending(rng, n + 1, 0.0, 2.0), widths)
     hierarchy = identity_hierarchy(n, widths, distances)
     base = deltas(system_of(decomp), hierarchy, distances)
-    assert np.allclose(base.delta, base.eta + base.eta_hat)
+    assert np.allclose(base.delta, np.abs(X).T @ (distances[:n] + widths[:n]))
     assert np.all(base.delta >= 0.0)
     # growing one width entry never shrinks any delta
     k = int(rng.integers(0, n + 1))
@@ -389,6 +387,6 @@ def test_deltas_monotone_in_profiles(seed):
 
 def test_bound_intermediates_validation():
     with pytest.raises(ValueError):
-        BoundIntermediates(gamma=-0.1, delta=np.ones(2), eta=np.ones(2), eta_hat=np.zeros(2))
+        BoundIntermediates(gamma=-0.1, delta=np.ones(2))
     with pytest.raises(ValueError):
-        BoundIntermediates(gamma=0.0, delta=-np.ones(2), eta=np.ones(2), eta_hat=np.zeros(2))
+        BoundIntermediates(gamma=0.0, delta=-np.ones(2))
