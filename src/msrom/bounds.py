@@ -10,6 +10,9 @@ knapsack in which coordinate j carries reward ``delta_j**2`` and cost
 With the singular values sorted in decreasing order the reward/cost ratio
 increases with j, so the greedy fill from the tail is exact; ``sup_oracle``
 cross-checks it by enumerating the vertices of the feasible polytope.
+``ms_bound`` is the one call that assembles both bounds on an instance: it
+reads the assembly and a (checked, frozen) hierarchy, and ``tau_mode``
+picks the hierarchy's profile.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SubspaceHierarchy, check_below, check_vector
-from .spectral import Assembly, BoundIntermediates
+from .problems import SubspaceHierarchy
+from .spectral import Assembly
 
 __all__ = [
     "InvalidInput",
     "TooLarge",
+    "BoundIntermediates",
     "WaterFillingSolution",
     "BoundReport",
     "babuska_bound",
@@ -41,6 +45,15 @@ class InvalidInput(ValueError):
 
 class TooLarge(ValueError):
     """Enumeration oracle refused: dimension exceeds ORACLE_MAX_DIM."""
+
+
+@dataclass(eq=False)
+class BoundIntermediates:
+    """The inputs of the fill that :func:`ms_bound` forms: the assembly's
+    complement coupling ``gamma`` and the per-direction ``delta``."""
+
+    gamma: float
+    delta: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -189,44 +202,39 @@ def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
 
 def ms_bound(
     assembly: Assembly,
-    intermediates: BoundIntermediates,
-    distances,
-    hierarchy: SubspaceHierarchy | None = None,
+    hierarchy: SubspaceHierarchy,
+    tau_mode: str = "known",
     *,
-    tau_source: str = "known",
     actual_pg_error: float | None = None,
     actual_ms_error: float | None = None,
 ) -> BoundReport:
-    """Assemble the full bound report.
+    """Both bounds of one instance, on the profile that ``tau_mode`` picks.
 
-    ``distances`` is the length-n+1 profile whose last entry is the distance
-    of the exact solution to the full trial space (or the terminal slice
-    width when ``tau_source == "practitioner"``).  A bad profile, or one
-    above the widths of ``hierarchy`` when given, raises
-    :class:`msrom.problems.InvalidDistances`.  ``babuska`` is None when the
-    assembly is ``singular``.
+    The profile is :meth:`SubspaceHierarchy.profile`: the true distances
+    ("known") or the widths ("practitioner"); its last entry is ``tau_n``.
+    ``delta_j = sum_i |x_ij| profile[i-1] + sum_i |x_ij| widths[i-1]`` over
+    the first n entries.  Raises :class:`InvalidInput` for an unknown mode or
+    a "known" hierarchy without distances, and ``ValueError`` for a
+    decomposition of another size.  ``babuska`` is None when the assembly is
+    ``singular``.
     """
-    if tau_source not in ("known", "practitioner"):
-        raise InvalidInput(
-            f"tau_source must be 'known' or 'practitioner', got {tau_source!r}"
-        )
-    n = intermediates.delta.shape[0]
-    distances = check_vector(n, distances, "distances")
-    if hierarchy is not None:
-        if hierarchy.n != n:
-            raise InvalidInput(
-                f"hierarchy has n = {hierarchy.n}, intermediates have n = {n}"
-            )
-        check_below(distances, hierarchy.widths, "distances")
-    tau_n = float(distances[-1])
-    wf = water_filling(intermediates.delta, assembly.decomp.sigma, intermediates.gamma, tau_n)
-    value = float(np.sqrt(wf.sup_value + tau_n * tau_n))
+    try:
+        profile = hierarchy.profile(tau_mode)
+    except ValueError as exc:
+        raise InvalidInput(str(exc)) from None
+    n, X = hierarchy.n, assembly.decomp.X
+    if X.shape != (n, n):
+        raise ValueError(f"decomposition size {X.shape[0]} does not match the hierarchy's n = {n}")
+    absX = np.abs(X)
+    delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
+    tau_n = float(profile[-1])
+    wf = water_filling(delta, assembly.decomp.sigma, assembly.gamma, tau_n)
     return BoundReport(
         babuska=None if assembly.singular else babuska_bound(assembly, tau_n),
-        ms_bound=value,
-        intermediates=intermediates,
+        ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),
+        intermediates=BoundIntermediates(assembly.gamma, delta),
         water_filling=wf,
         actual_pg_error=actual_pg_error,
         actual_ms_error=actual_ms_error,
-        tau_source=tau_source,
+        tau_source=tau_mode,
     )

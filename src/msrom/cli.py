@@ -32,7 +32,7 @@ from .problems import (
 )
 from .solvers import SolverOptions, error_norm, solve_ms, solve_pg
 from .spaces import OrthonormalFrame
-from .spectral import assemble, deltas
+from .spectral import assemble
 
 __all__ = [
     "ParseError",
@@ -241,16 +241,14 @@ def _random_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def _build_instance(
     cfg: ExperimentConfig, rep_seed: int
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame, float, int]:
-    """Materialize one instance; returns (problem, hierarchy, tests, tau_input, n)."""
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+    """Materialize one instance: the generator's (problem, hierarchy, tests)."""
     if cfg.mode == "example1":
-        problem, hierarchy, tests = example1(cfg.tau, cfg.n, cfg.N, rep_seed, m=cfg.m)
-        return problem, hierarchy, tests, cfg.tau, cfg.n
+        return example1(cfg.tau, cfg.n, cfg.N, rep_seed, m=cfg.m)
     if cfg.mode == "example2":
-        problem, hierarchy, tests = example2(cfg.tau, cfg.n, cfg.N, rep_seed, m=cfg.m)
-        return problem, hierarchy, tests, cfg.tau, cfg.n
+        return example2(cfg.tau, cfg.n, cfg.N, rep_seed, m=cfg.m)
     if cfg.mode == "prescribed":
-        problem, hierarchy, tests = synth_prescribed(
+        return synth_prescribed(
             cfg.n,
             cfg.m,
             cfg.N,
@@ -260,7 +258,6 @@ def _build_instance(
             cfg.widths,
             rep_seed,
         )
-        return problem, hierarchy, tests, float(cfg.distances[-1]), cfg.n
     # random-sweep: orthonormal representers, sigma_1 pinned to 1 (their
     # norm), widths equal to the true distances
     rng = np.random.default_rng(rep_seed)
@@ -272,10 +269,7 @@ def _build_instance(
     tau_prof = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
     X = _random_orthogonal(rng, n)
     child_seed = int(rng.integers(0, 2**31))
-    problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, X, tau_prof, tau_prof.copy(), child_seed
-    )
-    return problem, hierarchy, tests, float(tau_prof[-1]), n
+    return synth_prescribed(n, m, N, sigma, X, tau_prof, tau_prof.copy(), child_seed)
 
 
 def _fmt(value) -> str:
@@ -298,16 +292,13 @@ def run_instance(
     Returns ``(report, solution, decomp)``: the BoundReport, the
     MultiSliceSolution, and the Gram decomposition used for the bounds.
     """
+    try:  # before any assembly
+        hierarchy.profile(tau_mode)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from None
     trial = hierarchy.basis
-    if tau_mode == "known":
-        if hierarchy.distances is None:
-            raise ValidationError("tau_mode 'known' needs the true distance profile")
-        profile = hierarchy.distances
-    else:
-        profile = hierarchy.widths
     # one assembly and one SVD of G serve the bounds and both projectors
     assembly = assemble(problem, trial, tests)
-    inter = deltas(assembly, hierarchy, profile)
     # PG is defined where the quotient bound is: not on a singular Gram, tall or square
     actual_pg = None
     if not assembly.singular:
@@ -315,13 +306,7 @@ def run_instance(
     solution = solve_ms(assembly, hierarchy, options)
     actual_ms = error_norm(solution.point, problem)
     report = ms_bound(
-        assembly,
-        inter,
-        profile,
-        hierarchy,
-        tau_source=tau_mode,
-        actual_pg_error=actual_pg,
-        actual_ms_error=actual_ms,
+        assembly, hierarchy, tau_mode, actual_pg_error=actual_pg, actual_ms_error=actual_ms
     )
     return report, solution, assembly.decomp
 
@@ -338,30 +323,27 @@ def run_experiment(
     any_unconverged = False
     for i in range(cfg.repetitions):
         rep_seed = cfg.seed + i
-        problem, hierarchy, tests, tau_input, n = _build_instance(cfg, rep_seed)
-        m = tests.n_columns
-        N = problem.space.dim
+        problem, hierarchy, tests = _build_instance(cfg, rep_seed)
         report, solution, decomp = run_instance(
             problem, hierarchy, tests, cfg.solver, cfg.tau_mode
         )
         if not solution.converged:
             any_unconverged = True
-        profile = hierarchy.distances if cfg.tau_mode == "known" else hierarchy.widths
         wf = report.water_filling
         cells = [
             cfg.mode,
             rep_seed,
-            n,
-            m,
-            N,
-            tau_input,
+            hierarchy.n,
+            tests.n_columns,
+            problem.space.dim,
+            hierarchy.distances[-1],
             float(decomp.sigma[0]),
             float(decomp.sigma[-1]),
             float(report.intermediates.gamma),
             "inactive" if wf.ell is None else wf.ell,
             "" if wf.rho is None else wf.rho,
             wf.sup_value,
-            float(profile[-1]),
+            hierarchy.profile(cfg.tau_mode)[-1],
             "undefined" if report.babuska is None else report.babuska,
             report.ms_bound,
             "undefined" if report.actual_pg_error is None else report.actual_pg_error,

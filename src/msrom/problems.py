@@ -73,13 +73,15 @@ class ProblemInstance:
             raise ValueError("z_true has the wrong shape")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SubspaceHierarchy:
     """Nested trial spaces ``V_0 = {0} <= V_1 <= ... <= V_n``.
 
     Column ``j`` of ``basis`` extends ``V_j`` to ``V_{j+1}``.  ``widths`` are
     the slice radii ``eps_0..eps_n`` used as constraints; ``distances`` are the
-    true values ``tau_k = dist(z_true, V_k)`` when known.
+    true values ``tau_k = dist(z_true, V_k)`` when known.  Construction checks
+    the profile once (:func:`check_profile`); the record is frozen, so every
+    reader may rely on that check.
     """
 
     basis: OrthonormalFrame
@@ -87,11 +89,25 @@ class SubspaceHierarchy:
     distances: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        self.widths, self.distances = check_profile(self.n, self.widths, self.distances)
+        widths, distances = check_profile(self.n, self.widths, self.distances)
+        object.__setattr__(self, "widths", widths)
+        object.__setattr__(self, "distances", distances)
 
     @property
     def n(self) -> int:
         return self.basis.n_columns
+
+    def profile(self, tau_mode: str) -> np.ndarray:
+        """The profile the bounds read: the true distances for ``"known"``, the
+        widths for ``"practitioner"``.  Raises ``ValueError`` for another mode,
+        or for ``"known"`` when the distances are not known."""
+        if tau_mode == "practitioner":
+            return self.widths
+        if tau_mode != "known":
+            raise ValueError(f"tau_mode must be 'known' or 'practitioner', got {tau_mode!r}")
+        if self.distances is None:
+            raise ValueError("tau_mode 'known' needs the true distance profile")
+        return self.distances
 
 
 def riesz_representers(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
@@ -222,12 +238,6 @@ def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
     return v
 
 
-def check_below(values: np.ndarray, widths: np.ndarray, key: str) -> None:
-    """The prior: the widths dominate the distances ``values``, named ``key``, entrywise."""
-    if np.any(values > widths):
-        raise InvalidDistances(f"widths must dominate {key} entrywise (the prior must hold)")
-
-
 def check_profile(n: int, widths, tau=None):
     """Widths and known distances ``tau``, each valid for :func:`check_vector`, with
     ``tau`` nonincreasing and below the widths.  Returns them as float arrays."""
@@ -236,7 +246,8 @@ def check_profile(n: int, widths, tau=None):
     if t is not None:
         if np.any(np.diff(t) > 0.0):
             raise InvalidDistances("tau must be nonincreasing")
-        check_below(t, w, "tau")
+        if np.any(t > w):
+            raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
     return w, t
 
 
@@ -299,7 +310,8 @@ def synth_prescribed(
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise InvalidSpectrum(f"X must be {n}x{n}")
-    if not np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10:  # NaN fails the comparison too
+    # entries of an orthogonal X lie in [-1, 1]: NaN, inf and overflow fail before the product
+    if not ((np.abs(X) <= 1.0 + 1e-10).all() and np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10):
         raise InvalidSpectrum("X must be orthogonal")
 
     rng = np.random.default_rng(seed)

@@ -278,7 +278,7 @@ def solve_ms(
     opts = options if options is not None else SolverOptions()
     trial = hierarchy.basis
     n = trial.n_columns
-    eps = check_vector(n, hierarchy.widths)
+    eps = hierarchy.widths
     d, decomp = assembly.d, assembly.decomp
     G = decomp.G
 

@@ -1,4 +1,5 @@
-"""Gram matrix assembly, its SVD, and bound intermediates."""
+"""Gram matrix assembly and its SVD: :func:`assemble` forms one instance's
+:class:`Assembly`, which both projectors and both bounds read."""
 
 from __future__ import annotations
 
@@ -6,25 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import (
-    ProblemInstance,
-    SubspaceHierarchy,
-    check_vector,
-    rhs_vector,
-    riesz_representers,
-)
+from .problems import ProblemInstance, rhs_vector, riesz_representers
 from .spaces import OrthonormalFrame
 
 __all__ = [
     "SingularGram",
     "GramDecomposition",
     "Assembly",
-    "BoundIntermediates",
     "gram_matrix",
     "decompose",
     "gamma",
     "assemble",
-    "deltas",
 ]
 
 # A singular value at most this times the representer-family norm ||R||_2
@@ -95,26 +88,6 @@ class Assembly:
                 f"sigma_n = {self.decomp.sigma[-1]:.3e} below {SINGULAR_REL_TOL} * "
                 f"||R||_2 = {SINGULAR_REL_TOL * self.norm:.3e}"
             )
-
-
-@dataclass(eq=False)
-class BoundIntermediates:
-    """Per-direction quantities feeding the slice-projector error bound.
-
-    ``delta_j`` aggregates the distances and the slice widths (see
-    :func:`deltas`), and ``gamma`` is the complement coupling norm computed by
-    :func:`gamma`.
-    """
-
-    gamma: float
-    delta: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
-        self.delta = np.asarray(self.delta, dtype=float)
-        if np.any(self.delta < 0.0):
-            raise ValueError("delta must be nonnegative")
 
 
 def _representers(riesz) -> np.ndarray:
@@ -200,19 +173,3 @@ def assemble(
     gam, norm = gamma(R, trial, decomp.G)
     return Assembly(R, d, decomp, gam, norm)
 
-
-def deltas(assembly: Assembly, hierarchy: SubspaceHierarchy, distances) -> BoundIntermediates:
-    """Aggregate distances and widths through |X| into the bound coefficients.
-
-    ``delta_j = sum_i |x_ij| distances[i-1] + sum_i |x_ij| widths[i-1]``, the
-    widths being the hierarchy's; only the first n entries of each
-    length-(n+1) vector enter.  The assembly's ``gamma`` is carried alongside.
-    """
-    n = hierarchy.n
-    distances = check_vector(n, distances, "distances")
-    X = assembly.decomp.X
-    if X.shape != (n, n):
-        raise ValueError("decomposition size does not match the hierarchy")
-    absX = np.abs(X)
-    delta = absX.T @ distances[:n] + absX.T @ hierarchy.widths[:n]
-    return BoundIntermediates(assembly.gamma, delta)

@@ -16,9 +16,11 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from msrom import (
+    AmbientSpace,
     Assembly,
     OrthonormalFrame,
     RankDeficient,
+    SubspaceHierarchy,
     gamma,
     gram_matrix,
     rhs_vector,
@@ -151,6 +153,13 @@ def system_of(decomp, gamma=0.0):
     return Assembly(R=np.eye(m), d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
 
 
+def identity_hierarchy(widths, distances=None):
+    """A hierarchy on the first n coordinate directions of R^(n+1), n + 1 = len(widths)."""
+    n = len(widths) - 1
+    basis = OrthonormalFrame(AmbientSpace(n + 1), np.eye(n + 1)[:, :n])
+    return SubspaceHierarchy(basis, widths=widths, distances=distances)
+
+
 def bad_profiles(good, key="widths"):
     """``(profile, message)`` for the four ways to spoil the valid profile
     ``good``: a NaN, a negative entry, a wrong length and a finite entry above
@@ -173,12 +182,13 @@ def assemble(problem, hierarchy, tests):
     return gram_matrix(riesz, hierarchy.basis), rhs_vector(problem, tests)
 
 
-def bound_step_ratios(problem, hierarchy, decomp, intermediates, coeffs, slack=1e-9):
+def bound_step_ratios(problem, hierarchy, decomp, report, coeffs, slack=1e-9):
     """Check the two steps of the slice-constrained bound on one row.
 
     With ``c = W^T M z_true`` the truth's trial coefficients, ``e = coeffs -
     c`` the error of the solve's coefficients and ``beta = X^T e`` for the
-    row's right singular vectors X:
+    row's right singular vectors X, and delta and gamma read from the
+    "known" bound ``report``:
 
     - both ``coeffs`` and c lie in their slices (widths and distances), so
       ``|e_i| <= eps_i + tau_i`` and ``|beta_j| <= delta_j``;
@@ -192,10 +202,10 @@ def bound_step_ratios(problem, hierarchy, decomp, intermediates, coeffs, slack=1
     """
     c = hierarchy.basis.columns.T @ problem.space.apply_metric(problem.z_true)
     beta = decomp.X.T @ (coeffs - c)
-    delta = intermediates.delta
+    delta, gam = report.intermediates.delta, report.intermediates.gamma
     assert np.all(np.abs(beta) <= delta + slack), (beta, delta)
     spent = float(np.sum((decomp.sigma * beta) ** 2))
-    budget = 4.0 * (intermediates.gamma * hierarchy.distances[-1]) ** 2
+    budget = 4.0 * (gam * hierarchy.distances[-1]) ** 2
     assert spent <= budget + slack, (spent, budget)
     ratio = np.divide(np.abs(beta), delta, out=np.zeros_like(delta), where=delta > 0.0)
     return float(np.max(ratio, initial=0.0)), spent / budget if budget > 0.0 else 0.0

@@ -25,11 +25,11 @@ from msrom import (
     SubspaceHierarchy,
     assemble,
     babuska_bound,
-    deltas,
     error_norm,
     example1,
     example2,
     main,
+    ms_bound,
     parse_config,
     run_experiment,
     run_instance,
@@ -105,9 +105,7 @@ def test_criterion_3_worst_case_bound_validity_sweep():
         assert solution.converged
         assert report.actual_ms_error <= report.ms_bound + 1e-9
         margin = min(margin, report.ms_bound - report.actual_ms_error)
-        ratios = bound_step_ratios(
-            problem, hierarchy, decomp, report.intermediates, solution.coeffs
-        )
+        ratios = bound_step_ratios(problem, hierarchy, decomp, report, solution.coeffs)
         steps = tuple(map(max, steps, ratios))
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
@@ -154,9 +152,7 @@ def test_criterion_4_quotient_bound_validity_below_a_unit_sigma_1():
         assert report.actual_pg_error <= report.babuska, seed
         assert report.actual_ms_error <= report.ms_bound + 1e-12, seed
         margin = min(margin, report.babuska - report.actual_pg_error)
-        ratios = bound_step_ratios(
-            problem, hierarchy, decomp, report.intermediates, solution.coeffs
-        )
+        ratios = bound_step_ratios(problem, hierarchy, decomp, report, solution.coeffs)
         steps = tuple(map(max, steps, ratios))
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
@@ -259,8 +255,8 @@ def test_criterion_7_structural_property_suite():
         solution = solve_ms(assembly, hierarchy, options)
         tau_n = float(hierarchy.distances[-1])
         assert solution.cost <= gam * gam * tau_n * tau_n + 1e-9
-        inter = deltas(assembly, hierarchy, hierarchy.distances)
-        ratios = bound_step_ratios(problem, hierarchy, decomp, inter, solution.coeffs)
+        report = ms_bound(assembly, hierarchy)
+        ratios = bound_step_ratios(problem, hierarchy, decomp, report, solution.coeffs)
         steps = tuple(map(max, steps, ratios))
 
         projected = trial.columns @ c_star

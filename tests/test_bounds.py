@@ -6,11 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import bad_profiles, descending, random_orthogonal, system_of
+from helpers import descending, identity_hierarchy, random_orthogonal, system_of
 from msrom import (
-    BoundIntermediates,
     GramDecomposition,
-    InvalidDistances,
     InvalidInput,
     SingularGram,
     TooLarge,
@@ -278,12 +276,6 @@ def test_water_filling_budget_at_cost_total(seed, n):
 # -------------------------------------------------------------------- ms_bound
 
 
-def intermediates_for(decomp, widths, distances, gam):
-    absX = np.abs(decomp.X)
-    n = decomp.X.shape[0]
-    return BoundIntermediates(gamma=gam, delta=absX.T @ distances[:n] + absX.T @ widths[:n])
-
-
 def test_ms_bound_squares_to_sup_plus_tau():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -293,9 +285,10 @@ def test_ms_bound_squares_to_sup_plus_tau():
         decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
         widths = descending(rng, n + 1, 0.0, 1.5)
         distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
-        inter = intermediates_for(decomp, widths, distances, float(rng.uniform(0.0, 1.0)))
+        gam = float(rng.uniform(0.0, 1.0))
         # sigma_1 <= 1, so 1 is a representer-family norm these spectra admit
-        report = ms_bound(system_of(decomp), inter, distances)
+        report = ms_bound(system_of(decomp, gam), identity_hierarchy(widths, distances))
+        assert report.intermediates.gamma == gam
         tau_n = distances[-1]
         lhs = report.ms_bound**2
         rhs = report.water_filling.sup_value + tau_n**2
@@ -307,64 +300,63 @@ def test_ms_bound_squares_to_sup_plus_tau():
 
 
 def test_ms_bound_zero_case():
-    decomp = diag_decomp(np.array([0.5, 0.2]))
     zeros = np.zeros(3)
-    inter = intermediates_for(decomp, zeros, zeros, 0.0)
-    system = system_of(decomp)
-    report = ms_bound(system, inter, zeros)
+    report = ms_bound(diag_system(np.array([0.5, 0.2])), identity_hierarchy(zeros, zeros))
     assert report.ms_bound == 0.0
 
 
 def test_ms_bound_validation():
-    decomp = diag_decomp(np.array([1.0, 0.5]))
+    system = diag_system(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
-    inter = intermediates_for(decomp, widths, widths, 0.3)
-    system = system_of(decomp)
-    with pytest.raises(InvalidInput):
-        ms_bound(system, inter, widths, tau_source="guessed")
-    for distances, message in bad_profiles(widths, "distances"):
-        with pytest.raises(InvalidDistances, match=message):
-            ms_bound(system, inter, distances)
+    with pytest.raises(InvalidInput, match="'guessed'"):
+        ms_bound(system, identity_hierarchy(widths, widths), "guessed")
+    # "known" needs the true distances, which this hierarchy does not know
+    with pytest.raises(InvalidInput, match="true distance profile"):
+        ms_bound(system, identity_hierarchy(widths))
 
 
 def test_ms_bound_hierarchy_consistency():
-    from msrom import AmbientSpace, OrthonormalFrame, SubspaceHierarchy
-
-    decomp = diag_decomp(np.array([1.0, 0.5]))
+    system = diag_system(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
-    inter = intermediates_for(decomp, widths, widths, 0.3)
-    system = system_of(decomp)
-    space = AmbientSpace(3)
-    basis = OrthonormalFrame(space, np.eye(3)[:, :2])
-    hierarchy = SubspaceHierarchy(basis, widths=widths)
-    report = ms_bound(system, inter, widths, hierarchy)
-    assert report.ms_bound > 0.0
-    for distances, message in bad_profiles(widths, "distances"):
-        with pytest.raises(InvalidDistances, match=message):
-            ms_bound(system, inter, distances, hierarchy)
-    with pytest.raises(InvalidDistances, match=r"^widths must dominate distances entrywise"):
-        ms_bound(system, inter, widths * 2.0, hierarchy)  # profile above widths
-    small = SubspaceHierarchy(OrthonormalFrame(space, np.eye(3)[:, :1]), widths=np.array([1.0, 0.5]))
-    with pytest.raises(InvalidInput):
-        ms_bound(system, inter, widths, small)
+    assert ms_bound(system, identity_hierarchy(widths), "practitioner").ms_bound > 0.0
+    with pytest.raises(ValueError, match="decomposition size 2"):
+        ms_bound(system, identity_hierarchy(np.array([1.0, 0.5])), "practitioner")
 
 
 def test_ms_bound_practitioner_label():
-    decomp = diag_decomp(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
-    inter = intermediates_for(decomp, widths, widths, 0.3)
-    system = system_of(decomp)
-    report = ms_bound(system, inter, widths, tau_source="practitioner")
+    report = ms_bound(diag_system(np.array([1.0, 0.5])), identity_hierarchy(widths), "practitioner")
     assert report.tau_source == "practitioner"
 
 
+def test_ms_bound_practitioner_reads_the_widths_as_distances():
+    # "practitioner" feeds the widths where "known" feeds the distances
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        n = int(rng.integers(1, 7))
+        sigma = descending(rng, n, 0.0, 1.0)
+        X = random_orthogonal(rng, n)
+        system = system_of(GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma), 0.7)
+        widths = descending(rng, n + 1, 0.0, 1.5)
+        distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
+        practitioner = ms_bound(system, identity_hierarchy(widths, distances), "practitioner")
+        # the widths array itself: |X|^T v of a contiguous copy of this reversed
+        # view can differ in the last bit
+        known = ms_bound(system, identity_hierarchy(widths, widths))
+        assert (practitioner.tau_source, known.tau_source) == ("practitioner", "known")
+        assert practitioner.ms_bound == known.ms_bound
+        assert practitioner.babuska == known.babuska
+        assert practitioner.water_filling == known.water_filling
+        assert np.array_equal(practitioner.intermediates.delta, known.intermediates.delta)
+
+
 def test_ms_bound_carries_actual_errors():
-    decomp = diag_decomp(np.array([1.0, 0.5]))
-    widths = np.array([1.0, 0.5, 0.2])
-    inter = intermediates_for(decomp, widths, widths, 0.3)
-    system = system_of(decomp)
     report = ms_bound(
-        system, inter, widths, actual_pg_error=0.1, actual_ms_error=0.05
+        diag_system(np.array([1.0, 0.5])),
+        identity_hierarchy(np.array([1.0, 0.5, 0.2])),
+        "practitioner",
+        actual_pg_error=0.1,
+        actual_ms_error=0.05,
     )
     assert report.actual_pg_error == 0.1
     assert report.actual_ms_error == 0.05
@@ -374,9 +366,6 @@ def test_decomposed_identity_round_trip():
     # the assembled report is consistent when fed a real decomposition
     rng = np.random.default_rng(3)
     G = rng.standard_normal((5, 3))
-    decomp = decompose(G)
     widths = descending(rng, 4, 0.1, 1.0)
-    inter = intermediates_for(decomp, widths, widths, 0.5)
-    system = system_of(decomp)
-    report = ms_bound(system, inter, widths, tau_source="practitioner")
+    report = ms_bound(system_of(decompose(G), 0.5), identity_hierarchy(widths), "practitioner")
     assert report.ms_bound >= widths[-1]

@@ -337,8 +337,8 @@ def test_parse_config_fuzz(doc):
     assert isinstance(cfg, ExperimentConfig)
     sizes = [cfg.n_max if cfg.mode == "random-sweep" else cfg.n, cfg.N]
     if all(size is None or size <= 40 for size in sizes):
-        problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
-        assert hierarchy.n == n and tests.n_columns >= n
+        problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
+        assert tests.n_columns >= hierarchy.n
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -346,10 +346,10 @@ def test_checked_in_configs_validate_and_build(path, capsys):
     assert main(["validate", str(path)]) == 0
     assert capsys.readouterr().out.strip() == "ok"
     cfg = parse_config(path.read_text())
-    problem, hierarchy, tests, _, n = _build_instance(cfg, cfg.seed)
-    assert hierarchy.n == n and tests.n_columns >= n
+    problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
+    assert tests.n_columns >= hierarchy.n
     if cfg.n is not None:
-        assert (n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
+        assert (hierarchy.n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
 
 
 # ---------------------------------------------------------------- experiments
@@ -415,7 +415,7 @@ def test_run_random_sweep_bound_holds(tmp_path):
 def test_bound_holds_with_many_more_tests_than_trial_directions(doc):
     cfg = parse_config(json.dumps(doc))
     for seed in range(100):
-        problem, hierarchy, tests, _, _ = _build_instance(cfg, seed)
+        problem, hierarchy, tests = _build_instance(cfg, seed)
         report, solution, _ = run_instance(problem, hierarchy, tests, cfg.solver)
         tau_n = float(hierarchy.distances[-1])
         assert solution.converged, seed
@@ -589,7 +589,7 @@ def test_main_quotient_bound_holds_with_sigma_1_below_one(tmp_path, doc):
 
 def test_run_instance_known_tau_needs_distances():
     cfg = parse_config(example1_doc())
-    problem, known, tests, _, _ = _build_instance(cfg, cfg.seed)
+    problem, known, tests = _build_instance(cfg, cfg.seed)
     hierarchy = SubspaceHierarchy(known.basis, widths=known.widths)
     with pytest.raises(ValidationError, match="true distance profile"):
         run_instance(problem, hierarchy, tests, cfg.solver)

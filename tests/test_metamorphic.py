@@ -159,7 +159,7 @@ def metric_instances(seeds, n=40, N=200):
 def config_instances(doc, seeds):
     cfg = parse_config(json.dumps(doc))
     for seed in seeds:
-        yield _build_instance(cfg, seed)[:3]
+        yield _build_instance(cfg, seed)
 
 
 SIGN_FLIP_CORPUS = {

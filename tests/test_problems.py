@@ -423,7 +423,7 @@ def test_synth_prescribed_validation():
         synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.ones((3, 3)), good_tau, good_tau, 0)
     with pytest.raises(InvalidSpectrum, match="X must be 3x3"):
         synth_prescribed(n, m, N, [1.0, 0.5, 0.1], np.eye(3)[:, :2], good_tau, good_tau, 0)
-    for bad in (np.nan, np.inf):  # X^T X - I holds a NaN, which fails any comparison
+    for bad in (np.nan, np.inf, 1e200):  # refused before X^T X, which would warn
         X = np.eye(n)
         X[1, 2] = bad
         with pytest.raises(InvalidSpectrum, match="X must be orthogonal"):

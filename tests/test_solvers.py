@@ -245,7 +245,7 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
         "tau": [0.5, 0.3, 0.2, 0.1],
         "widths": [0.6, 0.4, 0.25, 0.1],
     }
-    problem, hierarchy, tests = _build_instance(parse_config(json.dumps(config)), seed)[:3]
+    problem, hierarchy, tests = _build_instance(parse_config(json.dumps(config)), seed)
     report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
     assembly = assemble(problem, hierarchy.basis, tests)
     assert assembly.singular and report.babuska is None
@@ -432,14 +432,14 @@ def test_solve_ms_singular_gram_with_biting_widths():
             assert solution.cost <= ref_cost + max(1e-9, 1e-7 * ref_cost), seed
 
 
-def test_solve_ms_rejects_bad_widths():
+def test_hierarchy_is_frozen_so_solve_ms_reads_checked_widths():
+    # solve_ms reads hierarchy.widths unchecked: construction checked them,
+    # and no assignment can replace them afterwards
     rng = np.random.default_rng(17)
-    problem, hierarchy, tests = square_instance(rng)
-    assembly = assemble(problem, hierarchy.basis, tests)
-    for widths, message in bad_profiles(hierarchy.widths):
-        hierarchy.widths = widths  # bypasses construction-time validation
-        with pytest.raises(InvalidDistances, match=message):
-            solve_ms(assembly, hierarchy)
+    _, hierarchy, _ = square_instance(rng)
+    for widths, _ in bad_profiles(hierarchy.widths):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            hierarchy.widths = widths
 
 
 def threaded_instance(kind):
@@ -587,7 +587,8 @@ def test_fallback_stress_corpus(monkeypatch):
     rng = np.random.default_rng(43)
     fallback_runs = 0
     for seed in FALLBACK_SWEEP_SEEDS:
-        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        problem, hierarchy, tests = _build_instance(cfg, seed)
+        n = hierarchy.n
         calls = counting_projection(monkeypatch)
         report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         monkeypatch.undo()
@@ -654,7 +655,7 @@ def test_scaling_truth_and_widths_scales_solution_and_bounds(scale):
     # "limit" scales the largest finite width or distance to the largest one
     # that check_profile accepts
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
-    cases = [_build_instance(cfg, seed)[:3] for seed in FALLBACK_SWEEP_SEEDS]
+    cases = [_build_instance(cfg, seed) for seed in FALLBACK_SWEEP_SEEDS]
     cases.append(example1(1e-4, 10, 40, 17))
     for problem, hierarchy, tests in cases:
         s = scale
@@ -774,7 +775,8 @@ def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):
 
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     for seed in (2, 3, 44):
-        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        problem, hierarchy, tests = _build_instance(cfg, seed)
+        n = hierarchy.n
         assembly = assemble(problem, hierarchy.basis, tests)
         full = solve_ms(assembly, hierarchy)
         monkeypatch.setattr(solvers_module, "STALL_REL_TOL", 1.0)
@@ -790,7 +792,8 @@ def test_solve_ms_points_lie_within_the_widths():
     # outside them by the KKT slack
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     for seed in range(3000):
-        problem, hierarchy, tests, _, n = _build_instance(cfg, seed)
+        problem, hierarchy, tests = _build_instance(cfg, seed)
+        n = hierarchy.n
         _, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         assert np.all(tail_norms(solution.coeffs) <= hierarchy.widths[:n] * (1.0 + 1e-14)), seed
 

@@ -9,6 +9,7 @@ from helpers import (
     decompose_loop,
     descending,
     gamma_of,
+    identity_hierarchy,
     metric_example1,
     random_orthogonal,
     random_spd,
@@ -18,15 +19,13 @@ from helpers import (
 from msrom import (
     AmbientSpace,
     Assembly,
-    BoundIntermediates,
     GramDecomposition,
     InvalidDistances,
     OrthonormalFrame,
-    SubspaceHierarchy,
     decompose,
-    deltas,
     flat_orthogonal,
     gram_matrix,
+    ms_bound,
     orthonormalize,
     riesz_representers,
     synth_prescribed,
@@ -39,12 +38,6 @@ def reconstruction_error(decomp):
     Lam[:n, :n] = np.diag(decomp.sigma)
     scale = max(np.max(np.abs(decomp.G)), 1e-30)
     return np.max(np.abs(decomp.G - decomp.U @ Lam @ decomp.X.T)) / scale
-
-
-def identity_hierarchy(n, widths, distances=None):
-    space = AmbientSpace(n + 1)
-    basis = OrthonormalFrame(space, np.eye(n + 1)[:, :n])
-    return SubspaceHierarchy(basis, widths=np.asarray(widths, dtype=float), distances=distances)
 
 
 def test_gram_matrix_self():
@@ -312,13 +305,16 @@ def test_gamma_matches_sampled_supremum_on_plane_complement():
     assert vals.max() >= g - 1e-6
 
 
+# delta_j = sum_i |x_ij| (profile + widths)[i-1], read off ms_bound's report
+
+
 def test_deltas_identity_rotation():
     widths = np.array([0.9, 0.5, 0.3, 0.2])
     distances = np.array([0.8, 0.4, 0.2, 0.1])
-    hierarchy = identity_hierarchy(3, widths, distances)
+    hierarchy = identity_hierarchy(widths, distances)
     G = np.diag([0.9, 0.6, 0.3])
     decomp = GramDecomposition(G=G, U=np.eye(3), X=np.eye(3), sigma=np.array([0.9, 0.6, 0.3]))
-    inter = deltas(system_of(decomp, gamma=0.4), hierarchy, distances)
+    inter = ms_bound(system_of(decomp, gamma=0.4), hierarchy).intermediates
     assert np.allclose(inter.delta, distances[:3] + widths[:3])
     assert inter.gamma == 0.4
 
@@ -332,33 +328,33 @@ def test_deltas_flat_rotation_collapses_profile():
     X = flat_orthogonal(n)
     sigma = np.linspace(1.0, 0.1, n)
     decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
-    hierarchy = identity_hierarchy(n, profile, profile.copy())
-    inter = deltas(system_of(decomp), hierarchy, profile)
+    hierarchy = identity_hierarchy(profile, profile.copy())
+    inter = ms_bound(system_of(decomp), hierarchy).intermediates
     assert np.allclose(inter.delta, 2.0 * n**-0.5, atol=1e-12)
 
 
 def test_deltas_all_zero_profile():
     n = 3
     zeros = np.zeros(n + 1)
-    hierarchy = identity_hierarchy(n, zeros, zeros.copy())
+    hierarchy = identity_hierarchy(zeros, zeros.copy())
     decomp = decompose(np.eye(n))
-    inter = deltas(system_of(decomp), hierarchy, zeros)
-    assert np.allclose(inter.delta, 0.0)
+    assert np.allclose(ms_bound(system_of(decomp), hierarchy).intermediates.delta, 0.0)
 
 
 def test_deltas_length_checks():
-    hierarchy = identity_hierarchy(3, np.array([1.0, 0.5, 0.3, 0.2]))
-    decomp = decompose(np.eye(3))
-    for distances, message in bad_profiles(hierarchy.widths, "distances"):
+    # a bad distance profile never reaches the bound: the hierarchy refuses it
+    widths = np.array([1.0, 0.5, 0.3, 0.2])
+    for distances, message in bad_profiles(widths, "tau"):
         with pytest.raises(InvalidDistances, match=message):
-            deltas(system_of(decomp), hierarchy, distances)
-    with pytest.raises(ValueError, match="decomposition size"):
-        deltas(system_of(decompose(np.eye(4))), hierarchy, np.array([1.0, 0.5, 0.3, 0.2]))
+            identity_hierarchy(widths, distances)
+    hierarchy = identity_hierarchy(widths, widths.copy())
+    with pytest.raises(ValueError, match="decomposition size 4"):
+        ms_bound(system_of(decompose(np.eye(4))), hierarchy)
 
 
 def test_deltas_requires_gamma():
     # a silent gamma = 0 would drop the complement term from the bound: the
-    # assembly that deltas reads it from has no default for it
+    # assembly that ms_bound reads it from has no default for it
     with pytest.raises(TypeError):
         Assembly(R=np.eye(3), d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
 
@@ -373,20 +369,13 @@ def test_deltas_monotone_in_profiles(seed):
     decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
     widths = descending(rng, n + 1, 0.0, 2.0)
     distances = np.minimum(descending(rng, n + 1, 0.0, 2.0), widths)
-    hierarchy = identity_hierarchy(n, widths, distances)
-    base = deltas(system_of(decomp), hierarchy, distances)
+    hierarchy = identity_hierarchy(widths, distances)
+    base = ms_bound(system_of(decomp), hierarchy).intermediates
     assert np.allclose(base.delta, np.abs(X).T @ (distances[:n] + widths[:n]))
     assert np.all(base.delta >= 0.0)
     # growing one width entry never shrinks any delta
     k = int(rng.integers(0, n + 1))
     wider = widths.copy()
     wider[: k + 1] += 0.5  # keep the profile nonincreasing
-    grown = deltas(system_of(decomp), identity_hierarchy(n, wider, distances), distances)
+    grown = ms_bound(system_of(decomp), identity_hierarchy(wider, distances)).intermediates
     assert np.all(grown.delta >= base.delta - 1e-12)
-
-
-def test_bound_intermediates_validation():
-    with pytest.raises(ValueError):
-        BoundIntermediates(gamma=-0.1, delta=np.ones(2))
-    with pytest.raises(ValueError):
-        BoundIntermediates(gamma=0.0, delta=-np.ones(2))

@@ -2,7 +2,7 @@
 
 The oracle reads only the generator's inputs and the instance's public
 arrays, so agreement checks the whole pipeline (assembly, SVD, gamma,
-deltas, the fill, the classical solve) end to end.  Where singular values
+delta, the fill, the classical solve) end to end.  Where singular values
 repeat, ``ell`` and ``rho`` are not unique (README, CSV schema) and are left
 unasserted; ``sup_value`` and ``ms_bound`` are asserted on every row.
 """
@@ -50,7 +50,6 @@ def generator_inputs(cfg, seed):
 def library_row(problem, hierarchy, tests, tau_mode="known"):
     report, _, decomp = run_instance(problem, hierarchy, tests, SolverOptions(), tau_mode)
     wf = report.water_filling
-    profile = hierarchy.distances if tau_mode == "known" else hierarchy.widths
     return {
         "sigma_1": float(decomp.sigma[0]),
         "sigma_n": float(decomp.sigma[-1]),
@@ -58,7 +57,7 @@ def library_row(problem, hierarchy, tests, tau_mode="known"):
         "ell": wf.ell,
         "rho": wf.rho,
         "sup_value": wf.sup_value,
-        "tau_n": float(profile[-1]),
+        "tau_n": float(hierarchy.profile(tau_mode)[-1]),
         "ms_bound": report.ms_bound,
         "babuska_bound": report.babuska,
         "actual_pg_error": report.actual_pg_error,
@@ -85,7 +84,7 @@ def assert_matches_oracle(instance, sigma, X, tau, widths, metric=None, tau_mode
 def check_config(doc, seeds):
     cfg = parse_config(json.dumps(doc))
     for seed in seeds:
-        problem, hierarchy, tests, _, _ = _build_instance(cfg, seed)
+        problem, hierarchy, tests = _build_instance(cfg, seed)
         sigma, X, tau, widths = generator_inputs(cfg, seed)
         assert_matches_oracle(
             (problem, hierarchy, tests), sigma, X, tau, widths, tau_mode=cfg.tau_mode
