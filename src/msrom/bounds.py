@@ -11,8 +11,8 @@ With the singular values sorted in decreasing order the reward/cost ratio
 increases with j, so the greedy fill from the tail is exact; ``sup_oracle``
 cross-checks it by enumerating the vertices of the feasible polytope.
 ``ms_bound`` is the one call that assembles both bounds on an instance: it
-reads the assembly and a (checked, frozen) hierarchy, and ``tau_mode``
-picks the hierarchy's profile.
+reads the assembly, and ``tau_mode`` picks the profile of its (checked,
+frozen) hierarchy.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import SubspaceHierarchy
 from .spectral import Assembly
 
 __all__ = [
@@ -133,14 +132,19 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     total cost never reaches the budget, the constraint is inactive and
     every coordinate saturates.  A zero budget met by a positive total cost
     is the degenerate active case: only the cost-free tail saturates
-    (``ell = n``, ``rho = 0``).
+    (``ell = n``, ``rho = 0``).  An infinite ``delta_j`` costs nothing where
+    ``sigma_j = 0`` (the value is then infinite) and never saturates
+    elsewhere: filled partially, it takes what the budget leaves at the
+    price ``sigma_j**2`` per unit of ``beta_j**2`` and reports ``rho = 0``.
     """
     delta, sigma = _check_fill_inputs(delta, sigma, gamma, tau_n)
     n = delta.shape[0]
     if n == 0:
         return WaterFillingSolution(ell=None, rho=None, sup_value=0.0)
     budget = 4.0 * gamma * gamma * tau_n * tau_n
-    cost = sigma * sigma * delta * delta
+    # a coordinate with sigma_j = 0 costs nothing, also when delta_j is infinite
+    paid = np.where(sigma > 0.0, delta, 0.0)
+    cost = sigma * sigma * paid * paid
     # suffix[l] = sum of cost[l:], with suffix[n] = 0; suffix[0] is the total
     suffix = np.zeros(n + 1)
     suffix[:n] = np.cumsum(cost[::-1])[::-1]
@@ -159,8 +163,11 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     ell = int(np.flatnonzero(suffix[:n] >= budget)[-1])
     cost_ell = float(cost[ell])
     tail = float(np.sum(delta[ell + 1 :] ** 2))
-    rho = (budget - float(suffix[ell + 1])) / cost_ell
-    rho = min(max(rho, 0.0), 1.0)
+    room = budget - float(suffix[ell + 1])
+    if cost_ell == np.inf:  # an infinite delta_ell: what is left buys beta_ell^2 at sigma_ell^2
+        sup = tail + room / float(sigma[ell]) ** 2
+        return WaterFillingSolution(ell=ell + 1, rho=0.0, sup_value=sup)
+    rho = min(max(room / cost_ell, 0.0), 1.0)
     sup = tail + rho * float(delta[ell]) ** 2
     return WaterFillingSolution(ell=ell + 1, rho=float(rho), sup_value=float(sup))
 
@@ -200,33 +207,34 @@ def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
     return best
 
 
-def ms_bound(
-    assembly: Assembly,
-    hierarchy: SubspaceHierarchy,
-    tau_mode: str = "known",
-    *,
-    actual_pg_error: float | None = None,
-    actual_ms_error: float | None = None,
-) -> BoundReport:
+def _abs_sum(absX, v) -> np.ndarray:
+    """``|X|^T v``, where an exactly zero ``|x_ij|`` times an infinite ``v_i`` counts as 0."""
+    infinite = np.isinf(v)
+    if not infinite.any():
+        return absX.T @ v
+    out = absX.T @ np.where(infinite, 0.0, v)
+    out[(absX[infinite] > 0.0).any(axis=0)] = np.inf
+    return out
+
+
+def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     """Both bounds of one instance, on the profile that ``tau_mode`` picks.
 
-    The profile is :meth:`SubspaceHierarchy.profile`: the true distances
-    ("known") or the widths ("practitioner"); its last entry is ``tau_n``.
-    ``delta_j = sum_i |x_ij| profile[i-1] + sum_i |x_ij| widths[i-1]`` over
-    the first n entries.  Raises :class:`InvalidInput` for an unknown mode or
-    a "known" hierarchy without distances, and ``ValueError`` for a
-    decomposition of another size.  ``babuska`` is None when the assembly is
-    ``singular``.
+    The profile is ``assembly.hierarchy.profile(tau_mode)``: the true
+    distances ("known") or the widths ("practitioner"); its last entry is
+    ``tau_n``.  ``delta_j = sum_i |x_ij| profile[i-1] + sum_i |x_ij|
+    widths[i-1]`` over the first n entries.  Raises :class:`InvalidInput`
+    for an unknown mode or a "known" hierarchy without distances.
+    ``babuska`` is None when the assembly is ``singular``; the report's
+    actual errors are left for the caller to fill.
     """
+    hierarchy = assembly.hierarchy
     try:
         profile = hierarchy.profile(tau_mode)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
-    n, X = hierarchy.n, assembly.decomp.X
-    if X.shape != (n, n):
-        raise ValueError(f"decomposition size {X.shape[0]} does not match the hierarchy's n = {n}")
-    absX = np.abs(X)
-    delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
+    n, absX = hierarchy.n, np.abs(assembly.decomp.X)
+    delta = _abs_sum(absX, profile[:n]) + _abs_sum(absX, hierarchy.widths[:n])
     tau_n = float(profile[-1])
     wf = water_filling(delta, assembly.decomp.sigma, assembly.gamma, tau_n)
     return BoundReport(
@@ -234,7 +242,5 @@ def ms_bound(
         ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),
         intermediates=BoundIntermediates(assembly.gamma, delta),
         water_filling=wf,
-        actual_pg_error=actual_pg_error,
-        actual_ms_error=actual_ms_error,
         tau_source=tau_mode,
     )

@@ -296,18 +296,15 @@ def run_instance(
         hierarchy.profile(tau_mode)
     except ValueError as exc:
         raise ValidationError(str(exc)) from None
-    trial = hierarchy.basis
     # one assembly and one SVD of G serve the bounds and both projectors
-    assembly = assemble(problem, trial, tests)
+    assembly = assemble(problem, hierarchy, tests)
     # PG is defined where the quotient bound is: not on a singular Gram, tall or square
     actual_pg = None
     if not assembly.singular:
-        actual_pg = error_norm(solve_pg(assembly, trial)[0], problem)
-    solution = solve_ms(assembly, hierarchy, options)
-    actual_ms = error_norm(solution.point, problem)
-    report = ms_bound(
-        assembly, hierarchy, tau_mode, actual_pg_error=actual_pg, actual_ms_error=actual_ms
-    )
+        actual_pg = error_norm(solve_pg(assembly)[0], problem)
+    solution = solve_ms(assembly, options)
+    report = ms_bound(assembly, tau_mode)
+    report.actual_pg_error, report.actual_ms_error = actual_pg, error_norm(solution.point, problem)
     return report, solution, assembly.decomp
 
 

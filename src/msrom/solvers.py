@@ -1,9 +1,9 @@
 """Projectors onto the trial space: classical and slice-constrained.
 
-Both read one assembly per instance: the load vector ``d`` and the SVD of
-the test/trial Gram matrix ``G``.  ``solve_pg`` returns the least-squares
-solution of ``G c = d``.  ``solve_ms`` minimizes the same residual subject to
-the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
+Both read one assembly per instance: the load vector ``d``, the SVD of the
+test/trial Gram matrix ``G`` and the trial hierarchy.  ``solve_pg`` returns
+the least-squares solution of ``G c = d``.  ``solve_ms`` minimizes the same
+residual subject to the nested tail-norm constraints ``dist(h, V_k) <= eps_k``, a convex quadratic
 over an intersection of centered cylinders.  Its dual in the multipliers of
 the widths is smooth and concave; a projected Newton method (Bertsekas 1982)
 maximizes it.  Every exit returns the projection of the last Lagrangian
@@ -21,8 +21,7 @@ import numpy as np
 
 # gram_matrix and rhs_vector are not called here; they stay importable from
 # this module because the benchmark's tracing test patches them here
-from .problems import ProblemInstance, SubspaceHierarchy, check_vector, rhs_vector  # noqa: F401
-from .spaces import OrthonormalFrame
+from .problems import ProblemInstance, check_vector, rhs_vector  # noqa: F401
 from .spectral import Assembly, GramDecomposition, decompose, gram_matrix  # noqa: F401
 
 __all__ = [
@@ -81,21 +80,21 @@ def _least_squares(decomp: GramDecomposition, d: np.ndarray, nonzero: np.ndarray
     return decomp.X @ (inverse * (decomp.U[:, :n].T @ d))
 
 
-def solve_pg(assembly: Assembly, trial: OrthonormalFrame) -> tuple[np.ndarray, np.ndarray]:
+def solve_pg(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """Classical projection: solve ``G c = d`` (least squares when m > n).
 
-    Returns ``(point, coeffs)``: the minimum-norm least-squares solution with
-    the singular values that count as zero against ``assembly.norm``
-    dropped.  Raises :class:`msrom.spectral.SingularGram` for a square
-    system whose assembly is ``singular``.  ``trial`` is the trial basis the
-    assembly was formed on.
+    Returns ``(point, coeffs)``, the point on the assembly's trial basis:
+    the minimum-norm least-squares solution with the singular values that
+    count as zero against ``assembly.norm`` dropped.  Raises
+    :class:`msrom.spectral.SingularGram` for a square system whose assembly
+    is ``singular``.
     """
     decomp = assembly.decomp
     m, n = decomp.G.shape
     if m == n:
         assembly.check_nonsingular()
     coeffs = _least_squares(decomp, assembly.d, decomp.nonzero(assembly.norm))
-    return trial.columns @ coeffs, coeffs
+    return assembly.hierarchy.basis.columns @ coeffs, coeffs
 
 
 def project_slices(c, widths) -> np.ndarray:
@@ -262,23 +261,20 @@ def _solve_core(decomp: GramDecomposition, scale: float, d, eps, opts: SolverOpt
     return best, evals, r <= cert, r
 
 
-def solve_ms(
-    assembly: Assembly, hierarchy: SubspaceHierarchy, options: SolverOptions | None = None
-) -> MultiSliceSolution:
-    """Residual minimizer over the trial space subject to the slice widths.
+def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiSliceSolution:
+    """Residual minimizer over the trial space subject to the slice widths,
+    both read from ``assembly.hierarchy``.
 
     Unless the least-squares coefficients already satisfy the widths, a
     projected Newton method on the multipliers of the binding widths solves
     the problem.  However the Newton iteration ends (at a KKT point, stalled
     or out of evaluations), the solve returns the projection of its last
     point onto the widths, so every returned point lies within them, with
-    ``converged`` telling whether that point meets the certificate.  The
-    assembly is formed on ``hierarchy.basis``.
+    ``converged`` telling whether that point meets the certificate.
     """
     opts = options if options is not None else SolverOptions()
-    trial = hierarchy.basis
+    trial, eps = assembly.hierarchy.basis, assembly.hierarchy.widths
     n = trial.n_columns
-    eps = hierarchy.widths
     d, decomp = assembly.d, assembly.decomp
     G = decomp.G
 

@@ -1,5 +1,5 @@
 """Gram matrix assembly and its SVD: :func:`assemble` forms one instance's
-:class:`Assembly`, which both projectors and both bounds read."""
+:class:`Assembly`, the one record that both projectors and both bounds read."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, rhs_vector, riesz_representers
+from .problems import ProblemInstance, SubspaceHierarchy, rhs_vector, riesz_representers
 from .spaces import OrthonormalFrame
 
 __all__ = [
@@ -62,19 +62,28 @@ class GramDecomposition:
 
 @dataclass(eq=False)
 class Assembly:
-    """One instance's discrete system, read by both projectors and both bounds.
+    """One instance's discrete system, the only input of both projectors and both bounds.
 
-    ``R`` holds the test representers (an (N, m) array, one column each),
-    ``d`` the load vector, ``decomp`` the SVD of the Gram matrix ``G = R^T M
-    W``, and ``gamma`` and ``norm`` the two values of :func:`gamma`: the
-    complement coupling and the representer-family norm ``||R||_2``.
+    ``hierarchy`` is the trial hierarchy, whose frame W, widths and profile
+    the projectors and bounds read; ``R`` holds the test representers (an
+    (N, m) array, one column each), ``d`` the load vector, ``decomp`` the SVD
+    of the Gram matrix ``G = R^T M W``, and ``gamma`` and ``norm`` the two
+    values of :func:`gamma`: the complement coupling and the
+    representer-family norm ``||R||_2``.  Construction checks that the
+    decomposition has the hierarchy's size n (``ValueError`` otherwise).
     """
 
+    hierarchy: SubspaceHierarchy
     R: np.ndarray
     d: np.ndarray
     decomp: GramDecomposition
     gamma: float
     norm: float
+
+    def __post_init__(self) -> None:
+        n, k = self.hierarchy.n, self.decomp.X.shape[0]
+        if k != n:
+            raise ValueError(f"decomposition size {k} does not match the hierarchy's n = {n}")
 
     @property
     def singular(self) -> bool:
@@ -155,15 +164,16 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
 
 
 def assemble(
-    problem: ProblemInstance, trial: OrthonormalFrame, tests: OrthonormalFrame
+    problem: ProblemInstance, hierarchy: SubspaceHierarchy, tests: OrthonormalFrame
 ) -> Assembly:
-    """The discrete system of ``problem`` on ``trial`` tested against ``tests``.
+    """The discrete system of ``problem`` on ``hierarchy.basis`` tested against ``tests``.
 
     Forms the representers, the load vector, the Gram matrix, its SVD and
-    the two norms of :func:`gamma` once each, so that the projectors and the
-    bounds of one instance share them.  Needs at least as many tests as trial
-    directions.
+    the two norms of :func:`gamma` once each, and keeps ``hierarchy`` with
+    them, so that the projectors and the bounds of one instance read one
+    record.  Needs at least as many tests as trial directions.
     """
+    trial = hierarchy.basis
     m, n = tests.n_columns, trial.n_columns
     if m < n:
         raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
@@ -171,5 +181,5 @@ def assemble(
     d = rhs_vector(problem, tests)
     decomp = decompose(gram_matrix(R, trial))
     gam, norm = gamma(R, trial, decomp.G)
-    return Assembly(R, d, decomp, gam, norm)
+    return Assembly(hierarchy, R, d, decomp, gam, norm)
 

@@ -145,12 +145,12 @@ def gamma_of(riesz, trial):
     return gamma(riesz, trial, gram_matrix(riesz, trial))
 
 
-def system_of(decomp, gamma=0.0):
-    """An assembly around ``decomp`` for the bound routines, which read only
-    its decomposition, ``gamma`` and ``norm``: orthonormal representers
+def system_of(decomp, hierarchy, gamma=0.0):
+    """An assembly around ``decomp`` and ``hierarchy`` for the bound routines,
+    which read only those, ``gamma`` and ``norm``: orthonormal representers
     (``R = I``, so ``norm = 1``) and a zero load."""
     m = decomp.G.shape[0]
-    return Assembly(R=np.eye(m), d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
+    return Assembly(hierarchy, R=np.eye(m), d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
 
 
 def identity_hierarchy(widths, distances=None):

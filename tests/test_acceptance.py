@@ -5,6 +5,7 @@ pass/fail verdict for the corresponding numbered criterion.  The tests also
 print a short PASS summary (visible under ``-s`` or ``-rP``).
 """
 
+import dataclasses
 import json
 import secrets
 import time
@@ -121,10 +122,10 @@ def test_criterion_4_quotient_bound_validity_sweep():
     margin = np.inf
     for _ in range(100):
         problem, hierarchy, tests = square_instance(rng)
-        assembly = assemble(problem, hierarchy.basis, tests)
+        assembly = assemble(problem, hierarchy, tests)
         assert assembly.decomp.sigma[-1] >= 0.05
         bound = babuska_bound(assembly, float(hierarchy.distances[-1]))
-        point, _ = solve_pg(assembly, hierarchy.basis)
+        point, _ = solve_pg(assembly)
         err = error_norm(point, problem)
         assert err <= bound + 1e-9
         margin = min(margin, bound - err)
@@ -195,8 +196,7 @@ def _tightened_instance(rng):
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     tails = np.array([float(np.linalg.norm(c_ls[k:])) for k in range(4)] + [0.0])
     widths = tails * rng.uniform(0.35, 1.1, size=5)
-    tight = SubspaceHierarchy(hierarchy.basis, widths)
-    return assemble(problem, tight.basis, tests), tight, G, d
+    return assemble(problem, SubspaceHierarchy(hierarchy.basis, widths), tests), G, d
 
 
 def test_criterion_6_solver_cross_validation():
@@ -205,10 +205,10 @@ def test_criterion_6_solver_cross_validation():
     start = time.perf_counter()
     worst = 0.0
     for _ in range(50):
-        assembly, tight, G, d = _tightened_instance(rng)
-        solution = solve_ms(assembly, tight, options)
+        assembly, G, d = _tightened_instance(rng)
+        solution = solve_ms(assembly, options)
         assert solution.converged
-        ref_cost, _ = brute_force_ms(G, d, tight.widths, rng)
+        ref_cost, _ = brute_force_ms(G, d, assembly.hierarchy.widths, rng)
         scale = max(solution.cost, ref_cost)
         assert abs(solution.cost - ref_cost) <= 1e-6 * scale + 1e-12
         worst = max(worst, abs(solution.cost - ref_cost) / max(scale, 1e-12))
@@ -216,9 +216,9 @@ def test_criterion_6_solver_cross_validation():
         # roomy widths turn the constraints off and the two projectors agree
         sigma_n = np.linalg.svd(G, compute_uv=False)[-1]
         roomy = np.full(5, 10.0 * float(np.linalg.norm(d)) / sigma_n)
-        loose = SubspaceHierarchy(tight.basis, roomy)
-        ms = solve_ms(assembly, loose, options)
-        _, pg_coeffs = solve_pg(assembly, tight.basis)
+        loose = SubspaceHierarchy(assembly.hierarchy.basis, roomy)
+        ms = solve_ms(dataclasses.replace(assembly, hierarchy=loose), options)
+        _, pg_coeffs = solve_pg(assembly)
         assert float(np.linalg.norm(ms.coeffs - pg_coeffs)) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
@@ -234,7 +234,7 @@ def test_criterion_7_structural_property_suite():
     steps = (0.0, 0.0)
     for problem, hierarchy, tests in instances:
         trial = hierarchy.basis
-        assembly = assemble(problem, trial, tests)
+        assembly = assemble(problem, hierarchy, tests)
         decomp = assembly.decomp
         # the rotated bases R U and W X couple diagonally: U^T G X = diag(sigma)
         G = assembly.R.T @ problem.space.apply_metric(trial.columns)
@@ -252,10 +252,10 @@ def test_criterion_7_structural_property_suite():
         for k in range(n):
             assert float(np.linalg.norm(c_star[k:])) <= hierarchy.widths[k] + 1e-10
 
-        solution = solve_ms(assembly, hierarchy, options)
+        solution = solve_ms(assembly, options)
         tau_n = float(hierarchy.distances[-1])
         assert solution.cost <= gam * gam * tau_n * tau_n + 1e-9
-        report = ms_bound(assembly, hierarchy)
+        report = ms_bound(assembly)
         ratios = bound_step_ratios(problem, hierarchy, decomp, report, solution.coeffs)
         steps = tuple(map(max, steps, ratios))
 

@@ -11,11 +11,18 @@ from msrom import (
     GramDecomposition,
     InvalidInput,
     SingularGram,
+    SolverOptions,
+    SubspaceHierarchy,
     TooLarge,
+    assemble,
     babuska_bound,
     decompose,
+    error_norm,
     ms_bound,
+    run_instance,
+    solve_pg,
     sup_oracle,
+    synth_prescribed,
     water_filling,
 )
 
@@ -26,8 +33,12 @@ def diag_decomp(sigma):
     return GramDecomposition(G=np.diag(sigma), U=np.eye(n), X=np.eye(n), sigma=sigma)
 
 
-def diag_system(sigma):
-    return system_of(diag_decomp(sigma))
+def diag_system(sigma, hierarchy=None):
+    """An assembly around ``diag_decomp(sigma)``, on unit widths unless ``hierarchy`` is given."""
+    decomp = diag_decomp(sigma)
+    if hierarchy is None:
+        hierarchy = identity_hierarchy(np.ones(decomp.sigma.size + 1))
+    return system_of(decomp, hierarchy)
 
 
 def random_tuple(rng, n):
@@ -287,7 +298,7 @@ def test_ms_bound_squares_to_sup_plus_tau():
         distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
         gam = float(rng.uniform(0.0, 1.0))
         # sigma_1 <= 1, so 1 is a representer-family norm these spectra admit
-        report = ms_bound(system_of(decomp, gam), identity_hierarchy(widths, distances))
+        report = ms_bound(system_of(decomp, identity_hierarchy(widths, distances), gam))
         assert report.intermediates.gamma == gam
         tau_n = distances[-1]
         lhs = report.ms_bound**2
@@ -301,31 +312,32 @@ def test_ms_bound_squares_to_sup_plus_tau():
 
 def test_ms_bound_zero_case():
     zeros = np.zeros(3)
-    report = ms_bound(diag_system(np.array([0.5, 0.2])), identity_hierarchy(zeros, zeros))
+    report = ms_bound(diag_system(np.array([0.5, 0.2]), identity_hierarchy(zeros, zeros)))
     assert report.ms_bound == 0.0
 
 
 def test_ms_bound_validation():
-    system = diag_system(np.array([1.0, 0.5]))
     widths = np.array([1.0, 0.5, 0.2])
     with pytest.raises(InvalidInput, match="'guessed'"):
-        ms_bound(system, identity_hierarchy(widths, widths), "guessed")
+        ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths, widths)), "guessed")
     # "known" needs the true distances, which this hierarchy does not know
     with pytest.raises(InvalidInput, match="true distance profile"):
-        ms_bound(system, identity_hierarchy(widths))
+        ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)))
 
 
 def test_ms_bound_hierarchy_consistency():
-    system = diag_system(np.array([1.0, 0.5]))
-    widths = np.array([1.0, 0.5, 0.2])
-    assert ms_bound(system, identity_hierarchy(widths), "practitioner").ms_bound > 0.0
-    with pytest.raises(ValueError, match="decomposition size 2"):
-        ms_bound(system, identity_hierarchy(np.array([1.0, 0.5])), "practitioner")
+    # the bound reads the hierarchy the assembly carries; a hierarchy of
+    # another size never gets that far (test_spectral::test_assembly_checks_the_hierarchy_size)
+    narrow, wide = np.array([1.0, 0.5, 0.2]), np.array([2.0, 1.0, 0.2])
+    for widths in (narrow, wide):
+        report = ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)), "practitioner")
+        assert np.array_equal(report.intermediates.delta, 2.0 * widths[:2])
+        assert report.ms_bound > 0.0
 
 
 def test_ms_bound_practitioner_label():
     widths = np.array([1.0, 0.5, 0.2])
-    report = ms_bound(diag_system(np.array([1.0, 0.5])), identity_hierarchy(widths), "practitioner")
+    report = ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)), "practitioner")
     assert report.tau_source == "practitioner"
 
 
@@ -336,13 +348,15 @@ def test_ms_bound_practitioner_reads_the_widths_as_distances():
         n = int(rng.integers(1, 7))
         sigma = descending(rng, n, 0.0, 1.0)
         X = random_orthogonal(rng, n)
-        system = system_of(GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma), 0.7)
+        decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
         widths = descending(rng, n + 1, 0.0, 1.5)
         distances = np.minimum(descending(rng, n + 1, 0.0, 1.5), widths)
-        practitioner = ms_bound(system, identity_hierarchy(widths, distances), "practitioner")
+        practitioner = ms_bound(
+            system_of(decomp, identity_hierarchy(widths, distances), 0.7), "practitioner"
+        )
         # the widths array itself: |X|^T v of a contiguous copy of this reversed
         # view can differ in the last bit
-        known = ms_bound(system, identity_hierarchy(widths, widths))
+        known = ms_bound(system_of(decomp, identity_hierarchy(widths, widths), 0.7))
         assert (practitioner.tau_source, known.tau_source) == ("practitioner", "known")
         assert practitioner.ms_bound == known.ms_bound
         assert practitioner.babuska == known.babuska
@@ -351,15 +365,68 @@ def test_ms_bound_practitioner_reads_the_widths_as_distances():
 
 
 def test_ms_bound_carries_actual_errors():
-    report = ms_bound(
-        diag_system(np.array([1.0, 0.5])),
-        identity_hierarchy(np.array([1.0, 0.5, 0.2])),
-        "practitioner",
-        actual_pg_error=0.1,
-        actual_ms_error=0.05,
+    # ms_bound leaves the actual errors empty; run_instance fills them from
+    # the two solves on the same assembly
+    problem, hierarchy, tests = synth_prescribed(
+        3, 4, 10, [1.0, 0.5, 0.2], np.eye(3), [0.8, 0.4, 0.2, 0.1], [0.9, 0.5, 0.3, 0.1], 1
     )
-    assert report.actual_pg_error == 0.1
-    assert report.actual_ms_error == 0.05
+    assembly = assemble(problem, hierarchy, tests)
+    bare = ms_bound(assembly)
+    assert (bare.actual_pg_error, bare.actual_ms_error) == (None, None)
+    report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
+    assert report.actual_pg_error == error_norm(solve_pg(assembly)[0], problem)
+    assert report.actual_ms_error == error_norm(solution.point, problem)
+    assert report.ms_bound == bare.ms_bound
+
+
+def infinite_width_instance(widths):
+    """The 3 x 3 prescribed instance with identity X, on the hierarchy ``widths``."""
+    problem, hierarchy, tests = synth_prescribed(
+        3, 3, 9, [1.0, 0.5, 0.2], np.eye(3), [0.8, 0.4, 0.2, 0.1], [0.8, 0.4, 0.2, 0.1], 1
+    )
+    return problem, SubspaceHierarchy(hierarchy.basis, np.array(widths), hierarchy.distances), tests
+
+
+@pytest.mark.parametrize(
+    "widths", [[0.8, np.inf, 0.2, 0.1], [np.inf, 0.4, 0.2, 0.1], [np.inf] * 4]
+)
+def test_ms_bound_is_finite_on_infinite_widths(widths):
+    # an infinite width never binds the solve, and the bound stays finite
+    # while each infinite delta_j meets a sigma_j > 0 (every sigma_j here);
+    # 0 * inf once made these NaN or an IndexError
+    report, solution, decomp = run_instance(*infinite_width_instance(widths), SolverOptions())
+    assert np.isfinite(report.ms_bound) and np.isfinite(report.water_filling.sup_value)
+    assert report.actual_ms_error <= report.ms_bound
+    if np.all(np.isinf(widths)):
+        # every delta_j is infinite: the budget goes to the cheapest, sigma_n
+        gam, tau_n, sigma_n = report.intermediates.gamma, 0.1, decomp.sigma[-1]
+        want = math.sqrt(4.0 * gam**2 * tau_n**2 / sigma_n**2 + tau_n**2)
+        assert report.ms_bound == pytest.approx(want, rel=1e-12)
+        assert report.ms_bound == pytest.approx(0.98488578, abs=5e-9)
+        assert report.water_filling.rho == 0.0
+
+
+def test_infinite_delta_where_it_costs_nothing():
+    widths = np.array([1.0, np.inf, 0.2])
+    # sigma_2 = 0: the infinite delta_2 is free, so the bound is infinite
+    report = ms_bound(diag_system([1.0, 0.0], identity_hierarchy(widths)), "practitioner")
+    assert np.array_equal(report.intermediates.delta, [2.0, np.inf])
+    assert report.ms_bound == np.inf and report.babuska is None
+    # all widths infinite, every sigma_j > 0 and gamma = 0: no budget, so
+    # nothing beyond tau_n
+    hierarchy = identity_hierarchy(np.full(3, np.inf), np.array([0.9, 0.5, 0.2]))
+    report = ms_bound(diag_system([1.0, 0.5], hierarchy))
+    assert report.ms_bound == 0.2 and report.water_filling.sup_value == 0.0
+    # a zero |x_ij| times an infinite width adds nothing to delta_j; the
+    # infinite delta_1 takes what the budget 4 gamma^2 tau_n^2 = 0.64 leaves
+    # after delta_2's cost 0.25, at the price sigma_1^2 = 1
+    hierarchy = identity_hierarchy(np.array([np.inf, 0.5, 0.2]), np.array([0.9, 0.5, 0.2]))
+    report = ms_bound(system_of(diag_decomp([1.0, 0.5]), hierarchy, 2.0))
+    assert np.array_equal(report.intermediates.delta, [np.inf, 1.0])
+    assert report.water_filling == water_filling([np.inf, 1.0], [1.0, 0.5], 2.0, 0.2)
+    assert (report.water_filling.ell, report.water_filling.rho) == (1, 0.0)
+    assert report.water_filling.sup_value == pytest.approx(1.0 + (0.64 - 0.25), rel=1e-12)
+    assert report.ms_bound == pytest.approx(math.sqrt(1.39 + 0.2**2), rel=1e-12)
 
 
 def test_decomposed_identity_round_trip():
@@ -367,5 +434,5 @@ def test_decomposed_identity_round_trip():
     rng = np.random.default_rng(3)
     G = rng.standard_normal((5, 3))
     widths = descending(rng, 4, 0.1, 1.0)
-    report = ms_bound(system_of(decompose(G), 0.5), identity_hierarchy(widths), "practitioner")
+    report = ms_bound(system_of(decompose(G), identity_hierarchy(widths), 0.5), "practitioner")
     assert report.ms_bound >= widths[-1]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import msrom
 from msrom import SubspaceHierarchy
 from msrom.cli import (
     _COMMON_KEYS,
@@ -352,6 +356,21 @@ def test_checked_in_configs_validate_and_build(path, capsys):
         assert (hierarchy.n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
 
 
+def test_module_form_validates_without_warnings():
+    # `python -m msrom` runs msrom/__main__.py; `python -m msrom.cli` warns
+    # that the package imported msrom.cli before runpy executed it
+    root = Path(__file__).resolve().parents[1]
+    src = str(Path(msrom.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "msrom", "validate",
+         str(root / "scripts" / "configs" / "example1.json")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
 # ---------------------------------------------------------------- experiments
 
 
@@ -466,10 +485,10 @@ def test_run_practitioner_mode(tmp_path):
 def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     import msrom.cli as cli_module
 
-    def stuck(assembly, hierarchy, options=None):
-        n = hierarchy.n
+    def stuck(assembly, options=None):
+        n = assembly.hierarchy.n
         return MultiSliceSolution(
-            point=np.zeros(hierarchy.basis.space.dim),
+            point=np.zeros(assembly.hierarchy.basis.space.dim),
             coeffs=np.zeros(n),
             cost=1.0,
             iterations=options.max_iterations if options else 0,

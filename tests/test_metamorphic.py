@@ -38,7 +38,7 @@ def instance(metric, m, n=8, N=40, seed=5, tau=1e-3):
 def outcome(problem, hierarchy, tests):
     report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
     assert solution.converged
-    _, pg_coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    _, pg_coeffs = solve_pg(assemble(problem, hierarchy, tests))
     return {
         "sigma": decomp.sigma,
         "gamma": report.intermediates.gamma,

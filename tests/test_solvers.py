@@ -159,7 +159,7 @@ def test_project_slices_matches_dykstra_oracle():
 def test_solve_pg_defining_equations():
     rng = np.random.default_rng(2)
     problem, hierarchy, tests = square_instance(rng)
-    point, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    point, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     _, d = helpers.assemble(problem, hierarchy, tests)
     scale = np.linalg.norm(d)
     R, MZ = problem.factors
@@ -178,7 +178,7 @@ def test_solve_pg_recovers_truth_inside_trial():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 2 * n + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=13
     )
-    point, _ = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    point, _ = solve_pg(assemble(problem, hierarchy, tests))
     assert np.linalg.norm(point - problem.z_true) <= 1e-8
 
 
@@ -186,7 +186,7 @@ def test_solve_pg_zero_rhs():
     rng = np.random.default_rng(4)
     problem, hierarchy, tests = square_instance(rng)
     silent = ProblemInstance(problem.space, np.zeros(problem.space.dim), factors=problem.factors)
-    point, coeffs = solve_pg(assemble(silent, hierarchy.basis, tests), hierarchy.basis)
+    point, coeffs = solve_pg(assemble(silent, hierarchy, tests))
     assert np.allclose(point, 0.0)
     assert np.allclose(coeffs, 0.0)
 
@@ -200,7 +200,7 @@ def test_solve_pg_singular_system():
         n, n, 2 * n + 2, sigma, np.eye(n), tau, tau.copy(), seed=23
     )
     with pytest.raises(SingularGram):
-        solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+        solve_pg(assemble(problem, hierarchy, tests))
 
 
 def test_solve_pg_least_squares_when_overdetermined():
@@ -208,7 +208,7 @@ def test_solve_pg_least_squares_when_overdetermined():
     problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
     while tests.n_columns == hierarchy.n:
         problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
-    _, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     G, d = helpers.assemble(problem, hierarchy, tests)
     # normal equations of the least-squares formulation
     grad = G.T @ (G @ coeffs - d)
@@ -226,7 +226,7 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
     problem, hierarchy, tests = synth_prescribed(
         n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=9
     )
-    _, coeffs = solve_pg(assemble(problem, hierarchy.basis, tests), hierarchy.basis)
+    _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     G, d = helpers.assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert np.max(np.abs(coeffs - want)) <= 1e-8 * np.max(np.abs(want))
@@ -247,17 +247,17 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
     }
     problem, hierarchy, tests = _build_instance(parse_config(json.dumps(config)), seed)
     report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
-    assembly = assemble(problem, hierarchy.basis, tests)
+    assembly = assemble(problem, hierarchy, tests)
     assert assembly.singular and report.babuska is None
     G, d = helpers.assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert report.actual_pg_error is None
     if m > 3:  # the library solve is the truncated least-squares solution
-        _, coeffs = solve_pg(assembly, hierarchy.basis)
+        _, coeffs = solve_pg(assembly)
         assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
     else:
         with pytest.raises(SingularGram):
-            solve_pg(assembly, hierarchy.basis)
+            solve_pg(assembly)
     residual = G @ want - d
     assert solution.iterations == 0 and solution.converged
     assert solution.cost == pytest.approx(residual @ residual, rel=1e-12)
@@ -268,7 +268,7 @@ def test_rejects_fewer_tests_than_trial_directions():
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
     short = tests.prefix(2)
     with pytest.raises(ValueError, match="at least as many tests as trial directions"):
-        assemble(problem, hierarchy.basis, short)
+        assemble(problem, hierarchy, short)
 
 
 # ------------------------------------------------------------ slice-constrained
@@ -282,9 +282,9 @@ def test_solve_ms_inactive_constraints_match_pg():
     bound = 10.0 * np.linalg.norm(d) / sigma_min
     n = hierarchy.n
     roomy = SubspaceHierarchy(hierarchy.basis, widths=np.full(n + 1, bound))
-    assembly = assemble(problem, hierarchy.basis, tests)
-    pg_point, _ = solve_pg(assembly, hierarchy.basis)
-    solution = solve_ms(assembly, roomy)
+    assembly = assemble(problem, hierarchy, tests)
+    pg_point, _ = solve_pg(assembly)
+    solution = solve_ms(dataclasses.replace(assembly, hierarchy=roomy))
     assert solution.converged
     assert np.linalg.norm(solution.point - pg_point) <= 1e-8
 
@@ -294,7 +294,7 @@ def test_solve_ms_all_zero_widths():
     problem, hierarchy, tests = square_instance(rng)
     n = hierarchy.n
     pinched = SubspaceHierarchy(hierarchy.basis, widths=np.zeros(n + 1))
-    solution = solve_ms(assemble(problem, pinched.basis, tests), pinched)
+    solution = solve_ms(assemble(problem, pinched, tests))
     assert solution.converged
     assert np.allclose(solution.coeffs, 0.0)
     assert np.allclose(solution.point, 0.0)
@@ -306,7 +306,7 @@ def test_solve_ms_zero_width_pins_tail():
     widths = hierarchy.widths.copy()
     widths[3:] = 0.0
     cut = SubspaceHierarchy(hierarchy.basis, widths=widths)
-    solution = solve_ms(assemble(problem, cut.basis, tests), cut)
+    solution = solve_ms(assemble(problem, cut, tests))
     assert solution.converged
     assert np.all(solution.coeffs[3:] == 0.0)
     assert np.all(tail_norms(solution.coeffs) <= widths[:5] + 1e-8)
@@ -317,7 +317,7 @@ def test_solve_ms_certificate_and_feasibility():
     for _ in range(8):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
         tight, G, d = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
+        solution = solve_ms(assemble(problem, tight, tests))
         assert solution.converged
         # the returned point really lives in the trial span
         W = hierarchy.basis.columns
@@ -334,7 +334,7 @@ def test_solve_ms_beats_random_feasible_points():
     rng = np.random.default_rng(12)
     problem, hierarchy, tests = sweep_instance(rng, n_high=7)
     tight, G, d = tightened(problem, hierarchy, tests, rng)
-    solution = solve_ms(assemble(problem, tight.basis, tests), tight)
+    solution = solve_ms(assemble(problem, tight, tests))
 
     def cost(c):
         r = G @ c - d
@@ -350,7 +350,7 @@ def test_solve_ms_matches_brute_force_small():
     for _ in range(5):
         problem, hierarchy, tests = sweep_instance(rng, n_low=4, n_high=4)
         tight, G, d = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
+        solution = solve_ms(assemble(problem, tight, tests))
         assert solution.converged
         ref_cost, _ = brute_force_ms(G, d, tight.widths, rng)
         slack = max(1e-9, 1e-7 * max(solution.cost, ref_cost))
@@ -366,7 +366,7 @@ def test_solve_ms_newton_converges_in_few_evaluations():
     for _ in range(40):
         problem, hierarchy, tests = sweep_instance(rng, n_high=10)
         tight, _, _ = tightened(problem, hierarchy, tests, rng)
-        solution = solve_ms(assemble(problem, tight.basis, tests), tight)
+        solution = solve_ms(assemble(problem, tight, tests))
         assert solution.converged
         counts.append(solution.iterations)
     assert np.median(counts) <= 15
@@ -379,8 +379,8 @@ def test_solve_ms_truth_projection_chain():
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
         G, d = helpers.assemble(problem, hierarchy, tests)
         trial = hierarchy.basis
-        assembly = assemble(problem, trial, tests)
-        solution = solve_ms(assembly, hierarchy)
+        assembly = assemble(problem, hierarchy, tests)
+        solution = solve_ms(assembly)
         M = problem.space.apply_metric
         c_star = trial.columns.T @ M(problem.z_true)
         assert np.all(tail_norms(c_star) <= hierarchy.widths[: hierarchy.n] + 1e-10)
@@ -400,7 +400,7 @@ def test_solve_ms_flags_non_unique_spectrum():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 8, sigma, np.eye(n), tau, tau.copy(), seed=3
     )
-    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
+    solution = solve_ms(assemble(problem, hierarchy, tests))
     assert solution.non_unique_hint
     assert solution.converged
 
@@ -423,7 +423,7 @@ def test_solve_ms_singular_gram_with_biting_widths():
         c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
         widths = np.append(tail_norms(c_ls) * rng.uniform(0.3, 1.0, n), 0.0)
         biting = SubspaceHierarchy(hierarchy.basis, widths=widths)
-        solution = solve_ms(assemble(problem, biting.basis, tests), biting)
+        solution = solve_ms(assemble(problem, biting, tests))
         assert solution.converged, seed
         assert solution.non_unique_hint, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
@@ -474,18 +474,18 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
     # one SVD of G per instance, plus the reduced matrix's when a width is zero
     assert [n for _, n in shapes] == ([6, 3] if kind == "zero_width" else [6])
     monkeypatch.undo()
-    assembly = assemble(problem, hierarchy.basis, tests)
-    alone = solve_ms(assembly, hierarchy)
+    assembly = assemble(problem, hierarchy, tests)
+    alone = solve_ms(assembly)
     scale = max(1.0, float(np.max(np.abs(alone.coeffs))))
     assert np.max(np.abs(solution.coeffs - alone.coeffs)) <= 1e-12 * scale
     assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
     assert solution.non_unique_hint == alone.non_unique_hint == (kind == "singular")
     if kind == "singular":
         with pytest.raises(SingularGram):
-            solve_pg(assembly, hierarchy.basis)
+            solve_pg(assembly)
         assert report.actual_pg_error is None
     else:
-        point, _ = solve_pg(assembly, hierarchy.basis)
+        point, _ = solve_pg(assembly)
         assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
     if kind == "zero_width":
         assert np.all(solution.coeffs[3:] == 0.0)
@@ -547,8 +547,8 @@ def test_solve_ms_ignores_dominated_widths(metric):
         problem, hierarchy, tests = example1(1e-4, 10, 40, 17)
         cases.append((problem, hierarchy.basis, tests, hierarchy.widths.copy()))
     for problem, basis, tests, widths in cases:
-        assembly = assemble(problem, basis, tests)
-        base = solve_ms(assembly, SubspaceHierarchy(basis, widths=widths))
+        assembly = assemble(problem, SubspaceHierarchy(basis, widths=widths), tests)
+        base = solve_ms(assembly)
         assert base.converged
         assert np.all(tail_norms(base.coeffs) <= widths[:-1] * (1.0 + 1e-8) + 1e-12)
         drop = dominated(widths)
@@ -559,7 +559,8 @@ def test_solve_ms_ignores_dominated_widths(metric):
         lifted[drop] = [np.min(widths[:k]) * rng.uniform(1.0, 4.0) for k in drop]
         scale = max(1.0, float(np.max(np.abs(base.coeffs))))
         for variant in (raised, lifted):
-            other = solve_ms(assembly, SubspaceHierarchy(basis, widths=variant))
+            variant_hierarchy = SubspaceHierarchy(basis, widths=variant)
+            other = solve_ms(dataclasses.replace(assembly, hierarchy=variant_hierarchy))
             assert other.converged
             assert np.max(np.abs(other.coeffs - base.coeffs)) <= 1e-10 * scale
 
@@ -572,7 +573,7 @@ def test_example1_plateau_widths_skip_the_fallback(seed, monkeypatch):
     # solve projects once for the point and once for its certificate
     calls = counting_projection(monkeypatch)
     problem, hierarchy, tests = example1(1e-4, 10, 40, seed)
-    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
+    solution = solve_ms(assemble(problem, hierarchy, tests))
     assert solution.converged
     assert len(calls) <= 2
 
@@ -625,8 +626,8 @@ def test_solve_ms_reports_non_convergence_when_the_budget_runs_out():
     # the solve must say so and still return a point within the widths
     for seed in range(6):
         problem, tight, tests, G, d = biting_instance(80 + seed)
-        assembly = assemble(problem, tight.basis, tests)
-        solution = solve_ms(assembly, tight, SolverOptions(max_iterations=1))
+        assembly = assemble(problem, tight, tests)
+        solution = solve_ms(assembly, SolverOptions(max_iterations=1))
         assert solution.converged is False
         assert solution.iterations == 1
         cert = max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d))
@@ -680,8 +681,8 @@ def test_solve_ms_certificate_floor_scales_with_the_problem():
     for seed in range(6):
         problem, tight, tests, _, _ = biting_instance(80 + seed)
         problem, tight = scaled(problem, tight, 1e-20)
-        assembly = assemble(problem, tight.basis, tests)
-        solution = solve_ms(assembly, tight, SolverOptions(max_iterations=1))
+        assembly = assemble(problem, tight, tests)
+        solution = solve_ms(assembly, SolverOptions(max_iterations=1))
         assert solution.converged is False, seed
 
 
@@ -706,9 +707,9 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
             raised.append(np.shape(a))
             raise
 
-    assembly = assemble(problem, trial, tests)
+    assembly = assemble(problem, hierarchy, tests)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
-    solution = solve_ms(assembly, hierarchy)
+    solution = solve_ms(assembly)
     monkeypatch.undo()
     assert (3, 3) in raised
     assert solution.converged
@@ -731,11 +732,11 @@ def test_solve_ms_flat_cost_returns_the_origin():
     for operator in (np.zeros((6, 6)), rounding):
         problem = ProblemInstance(space, np.zeros(6), factors=(operator, E))
         assembly = dataclasses.replace(
-            assemble(problem, hierarchy.basis, tests), d=np.array([1.0, 2.0, 0.0])
+            assemble(problem, hierarchy, tests), d=np.array([1.0, 2.0, 0.0])
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            solution = solve_ms(assembly, hierarchy)
+            solution = solve_ms(assembly)
         assert np.array_equal(solution.coeffs, np.zeros(3))
         assert solution.converged and solution.iterations == 0
         assert solution.cost == 5.0
@@ -760,9 +761,11 @@ def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
         calls.append(np.shape(args[0]))
         return lstsq(*args, **kwargs)
 
-    assembly = dataclasses.replace(assemble(problem, trial, tests), d=np.array([1.0, 0.0, 1.0]))
+    assembly = dataclasses.replace(
+        assemble(problem, hierarchy, tests), d=np.array([1.0, 0.0, 1.0])
+    )
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
-    solution = solve_ms(assembly, hierarchy)
+    solution = solve_ms(assembly)
     monkeypatch.undo()
     assert len(calls) == 2
     assert solution.converged and solution.iterations == 4
@@ -777,10 +780,10 @@ def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):
     for seed in (2, 3, 44):
         problem, hierarchy, tests = _build_instance(cfg, seed)
         n = hierarchy.n
-        assembly = assemble(problem, hierarchy.basis, tests)
-        full = solve_ms(assembly, hierarchy)
+        assembly = assemble(problem, hierarchy, tests)
+        full = solve_ms(assembly)
         monkeypatch.setattr(solvers_module, "STALL_REL_TOL", 1.0)
-        stalled = solve_ms(assembly, hierarchy)
+        stalled = solve_ms(assembly)
         monkeypatch.undo()
         assert full.converged and stalled.converged is False, seed
         assert stalled.iterations < full.iterations, seed
@@ -810,7 +813,7 @@ def test_solver_options_validation():
 def test_solve_ms_properties(seed):
     rng = np.random.default_rng(seed)
     problem, hierarchy, tests = sweep_instance(rng, n_high=7)
-    solution = solve_ms(assemble(problem, hierarchy.basis, tests), hierarchy)
+    solution = solve_ms(assemble(problem, hierarchy, tests))
     assert solution.converged
     n = hierarchy.n
     assert np.all(tail_norms(solution.coeffs) <= hierarchy.widths[:n] + 1e-8)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,8 @@ from msrom import (
     GramDecomposition,
     InvalidDistances,
     OrthonormalFrame,
+    SubspaceHierarchy,
+    assemble,
     decompose,
     flat_orthogonal,
     gram_matrix,
@@ -314,7 +318,7 @@ def test_deltas_identity_rotation():
     hierarchy = identity_hierarchy(widths, distances)
     G = np.diag([0.9, 0.6, 0.3])
     decomp = GramDecomposition(G=G, U=np.eye(3), X=np.eye(3), sigma=np.array([0.9, 0.6, 0.3]))
-    inter = ms_bound(system_of(decomp, gamma=0.4), hierarchy).intermediates
+    inter = ms_bound(system_of(decomp, hierarchy, gamma=0.4)).intermediates
     assert np.allclose(inter.delta, distances[:3] + widths[:3])
     assert inter.gamma == 0.4
 
@@ -329,7 +333,7 @@ def test_deltas_flat_rotation_collapses_profile():
     sigma = np.linspace(1.0, 0.1, n)
     decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
     hierarchy = identity_hierarchy(profile, profile.copy())
-    inter = ms_bound(system_of(decomp), hierarchy).intermediates
+    inter = ms_bound(system_of(decomp, hierarchy)).intermediates
     assert np.allclose(inter.delta, 2.0 * n**-0.5, atol=1e-12)
 
 
@@ -338,25 +342,43 @@ def test_deltas_all_zero_profile():
     zeros = np.zeros(n + 1)
     hierarchy = identity_hierarchy(zeros, zeros.copy())
     decomp = decompose(np.eye(n))
-    assert np.allclose(ms_bound(system_of(decomp), hierarchy).intermediates.delta, 0.0)
+    assert np.allclose(ms_bound(system_of(decomp, hierarchy)).intermediates.delta, 0.0)
 
 
 def test_deltas_length_checks():
     # a bad distance profile never reaches the bound: the hierarchy refuses it
+    # (a decomposition of another size: test_assembly_checks_the_hierarchy_size)
     widths = np.array([1.0, 0.5, 0.3, 0.2])
     for distances, message in bad_profiles(widths, "tau"):
         with pytest.raises(InvalidDistances, match=message):
             identity_hierarchy(widths, distances)
+
+
+def test_assembly_checks_the_hierarchy_size():
+    # every assembly, assembled, built by hand or replaced, pairs a
+    # decomposition with a hierarchy of its size n
+    widths = np.array([1.0, 0.5, 0.3, 0.2])
     hierarchy = identity_hierarchy(widths, widths.copy())
-    with pytest.raises(ValueError, match="decomposition size 4"):
-        ms_bound(system_of(decompose(np.eye(4))), hierarchy)
+    mismatch = "decomposition size {} does not match the hierarchy's n = 3"
+    with pytest.raises(ValueError, match=f"^{mismatch.format(4)}$"):
+        system_of(decompose(np.eye(4)), hierarchy)
+    problem, other, tests = synth_prescribed(
+        2, 2, 6, [1.0, 0.5], np.eye(2), [0.5, 0.3, 0.2], [0.6, 0.4, 0.25], 1
+    )
+    assembly = assemble(problem, other, tests)
+    assert assembly.hierarchy is other
+    with pytest.raises(ValueError, match=f"^{mismatch.format(2)}$"):
+        dataclasses.replace(assembly, hierarchy=hierarchy)
+    same_n = SubspaceHierarchy(other.basis, widths=np.array([1.0, 0.5, 0.3]))
+    assert dataclasses.replace(assembly, hierarchy=same_n).hierarchy is same_n
 
 
 def test_deltas_requires_gamma():
     # a silent gamma = 0 would drop the complement term from the bound: the
     # assembly that ms_bound reads it from has no default for it
-    with pytest.raises(TypeError):
-        Assembly(R=np.eye(3), d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
+    hierarchy = identity_hierarchy(np.ones(4))
+    with pytest.raises(TypeError, match="gamma"):
+        Assembly(hierarchy, R=np.eye(3), d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -370,12 +392,12 @@ def test_deltas_monotone_in_profiles(seed):
     widths = descending(rng, n + 1, 0.0, 2.0)
     distances = np.minimum(descending(rng, n + 1, 0.0, 2.0), widths)
     hierarchy = identity_hierarchy(widths, distances)
-    base = ms_bound(system_of(decomp), hierarchy).intermediates
+    base = ms_bound(system_of(decomp, hierarchy)).intermediates
     assert np.allclose(base.delta, np.abs(X).T @ (distances[:n] + widths[:n]))
     assert np.all(base.delta >= 0.0)
     # growing one width entry never shrinks any delta
     k = int(rng.integers(0, n + 1))
     wider = widths.copy()
     wider[: k + 1] += 0.5  # keep the profile nonincreasing
-    grown = ms_bound(system_of(decomp), identity_hierarchy(wider, distances)).intermediates
+    grown = ms_bound(system_of(decomp, identity_hierarchy(wider, distances))).intermediates
     assert np.all(grown.delta >= base.delta - 1e-12)
