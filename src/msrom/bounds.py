@@ -113,8 +113,9 @@ def _check_fill_inputs(delta, sigma, gamma: float, tau_n: float):
         raise InvalidInput(
             f"delta and sigma must be 1-d with equal length, got {delta.shape} and {sigma.shape}"
         )
-    if np.any(delta < 0.0) or np.any(sigma < 0.0):
-        raise InvalidInput("delta and sigma entries must be nonnegative")
+    entries = np.concatenate([delta, sigma])
+    if not ((entries >= 0.0) & (entries < np.inf)).all():  # NaN fails both comparisons
+        raise InvalidInput("delta and sigma entries must be finite and nonnegative")
     if np.any(np.diff(sigma) > 0.0):
         raise InvalidInput("sigma must be nonincreasing")
     if tau_n < 0.0 or not np.isfinite(tau_n):
@@ -132,19 +133,18 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     total cost never reaches the budget, the constraint is inactive and
     every coordinate saturates.  A zero budget met by a positive total cost
     is the degenerate active case: only the cost-free tail saturates
-    (``ell = n``, ``rho = 0``).  An infinite ``delta_j`` costs nothing where
-    ``sigma_j = 0`` (the value is then infinite) and never saturates
-    elsewhere: filled partially, it takes what the budget leaves at the
-    price ``sigma_j**2`` per unit of ``beta_j**2`` and reports ``rho = 0``.
+    (``ell = n``, ``rho = 0``).  A finite ``delta_j`` whose cost
+    ``sigma_j**2 * delta_j**2`` overflows never saturates: filled partially,
+    it takes what the budget leaves at the price ``sigma_j**2`` per unit of
+    ``beta_j**2`` and reports ``rho = 0``.
     """
     delta, sigma = _check_fill_inputs(delta, sigma, gamma, tau_n)
     n = delta.shape[0]
     if n == 0:
         return WaterFillingSolution(ell=None, rho=None, sup_value=0.0)
     budget = 4.0 * gamma * gamma * tau_n * tau_n
-    # a coordinate with sigma_j = 0 costs nothing, also when delta_j is infinite
-    paid = np.where(sigma > 0.0, delta, 0.0)
-    cost = sigma * sigma * paid * paid
+    with np.errstate(over="ignore"):  # an overflowing cost is handled at cost_ell below
+        cost = sigma * sigma * delta * delta
     # suffix[l] = sum of cost[l:], with suffix[n] = 0; suffix[0] is the total
     suffix = np.zeros(n + 1)
     suffix[:n] = np.cumsum(cost[::-1])[::-1]
@@ -164,7 +164,7 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     cost_ell = float(cost[ell])
     tail = float(np.sum(delta[ell + 1 :] ** 2))
     room = budget - float(suffix[ell + 1])
-    if cost_ell == np.inf:  # an infinite delta_ell: what is left buys beta_ell^2 at sigma_ell^2
+    if cost_ell == np.inf:  # an overflowing cost: what is left buys beta_ell^2 at sigma_ell^2
         sup = tail + room / float(sigma[ell]) ** 2
         return WaterFillingSolution(ell=ell + 1, rho=0.0, sup_value=sup)
     rho = min(max(room / cost_ell, 0.0), 1.0)
@@ -188,8 +188,9 @@ def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
     if n > ORACLE_MAX_DIM:
         raise TooLarge(f"enumeration oracle limited to n <= {ORACLE_MAX_DIM}, got {n}")
     budget = 4.0 * gamma * gamma * tau_n * tau_n
-    cost = sigma * sigma * delta * delta
-    reward = delta * delta
+    with np.errstate(over="ignore"):  # an overflowing cost is never taken whole
+        cost = sigma * sigma * delta * delta
+        reward = delta * delta
     best = 0.0
     for mask in range(1 << n):
         taken = [j for j in range(n) if mask & (1 << j)]
@@ -202,19 +203,9 @@ def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
         for j in range(n):
             if j in taken or cost[j] <= 0.0:
                 continue
-            frac = min(1.0, remaining / float(cost[j]))
-            best = max(best, value + frac * float(reward[j]))
+            # priced per unit of beta_j^2, so that an overflowing cost still buys a fraction
+            best = max(best, value + min(float(reward[j]), remaining / float(sigma[j]) ** 2))
     return best
-
-
-def _abs_sum(absX, v) -> np.ndarray:
-    """``|X|^T v``, where an exactly zero ``|x_ij|`` times an infinite ``v_i`` counts as 0."""
-    infinite = np.isinf(v)
-    if not infinite.any():
-        return absX.T @ v
-    out = absX.T @ np.where(infinite, 0.0, v)
-    out[(absX[infinite] > 0.0).any(axis=0)] = np.inf
-    return out
 
 
 def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
@@ -234,7 +225,7 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
     n, absX = hierarchy.n, np.abs(assembly.decomp.X)
-    delta = _abs_sum(absX, profile[:n]) + _abs_sum(absX, hierarchy.widths[:n])
+    delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
     tau_n = float(profile[-1])
     wf = water_filling(delta, assembly.decomp.sigma, assembly.gamma, tau_n)
     return BoundReport(

@@ -218,23 +218,25 @@ def check_spectrum(n: int, sigma) -> np.ndarray:
     return sigma
 
 
-# Largest finite width or distance.  The solve and the bounds square values
-# of this scale and sum the squares; a square of at most 1e300 leaves those
-# sums a factor of about 1e8 below the float range.
-PROFILE_LIMIT = 1e150
+# Largest width or distance.  The generators give ||z_true|| = tau_0 and
+# ||R||_2 = 1, so the trial coefficients reach |c| ~ tau_0 / sigma_n, and the
+# dual Newton of the slice solve squares |c| / sigma_n.  With sigma_n above the
+# zero cutoff SINGULAR_REL_TOL = 1e-12 that square, tau_0^2 * 1e48, stays below
+# 1e300, a factor of about 1e8 below the float range, while tau_0 <= 1e126.
+PROFILE_LIMIT = 1e125
 
 
 def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
-    """A width or distance vector as a float array: length n+1, no NaN, no negative
-    entry, no finite entry above ``PROFILE_LIMIT``.  The one check of such a vector
-    at every entry point; ``key`` names it in the :class:`InvalidDistances` message."""
+    """A width or distance vector as a float array: length n+1, entries finite and
+    in [0, ``PROFILE_LIMIT``].  The one check of such a vector at every entry
+    point; ``key`` names it in the :class:`InvalidDistances` message."""
     v = np.asarray(values, dtype=float)
     if v.shape != (n + 1,):
         raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
     if not (v >= 0.0).all():  # NaN fails the comparison too
         raise InvalidDistances(f"{key} entries must be nonnegative")
-    if (v[v > PROFILE_LIMIT] < np.inf).any():
-        raise InvalidDistances(f"finite {key} entries must be at most {PROFILE_LIMIT:g}")
+    if not (v <= PROFILE_LIMIT).all():
+        raise InvalidDistances(f"{key} entries must be finite and at most {PROFILE_LIMIT:g}")
     return v
 
 

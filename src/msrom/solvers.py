@@ -107,11 +107,13 @@ def project_slices(c, widths) -> np.ndarray:
     Robertson, Wright and Dykstra 1988).  Walking from the tail, a block gets
     the squared factor ``min(1, (cap at its head - mass behind it) / its
     squared mass)`` and merges with its tail neighbour while its factor is the
-    smaller.  The final width entry is ignored; infinite widths never bind.
+    smaller.  The final width is ignored; one no lower than an earlier width never binds.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
+    if not np.isfinite(c).all():
+        raise ValueError("c entries must be finite")
     n = c.shape[0]
     widths = check_vector(n, widths)
     caps = (np.minimum.accumulate(widths[:n]) ** 2).tolist()

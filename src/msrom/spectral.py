@@ -47,8 +47,9 @@ class GramDecomposition:
         m, n = self.G.shape
         if self.U.shape != (m, m) or self.X.shape != (n, n) or self.sigma.shape != (n,):
             raise ValueError("inconsistent factor shapes")
-        if np.any(np.diff(self.sigma) > 0.0) or np.any(self.sigma < 0.0):
-            raise ValueError("singular values must be nonnegative and nonincreasing")
+        s = self.sigma  # finite first: np.diff warns on inf - inf
+        if not (np.isfinite(s).all() and (s >= 0.0).all() and (np.diff(s) <= 0.0).all()):
+            raise ValueError("singular values must be finite, nonnegative and nonincreasing")
 
     def nonzero(self, scale: float) -> np.ndarray:
         """Mask of the sigma_j above ``SINGULAR_REL_TOL * scale``; the rest count as zero.

@@ -161,18 +161,20 @@ def identity_hierarchy(widths, distances=None):
 
 
 def bad_profiles(good, key="widths"):
-    """``(profile, message)`` for the four ways to spoil the valid profile
-    ``good``: a NaN, a negative entry, a wrong length and a finite entry above
-    ``PROFILE_LIMIT``.  ``message`` matches what ``check_profile`` says of
-    such a vector named ``key``."""
+    """``(profile, message)`` for the five ways to spoil the valid profile
+    ``good``: a NaN, a negative entry, a wrong length, a finite entry above
+    ``PROFILE_LIMIT`` and an infinite one.  ``message`` matches what
+    ``check_profile`` says of such a vector named ``key``."""
     good = np.asarray(good, dtype=float)
-    nan, negative, big = good.copy(), good.copy(), good.copy()
-    nan[1], negative[1], big[0] = np.nan, -0.5, 2.0 * PROFILE_LIMIT
+    nan, negative, big, infinite = good.copy(), good.copy(), good.copy(), good.copy()
+    nan[1], negative[1], big[0], infinite[0] = np.nan, -0.5, 2.0 * PROFILE_LIMIT, np.inf
+    too_large = f"^{key} entries must be finite and at most {re.escape(f'{PROFILE_LIMIT:g}')}$"
     return [
         (nan, f"^{key} entries must be nonnegative$"),
         (negative, f"^{key} entries must be nonnegative$"),
         (good[:-1], rf"^{key} must have length n\+1 = {good.size}, got shape"),
-        (big, f"^finite {key} entries must be at most {re.escape(f'{PROFILE_LIMIT:g}')}$"),
+        (big, too_large),
+        (infinite, too_large),
     ]
 
 

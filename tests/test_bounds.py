@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,13 +20,18 @@ from msrom import (
     babuska_bound,
     decompose,
     error_norm,
+    example1,
+    example2,
     ms_bound,
+    parse_config,
     run_instance,
     solve_pg,
     sup_oracle,
     synth_prescribed,
     water_filling,
 )
+from msrom.cli import _build_instance
+from msrom.problems import PROFILE_LIMIT
 
 
 def diag_decomp(sigma):
@@ -379,54 +386,44 @@ def test_ms_bound_carries_actual_errors():
     assert report.ms_bound == bare.ms_bound
 
 
-def infinite_width_instance(widths):
-    """The 3 x 3 prescribed instance with identity X, on the hierarchy ``widths``."""
-    problem, hierarchy, tests = synth_prescribed(
-        3, 3, 9, [1.0, 0.5, 0.2], np.eye(3), [0.8, 0.4, 0.2, 0.1], [0.8, 0.4, 0.2, 0.1], 1
-    )
-    return problem, SubspaceHierarchy(hierarchy.basis, np.array(widths), hierarchy.distances), tests
+def run_on(instance, widths, tau_mode):
+    """``run_instance``'s report and solution on ``instance`` with ``widths`` for its own."""
+    problem, hierarchy, tests = instance
+    variant = dataclasses.replace(hierarchy, widths=widths)
+    return run_instance(problem, variant, tests, SolverOptions(), tau_mode)[:2]
 
 
-@pytest.mark.parametrize(
-    "widths", [[0.8, np.inf, 0.2, 0.1], [np.inf, 0.4, 0.2, 0.1], [np.inf] * 4]
-)
-def test_ms_bound_is_finite_on_infinite_widths(widths):
-    # an infinite width never binds the solve, and the bound stays finite
-    # while each infinite delta_j meets a sigma_j > 0 (every sigma_j here);
-    # 0 * inf once made these NaN or an IndexError
-    report, solution, decomp = run_instance(*infinite_width_instance(widths), SolverOptions())
-    assert np.isfinite(report.ms_bound) and np.isfinite(report.water_filling.sup_value)
-    assert report.actual_ms_error <= report.ms_bound
-    if np.all(np.isinf(widths)):
-        # every delta_j is infinite: the budget goes to the cheapest, sigma_n
-        gam, tau_n, sigma_n = report.intermediates.gamma, 0.1, decomp.sigma[-1]
-        want = math.sqrt(4.0 * gam**2 * tau_n**2 / sigma_n**2 + tau_n**2)
-        assert report.ms_bound == pytest.approx(want, rel=1e-12)
-        assert report.ms_bound == pytest.approx(0.98488578, abs=5e-9)
-        assert report.water_filling.rho == 0.0
+def test_repeating_the_previous_width_states_no_prior():
+    # the solve reads only strict falls of the running minimum, so a repeated
+    # width solves bit-identically to one raised to PROFILE_LIMIT, while its
+    # smaller delta gives a bound no larger
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 8, "seed": 0}))
+    cases = [_build_instance(cfg, seed) for seed in range(4)]
+    cases += [example1(1e-4, 10, 40, 17), example2(0.05, 4, 16, 3)]
+    for instance in cases:
+        widths = instance[1].widths
+        for k in range(1, widths.size - 1):
+            repeated, raised = widths.copy(), widths.copy()
+            repeated[k], raised[k] = widths[k - 1], PROFILE_LIMIT
+            for tau_mode in ("known", "practitioner"):
+                (low, same), (high, other) = (
+                    run_on(instance, w, tau_mode) for w in (repeated, raised)
+                )
+                assert np.array_equal(same.coeffs, other.coeffs)
+                assert same.iterations == other.iterations
+                # the fill is monotone in delta up to the rounding of its sums
+                assert low.ms_bound <= high.ms_bound * (1.0 + 1e-12)
 
 
-def test_infinite_delta_where_it_costs_nothing():
-    widths = np.array([1.0, np.inf, 0.2])
-    # sigma_2 = 0: the infinite delta_2 is free, so the bound is infinite
-    report = ms_bound(diag_system([1.0, 0.0], identity_hierarchy(widths)), "practitioner")
-    assert np.array_equal(report.intermediates.delta, [2.0, np.inf])
-    assert report.ms_bound == np.inf and report.babuska is None
-    # all widths infinite, every sigma_j > 0 and gamma = 0: no budget, so
-    # nothing beyond tau_n
-    hierarchy = identity_hierarchy(np.full(3, np.inf), np.array([0.9, 0.5, 0.2]))
-    report = ms_bound(diag_system([1.0, 0.5], hierarchy))
-    assert report.ms_bound == 0.2 and report.water_filling.sup_value == 0.0
-    # a zero |x_ij| times an infinite width adds nothing to delta_j; the
-    # infinite delta_1 takes what the budget 4 gamma^2 tau_n^2 = 0.64 leaves
-    # after delta_2's cost 0.25, at the price sigma_1^2 = 1
-    hierarchy = identity_hierarchy(np.array([np.inf, 0.5, 0.2]), np.array([0.9, 0.5, 0.2]))
-    report = ms_bound(system_of(diag_decomp([1.0, 0.5]), hierarchy, 2.0))
-    assert np.array_equal(report.intermediates.delta, [np.inf, 1.0])
-    assert report.water_filling == water_filling([np.inf, 1.0], [1.0, 0.5], 2.0, 0.2)
-    assert (report.water_filling.ell, report.water_filling.rho) == (1, 0.0)
-    assert report.water_filling.sup_value == pytest.approx(1.0 + (0.64 - 0.25), rel=1e-12)
-    assert report.ms_bound == pytest.approx(math.sqrt(1.39 + 0.2**2), rel=1e-12)
+def test_water_filling_overflowing_cost_takes_what_the_budget_leaves():
+    # delta_1 is finite, but its cost sigma_1^2 delta_1^2 overflows: it takes
+    # what the budget 4 gamma^2 tau_n^2 = 0.64 leaves after delta_2's cost
+    # 0.25, at the price sigma_1^2 = 1 per unit of beta_1^2
+    args = ([1e200, 1.0], [1.0, 0.5], 2.0, 0.2)
+    wf = water_filling(*args)
+    assert (wf.ell, wf.rho) == (1, 0.0)
+    assert wf.sup_value == pytest.approx(1.0 + (0.64 - 0.25), rel=1e-12)
+    assert sup_oracle(*args) == pytest.approx(wf.sup_value, rel=1e-12)
 
 
 def test_decomposed_identity_round_trip():

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -118,24 +119,53 @@ def test_parse_rejects_numbers_beyond_the_float_range(text, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "key, values",
-    [("tau", [1e200, 0.2, 0.1]), ("widths", [0.5, 0.3, 2e154]), ("widths", [0.5, 0.3, 1.3e154])],
+    [("tau", [1e200, 0.2, 0.1]), ("widths", [0.5, 0.3, 2e154]), ("widths", [0.5, 0.3, 1e126])],
 )
 def test_parse_rejects_profiles_beyond_the_limit(key, values, tmp_path, capsys):
     # squared, 1e200 is inf: such a config used to validate and then write
-    # nan rows after a solve that could not converge; 1.3e154 has a finite
-    # square but overflows the sums the solve forms
+    # nan rows after a solve that could not converge; 2e154 has a finite
+    # square but overflows the sums the solve forms; from 1e126 on, a tau_0
+    # over a sigma_n near the zero cutoff overflows the dual Newton's squares
     doc = dict(PRESCRIBED, **{key: values})
     if key == "tau":
         doc["widths"] = [1e200, 0.3, 0.15]
     text = json.dumps(doc)
-    with pytest.raises(ValidationError, match=f"{key} entries must be at most 1e\\+150"):
+    with pytest.raises(ValidationError, match=f"{key} entries must be finite and at most 1e\\+125"):
         parse_config(text)
     path = tmp_path / "cfg.json"
     path.write_text(text)
     assert main(["validate", str(path)]) == 1
-    assert "at most 1e+150" in capsys.readouterr().err
+    assert "at most 1e+125" in capsys.readouterr().err
     # the limit itself still validates
-    parse_config(json.dumps(dict(PRESCRIBED, widths=[1e150, 0.3, 0.15])))
+    parse_config(json.dumps(dict(PRESCRIBED, widths=[1e125, 0.3, 0.15])))
+
+
+# tau_0 = 1e150 over sigma_n = 1e-11: the trial coefficients reach
+# tau_0 / sigma_n = 1e161, whose square project_slices cannot form
+OVERFLOW_AT_THE_OLD_LIMIT = {
+    "mode": "prescribed",
+    "n": 2,
+    "m": 2,
+    "N": 6,
+    "sigma": [1.0, 1e-11],
+    "tau": [1e150] * 3,
+    "widths": [1e150] * 3,
+    "seed": 1,
+}
+
+
+def test_profile_limit_keeps_the_solve_finite(tmp_path, capsys):
+    path, out = tmp_path / "cfg.json", tmp_path / "out.csv"
+    path.write_text(json.dumps(OVERFLOW_AT_THE_OLD_LIMIT))
+    assert main(["validate", str(path)]) == 1
+    assert "tau entries must be finite and at most 1e+125" in capsys.readouterr().err
+    # the same instance at the limit runs and converges, with no RuntimeWarning
+    at_limit = dict(OVERFLOW_AT_THE_OLD_LIMIT, tau=[1e125] * 3, widths=[1e125] * 3, repetitions=3)
+    path.write_text(json.dumps(at_limit))
+    assert main(["run", str(path), "--output", str(out), "--quiet"]) == 0
+    for row in csv.DictReader(out.open()):
+        assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
+        assert float(row["actual_pg_error"]) <= float(row["babuska_bound"])
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,89 @@
+"""Every entry point refuses a non-finite width, distance, fill input, singular
+value or point, at its own check and without a warning on the way."""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from msrom import (
+    AmbientSpace,
+    GramDecomposition,
+    InvalidDistances,
+    InvalidInput,
+    OrthonormalFrame,
+    SubspaceHierarchy,
+    ValidationError,
+    parse_config,
+    project_slices,
+    sup_oracle,
+    synth_prescribed,
+    water_filling,
+)
+from msrom.problems import check_profile
+
+WIDTHS = np.array([1.0, 0.6, 0.3, 0.2])
+TAU = np.array([0.8, 0.4, 0.2, 0.1])
+BASIS = OrthonormalFrame(AmbientSpace(4), np.eye(4)[:, :3])
+DELTA, SIGMA = np.array([1.0, 1.0]), np.array([1.0, 0.5])
+
+
+def spoiled(good, bad):
+    """``good`` with ``bad`` at the head, inside, at the tail and everywhere."""
+    out = []
+    for index in (0, 1, -1, slice(None)):
+        v = np.array(good, dtype=float)
+        v[index] = bad
+        out.append(v)
+    return out
+
+
+def prescribed(tau, widths):
+    return synth_prescribed(3, 3, 9, [1.0, 0.5, 0.2], np.eye(3), tau, widths, 1)
+
+
+def config(tau, widths):
+    """A prescribed config's text, with an infinite entry written as the literal
+    1e999, which Python's JSON parser reads as inf (NaN stays the literal NaN)."""
+    doc = {"mode": "prescribed", "n": 3, "m": 3, "N": 9, "seed": 1, "sigma": [1.0, 0.5, 0.2]}
+    doc.update(tau=np.asarray(tau).tolist(), widths=np.asarray(widths).tolist())
+    return json.dumps(doc).replace("Infinity", "1e999")
+
+
+# name -> (the good input, the call on a spoiled copy, the exception it raises)
+ENTRY_POINTS = {
+    "hierarchy-widths": (WIDTHS, lambda v: SubspaceHierarchy(BASIS, widths=v), InvalidDistances),
+    "hierarchy-distances": (
+        TAU, lambda v: SubspaceHierarchy(BASIS, widths=WIDTHS, distances=v), InvalidDistances
+    ),
+    "check_profile-widths": (WIDTHS, lambda v: check_profile(3, v), InvalidDistances),
+    "check_profile-tau": (TAU, lambda v: check_profile(3, WIDTHS, v), InvalidDistances),
+    "project_slices-widths": (WIDTHS, lambda v: project_slices(np.ones(3), v), InvalidDistances),
+    "synth_prescribed-widths": (WIDTHS, lambda v: prescribed(TAU, v), InvalidDistances),
+    "synth_prescribed-tau": (TAU, lambda v: prescribed(v, WIDTHS), InvalidDistances),
+    "parse_config-widths": (WIDTHS, lambda v: parse_config(config(TAU, v)), ValidationError),
+    "parse_config-tau": (TAU, lambda v: parse_config(config(v, WIDTHS)), ValidationError),
+    "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.5, 0.1), InvalidInput),
+    "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.5, 0.1), InvalidInput),
+    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), InvalidInput),
+    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), InvalidInput),
+    "decomposition-sigma": (
+        SIGMA,
+        lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3), X=np.eye(2), sigma=v),
+        ValueError,
+    ),
+    "project_slices-point": (np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError),
+}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_non_finite_entries_are_refused(entry, bad):
+    good, call, kind = ENTRY_POINTS[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(good)
+        for v in spoiled(good, bad):
+            with pytest.raises(kind):
+                call(v)

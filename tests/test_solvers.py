@@ -86,7 +86,7 @@ def test_project_slices_single_cylinder():
 
 def test_project_slices_full_norm_ball():
     c = np.array([3.0, 4.0])
-    widths = np.array([1.0, np.inf, np.inf])
+    widths = np.array([1.0, 1.0, 1.0])
     out = project_slices(c, widths)
     assert np.allclose(out, c / 5.0, atol=1e-12)
 
@@ -125,11 +125,11 @@ def test_project_slices_output_feasible(seed):
 
 
 def slice_case(rng, n):
-    """A point and n + 1 unsorted widths that bite, some infinite, some zero."""
+    """A point and n + 1 unsorted widths that bite, some loose (above ||c||), some zero."""
     c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0)
     c[rng.random(n) < 0.15] = 0.0
     widths = np.append(tail_norms(c) * rng.uniform(0.0, 1.3, size=n), rng.uniform(0.0, 1.0))
-    widths[rng.random(n + 1) < 0.15] = np.inf
+    widths[rng.random(n + 1) < 0.15] = 2.0 * np.linalg.norm(c) + 1.0
     widths[rng.random(n + 1) < 0.08] = 0.0
     return c, widths
 
@@ -140,7 +140,7 @@ def test_project_slices_matches_dykstra_oracle():
     # one large case without zero widths, which would pin most of it
     c = rng.standard_normal(200)
     widths = np.append(tail_norms(c) * rng.uniform(0.3, 1.2, size=200), 0.0)
-    widths[rng.random(201) < 0.1] = np.inf
+    widths[rng.random(201) < 0.1] = 2.0 * np.linalg.norm(c)
     cases.append((c, widths))
     for c, widths in cases:
         n = c.shape[0]
@@ -523,7 +523,7 @@ def plateau_case(rng, metric):
     G, d = helpers.assemble(problem, hierarchy, tests)
     widths = np.append(tail_norms(np.linalg.lstsq(G, d, rcond=None)[0]), 0.0)
     widths[:n] *= rng.uniform(0.3, 1.1, size=n)
-    # plateaus of ties, rises above the running minimum, and infinite widths
+    # plateaus of ties, and rises slight or far above the running minimum
     for k in range(1, n):
         draw = rng.random()
         if draw < 0.3:
@@ -531,7 +531,7 @@ def plateau_case(rng, metric):
         elif draw < 0.45:
             widths[k] = np.min(widths[:k]) * rng.uniform(1.0, 3.0)
         elif draw < 0.55:
-            widths[k] = np.inf
+            widths[k] = np.min(widths[:k]) * 1e6
     if rng.random() < 0.4:
         widths[int(rng.integers(2, n - 1))] = 0.0
     return problem, hierarchy.basis, tests, widths
@@ -540,7 +540,7 @@ def plateau_case(rng, metric):
 @pytest.mark.parametrize("metric", [False, True])
 def test_solve_ms_ignores_dominated_widths(metric):
     # nested trial spaces: a width at or above an earlier one cannot bind, so
-    # raising it to +inf or anywhere above the running minimum changes nothing
+    # raising it to PROFILE_LIMIT or anywhere above the running minimum changes nothing
     rng = np.random.default_rng(41 + metric)
     cases = [plateau_case(rng, metric) for _ in range(12)]
     if not metric:
@@ -554,7 +554,7 @@ def test_solve_ms_ignores_dominated_widths(metric):
         drop = dominated(widths)
         assert drop, "every case has at least one dominated width"
         raised = widths.copy()
-        raised[drop] = np.inf
+        raised[drop] = PROFILE_LIMIT
         lifted = widths.copy()
         lifted[drop] = [np.min(widths[:k]) * rng.uniform(1.0, 4.0) for k in drop]
         scale = max(1.0, float(np.max(np.abs(base.coeffs))))
@@ -653,16 +653,15 @@ def test_scaling_truth_and_widths_scales_solution_and_bounds(scale):
     # metamorphic: G does not change, d, the widths and the minimizer scale
     # by s; the solve's floors scale with the problem, so this holds far below
     # unit scale (absolute floors once certified answers 2-22% off at 1e-20).
-    # "limit" scales the largest finite width or distance to the largest one
-    # that check_profile accepts
+    # "limit" scales the largest width or distance to the largest one that
+    # check_profile accepts
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
     cases = [_build_instance(cfg, seed) for seed in FALLBACK_SWEEP_SEEDS]
     cases.append(example1(1e-4, 10, 40, 17))
     for problem, hierarchy, tests in cases:
         s = scale
         if scale == "limit":
-            profile = np.concatenate([hierarchy.widths, hierarchy.distances])
-            s = PROFILE_LIMIT / np.max(profile[np.isfinite(profile)])
+            s = PROFILE_LIMIT / max(np.max(hierarchy.widths), np.max(hierarchy.distances))
             with pytest.raises(InvalidDistances):
                 scaled(problem, hierarchy, 1.01 * s)
         base_report, base, _ = run_instance(problem, hierarchy, tests, SolverOptions())
@@ -688,8 +687,8 @@ def test_solve_ms_certificate_floor_scales_with_the_problem():
 
 def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     # G = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]: c_0 costs nothing and only the
-    # infinite width eps_0 covers it, so K = H + diag(tails^T lam) (3 x 3)
-    # keeps an exact zero pivot
+    # loose width eps_0 = 10 covers it, so K = H + diag(tails^T lam) (3 x 3)
+    # keeps an exact zero pivot while its multiplier is zero
     space = AmbientSpace(6)
     E = np.eye(6)
     A = np.zeros((6, 6))
@@ -697,7 +696,7 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     problem = ProblemInstance(space, np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]), factors=(A, E))
     trial = OrthonormalFrame(space, E[:, :3])
     tests = OrthonormalFrame(space, E[:, 3:])
-    hierarchy = SubspaceHierarchy(trial, widths=np.array([np.inf, 0.5, 0.3, 0.0]))
+    hierarchy = SubspaceHierarchy(trial, widths=np.array([10.0, 0.5, 0.3, 0.0]))
     raised, solve = [], np.linalg.solve
 
     def counting_solve(a, b):
