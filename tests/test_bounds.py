@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import descending, identity_hierarchy, random_orthogonal, system_of
 from msrom import (
     GramDecomposition,
+    InvalidDistances,
     InvalidInput,
     SingularGram,
     SolverOptions,
@@ -384,6 +385,34 @@ def test_ms_bound_carries_actual_errors():
     assert report.actual_pg_error == error_norm(solve_pg(assembly)[0], problem)
     assert report.actual_ms_error == error_norm(solution.point, problem)
     assert report.ms_bound == bare.ms_bound
+
+
+@pytest.mark.parametrize(
+    "widths", [[0.8, np.inf, 0.2, 0.1], [np.inf, 0.4, 0.2, 0.1], [np.inf] * 4]
+)
+def test_ms_bound_is_finite_on_widths_at_the_profile_limit(widths):
+    # an infinite width is refused when the hierarchy is built; in its place
+    # the largest width a profile may carry never binds the solve, and the
+    # bound stays finite and valid
+    problem, hierarchy, tests = synth_prescribed(
+        3, 3, 9, [1.0, 0.5, 0.2], np.eye(3), [0.8, 0.4, 0.2, 0.1], [0.8, 0.4, 0.2, 0.1], 1
+    )
+    with pytest.raises(InvalidDistances, match="finite and at most"):
+        SubspaceHierarchy(hierarchy.basis, np.array(widths), hierarchy.distances)
+    at_limit = np.where(np.isinf(widths), PROFILE_LIMIT, widths)
+    hierarchy = SubspaceHierarchy(hierarchy.basis, at_limit, hierarchy.distances)
+    report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
+    assert np.isfinite(report.ms_bound) and np.isfinite(report.water_filling.sup_value)
+    assert report.actual_ms_error <= report.ms_bound
+    if np.all(np.isinf(widths)):
+        # every delta_j is PROFILE_LIMIT: the budget goes to the cheapest,
+        # sigma_n, and spreads over the huge delta_j as a vanishing rho
+        gam, tau_n, sigma_n = report.intermediates.gamma, 0.1, decomp.sigma[-1]
+        want = math.sqrt(4.0 * gam**2 * tau_n**2 / sigma_n**2 + tau_n**2)
+        assert report.ms_bound == pytest.approx(want, rel=1e-12)
+        assert report.ms_bound == pytest.approx(0.98488578, abs=5e-9)
+        wf = report.water_filling
+        assert wf.rho == pytest.approx(wf.sup_value / PROFILE_LIMIT**2, rel=1e-12)
 
 
 def run_on(instance, widths, tau_mode):
