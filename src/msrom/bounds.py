@@ -8,11 +8,11 @@ projection: the squared bound is ``tau_n**2`` plus the value of a fractional
 knapsack in which coordinate j carries reward ``delta_j**2`` and cost
 ``sigma_j**2 * delta_j**2`` against the budget ``4 * gamma**2 * tau_n**2``.
 With the singular values sorted in decreasing order the reward/cost ratio
-increases with j, so the greedy fill from the tail is exact; ``sup_oracle``
-cross-checks it by enumerating the vertices of the feasible polytope.
+increases with j, so the greedy fill from the tail is exact.
 ``ms_bound`` is the one call that assembles both bounds on an instance: it
 reads the assembly, and ``tau_mode`` picks the profile of its (checked,
-frozen) hierarchy.
+frozen) hierarchy.  Its fill treats a singular value as zero wherever the
+solvers do (``GramDecomposition.nonzero``).
 """
 
 from __future__ import annotations
@@ -25,25 +25,17 @@ from .spectral import Assembly
 
 __all__ = [
     "InvalidInput",
-    "TooLarge",
     "BoundIntermediates",
     "WaterFillingSolution",
     "BoundReport",
     "babuska_bound",
     "water_filling",
-    "sup_oracle",
     "ms_bound",
 ]
-
-ORACLE_MAX_DIM = 6
 
 
 class InvalidInput(ValueError):
     """Bound routine called with inconsistent or out-of-range arguments."""
-
-
-class TooLarge(ValueError):
-    """Enumeration oracle refused: dimension exceeds ORACLE_MAX_DIM."""
 
 
 @dataclass(eq=False)
@@ -106,7 +98,19 @@ def babuska_bound(assembly: Assembly, dist_n: float) -> float:
     return float(assembly.norm / sigma[-1] * dist_n)
 
 
-def _check_fill_inputs(delta, sigma, gamma: float, tau_n: float):
+def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolution:
+    """Closed-form maximum of the budgeted coordinate fill.
+
+    Coordinates are filled from the tail (largest reward per unit cost
+    first) until the budget ``4 * gamma**2 * tau_n**2`` is spent.  If the
+    total cost never reaches the budget, the constraint is inactive and
+    every coordinate saturates.  A zero budget met by a positive total cost
+    is the degenerate active case: only the cost-free tail saturates
+    (``ell = n``, ``rho = 0``).  A finite ``delta_j`` whose cost
+    ``sigma_j**2 * delta_j**2`` overflows never saturates: filled partially,
+    it takes what the budget leaves at the price ``sigma_j**2`` per unit of
+    ``beta_j**2`` and reports ``rho = 0``.
+    """
     delta = np.asarray(delta, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if delta.ndim != 1 or sigma.shape != delta.shape:
@@ -122,23 +126,6 @@ def _check_fill_inputs(delta, sigma, gamma: float, tau_n: float):
         raise InvalidInput(f"tau_n must be finite and nonnegative, got {tau_n}")
     if gamma < 0.0 or not np.isfinite(gamma):
         raise InvalidInput(f"gamma must be finite and nonnegative, got {gamma}")
-    return delta, sigma
-
-
-def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolution:
-    """Closed-form maximum of the budgeted coordinate fill.
-
-    Coordinates are filled from the tail (largest reward per unit cost
-    first) until the budget ``4 * gamma**2 * tau_n**2`` is spent.  If the
-    total cost never reaches the budget, the constraint is inactive and
-    every coordinate saturates.  A zero budget met by a positive total cost
-    is the degenerate active case: only the cost-free tail saturates
-    (``ell = n``, ``rho = 0``).  A finite ``delta_j`` whose cost
-    ``sigma_j**2 * delta_j**2`` overflows never saturates: filled partially,
-    it takes what the budget leaves at the price ``sigma_j**2`` per unit of
-    ``beta_j**2`` and reports ``rho = 0``.
-    """
-    delta, sigma = _check_fill_inputs(delta, sigma, gamma, tau_n)
     n = delta.shape[0]
     if n == 0:
         return WaterFillingSolution(ell=None, rho=None, sup_value=0.0)
@@ -172,50 +159,17 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     return WaterFillingSolution(ell=ell + 1, rho=float(rho), sup_value=float(sup))
 
 
-def sup_oracle(delta, sigma, gamma: float, tau_n: float) -> float:
-    """Exhaustive maximum of the budgeted fill for small dimensions.
-
-    Maximizes ``sum(beta_j**2)`` over ``|beta_j| <= delta_j`` and
-    ``sum(sigma_j**2 beta_j**2) <= 4 gamma**2 tau_n**2``.  In the variables
-    ``t_j = beta_j**2 / delta_j**2`` this is a linear program over a box with
-    one budget row, so some optimizer has at most one fractional coordinate;
-    the oracle enumerates every 0/1 assignment plus each fractional
-    completion, independently of the closed-form path.  Raises
-    :class:`TooLarge` above ORACLE_MAX_DIM.
-    """
-    delta, sigma = _check_fill_inputs(delta, sigma, gamma, tau_n)
-    n = delta.shape[0]
-    if n > ORACLE_MAX_DIM:
-        raise TooLarge(f"enumeration oracle limited to n <= {ORACLE_MAX_DIM}, got {n}")
-    budget = 4.0 * gamma * gamma * tau_n * tau_n
-    with np.errstate(over="ignore"):  # an overflowing cost is never taken whole
-        cost = sigma * sigma * delta * delta
-        reward = delta * delta
-    best = 0.0
-    for mask in range(1 << n):
-        taken = [j for j in range(n) if mask & (1 << j)]
-        c_sum = float(np.sum(cost[taken])) if taken else 0.0
-        if c_sum > budget:
-            continue
-        value = float(np.sum(reward[taken])) if taken else 0.0
-        best = max(best, value)
-        remaining = budget - c_sum
-        for j in range(n):
-            if j in taken or cost[j] <= 0.0:
-                continue
-            # priced per unit of beta_j^2, so that an overflowing cost still buys a fraction
-            best = max(best, value + min(float(reward[j]), remaining / float(sigma[j]) ** 2))
-    return best
-
-
 def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     """Both bounds of one instance, on the profile that ``tau_mode`` picks.
 
     The profile is ``assembly.hierarchy.profile(tau_mode)``: the true
     distances ("known") or the widths ("practitioner"); its last entry is
     ``tau_n``.  ``delta_j = sum_i |x_ij| profile[i-1] + sum_i |x_ij|
-    widths[i-1]`` over the first n entries.  Raises :class:`InvalidInput`
-    for an unknown mode or a "known" hierarchy without distances.
+    widths[i-1]`` over the first n entries.  The fill reads the singular
+    values with those that count as zero against ``assembly.norm``
+    (``decomp.nonzero``) set to zero, as the solvers do.  Raises
+    :class:`InvalidInput` for an unknown mode or a "known" hierarchy without
+    distances.
     ``babuska`` is None when the assembly is ``singular``; the report's
     actual errors are left for the caller to fill.
     """
@@ -227,7 +181,8 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     n, absX = hierarchy.n, np.abs(assembly.decomp.X)
     delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
     tau_n = float(profile[-1])
-    wf = water_filling(delta, assembly.decomp.sigma, assembly.gamma, tau_n)
+    sigma = assembly.decomp.sigma * assembly.decomp.nonzero(assembly.norm)
+    wf = water_filling(delta, sigma, assembly.gamma, tau_n)
     return BoundReport(
         babuska=None if assembly.singular else babuska_bound(assembly, tau_n),
         ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),

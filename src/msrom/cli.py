@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import ms_bound, sup_oracle, water_filling
+from .bounds import ms_bound
 from .problems import (
     ProblemInstance,
     SubspaceHierarchy,
@@ -41,7 +41,6 @@ __all__ = [
     "parse_config",
     "run_experiment",
     "run_instance",
-    "oracle_sweep",
     "main",
 ]
 
@@ -77,9 +76,6 @@ _MODE_KEYS = {
     "prescribed": {"n", "m", "N", "sigma", "tau", "widths"},
     "random-sweep": {"n_min", "n_max", "N"},
 }
-
-ORACLE_SWEEP_SIZE = 200
-ORACLE_REL_TOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -368,34 +364,6 @@ def run_experiment(
     return 2 if any_unconverged else 0
 
 
-def _random_fill_tuple(rng: np.random.Generator, n: int):
-    delta = rng.uniform(0.0, 2.0, size=n)
-    if rng.random() < 0.2:
-        delta[int(rng.integers(0, n))] = 0.0
-    sigma = np.sort(rng.uniform(0.0, 1.0, size=n))[::-1]
-    if rng.random() < 0.2:
-        sigma[int(rng.integers(0, n)) :] = 0.0
-    gam = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 1.0))
-    tau_n = float(rng.uniform(0.0, 1.5))
-    return delta, sigma, gam, tau_n
-
-
-def oracle_sweep(n: int, seed: int, count: int = ORACLE_SWEEP_SIZE) -> float:
-    """Compare the closed-form fill against the enumeration oracle.
-
-    Returns the maximum relative deviation over ``count`` random tuples.
-    """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(count):
-        delta, sigma, gam, tau_n = _random_fill_tuple(rng, n)
-        closed = water_filling(delta, sigma, gam, tau_n).sup_value
-        brute = sup_oracle(delta, sigma, gam, tau_n)
-        scale = max(abs(closed), abs(brute), 1e-30)
-        worst = max(worst, abs(closed - brute) / scale)
-    return worst
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="msrom",
@@ -411,47 +379,27 @@ def main(argv=None) -> int:
     val_p = sub.add_parser("validate", help="check a config without running it")
     val_p.add_argument("config", help="path to a JSON config")
 
-    orc_p = sub.add_parser(
-        "oracle", help="compare the closed-form fill against the enumeration oracle"
-    )
-    orc_p.add_argument("n", type=int, help="tuple dimension (at most 6)")
-    orc_p.add_argument("seed", type=int, help="random seed for the tuple sweep")
-
     args = parser.parse_args(argv)
 
-    if args.command in ("run", "validate"):
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        try:
-            cfg = parse_config(text)
-        except (ParseError, ValidationError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        if args.command == "validate":
-            print("ok")
-            return 0
-        try:
-            return run_experiment(cfg, output_override=args.output, quiet=args.quiet)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    # oracle
-    if not 1 <= args.n <= 6:
-        print("error: oracle dimension must lie in [1, 6]", file=sys.stderr)
+    try:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.seed < 0:
-        print("error: seed must be nonnegative", file=sys.stderr)
+    try:
+        cfg = parse_config(text)
+    except (ParseError, ValidationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-    worst = oracle_sweep(args.n, args.seed)
-    print(
-        f"n={args.n} tuples={ORACLE_SWEEP_SIZE} max_relative_deviation={worst:.3e}"
-    )
-    return 0 if worst <= ORACLE_REL_TOL else 1
+    if args.command == "validate":
+        print("ok")
+        return 0
+    try:
+        return run_experiment(cfg, output_override=args.output, quiet=args.quiet)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ only those widths get multipliers and enter the checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,18 +109,22 @@ def project_slices(c, widths) -> np.ndarray:
     the squared factor ``min(1, (cap at its head - mass behind it) / its
     squared mass)`` and merges with its tail neighbour while its factor is the
     smaller.  The final width is ignored; one no lower than an earlier width never binds.
+    Raises ``ValueError`` for a non-finite entry of ``c`` and for a finite
+    ``c`` whose sum of squares overflows.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 1:
         raise ValueError(f"c must be one-dimensional, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("c entries must be finite")
+    values = c.tolist()
+    norm = math.hypot(*values)  # inf or NaN for a non-finite entry; no square is formed
+    if not norm * norm < math.inf:
+        raise ValueError("c entries must be finite, and so must the sum of their squares")
     n = c.shape[0]
     widths = check_vector(n, widths)
     caps = (np.minimum.accumulate(widths[:n]) ** 2).tolist()
     blocks = []  # [head index, squared mass, mass behind it, squared factor], tail first
     for j in range(n - 1, -1, -1):
-        mass = float(c[j]) ** 2
+        mass = values[j] ** 2
         behind = blocks[-1][2] + blocks[-1][1] * blocks[-1][3] if blocks else 0.0
         # a massless block never merges: the running minimum keeps behind <= caps[j]
         factor = min(1.0, (caps[j] - behind) / mass) if mass > 0.0 else 1.0

@@ -129,8 +129,8 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     Gram-Schmidt makes of vector j, up to rounding.  Raises
     :class:`RankDeficient` at the first pivot ``|R_jj|`` at or below
     ``RANK_TOL`` times the largest input norm (column norm of ``R``), and
-    when there are more vectors than dimensions.  No vectors give an empty
-    frame.
+    when there are more vectors than dimensions; raises ``ValueError`` for a
+    non-finite entry.  No vectors give an empty frame.
     """
     V = np.asarray(vectors, dtype=float)
     if V.ndim != 2:
@@ -138,6 +138,9 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     N, k = V.shape
     if N != space.dim:
         raise ValueError(f"vectors live in R^{N}, space has dim {space.dim}")
+    # NaN propagates through min and max, which need no temporary array
+    if not (np.isfinite(V.min(initial=0.0)) and np.isfinite(V.max(initial=0.0))):
+        raise ValueError("vectors must have finite entries")
     if k == 0:
         return OrthonormalFrame(space, np.zeros((N, 0)))
     if k > N:

@@ -5,8 +5,8 @@ points come from direct tail clipping, reference minimizers from scipy's
 SLSQP, reference projections from sampling plus polish and from Dykstra's
 alternating projections, orthonormal and complement bases from vector-loop
 Gram-Schmidt, the columns of a synthetic row from the generator's inputs and
-scipy's linprog.  Agreement between
-these routines and the package is then evidence, not a tautology.
+scipy's linprog, the maximum of the bound's fill by enumeration.  Agreement
+between these routines and the package is then evidence, not a tautology.
 """
 
 import itertools
@@ -409,6 +409,52 @@ def _fill_by_lp(delta, sigma, gamma, tau_n):
         filled = paying[t[paying] > 0.0]
         ell, rho = (int(filled[0]) + 1, float(t[filled[0]])) if filled.size else (delta.size, 0.0)
     return ell, rho, float(reward @ t)
+
+
+# the enumeration visits 2^n subsets and n fractional completions of each
+ORACLE_MAX_DIM = 6
+
+
+def sup_oracle(delta, sigma, gamma, tau_n):
+    """Exhaustive maximum of the bound's fill, for n <= ORACLE_MAX_DIM.
+
+    Maximizes ``sum(beta_j**2)`` over ``|beta_j| <= delta_j`` and
+    ``sum(sigma_j**2 beta_j**2) <= 4 gamma**2 tau_n**2``.  In the variables
+    ``t_j = beta_j**2 / delta_j**2`` this is a linear program over a box with
+    one budget row, so some optimizer has at most one fractional coordinate:
+    every 0/1 assignment is tried, and each completion of it by one
+    fractional coordinate.  The order of sigma does not matter here.  Raises
+    ValueError for arrays of unequal length, for a negative or non-finite
+    input, and above ORACLE_MAX_DIM.
+    """
+    delta, sigma = np.asarray(delta, dtype=float), np.asarray(sigma, dtype=float)
+    if delta.ndim != 1 or sigma.shape != delta.shape:
+        raise ValueError(f"delta and sigma must be 1-d of one length: {delta.shape}, {sigma.shape}")
+    for values in (delta, sigma, np.array([gamma, tau_n], dtype=float)):
+        if not (np.isfinite(values).all() and (values >= 0.0).all()):
+            raise ValueError("delta, sigma, gamma and tau_n must be finite and nonnegative")
+    n = delta.shape[0]
+    if n > ORACLE_MAX_DIM:
+        raise ValueError(f"enumeration limited to n <= {ORACLE_MAX_DIM}, got {n}")
+    budget = 4.0 * gamma * gamma * tau_n * tau_n
+    with np.errstate(over="ignore"):  # an overflowing cost is never taken whole
+        cost = sigma * sigma * delta * delta
+        reward = delta * delta
+    best = 0.0
+    for mask in range(1 << n):
+        taken = [j for j in range(n) if mask & (1 << j)]
+        c_sum = float(np.sum(cost[taken])) if taken else 0.0
+        if c_sum > budget:
+            continue
+        value = float(np.sum(reward[taken])) if taken else 0.0
+        best = max(best, value)
+        remaining = budget - c_sum
+        for j in range(n):
+            if j in taken or cost[j] <= 0.0:
+                continue
+            # priced per unit of beta_j^2, so that an overflowing cost still buys a fraction
+            best = max(best, value + min(float(reward[j]), remaining / float(sigma[j]) ** 2))
+    return best
 
 
 def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="known"):

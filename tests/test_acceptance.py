@@ -19,6 +19,7 @@ from helpers import (
     descending,
     random_orthogonal,
     square_instance,
+    sup_oracle,
     sweep_instance,
 )
 from msrom import (
@@ -36,7 +37,6 @@ from msrom import (
     run_instance,
     solve_ms,
     solve_pg,
-    sup_oracle,
     synth_prescribed,
     water_filling,
 )

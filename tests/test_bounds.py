@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, identity_hierarchy, random_orthogonal, system_of
+from helpers import descending, identity_hierarchy, random_orthogonal, sup_oracle, system_of
 from msrom import (
     GramDecomposition,
     InvalidDistances,
@@ -16,7 +16,6 @@ from msrom import (
     SingularGram,
     SolverOptions,
     SubspaceHierarchy,
-    TooLarge,
     assemble,
     babuska_bound,
     decompose,
@@ -27,7 +26,6 @@ from msrom import (
     parse_config,
     run_instance,
     solve_pg,
-    sup_oracle,
     synth_prescribed,
     water_filling,
 )
@@ -185,7 +183,7 @@ def test_water_filling_input_validation():
 
 
 def test_sup_oracle_dimension_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(ValueError, match="enumeration limited to n <= 6"):
         sup_oracle(np.ones(7), np.ones(7), 1.0, 1.0)
 
 
@@ -413,6 +411,22 @@ def test_ms_bound_is_finite_on_widths_at_the_profile_limit(widths):
         assert report.ms_bound == pytest.approx(0.98488578, abs=5e-9)
         wf = report.water_filling
         assert wf.rho == pytest.approx(wf.sup_value / PROFILE_LIMIT**2, rel=1e-12)
+
+
+def test_ms_bound_prices_sub_cutoff_singular_values_as_zero():
+    # at tau = 1e-24 sigma_n falls below the cutoff of decomp.nonzero, where
+    # the solve drops its direction; a fill that priced the raw sigma_n would
+    # read ms_bound 3.5e-8 against actual_ms_error 1.0 on seeds 0 and 4
+    doc = {"mode": "example1", "seed": 0, "tau": 1e-24, "n": 10, "N": 30, "repetitions": 5}
+    cfg = parse_config(json.dumps(doc))
+    for seed in range(cfg.seed, cfg.seed + cfg.repetitions):
+        problem, hierarchy, tests = _build_instance(cfg, seed)
+        report, solution, decomp = run_instance(problem, hierarchy, tests, cfg.solver)
+        assert report.babuska is None and solution.converged
+        assert report.actual_ms_error <= report.ms_bound
+        gam, delta = report.intermediates.gamma, report.intermediates.delta
+        raw = water_filling(delta, decomp.sigma, gam, hierarchy.distances[-1])
+        assert report.water_filling.sup_value >= raw.sup_value
 
 
 def run_on(instance, widths, tau_mode):

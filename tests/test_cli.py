@@ -23,7 +23,6 @@ from msrom.cli import (
     ValidationError,
     _build_instance,
     main,
-    oracle_sweep,
     parse_config,
     run_experiment,
     run_instance,
@@ -683,13 +682,13 @@ def test_main_reports_bad_config(tmp_path, capsys):
     assert main(["validate", str(cfg_path)]) == 1
 
 
-def test_main_oracle(capsys):
-    assert main(["oracle", "3", "11"]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("n=3 tuples=200")
-    assert main(["oracle", "7", "1"]) == 1
-    assert main(["oracle", "2", "-1"]) == 1
-
-
-def test_oracle_sweep_small():
-    assert oracle_sweep(2, seed=5, count=40) <= 1e-9
+def test_main_has_only_run_and_validate(capsys):
+    # the enumeration oracle is a test helper, not a command
+    with pytest.raises(SystemExit) as exit_info:
+        main(["oracle", "3", "11"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'oracle'" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "{run,validate}" in capsys.readouterr().out

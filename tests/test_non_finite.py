@@ -1,5 +1,6 @@
 """Every entry point refuses a non-finite width, distance, fill input, singular
-value or point, at its own check and without a warning on the way."""
+value, point or vector, at its own check and without a warning on the way; the
+test helper's enumeration oracle refuses non-finite fill inputs as well."""
 
 import json
 import warnings
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from helpers import sup_oracle
 from msrom import (
     AmbientSpace,
     GramDecomposition,
@@ -15,9 +17,9 @@ from msrom import (
     OrthonormalFrame,
     SubspaceHierarchy,
     ValidationError,
+    orthonormalize,
     parse_config,
     project_slices,
-    sup_oracle,
     synth_prescribed,
     water_filling,
 )
@@ -66,14 +68,17 @@ ENTRY_POINTS = {
     "parse_config-tau": (TAU, lambda v: parse_config(config(v, WIDTHS)), ValidationError),
     "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.5, 0.1), InvalidInput),
     "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.5, 0.1), InvalidInput),
-    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), InvalidInput),
-    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), InvalidInput),
+    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), ValueError),
+    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), ValueError),
     "decomposition-sigma": (
         SIGMA,
         lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3), X=np.eye(2), sigma=v),
         ValueError,
     ),
     "project_slices-point": (np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError),
+    "orthonormalize-vectors": (
+        BASIS.columns, lambda v: orthonormalize(v, BASIS.space), ValueError
+    ),
 }
 
 
@@ -87,3 +92,13 @@ def test_non_finite_entries_are_refused(entry, bad):
         for v in spoiled(good, bad):
             with pytest.raises(kind):
                 call(v)
+
+
+@pytest.mark.parametrize(
+    "point", [[1e200, 1.0], [1.0, -1e200], [1e154, 1e154, 1e154]], ids=["head", "tail", "sum"]
+)
+def test_project_slices_refuses_a_point_whose_squares_overflow(point):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sum of their squares"):
+            project_slices(point, np.ones(len(point) + 1))
