@@ -4,6 +4,8 @@
 Generates synthetic problems with known truth, runs the slice-constrained
 projection on each, and summarizes how tight the a-priori bound is.  The
 per-instance table lands in the output CSV (same schema as `msrom run`).
+Exits 1 when a row breaks ``actual_ms_error <= ms_bound`` or, where both
+cells are defined, ``actual_pg_error <= babuska_bound`` (each up to 1e-9).
 """
 
 import argparse
@@ -38,11 +40,18 @@ def main() -> None:
     with open(args.output) as fh:
         rows = list(csv.DictReader(fh))
     ratios = [float(r["actual_ms_error"]) / float(r["ms_bound"]) for r in rows]
-    violations = sum(
+    ms_violations = sum(
         float(r["actual_ms_error"]) > float(r["ms_bound"]) + 1e-9 for r in rows
     )
+    # PG is checked where both cells are defined (not on a singular Gram)
+    pg_violations = sum(
+        float(r["actual_pg_error"]) > float(r["babuska_bound"]) + 1e-9
+        for r in rows
+        if "undefined" not in (r["actual_pg_error"], r["babuska_bound"])
+    )
+    violations = ms_violations + pg_violations
     print(f"instances    {len(rows)}")
-    print(f"violations   {violations}")
+    print(f"violations   {violations} (MS {ms_violations}, PG {pg_violations})")
     print(f"ratio max    {max(ratios):.4f}")
     print(f"ratio median {statistics.median(ratios):.4f}")
     print(f"table        {args.output}")

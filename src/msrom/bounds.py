@@ -67,8 +67,6 @@ class BoundReport:
     """Bundle of both bounds and the quantities entering them.
 
     ``babuska`` is None when the Gram matrix is numerically singular.
-    ``tau_source`` records whether the distance profile fed into the bounds
-    was exact ("known") or replaced by the slice widths ("practitioner").
     """
 
     babuska: float | None
@@ -77,7 +75,6 @@ class BoundReport:
     water_filling: WaterFillingSolution
     actual_pg_error: float | None = None
     actual_ms_error: float | None = None
-    tau_source: str = "known"
 
 
 def babuska_bound(assembly: Assembly, dist_n: float) -> float:
@@ -188,5 +185,4 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
         ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),
         intermediates=BoundIntermediates(assembly.gamma, delta),
         water_filling=wf,
-        tau_source=tau_mode,
     )

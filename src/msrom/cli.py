@@ -286,12 +286,9 @@ def run_instance(
     """Run both projectors and both bounds on one instance.
 
     Returns ``(report, solution, decomp)``: the BoundReport, the
-    MultiSliceSolution, and the Gram decomposition used for the bounds.
+    MultiSliceSolution, and the Gram decomposition used for the bounds.  A
+    ``tau_mode`` the hierarchy cannot serve raises :func:`ms_bound`'s ``InvalidInput``.
     """
-    try:  # before any assembly
-        hierarchy.profile(tau_mode)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
     # one assembly and one SVD of G serve the bounds and both projectors
     assembly = assemble(problem, hierarchy, tests)
     # PG is defined where the quotient bound is: not on a singular Gram, tall or square

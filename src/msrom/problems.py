@@ -197,7 +197,10 @@ def flat_orthogonal(n: int) -> np.ndarray:
 # Generator preconditions.  Each message names the parameter by its config
 # key, so the CLI can pass it on unchanged.
 def check_dimensions(n: int, m: int, N: int) -> None:
-    """Room for n trial directions, m >= n tests and their complement."""
+    """Room for n trial directions, m >= n tests and their complement; each
+    dimension a Python or numpy integer, never a float to truncate."""
+    if not all(isinstance(v, (int, np.integer)) for v in (n, m, N)):
+        raise ValueError(f"n, m and N must be integers, got {n!r}, {m!r} and {N!r}")
     if n < 1:
         raise DimensionTooSmall(f"n must be at least 1, got {n}")
     if m < n:
@@ -306,7 +309,6 @@ def synth_prescribed(
     unit ``u`` orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k``
     for all k.  Returns ``(problem, hierarchy, Z)``.
     """
-    n, m, N = int(n), int(m), int(N)
     check_dimensions(n, m, N)
     sigma = check_spectrum(n, sigma)
     X = np.asarray(X, dtype=float)
@@ -332,7 +334,7 @@ def synth_prescribed(
     # Z moves no output beyond rounding, so it reuses the frame (at m = n the trial
     # frame itself).  The N x m normals drawn here keep each seed's u and z_true.
     rng.standard_normal((N, m))
-    Z = trial if m == n else base.prefix(m)
+    Z = trial if m == n else OrthonormalFrame(space, base.columns[:, :m])
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     u = rng.standard_normal(N)
@@ -355,7 +357,8 @@ def example1(
     distances.
     """
     check_example1(tau, n)
-    m = n if m is None else int(m)
+    m = n if m is None else m
+    check_dimensions(n, m, N)
     root = float(np.sqrt(tau))
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
     profile = np.array([1.0] * (n - 2) + [root, root, tau])
@@ -375,7 +378,8 @@ def example2(
     quotient bound reads at every n: it evaluates to ``tau**-2 * tau``.
     """
     limit = check_example2(tau, n)
-    m = n if m is None else int(m)
+    m = n if m is None else m
+    check_dimensions(n, m, N)
     X = flat_orthogonal(n)
     bulk = tau * np.sqrt(n - tau**2)
     sigma = np.full(n, bulk)

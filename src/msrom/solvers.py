@@ -60,9 +60,8 @@ class MultiSliceSolution:
     """Result of :func:`solve_ms`.
 
     ``cost`` is the squared residual at ``point``; ``kkt_residual`` is the
-    projected-gradient mapping norm at the returned coefficients.
-    ``non_unique_hint`` flags a numerically rank-deficient Gram matrix, in
-    which case the minimizer need not be unique.
+    projected-gradient mapping norm at the returned coefficients.  On a
+    ``singular`` assembly the minimizer need not be unique.
     """
 
     point: np.ndarray
@@ -71,7 +70,6 @@ class MultiSliceSolution:
     iterations: int
     converged: bool
     kkt_residual: float
-    non_unique_hint: bool = False
 
 
 def _least_squares(decomp: GramDecomposition, d: np.ndarray, nonzero: np.ndarray) -> np.ndarray:
@@ -302,7 +300,6 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
         iterations=int(iterations),
         converged=bool(converged),
         kkt_residual=float(kkt),
-        non_unique_hint=assembly.singular,
     )
 
 

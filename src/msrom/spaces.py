@@ -10,7 +10,7 @@ what they return.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,22 +36,20 @@ class RankDeficient(ValueError):
 class AmbientSpace:
     """R^dim with inner product ``<u, v> = u^T metric v``.
 
+    ``dim`` is a Python or numpy integer, never a float to truncate.
     ``metric`` is a symmetric positive-definite matrix with finite entries;
     ``None`` means the Euclidean inner product.  The space keeps a private
     copy, symmetrized as ``0.5 * (M + M^T)`` only when M is not exactly equal
-    to its transpose.  The metric is factored once on construction,
-    ``metric = cholesky @ cholesky.T`` with ``cholesky`` lower triangular
-    (``None`` in the Euclidean case, public, unused by :func:`orthonormalize`):
-    a failed factorization is what rejects a metric that is not positive definite.
+    to its transpose.  A failed Cholesky factorization, whose factor is not
+    kept, is what rejects a metric that is not positive definite.
     """
 
     dim: int
     metric: np.ndarray | None = None
-    cholesky: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if int(self.dim) < 1:
-            raise ValueError("dim must be a positive integer")
+        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+            raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         self.dim = int(self.dim)
         if self.metric is not None:
             M = np.array(self.metric, dtype=float)
@@ -65,7 +63,7 @@ class AmbientSpace:
                     raise ValueError("metric must be symmetric")
                 M = 0.5 * (M + M.T)
             try:
-                self.cholesky = np.linalg.cholesky(M)
+                np.linalg.cholesky(M)
             except np.linalg.LinAlgError:
                 raise ValueError("metric must be positive definite") from None
             self.metric = M
@@ -109,12 +107,6 @@ class OrthonormalFrame:
     def metric_image(self) -> np.ndarray:
         """``metric @ columns``, formed once; ``columns`` itself in the Euclidean case."""
         return self.space.apply_metric(self.columns)
-
-    def prefix(self, k: int) -> "OrthonormalFrame":
-        """Frame made of the first ``k`` columns."""
-        if not 0 <= k <= self.n_columns:
-            raise ValueError(f"prefix length {k} out of range")
-        return OrthonormalFrame(self.space, self.columns[:, :k])
 
 
 def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame:

@@ -31,12 +31,8 @@ class SingularGram(ValueError):
 
 @dataclass(eq=False)
 class GramDecomposition:
-    """SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix, m >= n.
-
-    Signs are normalized so each column of X has its largest-magnitude entry
-    positive (ties broken by the lowest row index), with the paired column of
-    U flipped along, so the factorization is deterministic.
-    """
+    """SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix, m >= n, with LAPACK's
+    signs: every reader pairs U's columns with X's or reads X in magnitude."""
 
     G: np.ndarray
     U: np.ndarray
@@ -114,18 +110,12 @@ def gram_matrix(riesz, trial: OrthonormalFrame) -> np.ndarray:
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
-    """Full SVD with the deterministic sign convention of GramDecomposition."""
+    """Full SVD of ``G``; sigma is padded with zeros to length n."""
     G = np.asarray(G, dtype=float)
-    m, n = G.shape
     U, s, Vt = np.linalg.svd(G, full_matrices=True)
-    X = Vt.T
-    sigma = np.zeros(n)
+    sigma = np.zeros(G.shape[1])
     sigma[: s.shape[0]] = s
-    if n:
-        flip = X[np.argmax(np.abs(X), axis=0), np.arange(n)] < 0.0
-        X[:, flip] *= -1.0
-        U[:, np.flatnonzero(flip[:m])] *= -1.0
-    return GramDecomposition(G=G, U=U, X=X, sigma=sigma)
+    return GramDecomposition(G=G, U=U, X=Vt.T, sigma=sigma)
 
 
 def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:

@@ -105,27 +105,6 @@ def complement_frame(frame):
     return OrthonormalFrame(space, cols)
 
 
-def decompose_loop(G):
-    """``(U, X, sigma)`` of a full SVD with decompose's sign rule, one column at a time.
-
-    Each column of X is flipped so that its first largest-magnitude entry is
-    positive; the paired column of U flips along when it exists (j < m).
-    """
-    G = np.asarray(G, dtype=float)
-    m, n = G.shape
-    U, s, Vt = np.linalg.svd(G, full_matrices=True)
-    X = Vt.T
-    sigma = np.zeros(n)
-    sigma[: s.shape[0]] = s
-    for j in range(n):
-        i = int(np.argmax(np.abs(X[:, j])))
-        if X[i, j] < 0.0:
-            X[:, j] = -X[:, j]
-            if j < m:
-                U[:, j] = -U[:, j]
-    return U, X, sigma
-
-
 def descending(rng, size, low, high):
     return np.sort(rng.uniform(low, high, size=size))[::-1]
 

@@ -341,12 +341,6 @@ def test_ms_bound_hierarchy_consistency():
         assert report.ms_bound > 0.0
 
 
-def test_ms_bound_practitioner_label():
-    widths = np.array([1.0, 0.5, 0.2])
-    report = ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)), "practitioner")
-    assert report.tau_source == "practitioner"
-
-
 def test_ms_bound_practitioner_reads_the_widths_as_distances():
     # "practitioner" feeds the widths where "known" feeds the distances
     rng = np.random.default_rng(5)
@@ -363,7 +357,6 @@ def test_ms_bound_practitioner_reads_the_widths_as_distances():
         # the widths array itself: |X|^T v of a contiguous copy of this reversed
         # view can differ in the last bit
         known = ms_bound(system_of(decomp, identity_hierarchy(widths, widths), 0.7))
-        assert (practitioner.tau_source, known.tau_source) == ("practitioner", "known")
         assert practitioner.ms_bound == known.ms_bound
         assert practitioner.babuska == known.babuska
         assert practitioner.water_filling == known.water_filling

@@ -639,10 +639,14 @@ def test_run_instance_known_tau_needs_distances():
     cfg = parse_config(example1_doc())
     problem, known, tests = _build_instance(cfg, cfg.seed)
     hierarchy = SubspaceHierarchy(known.basis, widths=known.widths)
-    with pytest.raises(ValidationError, match="true distance profile"):
+    # a library call, not a config: ms_bound's InvalidInput, as for an unknown mode
+    with pytest.raises(msrom.InvalidInput, match="true distance profile"):
         run_instance(problem, hierarchy, tests, cfg.solver)
+    with pytest.raises(msrom.InvalidInput, match="tau_mode must be"):
+        run_instance(problem, known, tests, cfg.solver, "exact")
     report, _, _ = run_instance(problem, hierarchy, tests, cfg.solver, "practitioner")
-    assert report.tau_source == "practitioner"
+    assembly = msrom.assemble(problem, hierarchy, tests)
+    assert report.ms_bound == msrom.ms_bound(assembly, "practitioner").ms_bound
 
 
 # ------------------------------------------------------------------ CLI shell

@@ -67,7 +67,7 @@ def test_metric_instance_equals_its_euclidean_image(metric, m):
     # reports is defined by inner products alone
     problem, hierarchy, tests = instance(metric, m)
     space = problem.space
-    L = np.eye(space.dim) if space.metric is None else space.cholesky
+    L = np.eye(space.dim) if space.metric is None else np.linalg.cholesky(space.metric)
     R, _ = problem.factors
     flat = AmbientSpace(space.dim)
     LZ = L.T @ tests.columns

@@ -438,6 +438,33 @@ def test_synth_prescribed_validation():
         synth_prescribed(3, 3, 5, [1.0, 0.5, 0.1], np.eye(3), good_tau, good_tau, 0)
 
 
+def rows_of(instance):
+    """Some outputs of an instance's run, bit for bit, to compare two builds of it."""
+    report, solution, decomp = run_instance(*instance, SolverOptions())
+    return (decomp.sigma.tobytes(), report.ms_bound, report.actual_ms_error, solution.cost)
+
+
+def test_synth_prescribed_refuses_non_integer_dimensions():
+    # int() would truncate these to n = m = 3, N = 12 and build that instance
+    sigma, tau = [1.0, 0.5, 0.2], [1.0, 0.5, 0.2, 0.1]
+    for dims in [(3.9, 3.2, 12.7), (3.0, 3, 12), (3, 3, "12")]:
+        with pytest.raises(ValueError, match="must be integers"):
+            synth_prescribed(*dims, sigma, np.eye(3), tau, tau, 0)
+    numpy_ints = synth_prescribed(*np.array([3, 4, 12]), sigma, np.eye(3), tau, tau, 0)
+    python_ints = synth_prescribed(3, 4, 12, sigma, np.eye(3), tau, tau, 0)
+    assert rows_of(numpy_ints) == rows_of(python_ints)
+
+
+@pytest.mark.parametrize("make", [example1, example2])
+def test_examples_refuse_non_integer_dimensions(make):
+    tau = 1e-3
+    for n, N, m in [(8.0, 32, None), (8, 32.5, None), (8, 32, 9.5)]:
+        with pytest.raises(ValueError, match="must be integers"):
+            make(tau, n, N, 0, m=m)
+    built = make(tau, np.int64(8), np.int64(32), 0, m=np.int64(9))
+    assert rows_of(built) == rows_of(make(tau, 8, 32, 0, m=9))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_synth_prescribed_properties(seed):

@@ -23,6 +23,7 @@ from helpers import (
 )
 from msrom import (
     AmbientSpace,
+    GramDecomposition,
     InvalidDistances,
     OrthonormalFrame,
     ProblemInstance,
@@ -33,6 +34,7 @@ from msrom import (
     decompose,
     error_norm,
     example1,
+    ms_bound,
     project_slices,
     run_instance,
     solve_ms,
@@ -266,7 +268,7 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
 def test_rejects_fewer_tests_than_trial_directions():
     rng = np.random.default_rng(7)
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
-    short = tests.prefix(2)
+    short = OrthonormalFrame(tests.space, tests.columns[:, :2])
     with pytest.raises(ValueError, match="at least as many tests as trial directions"):
         assemble(problem, hierarchy, short)
 
@@ -400,9 +402,9 @@ def test_solve_ms_flags_non_unique_spectrum():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 8, sigma, np.eye(n), tau, tau.copy(), seed=3
     )
-    solution = solve_ms(assemble(problem, hierarchy, tests))
-    assert solution.non_unique_hint
-    assert solution.converged
+    assembly = assemble(problem, hierarchy, tests)
+    assert assembly.singular  # what the row shows as babuska_bound = undefined
+    assert solve_ms(assembly).converged
 
 
 def test_solve_ms_singular_gram_with_biting_widths():
@@ -423,9 +425,10 @@ def test_solve_ms_singular_gram_with_biting_widths():
         c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
         widths = np.append(tail_norms(c_ls) * rng.uniform(0.3, 1.0, n), 0.0)
         biting = SubspaceHierarchy(hierarchy.basis, widths=widths)
-        solution = solve_ms(assemble(problem, biting, tests))
+        assembly = assemble(problem, biting, tests)
+        assert assembly.singular, seed
+        solution = solve_ms(assembly)
         assert solution.converged, seed
-        assert solution.non_unique_hint, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
         if n <= 4:
             ref_cost, _ = brute_force_ms(G, d, widths, rng)
@@ -479,7 +482,7 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
     scale = max(1.0, float(np.max(np.abs(alone.coeffs))))
     assert np.max(np.abs(solution.coeffs - alone.coeffs)) <= 1e-12 * scale
     assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
-    assert solution.non_unique_hint == alone.non_unique_hint == (kind == "singular")
+    assert assembly.singular == (kind == "singular")
     if kind == "singular":
         with pytest.raises(SingularGram):
             solve_pg(assembly)
@@ -489,6 +492,46 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
         assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
     if kind == "zero_width":
         assert np.all(solution.coeffs[3:] == 0.0)
+
+
+@pytest.mark.parametrize("kind", ["square", "tall", "singular", "zero_width", "metric"])
+def test_no_output_reads_the_signs_of_the_singular_vectors(kind):
+    # the projectors read U and X in matched pairs, X diag(sigma)^+ U^T d, and
+    # the bound reads |X|; so flipping paired columns, an SVD as valid as
+    # LAPACK's, moves no bit of either solve or of any field of the bound
+    problem, hierarchy, tests = threaded_instance(kind)
+    assembly = assemble(problem, hierarchy, tests)
+    decomp, n = assembly.decomp, hierarchy.n
+    pg = None if assembly.singular else solve_pg(assembly)
+    ms, bound = solve_ms(assembly), ms_bound(assembly)
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(4):
+        signs = rng.choice([-1.0, 1.0], size=n)
+        signs[rng.integers(n)] = -1.0
+        # elementwise products keep each factor's memory layout, so every
+        # matrix product below runs the same kernel in the same order
+        flipped = GramDecomposition(
+            G=decomp.G,
+            U=decomp.U * np.append(signs, np.ones(decomp.U.shape[1] - n)),
+            X=decomp.X * signs,
+            sigma=decomp.sigma,
+        )
+        other = dataclasses.replace(assembly, decomp=flipped)
+        if pg is not None:
+            for want, got in zip(pg, solve_pg(other)):
+                assert got.tobytes() == want.tobytes()
+        else:
+            with pytest.raises(SingularGram):
+                solve_pg(other)
+        got = solve_ms(other)
+        assert got.coeffs.tobytes() == ms.coeffs.tobytes()
+        assert (got.cost, got.iterations, got.converged) == (ms.cost, ms.iterations, ms.converged)
+        report = ms_bound(other)
+        assert (report.babuska, report.ms_bound) == (bound.babuska, bound.ms_bound)
+        assert report.water_filling == bound.water_filling
+        assert report.intermediates.gamma == bound.intermediates.gamma
+        assert report.intermediates.delta.tobytes() == bound.intermediates.delta.tobytes()
+        assert report.actual_pg_error is report.actual_ms_error is None
 
 
 def dominated(widths):
@@ -739,7 +782,7 @@ def test_solve_ms_flat_cost_returns_the_origin():
         assert np.array_equal(solution.coeffs, np.zeros(3))
         assert solution.converged and solution.iterations == 0
         assert solution.cost == 5.0
-        assert solution.non_unique_hint
+        assert assembly.singular
 
 
 def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
