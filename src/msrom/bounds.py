@@ -1,15 +1,15 @@
 """A-priori error bounds for the two projectors.
 
-``babuska_bound`` is the classical quotient bound for the plain projection:
-the continuity constant ``||R||_2`` (the norm of the representer family)
-over the inf-sup constant ``sigma_n``, times the distance ``tau_n``.
+The classical quotient (Babuska) bound for the plain projection is the
+continuity constant ``||R||_2`` (the norm of the representer family) over the
+inf-sup constant ``sigma_n``, times the distance ``tau_n``.
 ``water_filling`` evaluates the worst-case bound for the slice-constrained
 projection: the squared bound is ``tau_n**2`` plus the value of a fractional
 knapsack in which coordinate j carries reward ``delta_j**2`` and cost
 ``sigma_j**2 * delta_j**2`` against the budget ``4 * gamma**2 * tau_n**2``.
 With the singular values sorted in decreasing order the reward/cost ratio
 increases with j, so the greedy fill from the tail is exact.
-``ms_bound`` is the one call that assembles both bounds on an instance: it
+``ms_bound`` is the one call that forms both bounds on an instance: it
 reads the assembly, and ``tau_mode`` picks the profile of its (checked,
 frozen) hierarchy.  Its fill treats a singular value as zero wherever the
 solvers do (``GramDecomposition.nonzero``).
@@ -28,7 +28,6 @@ __all__ = [
     "BoundIntermediates",
     "WaterFillingSolution",
     "BoundReport",
-    "babuska_bound",
     "water_filling",
     "ms_bound",
 ]
@@ -75,24 +74,6 @@ class BoundReport:
     water_filling: WaterFillingSolution
     actual_pg_error: float | None = None
     actual_ms_error: float | None = None
-
-
-def babuska_bound(assembly: Assembly, dist_n: float) -> float:
-    """Quotient bound ``(||R||_2 / sigma_n) * dist_n`` for the plain projection.
-
-    The continuity constant ``||R||_2`` is the assembly's ``norm``, the norm
-    of the representer family; it is at least ``sigma_1``, and equals it only
-    when the representers' coupling with the trial span carries their whole
-    norm.  Raises :class:`msrom.spectral.SingularGram` when the assembly is
-    ``singular``.
-    """
-    if dist_n < 0.0 or not np.isfinite(dist_n):
-        raise InvalidInput(f"dist_n must be finite and nonnegative, got {dist_n}")
-    sigma = assembly.decomp.sigma
-    if sigma.size == 0:
-        raise InvalidInput("empty decomposition")
-    assembly.check_nonsingular()
-    return float(assembly.norm / sigma[-1] * dist_n)
 
 
 def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolution:
@@ -164,24 +145,26 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     ``tau_n``.  ``delta_j = sum_i |x_ij| profile[i-1] + sum_i |x_ij|
     widths[i-1]`` over the first n entries.  The fill reads the singular
     values with those that count as zero against ``assembly.norm``
-    (``decomp.nonzero``) set to zero, as the solvers do.  Raises
-    :class:`InvalidInput` for an unknown mode or a "known" hierarchy without
-    distances.
-    ``babuska`` is None when the assembly is ``singular``; the report's
-    actual errors are left for the caller to fill.
+    (``decomp.nonzero``) set to zero, as the solvers do.  ``babuska`` is the
+    quotient bound ``(||R||_2 / sigma_n) * tau_n``, with the assembly's
+    ``norm`` as ``||R||_2`` (at least ``sigma_1``), and None when the assembly
+    is ``singular``.  Raises :class:`InvalidInput` for an empty
+    decomposition, an unknown mode or a "known" hierarchy without distances.
+    The report's actual errors are left for the caller to fill.
     """
-    hierarchy = assembly.hierarchy
+    hierarchy, decomp = assembly.hierarchy, assembly.decomp
+    if decomp.sigma.size == 0:
+        raise InvalidInput("empty decomposition")
     try:
         profile = hierarchy.profile(tau_mode)
     except ValueError as exc:
         raise InvalidInput(str(exc)) from None
-    n, absX = hierarchy.n, np.abs(assembly.decomp.X)
+    n, absX = hierarchy.n, np.abs(decomp.X)
     delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
     tau_n = float(profile[-1])
-    sigma = assembly.decomp.sigma * assembly.decomp.nonzero(assembly.norm)
-    wf = water_filling(delta, sigma, assembly.gamma, tau_n)
+    wf = water_filling(delta, decomp.sigma * decomp.nonzero(assembly.norm), assembly.gamma, tau_n)
     return BoundReport(
-        babuska=None if assembly.singular else babuska_bound(assembly, tau_n),
+        babuska=None if assembly.singular else float(assembly.norm / decomp.sigma[-1] * tau_n),
         ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),
         intermediates=BoundIntermediates(assembly.gamma, delta),
         water_filling=wf,

@@ -31,7 +31,7 @@ from .problems import (
     synth_prescribed,
 )
 from .solvers import SolverOptions, error_norm, solve_ms, solve_pg
-from .spaces import OrthonormalFrame
+from .spaces import OrthonormalFrame, is_integer
 from .spectral import assemble
 
 __all__ = [
@@ -116,7 +116,7 @@ def _require(doc, key):
 
 def _require_int(doc, key, minimum=None):
     value = _require(doc, key)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_integer(value):
         raise ValidationError(f"field {key!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValidationError(f"field {key!r} must be >= {minimum}, got {value}")
@@ -291,7 +291,7 @@ def run_instance(
     """
     # one assembly and one SVD of G serve the bounds and both projectors
     assembly = assemble(problem, hierarchy, tests)
-    # PG is defined where the quotient bound is: not on a singular Gram, tall or square
+    # the one place that decides PG: no error on a singular Gram, as no quotient bound
     actual_pg = None
     if not assembly.singular:
         actual_pg = error_norm(solve_pg(assembly)[0], problem)

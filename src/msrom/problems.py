@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import AmbientSpace, OrthonormalFrame, orthonormalize
+from .spaces import AmbientSpace, OrthonormalFrame, all_finite, is_integer, orthonormalize
 
 __all__ = [
     "InvalidSpectrum",
@@ -54,7 +54,8 @@ class ProblemInstance:
     The form is ``a(v, z) = v^T M A z`` with ``A = R MZ^T``, given as
     ``factors=(R, MZ)``, two N x k matrices; every product with ``A`` goes
     through the factors.  A dense ``A`` is the pair ``(A, I)``.  The
-    right-hand side is ``b(v) = a(z_true, v)``.
+    right-hand side is ``b(v) = a(z_true, v)``.  The factors and ``z_true``
+    must be finite (``ValueError`` otherwise).
     """
 
     def __init__(
@@ -71,6 +72,8 @@ class ProblemInstance:
         self.z_true = np.asarray(z_true, dtype=float)
         if self.z_true.shape != (N,):
             raise ValueError("z_true has the wrong shape")
+        if not (all_finite(R) and all_finite(MZ) and all_finite(self.z_true)):
+            raise ValueError("factors and z_true must have finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +201,8 @@ def flat_orthogonal(n: int) -> np.ndarray:
 # key, so the CLI can pass it on unchanged.
 def check_dimensions(n: int, m: int, N: int) -> None:
     """Room for n trial directions, m >= n tests and their complement; each
-    dimension a Python or numpy integer, never a float to truncate."""
-    if not all(isinstance(v, (int, np.integer)) for v in (n, m, N)):
+    dimension an integer (:func:`msrom.spaces.is_integer`)."""
+    if not all(is_integer(v) for v in (n, m, N)):
         raise ValueError(f"n, m and N must be integers, got {n!r}, {m!r} and {N!r}")
     if n < 1:
         raise DimensionTooSmall(f"n must be at least 1, got {n}")

@@ -23,6 +23,7 @@ import numpy as np
 # gram_matrix and rhs_vector are not called here; they stay importable from
 # this module because the benchmark's tracing test patches them here
 from .problems import ProblemInstance, check_vector, rhs_vector  # noqa: F401
+from .spaces import is_integer
 from .spectral import Assembly, GramDecomposition, decompose, gram_matrix  # noqa: F401
 
 __all__ = [
@@ -42,17 +43,19 @@ STALL_REL_TOL = 1e-10
 class SolverOptions:
     """Iteration budget for :func:`solve_ms`.
 
-    ``max_iterations`` caps the Newton evaluations (factorizations of the
-    penalized normal matrix) of the dual iteration.  A dual iteration that
-    reaches the cap ends like any other: at the projection of its last point
-    onto the widths, certified or not.
+    ``max_iterations``, a positive integer (:func:`msrom.spaces.is_integer`),
+    caps the Newton evaluations (factorizations of the penalized normal
+    matrix) of the dual iteration.  A dual iteration that reaches the cap
+    ends like any other: at the projection of its last point onto the
+    widths, certified or not.
     """
 
     max_iterations: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+        cap = self.max_iterations
+        if not is_integer(cap) or cap < 1:
+            raise ValueError(f"max_iterations must be a positive integer, got {cap!r}")
 
 
 @dataclass(eq=False)
@@ -84,14 +87,11 @@ def solve_pg(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(point, coeffs)``, the point on the assembly's trial basis:
     the minimum-norm least-squares solution with the singular values that
-    count as zero against ``assembly.norm`` dropped.  Raises
-    :class:`msrom.spectral.SingularGram` for a square system whose assembly
-    is ``singular``.
+    count as zero against ``assembly.norm`` dropped, on every system.  On a
+    ``singular`` assembly that is a truncated solution, which
+    :func:`msrom.cli.run_instance` does not report as a PG error.
     """
     decomp = assembly.decomp
-    m, n = decomp.G.shape
-    if m == n:
-        assembly.check_nonsingular()
     coeffs = _least_squares(decomp, assembly.d, decomp.nonzero(assembly.norm))
     return assembly.hierarchy.basis.columns @ coeffs, coeffs
 

@@ -32,11 +32,23 @@ class RankDeficient(ValueError):
     """The supplied vectors are numerically linearly dependent."""
 
 
+def is_integer(value) -> bool:
+    """The one integer rule of dimensions and counts: a Python or numpy
+    integer, never a bool or a float to truncate."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of the float array ``arr`` is finite; NaN propagates
+    through min and max, which need no temporary array."""
+    return bool(np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0)))
+
+
 @dataclass(eq=False)
 class AmbientSpace:
     """R^dim with inner product ``<u, v> = u^T metric v``.
 
-    ``dim`` is a Python or numpy integer, never a float to truncate.
+    ``dim`` is a positive integer (:func:`is_integer`).
     ``metric`` is a symmetric positive-definite matrix with finite entries;
     ``None`` means the Euclidean inner product.  The space keeps a private
     copy, symmetrized as ``0.5 * (M + M^T)`` only when M is not exactly equal
@@ -48,7 +60,7 @@ class AmbientSpace:
     metric: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not is_integer(self.dim) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         self.dim = int(self.dim)
         if self.metric is not None:
@@ -84,8 +96,9 @@ class AmbientSpace:
 class OrthonormalFrame:
     """Metric-orthonormal columns spanning a subspace of an ambient space.
 
-    Frames are never mutated after construction: :attr:`metric_image` is
-    computed from ``columns`` on first read and kept.
+    The columns must be finite (``ValueError`` otherwise).  Frames are never
+    mutated after construction: :attr:`metric_image` is computed from
+    ``columns`` on first read and kept.
     """
 
     space: AmbientSpace
@@ -97,6 +110,8 @@ class OrthonormalFrame:
             raise ValueError(
                 f"columns must have shape ({self.space.dim}, k), got {cols.shape}"
             )
+        if not all_finite(cols):
+            raise ValueError("columns must have finite entries")
         self.columns = cols
 
     @property
@@ -130,8 +145,7 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     N, k = V.shape
     if N != space.dim:
         raise ValueError(f"vectors live in R^{N}, space has dim {space.dim}")
-    # NaN propagates through min and max, which need no temporary array
-    if not (np.isfinite(V.min(initial=0.0)) and np.isfinite(V.max(initial=0.0))):
+    if not all_finite(V):
         raise ValueError("vectors must have finite entries")
     if k == 0:
         return OrthonormalFrame(space, np.zeros((N, 0)))

@@ -11,7 +11,6 @@ from .problems import ProblemInstance, SubspaceHierarchy, rhs_vector, riesz_repr
 from .spaces import OrthonormalFrame
 
 __all__ = [
-    "SingularGram",
     "GramDecomposition",
     "Assembly",
     "gram_matrix",
@@ -23,10 +22,6 @@ __all__ = [
 # A singular value at most this times the representer-family norm ||R||_2
 # counts as zero, for the singularity test and for every pseudo-inverse of G.
 SINGULAR_REL_TOL = 1e-12
-
-
-class SingularGram(ValueError):
-    """A quotient bound or a square solve met a numerically singular Gram matrix."""
 
 
 @dataclass(eq=False)
@@ -62,16 +57,15 @@ class Assembly:
     """One instance's discrete system, the only input of both projectors and both bounds.
 
     ``hierarchy`` is the trial hierarchy, whose frame W, widths and profile
-    the projectors and bounds read; ``R`` holds the test representers (an
-    (N, m) array, one column each), ``d`` the load vector, ``decomp`` the SVD
-    of the Gram matrix ``G = R^T M W``, and ``gamma`` and ``norm`` the two
-    values of :func:`gamma`: the complement coupling and the
-    representer-family norm ``||R||_2``.  Construction checks that the
-    decomposition has the hierarchy's size n (``ValueError`` otherwise).
+    the projectors and bounds read; ``d`` is the load vector, ``decomp`` the
+    SVD of the Gram matrix ``G = R^T M W`` of the test representers R, and
+    ``gamma`` and ``norm`` the two values of :func:`gamma`: the complement
+    coupling and the representer-family norm ``||R||_2``.  Construction
+    checks that the decomposition has the hierarchy's size n (``ValueError``
+    otherwise).
     """
 
     hierarchy: SubspaceHierarchy
-    R: np.ndarray
     d: np.ndarray
     decomp: GramDecomposition
     gamma: float
@@ -84,16 +78,9 @@ class Assembly:
 
     @property
     def singular(self) -> bool:
-        """Whether sigma_n counts as zero against :attr:`norm` (see ``decomp.nonzero``)."""
+        """Whether sigma_n counts as zero against :attr:`norm` (see ``decomp.nonzero``);
+        then the instance has no quotient bound and no PG error."""
         return self.decomp.sigma.size > 0 and not self.decomp.nonzero(self.norm)[-1]
-
-    def check_nonsingular(self) -> None:
-        """Raise :class:`SingularGram` when :attr:`singular` holds."""
-        if self.singular:
-            raise SingularGram(
-                f"sigma_n = {self.decomp.sigma[-1]:.3e} below {SINGULAR_REL_TOL} * "
-                f"||R||_2 = {SINGULAR_REL_TOL * self.norm:.3e}"
-            )
 
 
 def _representers(riesz) -> np.ndarray:
@@ -172,5 +159,5 @@ def assemble(
     d = rhs_vector(problem, tests)
     decomp = decompose(gram_matrix(R, trial))
     gam, norm = gamma(R, trial, decomp.G)
-    return Assembly(hierarchy, R, d, decomp, gam, norm)
+    return Assembly(hierarchy, d, decomp, gam, norm)
 

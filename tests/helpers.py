@@ -127,9 +127,9 @@ def gamma_of(riesz, trial):
 def system_of(decomp, hierarchy, gamma=0.0):
     """An assembly around ``decomp`` and ``hierarchy`` for the bound routines,
     which read only those, ``gamma`` and ``norm``: orthonormal representers
-    (``R = I``, so ``norm = 1``) and a zero load."""
+    (``norm = 1``) and a zero load."""
     m = decomp.G.shape[0]
-    return Assembly(hierarchy, R=np.eye(m), d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
+    return Assembly(hierarchy, d=np.zeros(m), decomp=decomp, gamma=gamma, norm=1.0)
 
 
 def identity_hierarchy(widths, distances=None):

@@ -26,13 +26,13 @@ from msrom import (
     SolverOptions,
     SubspaceHierarchy,
     assemble,
-    babuska_bound,
     error_norm,
     example1,
     example2,
     main,
     ms_bound,
     parse_config,
+    riesz_representers,
     run_experiment,
     run_instance,
     solve_ms,
@@ -124,7 +124,7 @@ def test_criterion_4_quotient_bound_validity_sweep():
         problem, hierarchy, tests = square_instance(rng)
         assembly = assemble(problem, hierarchy, tests)
         assert assembly.decomp.sigma[-1] >= 0.05
-        bound = babuska_bound(assembly, float(hierarchy.distances[-1]))
+        bound = ms_bound(assembly).babuska
         point, _ = solve_pg(assembly)
         err = error_norm(point, problem)
         assert err <= bound + 1e-9
@@ -237,7 +237,7 @@ def test_criterion_7_structural_property_suite():
         assembly = assemble(problem, hierarchy, tests)
         decomp = assembly.decomp
         # the rotated bases R U and W X couple diagonally: U^T G X = diag(sigma)
-        G = assembly.R.T @ problem.space.apply_metric(trial.columns)
+        G = riesz_representers(problem, tests).T @ problem.space.apply_metric(trial.columns)
         coupling = decomp.U.T @ G @ decomp.X
         target = np.zeros_like(coupling)
         np.fill_diagonal(target, decomp.sigma)

@@ -13,11 +13,9 @@ from msrom import (
     GramDecomposition,
     InvalidDistances,
     InvalidInput,
-    SingularGram,
     SolverOptions,
     SubspaceHierarchy,
     assemble,
-    babuska_bound,
     decompose,
     error_norm,
     example1,
@@ -65,32 +63,40 @@ def random_tuple(rng, n):
 # --------------------------------------------------------------------- babuska
 
 
+def babuska(sigma, tau_n):
+    """``ms_bound``'s quotient bound on ``diag_system(sigma)`` with distance
+    ``tau_n``, which is None exactly when the assembly is singular."""
+    n = len(sigma)
+    assembly = diag_system(sigma, identity_hierarchy(np.ones(n + 1), np.full(n + 1, tau_n)))
+    report = ms_bound(assembly)
+    assert (report.babuska is None) == assembly.singular
+    return report.babuska
+
+
 def test_babuska_unit_conditioning():
-    assert babuska_bound(diag_system(np.ones(4)), 0.3) == pytest.approx(0.3)
+    assert babuska(np.ones(4), 0.3) == pytest.approx(0.3)
 
 
 def test_babuska_quotient():
-    assert babuska_bound(diag_system([1.0, 0.25]), 0.5) == pytest.approx(2.0)
+    assert babuska([1.0, 0.25], 0.5) == pytest.approx(2.0)
     # the constant is the representer-family norm, not sigma_1
-    assert babuska_bound(diag_system([0.5, 0.25]), 0.5) == pytest.approx(2.0)
+    assert babuska([0.5, 0.25], 0.5) == pytest.approx(2.0)
 
 
 def test_babuska_singular():
-    with pytest.raises(SingularGram):
-        babuska_bound(diag_system([1.0, 0.5, 0.0]), 0.1)
+    assert babuska([1.0, 0.5, 0.0], 0.1) is None
     # zero up to rounding: sigma_n is a tenth of sigma_1, but both are
     # rounding against the representer-family norm 1
-    with pytest.raises(SingularGram, match=r"\|\|R\|\|_2"):
-        babuska_bound(diag_system([2.2e-16, 2.1e-17]), 0.1)
+    assert babuska([2.2e-16, 2.1e-17], 0.1) is None
 
 
 def test_babuska_rejects_bad_distance():
-    with pytest.raises(InvalidInput):
-        babuska_bound(diag_system(np.ones(2)), -0.1)
-    with pytest.raises(InvalidInput):
-        babuska_bound(diag_system(np.ones(2)), np.nan)
+    # ms_bound reads tau_n from the hierarchy, which refuses a bad distance
+    for bad in [-0.1, np.nan]:
+        with pytest.raises(InvalidDistances):
+            identity_hierarchy(np.ones(3), [1.0, 0.5, bad])
     with pytest.raises(InvalidInput, match="empty decomposition"):
-        babuska_bound(diag_system(np.zeros(0)), 0.1)
+        ms_bound(diag_system(np.zeros(0)))
 
 
 # --------------------------------------------------------------- water filling

@@ -1,6 +1,7 @@
 """Every entry point refuses a non-finite width, distance, fill input, singular
-value, point or vector, at its own check and without a warning on the way; the
-test helper's enumeration oracle refuses non-finite fill inputs as well."""
+value, point, vector, frame column, truth or operator factor, at its own check
+and without a warning on the way; the test helper's enumeration oracle refuses
+non-finite fill inputs as well."""
 
 import json
 import warnings
@@ -15,6 +16,7 @@ from msrom import (
     InvalidDistances,
     InvalidInput,
     OrthonormalFrame,
+    ProblemInstance,
     SubspaceHierarchy,
     ValidationError,
     orthonormalize,
@@ -29,6 +31,8 @@ WIDTHS = np.array([1.0, 0.6, 0.3, 0.2])
 TAU = np.array([0.8, 0.4, 0.2, 0.1])
 BASIS = OrthonormalFrame(AmbientSpace(4), np.eye(4)[:, :3])
 DELTA, SIGMA = np.array([1.0, 1.0]), np.array([1.0, 0.5])
+# the operator factor pair (R, MZ) and the truth of a problem on R^4
+FACTOR, TRUTH = np.arange(8.0).reshape(4, 2), np.ones(4)
 
 
 def spoiled(good, bad):
@@ -78,6 +82,16 @@ ENTRY_POINTS = {
     "project_slices-point": (np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError),
     "orthonormalize-vectors": (
         BASIS.columns, lambda v: orthonormalize(v, BASIS.space), ValueError
+    ),
+    "frame-columns": (BASIS.columns, lambda v: OrthonormalFrame(BASIS.space, v), ValueError),
+    "problem-z_true": (
+        TRUTH, lambda v: ProblemInstance(BASIS.space, v, factors=(FACTOR, FACTOR)), ValueError
+    ),
+    "problem-factors": (
+        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(v, FACTOR)), ValueError
+    ),
+    "problem-factors-MZ": (
+        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(FACTOR, v)), ValueError
     ),
 }
 

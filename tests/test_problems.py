@@ -445,9 +445,10 @@ def rows_of(instance):
 
 
 def test_synth_prescribed_refuses_non_integer_dimensions():
-    # int() would truncate these to n = m = 3, N = 12 and build that instance
+    # int() would truncate these to n = m = 3, N = 12 and build that instance;
+    # a bool is a Python int, so True passed as n and m read as 1
     sigma, tau = [1.0, 0.5, 0.2], [1.0, 0.5, 0.2, 0.1]
-    for dims in [(3.9, 3.2, 12.7), (3.0, 3, 12), (3, 3, "12")]:
+    for dims in [(3.9, 3.2, 12.7), (3.0, 3, 12), (3, 3, "12"), (True, True, 3), (3, 3, True)]:
         with pytest.raises(ValueError, match="must be integers"):
             synth_prescribed(*dims, sigma, np.eye(3), tau, tau, 0)
     numpy_ints = synth_prescribed(*np.array([3, 4, 12]), sigma, np.eye(3), tau, tau, 0)

@@ -27,7 +27,6 @@ from msrom import (
     InvalidDistances,
     OrthonormalFrame,
     ProblemInstance,
-    SingularGram,
     SolverOptions,
     SubspaceHierarchy,
     assemble,
@@ -194,6 +193,8 @@ def test_solve_pg_zero_rhs():
 
 
 def test_solve_pg_singular_system():
+    # a square singular system returns the truncated least-squares solution,
+    # as a tall one does; the row reports no PG error for it
     rng = np.random.default_rng(5)
     n = 3
     sigma = np.array([1.0, 0.5, 0.0])
@@ -201,8 +202,13 @@ def test_solve_pg_singular_system():
     problem, hierarchy, tests = synth_prescribed(
         n, n, 2 * n + 2, sigma, np.eye(n), tau, tau.copy(), seed=23
     )
-    with pytest.raises(SingularGram):
-        solve_pg(assemble(problem, hierarchy, tests))
+    assembly = assemble(problem, hierarchy, tests)
+    assert assembly.singular
+    _, coeffs = solve_pg(assembly)
+    G, d = helpers.assemble(problem, hierarchy, tests)
+    want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
+    assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
+    assert run_instance(problem, hierarchy, tests, SolverOptions())[0].actual_pg_error is None
 
 
 def test_solve_pg_least_squares_when_overdetermined():
@@ -217,10 +223,10 @@ def test_solve_pg_least_squares_when_overdetermined():
     assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, np.linalg.norm(d))
 
 
-@pytest.mark.parametrize("m, sigma_n", [(5, 1e-6), (8, 0.0)])
+@pytest.mark.parametrize("m, sigma_n", [(5, 1e-6), (8, 0.0), (5, 0.0)])
 def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
-    # a tall system with sigma_n = 0 has no square singularity: PG is the
-    # minimum-norm least-squares solution that drops what counts as zero
+    # tall or square, PG is the minimum-norm least-squares solution that
+    # drops what counts as zero
     rng = np.random.default_rng(7)
     n = 5
     sigma = np.array([1.0, 0.6, 0.3, 0.1, sigma_n])
@@ -254,12 +260,9 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
     G, d = helpers.assemble(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert report.actual_pg_error is None
-    if m > 3:  # the library solve is the truncated least-squares solution
-        _, coeffs = solve_pg(assembly)
-        assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
-    else:
-        with pytest.raises(SingularGram):
-            solve_pg(assembly)
+    # tall or square, the library solve is the truncated least-squares solution
+    _, coeffs = solve_pg(assembly)
+    assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
     residual = G @ want - d
     assert solution.iterations == 0 and solution.converged
     assert solution.cost == pytest.approx(residual @ residual, rel=1e-12)
@@ -483,12 +486,10 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
     assert np.max(np.abs(solution.coeffs - alone.coeffs)) <= 1e-12 * scale
     assert solution.cost == pytest.approx(alone.cost, rel=1e-12, abs=1e-300)
     assert assembly.singular == (kind == "singular")
+    point, _ = solve_pg(assembly)
     if kind == "singular":
-        with pytest.raises(SingularGram):
-            solve_pg(assembly)
         assert report.actual_pg_error is None
     else:
-        point, _ = solve_pg(assembly)
         assert report.actual_pg_error == pytest.approx(error_norm(point, problem), rel=1e-12)
     if kind == "zero_width":
         assert np.all(solution.coeffs[3:] == 0.0)
@@ -502,7 +503,7 @@ def test_no_output_reads_the_signs_of_the_singular_vectors(kind):
     problem, hierarchy, tests = threaded_instance(kind)
     assembly = assemble(problem, hierarchy, tests)
     decomp, n = assembly.decomp, hierarchy.n
-    pg = None if assembly.singular else solve_pg(assembly)
+    pg = solve_pg(assembly)
     ms, bound = solve_ms(assembly), ms_bound(assembly)
     rng = np.random.default_rng(sum(map(ord, kind)))
     for _ in range(4):
@@ -517,12 +518,8 @@ def test_no_output_reads_the_signs_of_the_singular_vectors(kind):
             sigma=decomp.sigma,
         )
         other = dataclasses.replace(assembly, decomp=flipped)
-        if pg is not None:
-            for want, got in zip(pg, solve_pg(other)):
-                assert got.tobytes() == want.tobytes()
-        else:
-            with pytest.raises(SingularGram):
-                solve_pg(other)
+        for want, got in zip(pg, solve_pg(other)):
+            assert got.tobytes() == want.tobytes()
         got = solve_ms(other)
         assert got.coeffs.tobytes() == ms.coeffs.tobytes()
         assert (got.cost, got.iterations, got.converged) == (ms.cost, ms.iterations, ms.converged)
@@ -846,6 +843,17 @@ def test_solve_ms_points_lie_within_the_widths():
 def test_solver_options_validation():
     with pytest.raises(ValueError):
         SolverOptions(max_iterations=0)
+    # the integer rule of the dimensions: a NaN cap compared false with
+    # every count and stopped the dual Newton after one evaluation
+    for cap in [float("nan"), 2.5, float("inf"), True, np.float64(5.0)]:
+        with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
+            SolverOptions(max_iterations=cap)
+    problem, hierarchy, tests = example1(1e-4, 10, 40, 7)
+    assembly = assemble(problem, hierarchy, tests)
+    default = solve_ms(assembly)
+    numpy_cap = solve_ms(assembly, SolverOptions(max_iterations=np.int64(50_000)))
+    assert default.converged and default.iterations == 5
+    assert numpy_cap.coeffs.tobytes() == default.coeffs.tobytes()
     with pytest.raises(TypeError):  # the stall tolerance is no option
         SolverOptions(gradient_tolerance=1e-10)
 

@@ -292,6 +292,7 @@ E3 = AmbientSpace(3)
         (lambda: AmbientSpace(0), "dim must be a positive integer"),
         (lambda: AmbientSpace(2.5), "dim must be a positive integer"),
         (lambda: AmbientSpace(2.0), "dim must be a positive integer"),
+        (lambda: AmbientSpace(True), "dim must be a positive integer"),
         (lambda: AmbientSpace(3, np.eye(2)), "metric must be 3x3"),
         (lambda: OrthonormalFrame(E3, np.eye(4)[:, :2]), r"columns must have shape \(3, k\)"),
         (lambda: OrthonormalFrame(E3, np.ones(3)), r"columns must have shape \(3, k\)"),
@@ -302,6 +303,7 @@ E3 = AmbientSpace(3)
         "space-dim-zero",
         "space-dim-fraction",
         "space-dim-float",
+        "space-dim-bool",
         "metric-shape",
         "frame-rows",
         "frame-one-dimensional",

@@ -379,7 +379,7 @@ def test_deltas_requires_gamma():
     # assembly that ms_bound reads it from has no default for it
     hierarchy = identity_hierarchy(np.ones(4))
     with pytest.raises(TypeError, match="gamma"):
-        Assembly(hierarchy, R=np.eye(3), d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
+        Assembly(hierarchy, d=np.zeros(3), decomp=decompose(np.eye(3)), norm=1.0)
 
 
 @settings(max_examples=40, deadline=None)
