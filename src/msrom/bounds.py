@@ -24,17 +24,12 @@ import numpy as np
 from .spectral import Assembly
 
 __all__ = [
-    "InvalidInput",
     "BoundIntermediates",
     "WaterFillingSolution",
     "BoundReport",
     "water_filling",
     "ms_bound",
 ]
-
-
-class InvalidInput(ValueError):
-    """Bound routine called with inconsistent or out-of-range arguments."""
 
 
 @dataclass(eq=False)
@@ -92,21 +87,19 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     delta = np.asarray(delta, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
     if delta.ndim != 1 or sigma.shape != delta.shape:
-        raise InvalidInput(
+        raise ValueError(
             f"delta and sigma must be 1-d with equal length, got {delta.shape} and {sigma.shape}"
         )
     entries = np.concatenate([delta, sigma])
     if not ((entries >= 0.0) & (entries < np.inf)).all():  # NaN fails both comparisons
-        raise InvalidInput("delta and sigma entries must be finite and nonnegative")
+        raise ValueError("delta and sigma entries must be finite and nonnegative")
     if np.any(np.diff(sigma) > 0.0):
-        raise InvalidInput("sigma must be nonincreasing")
+        raise ValueError("sigma must be nonincreasing")
     if tau_n < 0.0 or not np.isfinite(tau_n):
-        raise InvalidInput(f"tau_n must be finite and nonnegative, got {tau_n}")
+        raise ValueError(f"tau_n must be finite and nonnegative, got {tau_n}")
     if gamma < 0.0 or not np.isfinite(gamma):
-        raise InvalidInput(f"gamma must be finite and nonnegative, got {gamma}")
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     n = delta.shape[0]
-    if n == 0:
-        return WaterFillingSolution(ell=None, rho=None, sup_value=0.0)
     budget = 4.0 * gamma * gamma * tau_n * tau_n
     with np.errstate(over="ignore"):  # an overflowing cost is handled at cost_ell below
         cost = sigma * sigma * delta * delta
@@ -148,17 +141,14 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     (``decomp.nonzero``) set to zero, as the solvers do.  ``babuska`` is the
     quotient bound ``(||R||_2 / sigma_n) * tau_n``, with the assembly's
     ``norm`` as ``||R||_2`` (at least ``sigma_1``), and None when the assembly
-    is ``singular``.  Raises :class:`InvalidInput` for an empty
-    decomposition, an unknown mode or a "known" hierarchy without distances.
+    is ``singular``.  Raises ``ValueError`` for an empty decomposition, an
+    unknown mode or a "known" hierarchy without distances.
     The report's actual errors are left for the caller to fill.
     """
     hierarchy, decomp = assembly.hierarchy, assembly.decomp
     if decomp.sigma.size == 0:
-        raise InvalidInput("empty decomposition")
-    try:
-        profile = hierarchy.profile(tau_mode)
-    except ValueError as exc:
-        raise InvalidInput(str(exc)) from None
+        raise ValueError("empty decomposition")
+    profile = hierarchy.profile(tau_mode)
     n, absX = hierarchy.n, np.abs(decomp.X)
     delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
     tau_n = float(profile[-1])

@@ -35,7 +35,6 @@ from .spaces import OrthonormalFrame, is_integer
 from .spectral import assemble
 
 __all__ = [
-    "ParseError",
     "ValidationError",
     "ExperimentConfig",
     "parse_config",
@@ -78,12 +77,8 @@ _MODE_KEYS = {
 }
 
 
-class ParseError(ValueError):
-    """Config document is not well-formed JSON."""
-
-
 class ValidationError(ValueError):
-    """Config contents violate a field constraint."""
+    """A config document is malformed JSON or violates a field constraint."""
 
 
 @dataclass(eq=False)
@@ -148,13 +143,11 @@ def _solver_options(doc) -> SolverOptions:
     raw = doc.get("solver", {})
     if not isinstance(raw, dict):
         raise ValidationError("field 'solver' must be an object")
-    readers = {"max_iterations": _require_int}
-    unknown = set(raw) - set(readers)
+    unknown = set(raw) - {"max_iterations"}
     if unknown:
         raise ValidationError(f"unknown solver option(s): {sorted(unknown)}")
-    options = {key: readers[key](raw, key) for key in raw}
     try:
-        return SolverOptions(**options)
+        return SolverOptions(**raw)
     except ValueError as exc:
         raise ValidationError(f"invalid solver options: {exc}") from exc
 
@@ -162,14 +155,14 @@ def _solver_options(doc) -> SolverOptions:
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a JSON config document.
 
-    Raises :class:`ParseError` on malformed JSON and :class:`ValidationError`
-    (naming the offending field) on any constraint violation; the generator
-    preconditions are the check functions of :mod:`msrom.problems`.
+    Raises :class:`ValidationError` on malformed JSON and on any constraint
+    violation (naming the offending field); the generator preconditions are
+    the check functions of :mod:`msrom.problems`.
     """
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise ParseError(f"malformed JSON: {exc}") from exc
+        raise ValidationError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("config must be a JSON object")
     mode = doc.get("mode")
@@ -287,7 +280,7 @@ def run_instance(
 
     Returns ``(report, solution, decomp)``: the BoundReport, the
     MultiSliceSolution, and the Gram decomposition used for the bounds.  A
-    ``tau_mode`` the hierarchy cannot serve raises :func:`ms_bound`'s ``InvalidInput``.
+    ``tau_mode`` the hierarchy cannot serve raises :func:`ms_bound`'s ``ValueError``.
     """
     # one assembly and one SVD of G serve the bounds and both projectors
     assembly = assemble(problem, hierarchy, tests)
@@ -386,7 +379,7 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(text)
-    except (ParseError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.command == "validate":
@@ -398,6 +391,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -17,10 +17,6 @@ import numpy as np
 from .spaces import AmbientSpace, OrthonormalFrame, all_finite, is_integer, orthonormalize
 
 __all__ = [
-    "InvalidSpectrum",
-    "InvalidDistances",
-    "DimensionTooSmall",
-    "HadamardUnavailable",
     "ProblemInstance",
     "SubspaceHierarchy",
     "riesz_representers",
@@ -30,22 +26,6 @@ __all__ = [
     "example1",
     "example2",
 ]
-
-
-class InvalidSpectrum(ValueError):
-    """Prescribed singular values are out of range or not sorted."""
-
-
-class InvalidDistances(ValueError):
-    """Prescribed distances/widths are negative, increasing, or inconsistent."""
-
-
-class DimensionTooSmall(ValueError):
-    """The ambient dimension leaves no room for the requested construction."""
-
-
-class HadamardUnavailable(ValueError):
-    """No orthogonal matrix with flat entry magnitudes is known for this order."""
 
 
 class ProblemInstance:
@@ -188,12 +168,12 @@ def flat_orthogonal(n: int) -> np.ndarray:
     """Orthogonal n x n matrix whose entries all have magnitude n**-0.5.
 
     Built from doubling and quadratic-residue constructions; raises
-    :class:`HadamardUnavailable` exactly where :func:`hadamard_available` is false.
+    ``ValueError`` exactly where :func:`hadamard_available` is false.
     """
     if n < 1:
         raise ValueError("order must be positive")
     if not hadamard_available(n):
-        raise HadamardUnavailable(f"n = {n} has no flat orthogonal matrix construction")
+        raise ValueError(f"n = {n} has no flat orthogonal matrix construction")
     return _hadamard(n) / np.sqrt(n)
 
 
@@ -205,22 +185,22 @@ def check_dimensions(n: int, m: int, N: int) -> None:
     if not all(is_integer(v) for v in (n, m, N)):
         raise ValueError(f"n, m and N must be integers, got {n!r}, {m!r} and {N!r}")
     if n < 1:
-        raise DimensionTooSmall(f"n must be at least 1, got {n}")
+        raise ValueError(f"n must be at least 1, got {n}")
     if m < n:
-        raise DimensionTooSmall(f"m must be >= n = {n}, got {m}")
+        raise ValueError(f"m must be >= n = {n}, got {m}")
     if N < n + m:
-        raise DimensionTooSmall(f"N must be >= n + m = {n + m}, got {N}")
+        raise ValueError(f"N must be >= n + m = {n + m}, got {N}")
 
 
 def check_spectrum(n: int, sigma) -> np.ndarray:
     """``sigma`` has length n, entries in [0, 1] and is nonincreasing."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (n,):
-        raise InvalidSpectrum(f"sigma must have length n = {n}, got shape {sigma.shape}")
+        raise ValueError(f"sigma must have length n = {n}, got shape {sigma.shape}")
     if not np.all((sigma >= 0.0) & (sigma <= 1.0)):
-        raise InvalidSpectrum("sigma entries must lie in [0, 1]")
+        raise ValueError("sigma entries must lie in [0, 1]")
     if np.any(np.diff(sigma) > 0.0):
-        raise InvalidSpectrum("sigma must be nonincreasing")
+        raise ValueError("sigma must be nonincreasing")
     return sigma
 
 
@@ -235,14 +215,14 @@ PROFILE_LIMIT = 1e125
 def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
     """A width or distance vector as a float array: length n+1, entries finite and
     in [0, ``PROFILE_LIMIT``].  The one check of such a vector at every entry
-    point; ``key`` names it in the :class:`InvalidDistances` message."""
+    point; ``key`` names it in the ``ValueError`` message."""
     v = np.asarray(values, dtype=float)
     if v.shape != (n + 1,):
-        raise InvalidDistances(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
+        raise ValueError(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
     if not (v >= 0.0).all():  # NaN fails the comparison too
-        raise InvalidDistances(f"{key} entries must be nonnegative")
+        raise ValueError(f"{key} entries must be nonnegative")
     if not (v <= PROFILE_LIMIT).all():
-        raise InvalidDistances(f"{key} entries must be finite and at most {PROFILE_LIMIT:g}")
+        raise ValueError(f"{key} entries must be finite and at most {PROFILE_LIMIT:g}")
     return v
 
 
@@ -253,31 +233,31 @@ def check_profile(n: int, widths, tau=None):
     w = check_vector(n, widths)
     if t is not None:
         if np.any(np.diff(t) > 0.0):
-            raise InvalidDistances("tau must be nonincreasing")
+            raise ValueError("tau must be nonincreasing")
         if np.any(t > w):
-            raise InvalidDistances("widths must dominate tau entrywise (the prior must hold)")
+            raise ValueError("widths must dominate tau entrywise (the prior must hold)")
     return w, t
 
 
 def check_example1(tau: float, n: int) -> None:
     """Ranges of ``tau`` and ``n`` in :func:`example1` (dimensions: :func:`check_dimensions`)."""
     if not 0.0 < tau < 1.0:
-        raise InvalidSpectrum("tau must lie in (0, 1) for example1")
+        raise ValueError("tau must lie in (0, 1) for example1")
     if n < 4:
-        raise DimensionTooSmall(f"n must be at least 4 for example1, got {n}")
+        raise ValueError(f"n must be at least 4 for example1, got {n}")
 
 
 def check_example2(tau: float, n: int) -> float:
     """Parameter ranges of :func:`example2`; returns the plateau 1/(2(n-1))."""
     if n < 2:
-        raise DimensionTooSmall(f"n must be at least 2 for example2, got {n}")
+        raise ValueError(f"n must be at least 2 for example2, got {n}")
     limit = 1 / (2 * (n - 1))  # int / int: correctly rounded, no OverflowError for huge n
     if not 0.0 < tau <= limit:
-        raise InvalidDistances(
+        raise ValueError(
             f"tau must lie in (0, 1/(2(n-1))] = (0, {limit}] for n = {n}, got {tau}"
         )
     if not hadamard_available(n):
-        raise HadamardUnavailable(f"n = {n} has no flat orthogonal matrix construction")
+        raise ValueError(f"n = {n} has no flat orthogonal matrix construction")
     return limit
 
 
@@ -316,10 +296,10 @@ def synth_prescribed(
     sigma = check_spectrum(n, sigma)
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
-        raise InvalidSpectrum(f"X must be {n}x{n}")
+        raise ValueError(f"X must be {n}x{n}")
     # entries of an orthogonal X lie in [-1, 1]: NaN, inf and overflow fail before the product
     if not ((np.abs(X) <= 1.0 + 1e-10).all() and np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10):
-        raise InvalidSpectrum("X must be orthogonal")
+        raise ValueError("X must be orthogonal")
 
     rng = np.random.default_rng(seed)
     space = AmbientSpace(N, metric)

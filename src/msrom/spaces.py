@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "AmbientSpace",
     "OrthonormalFrame",
-    "RankDeficient",
     "orthonormalize",
 ]
 
@@ -26,10 +25,6 @@ __all__ = [
 RANK_TOL = 1e-10
 
 _METRIC_SYM_TOL = 1e-12
-
-
-class RankDeficient(ValueError):
-    """The supplied vectors are numerically linearly dependent."""
 
 
 def is_integer(value) -> bool:
@@ -133,11 +128,10 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     than ``M``; its Cholesky factor ``C`` gives ``Q = Q~ C^-T`` and ``R = C^T
     R~`` (Cholesky QR in an oblique inner product, Lowery and Langou 2014).
     Columns are flipped so that ``R_jj > 0``: column j is then what
-    Gram-Schmidt makes of vector j, up to rounding.  Raises
-    :class:`RankDeficient` at the first pivot ``|R_jj|`` at or below
-    ``RANK_TOL`` times the largest input norm (column norm of ``R``), and
-    when there are more vectors than dimensions; raises ``ValueError`` for a
-    non-finite entry.  No vectors give an empty frame.
+    Gram-Schmidt makes of vector j, up to rounding.  Raises ``ValueError``
+    at the first pivot ``|R_jj|`` at or below ``RANK_TOL`` times the largest
+    input norm (column norm of ``R``), when there are more vectors than
+    dimensions, and for a non-finite entry.  No vectors give an empty frame.
     """
     V = np.asarray(vectors, dtype=float)
     if V.ndim != 2:
@@ -150,7 +144,7 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     if k == 0:
         return OrthonormalFrame(space, np.zeros((N, 0)))
     if k > N:
-        raise RankDeficient(
+        raise ValueError(
             f"input vector {N} is numerically dependent on its predecessors "
             f"({k} vectors in R^{N})"
         )
@@ -167,7 +161,7 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
     small = np.flatnonzero(np.abs(pivots) <= tol)
     if small.size:
         j = int(small[0])
-        raise RankDeficient(
+        raise ValueError(
             f"input vector {j} is numerically dependent on its predecessors "
             f"(pivot norm {abs(pivots[j]):.3e}, tolerance {tol:.3e})"
         )

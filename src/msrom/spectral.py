@@ -122,12 +122,10 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     space or ``P`` is exactly zero; both are 0 without representers.
     """
     R = _representers(riesz)
-    if R.shape[1] == 0:
-        return 0.0, 0.0
     space, W = trial.space, trial.columns
     C = np.asarray(gram, dtype=float).T
     P = R - W @ C
-    scale = float(np.max(np.abs(P))) if trial.n_columns < space.dim else 0.0
+    scale = float(np.max(np.abs(P), initial=0.0)) if trial.n_columns < space.dim else 0.0
     gam, PMP = 0.0, 0.0
     if scale > 0.0:
         P = P / scale

@@ -19,7 +19,6 @@ from msrom import (
     AmbientSpace,
     Assembly,
     OrthonormalFrame,
-    RankDeficient,
     SubspaceHierarchy,
     gamma,
     gram_matrix,
@@ -57,7 +56,7 @@ def mgs_orthonormalize(V, space):
     """Two-pass modified Gram-Schmidt of the columns of V in the metric.
 
     Returns the (N, k) matrix of metric-orthonormal columns; raises
-    RankDeficient when a pivot drops to GS_RANK_TOL times the largest input
+    ValueError when a pivot drops to GS_RANK_TOL times the largest input
     norm.
     """
     M = metric_of(space)
@@ -71,7 +70,7 @@ def mgs_orthonormalize(V, space):
                 v -= (q @ M @ v) * q
         nrm = metric_norm(M, v)
         if nrm <= tol:
-            raise RankDeficient(f"input vector {j} is dependent")
+            raise ValueError(f"input vector {j} is dependent")
         basis.append(v / nrm)
     return np.column_stack(basis) if basis else np.zeros((V.shape[0], 0))
 
@@ -100,7 +99,7 @@ def complement_frame(frame):
         if nrm > GS_RANK_TOL * base:
             out.append(v / nrm)
     if len(out) != N - k:
-        raise RankDeficient("failed to complete the frame to a full basis")
+        raise ValueError("failed to complete the frame to a full basis")
     cols = np.column_stack(out) if out else np.zeros((N, 0))
     return OrthonormalFrame(space, cols)
 

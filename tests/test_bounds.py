@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import itertools
 import json
@@ -11,8 +12,6 @@ from hypothesis import strategies as st
 from helpers import descending, identity_hierarchy, random_orthogonal, sup_oracle, system_of
 from msrom import (
     GramDecomposition,
-    InvalidDistances,
-    InvalidInput,
     SolverOptions,
     SubspaceHierarchy,
     assemble,
@@ -22,6 +21,7 @@ from msrom import (
     example2,
     ms_bound,
     parse_config,
+    run_experiment,
     run_instance,
     solve_pg,
     synth_prescribed,
@@ -93,9 +93,9 @@ def test_babuska_singular():
 def test_babuska_rejects_bad_distance():
     # ms_bound reads tau_n from the hierarchy, which refuses a bad distance
     for bad in [-0.1, np.nan]:
-        with pytest.raises(InvalidDistances):
+        with pytest.raises(ValueError, match="tau entries must be nonnegative"):
             identity_hierarchy(np.ones(3), [1.0, 0.5, bad])
-    with pytest.raises(InvalidInput, match="empty decomposition"):
+    with pytest.raises(ValueError, match="empty decomposition"):
         ms_bound(diag_system(np.zeros(0)))
 
 
@@ -176,15 +176,15 @@ def test_water_filling_empty():
 
 
 def test_water_filling_input_validation():
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="entries must be finite and nonnegative"):
         water_filling(np.array([-1.0]), np.array([1.0]), 1.0, 1.0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="sigma must be nonincreasing"):
         water_filling(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 1.0, 1.0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
         water_filling(np.array([1.0]), np.array([1.0]), -0.5, 1.0)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="tau_n must be finite and nonnegative"):
         water_filling(np.array([1.0]), np.array([1.0]), 1.0, np.inf)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(ValueError, match="1-d with equal length"):
         water_filling(np.array([1.0, 1.0]), np.array([1.0]), 1.0, 1.0)
 
 
@@ -330,10 +330,10 @@ def test_ms_bound_zero_case():
 
 def test_ms_bound_validation():
     widths = np.array([1.0, 0.5, 0.2])
-    with pytest.raises(InvalidInput, match="'guessed'"):
+    with pytest.raises(ValueError, match="'guessed'"):
         ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths, widths)), "guessed")
     # "known" needs the true distances, which this hierarchy does not know
-    with pytest.raises(InvalidInput, match="true distance profile"):
+    with pytest.raises(ValueError, match="true distance profile"):
         ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)))
 
 
@@ -394,7 +394,7 @@ def test_ms_bound_is_finite_on_widths_at_the_profile_limit(widths):
     problem, hierarchy, tests = synth_prescribed(
         3, 3, 9, [1.0, 0.5, 0.2], np.eye(3), [0.8, 0.4, 0.2, 0.1], [0.8, 0.4, 0.2, 0.1], 1
     )
-    with pytest.raises(InvalidDistances, match="finite and at most"):
+    with pytest.raises(ValueError, match="finite and at most"):
         SubspaceHierarchy(hierarchy.basis, np.array(widths), hierarchy.distances)
     at_limit = np.where(np.isinf(widths), PROFILE_LIMIT, widths)
     hierarchy = SubspaceHierarchy(hierarchy.basis, at_limit, hierarchy.distances)
@@ -455,6 +455,29 @@ def test_repeating_the_previous_width_states_no_prior():
                 assert same.iterations == other.iterations
                 # the fill is monotone in delta up to the rounding of its sums
                 assert low.ms_bound <= high.ms_bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, tau, n, N",
+    [("example1", 1e-4, n, 5 * n) for n in (100, 200, 400)] + [("example2", 1e-3, 64, 256)],
+    ids=["example1-100", "example1-200", "example1-400", "example2-64"],
+)
+def test_bounds_hold_at_scale(tmp_path, mode, tau, n, N):
+    # every written row converges, satisfies ms_bound^2 = sup_value + tau_n^2
+    # to 1e-9 relative, and stays within the slice bound and, where both are
+    # defined, the quotient bound
+    out = tmp_path / "scale.csv"
+    doc = {"mode": mode, "tau": tau, "n": n, "N": N, "seed": 0, "repetitions": 2}
+    assert run_experiment(parse_config(json.dumps(doc)), str(out), quiet=True) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert [row["seed"] for row in rows] == ["0", "1"]
+    for row in rows:
+        assert row["converged"] == "true", row["seed"]
+        bound, sup, tau_n = (float(row[k]) for k in ("ms_bound", "sup_value", "tau_n"))
+        assert abs(bound * bound - (sup + tau_n * tau_n)) <= 1e-9 * bound * bound, row["seed"]
+        assert float(row["actual_ms_error"]) <= bound + 1e-9, row["seed"]
+        if "undefined" not in (row["actual_pg_error"], row["babuska_bound"]):
+            assert float(row["actual_pg_error"]) <= float(row["babuska_bound"]), row["seed"]
 
 
 def test_water_filling_overflowing_cost_takes_what_the_budget_leaves():

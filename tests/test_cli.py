@@ -19,7 +19,6 @@ from msrom.cli import (
     CSV_COLUMNS,
     MODES,
     ExperimentConfig,
-    ParseError,
     ValidationError,
     _build_instance,
     main,
@@ -70,8 +69,16 @@ def test_parse_rejects_bad_mode():
         parse_config(json.dumps({"seed": 1}))
 
 
+def test_parse_names_a_missing_required_field():
+    for key in ("seed", "tau", "n", "N"):
+        doc = json.loads(example1_doc())
+        del doc[key]
+        with pytest.raises(ValidationError, match=f"missing required field '{key}'"):
+            parse_config(json.dumps(doc))
+
+
 def test_parse_malformed_document():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="malformed JSON"):
         parse_config("{not json")
     with pytest.raises(ValidationError):
         parse_config(json.dumps([1, 2, 3]))
@@ -183,9 +190,9 @@ def test_parse_rejects_fields_that_are_not_numbers(text, match):
 
 
 def test_parse_rejects_unreadable_integers_and_nesting():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="malformed JSON"):
         parse_config(example1_doc(tau=0.5).replace("0.5", "1" * 5000))
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError, match="malformed JSON"):
         parse_config("[" * 100_000)
 
 
@@ -253,8 +260,12 @@ def test_parse_solver_overrides():
         parse_config(example1_doc(solver={"step_size": 0.1}))
     with pytest.raises(ValidationError, match="solver"):
         parse_config(example1_doc(solver={"dykstra_tolerance": 1e-10}))
-    with pytest.raises(ValidationError, match="solver"):
-        parse_config(example1_doc(solver={"max_iterations": 0}))
+    # SolverOptions is the one check of the cap, for any value that is not a positive integer
+    for cap in (0, 2.5, True, "5"):
+        with pytest.raises(
+            ValidationError, match="invalid solver options: max_iterations must be a positive"
+        ):
+            parse_config(example1_doc(solver={"max_iterations": cap}))
 
 
 def test_parse_prescribed():
@@ -361,11 +372,11 @@ def _documents(draw):
 @settings(max_examples=400, deadline=None)
 @given(_documents())
 def test_parse_config_fuzz(doc):
-    # any document yields a config or one of the two parse errors, and an
-    # accepted one of modest size builds its first instance
+    # any document yields a config or a ValidationError, and an accepted one
+    # of modest size builds its first instance
     try:
         cfg = parse_config(json.dumps(doc))
-    except (ParseError, ValidationError):
+    except ValidationError:
         return
     assert isinstance(cfg, ExperimentConfig)
     sizes = [cfg.n_max if cfg.mode == "random-sweep" else cfg.n, cfg.N]
@@ -639,10 +650,10 @@ def test_run_instance_known_tau_needs_distances():
     cfg = parse_config(example1_doc())
     problem, known, tests = _build_instance(cfg, cfg.seed)
     hierarchy = SubspaceHierarchy(known.basis, widths=known.widths)
-    # a library call, not a config: ms_bound's InvalidInput, as for an unknown mode
-    with pytest.raises(msrom.InvalidInput, match="true distance profile"):
+    # a library call, not a config: ms_bound's ValueError, as for an unknown mode
+    with pytest.raises(ValueError, match="true distance profile"):
         run_instance(problem, hierarchy, tests, cfg.solver)
-    with pytest.raises(msrom.InvalidInput, match="tau_mode must be"):
+    with pytest.raises(ValueError, match="tau_mode must be"):
         run_instance(problem, known, tests, cfg.solver, "exact")
     report, _, _ = run_instance(problem, hierarchy, tests, cfg.solver, "practitioner")
     assembly = msrom.assemble(problem, hierarchy, tests)

@@ -13,8 +13,6 @@ from helpers import sup_oracle
 from msrom import (
     AmbientSpace,
     GramDecomposition,
-    InvalidDistances,
-    InvalidInput,
     OrthonormalFrame,
     ProblemInstance,
     SubspaceHierarchy,
@@ -57,41 +55,59 @@ def config(tau, widths):
     return json.dumps(doc).replace("Infinity", "1e999")
 
 
-# name -> (the good input, the call on a spoiled copy, the exception it raises)
+# name -> (the good input, the call on a spoiled copy, the exception it raises,
+# a fragment of the refusing check's message)
+WIDTHS_REFUSED = (ValueError, "widths entries must be")
+TAU_REFUSED = (ValueError, "tau entries must be")
+FILL_REFUSED = (ValueError, "delta and sigma entries must be finite and nonnegative")
+ORACLE_REFUSED = (ValueError, "must be finite and nonnegative")
+CONFIG_REFUSED = (ValidationError, "non-finite number is not allowed")
+PROBLEM_REFUSED = (ValueError, "factors and z_true must have finite entries")
 ENTRY_POINTS = {
-    "hierarchy-widths": (WIDTHS, lambda v: SubspaceHierarchy(BASIS, widths=v), InvalidDistances),
+    "hierarchy-widths": (WIDTHS, lambda v: SubspaceHierarchy(BASIS, widths=v), *WIDTHS_REFUSED),
     "hierarchy-distances": (
-        TAU, lambda v: SubspaceHierarchy(BASIS, widths=WIDTHS, distances=v), InvalidDistances
+        TAU, lambda v: SubspaceHierarchy(BASIS, widths=WIDTHS, distances=v), *TAU_REFUSED
     ),
-    "check_profile-widths": (WIDTHS, lambda v: check_profile(3, v), InvalidDistances),
-    "check_profile-tau": (TAU, lambda v: check_profile(3, WIDTHS, v), InvalidDistances),
-    "project_slices-widths": (WIDTHS, lambda v: project_slices(np.ones(3), v), InvalidDistances),
-    "synth_prescribed-widths": (WIDTHS, lambda v: prescribed(TAU, v), InvalidDistances),
-    "synth_prescribed-tau": (TAU, lambda v: prescribed(v, WIDTHS), InvalidDistances),
-    "parse_config-widths": (WIDTHS, lambda v: parse_config(config(TAU, v)), ValidationError),
-    "parse_config-tau": (TAU, lambda v: parse_config(config(v, WIDTHS)), ValidationError),
-    "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.5, 0.1), InvalidInput),
-    "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.5, 0.1), InvalidInput),
-    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), ValueError),
-    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), ValueError),
+    "check_profile-widths": (WIDTHS, lambda v: check_profile(3, v), *WIDTHS_REFUSED),
+    "check_profile-tau": (TAU, lambda v: check_profile(3, WIDTHS, v), *TAU_REFUSED),
+    "project_slices-widths": (WIDTHS, lambda v: project_slices(np.ones(3), v), *WIDTHS_REFUSED),
+    "synth_prescribed-widths": (WIDTHS, lambda v: prescribed(TAU, v), *WIDTHS_REFUSED),
+    "synth_prescribed-tau": (TAU, lambda v: prescribed(v, WIDTHS), *TAU_REFUSED),
+    "parse_config-widths": (WIDTHS, lambda v: parse_config(config(TAU, v)), *CONFIG_REFUSED),
+    "parse_config-tau": (TAU, lambda v: parse_config(config(v, WIDTHS)), *CONFIG_REFUSED),
+    "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.5, 0.1), *FILL_REFUSED),
+    "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.5, 0.1), *FILL_REFUSED),
+    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), *ORACLE_REFUSED),
+    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), *ORACLE_REFUSED),
     "decomposition-sigma": (
         SIGMA,
         lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3), X=np.eye(2), sigma=v),
         ValueError,
+        "singular values must be finite",
     ),
-    "project_slices-point": (np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError),
+    "project_slices-point": (
+        np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError, "c entries must be finite"
+    ),
     "orthonormalize-vectors": (
-        BASIS.columns, lambda v: orthonormalize(v, BASIS.space), ValueError
+        BASIS.columns,
+        lambda v: orthonormalize(v, BASIS.space),
+        ValueError,
+        "vectors must have finite entries",
     ),
-    "frame-columns": (BASIS.columns, lambda v: OrthonormalFrame(BASIS.space, v), ValueError),
+    "frame-columns": (
+        BASIS.columns,
+        lambda v: OrthonormalFrame(BASIS.space, v),
+        ValueError,
+        "columns must have finite entries",
+    ),
     "problem-z_true": (
-        TRUTH, lambda v: ProblemInstance(BASIS.space, v, factors=(FACTOR, FACTOR)), ValueError
+        TRUTH, lambda v: ProblemInstance(BASIS.space, v, factors=(FACTOR, FACTOR)), *PROBLEM_REFUSED
     ),
     "problem-factors": (
-        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(v, FACTOR)), ValueError
+        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(v, FACTOR)), *PROBLEM_REFUSED
     ),
     "problem-factors-MZ": (
-        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(FACTOR, v)), ValueError
+        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(FACTOR, v)), *PROBLEM_REFUSED
     ),
 }
 
@@ -99,12 +115,12 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_non_finite_entries_are_refused(entry, bad):
-    good, call, kind = ENTRY_POINTS[entry]
+    good, call, kind, message = ENTRY_POINTS[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         call(good)
         for v in spoiled(good, bad):
-            with pytest.raises(kind):
+            with pytest.raises(kind, match=message):
                 call(v)
 
 

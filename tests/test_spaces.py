@@ -7,7 +7,6 @@ from helpers import complement_frame, mgs_orthonormalize, random_spd
 from msrom import (
     AmbientSpace,
     OrthonormalFrame,
-    RankDeficient,
     orthonormalize,
 )
 
@@ -129,7 +128,7 @@ def test_orthonormalize_random_metric():
 def test_orthonormalize_rejects_dependent_input():
     space = AmbientSpace(3)
     v = np.array([1.0, 2.0, 0.0])
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match="input vector 1 is numerically dependent"):
         orthonormalize(np.column_stack([v, 2.0 * v]), space)
 
 
@@ -169,7 +168,7 @@ def test_orthonormalize_near_dependence(with_metric):
     close = np.column_stack([a, b, b + 1e-9 * np.linalg.norm(b) * e])
     frame = orthonormalize(close, space)
     assert np.max(np.abs(frame_gram(frame) - np.eye(3))) <= 1e-12
-    with pytest.raises(RankDeficient, match="input vector 2 "):
+    with pytest.raises(ValueError, match="input vector 2 "):
         orthonormalize(np.column_stack([a, b, b + 1e-12 * np.linalg.norm(b) * e]), space)
 
 
@@ -203,13 +202,13 @@ def test_orthonormalize_reports_first_dependent_index():
     rng = np.random.default_rng(9)
     a, b, c = rng.standard_normal((3, 5))
     for metric in (None, random_spd(rng, 5)):
-        with pytest.raises(RankDeficient, match="input vector 2 "):
+        with pytest.raises(ValueError, match="input vector 2 "):
             orthonormalize(np.column_stack([a, b, a + b, c]), AmbientSpace(5, metric))
 
 
 def test_orthonormalize_rejects_more_vectors_than_dimensions():
     rng = np.random.default_rng(10)
-    with pytest.raises(RankDeficient):
+    with pytest.raises(ValueError, match=r"\(4 vectors in R\^3\)"):
         orthonormalize(rng.standard_normal((3, 4)), AmbientSpace(3))
 
 

@@ -21,7 +21,6 @@ from msrom import (
     AmbientSpace,
     Assembly,
     GramDecomposition,
-    InvalidDistances,
     OrthonormalFrame,
     SubspaceHierarchy,
     assemble,
@@ -351,7 +350,7 @@ def test_deltas_length_checks():
     # (a decomposition of another size: test_assembly_checks_the_hierarchy_size)
     widths = np.array([1.0, 0.5, 0.3, 0.2])
     for distances, message in bad_profiles(widths, "tau"):
-        with pytest.raises(InvalidDistances, match=message):
+        with pytest.raises(ValueError, match=message):
             identity_hierarchy(widths, distances)
 
 
