@@ -141,13 +141,11 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     (``decomp.nonzero``) set to zero, as the solvers do.  ``babuska`` is the
     quotient bound ``(||R||_2 / sigma_n) * tau_n``, with the assembly's
     ``norm`` as ``||R||_2`` (at least ``sigma_1``), and None when the assembly
-    is ``singular``.  Raises ``ValueError`` for an empty decomposition, an
-    unknown mode or a "known" hierarchy without distances.
+    is ``singular``.  Raises ``ValueError`` for a mode other than "known" or
+    "practitioner".
     The report's actual errors are left for the caller to fill.
     """
     hierarchy, decomp = assembly.hierarchy, assembly.decomp
-    if decomp.sigma.size == 0:
-        raise ValueError("empty decomposition")
     profile = hierarchy.profile(tau_mode)
     n, absX = hierarchy.n, np.abs(decomp.X)
     delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]

@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,12 +68,12 @@ CSV_COLUMNS = (
 
 MODES = ("example1", "example2", "prescribed", "random-sweep")
 
-_COMMON_KEYS = {"mode", "seed", "output_path", "tau_mode", "repetitions", "solver"}
+_COMMON_KEYS = {"mode", "seed", "output_path", "tau_mode", "repetitions"}
 _MODE_KEYS = {
     "example1": {"tau", "n", "m", "N"},
     "example2": {"tau", "n", "m", "N"},
     "prescribed": {"n", "m", "N", "sigma", "tau", "widths"},
-    "random-sweep": {"n_min", "n_max", "N"},
+    "random-sweep": {"n_min", "n_max"},
 }
 
 
@@ -84,14 +84,14 @@ class ValidationError(ValueError):
 @dataclass(eq=False)
 class ExperimentConfig:
     """Fully validated experiment description; mode-specific fields are None
-    when they do not apply."""
+    when they do not apply (a random sweep draws n and m per instance, with
+    N = n + m + 3).  Runs solve with the default :class:`SolverOptions`."""
 
     mode: str
     seed: int
     repetitions: int = 1
     tau_mode: str = "known"
     output_path: str | None = None
-    solver: SolverOptions = field(default_factory=SolverOptions)
     tau: float | None = None
     n: int | None = None
     m: int | None = None
@@ -139,19 +139,6 @@ def _require_float_list(doc, key):
     return np.array([_require_float(entries, k) for k in entries], dtype=float)
 
 
-def _solver_options(doc) -> SolverOptions:
-    raw = doc.get("solver", {})
-    if not isinstance(raw, dict):
-        raise ValidationError("field 'solver' must be an object")
-    unknown = set(raw) - {"max_iterations"}
-    if unknown:
-        raise ValidationError(f"unknown solver option(s): {sorted(unknown)}")
-    try:
-        return SolverOptions(**raw)
-    except ValueError as exc:
-        raise ValidationError(f"invalid solver options: {exc}") from exc
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a JSON config document.
 
@@ -187,21 +174,17 @@ def parse_config(text: str) -> ExperimentConfig:
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ValidationError("field 'output_path' must be a string")
-    solver = _solver_options(doc)
     cfg = ExperimentConfig(
         mode=mode,
         seed=seed,
         repetitions=repetitions,
         tau_mode=tau_mode,
         output_path=output_path,
-        solver=solver,
     )
 
     if mode == "random-sweep":
         cfg.n_min = _require_int(doc, "n_min", minimum=1)
         cfg.n_max = _require_int(doc, "n_max", minimum=cfg.n_min)
-        if "N" in doc:
-            cfg.N = _require_int(doc, "N", minimum=3 * cfg.n_max)
         return cfg
     cfg.n, cfg.N = _require_int(doc, "n"), _require_int(doc, "N")
     cfg.m = _require_int(doc, "m") if "m" in doc or mode == "prescribed" else cfg.n
@@ -252,7 +235,7 @@ def _build_instance(
     rng = np.random.default_rng(rep_seed)
     n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
     m = int(rng.integers(n, 2 * n + 1))
-    N = cfg.N if cfg.N is not None else n + m + 3
+    N = n + m + 3
     sigma = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
     sigma[0] = 1.0
     tau_prof = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
@@ -278,9 +261,10 @@ def run_instance(
 ):
     """Run both projectors and both bounds on one instance.
 
-    Returns ``(report, solution, decomp)``: the BoundReport, the
-    MultiSliceSolution, and the Gram decomposition used for the bounds.  A
-    ``tau_mode`` the hierarchy cannot serve raises :func:`ms_bound`'s ``ValueError``.
+    Returns ``(report, solution, decomp)``: the BoundReport, with both actual
+    errors (the PG error None on a singular Gram), the MultiSliceSolution, and
+    the Gram decomposition used for the bounds.  An unknown ``tau_mode``
+    raises :func:`ms_bound`'s ``ValueError``.
     """
     # one assembly and one SVD of G serve the bounds and both projectors
     assembly = assemble(problem, hierarchy, tests)
@@ -308,7 +292,7 @@ def run_experiment(
         rep_seed = cfg.seed + i
         problem, hierarchy, tests = _build_instance(cfg, rep_seed)
         report, solution, decomp = run_instance(
-            problem, hierarchy, tests, cfg.solver, cfg.tau_mode
+            problem, hierarchy, tests, SolverOptions(), cfg.tau_mode
         )
         if not solution.converged:
             any_unconverged = True
@@ -330,7 +314,7 @@ def run_experiment(
             "undefined" if report.babuska is None else report.babuska,
             report.ms_bound,
             "undefined" if report.actual_pg_error is None else report.actual_pg_error,
-            "undefined" if report.actual_ms_error is None else report.actual_ms_error,
+            report.actual_ms_error,
             solution.cost,
             solution.iterations,
             "true" if solution.converged else "false",
@@ -374,7 +358,7 @@ def main(argv=None) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:

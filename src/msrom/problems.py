@@ -60,18 +60,21 @@ class ProblemInstance:
 class SubspaceHierarchy:
     """Nested trial spaces ``V_0 = {0} <= V_1 <= ... <= V_n``.
 
-    Column ``j`` of ``basis`` extends ``V_j`` to ``V_{j+1}``.  ``widths`` are
-    the slice radii ``eps_0..eps_n`` used as constraints; ``distances`` are the
-    true values ``tau_k = dist(z_true, V_k)`` when known.  Construction checks
-    the profile once (:func:`check_profile`); the record is frozen, so every
-    reader may rely on that check.
+    Column ``j`` of ``basis`` extends ``V_j`` to ``V_{j+1}``, and there is at
+    least one column.  ``widths`` are the slice radii ``eps_0..eps_n`` used as
+    constraints; ``distances`` are the true values ``tau_k = dist(z_true,
+    V_k)``.  Construction checks n and the profile once (:func:`check_profile`;
+    ``ValueError`` otherwise); the record is frozen, so every reader may rely
+    on that check.
     """
 
     basis: OrthonormalFrame
     widths: np.ndarray
-    distances: np.ndarray | None = None
+    distances: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"a hierarchy needs at least one trial direction, got n = {self.n}")
         widths, distances = check_profile(self.n, self.widths, self.distances)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "distances", distances)
@@ -82,14 +85,11 @@ class SubspaceHierarchy:
 
     def profile(self, tau_mode: str) -> np.ndarray:
         """The profile the bounds read: the true distances for ``"known"``, the
-        widths for ``"practitioner"``.  Raises ``ValueError`` for another mode,
-        or for ``"known"`` when the distances are not known."""
+        widths for ``"practitioner"``.  Raises ``ValueError`` for another mode."""
         if tau_mode == "practitioner":
             return self.widths
         if tau_mode != "known":
             raise ValueError(f"tau_mode must be 'known' or 'practitioner', got {tau_mode!r}")
-        if self.distances is None:
-            raise ValueError("tau_mode 'known' needs the true distance profile")
         return self.distances
 
 
@@ -226,16 +226,15 @@ def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
     return v
 
 
-def check_profile(n: int, widths, tau=None):
-    """Widths and known distances ``tau``, each valid for :func:`check_vector`, with
+def check_profile(n: int, widths, tau):
+    """Widths and true distances ``tau``, each valid for :func:`check_vector`, with
     ``tau`` nonincreasing and below the widths.  Returns them as float arrays."""
-    t = None if tau is None else check_vector(n, tau, "tau")
+    t = check_vector(n, tau, "tau")
     w = check_vector(n, widths)
-    if t is not None:
-        if np.any(np.diff(t) > 0.0):
-            raise ValueError("tau must be nonincreasing")
-        if np.any(t > w):
-            raise ValueError("widths must dominate tau entrywise (the prior must hold)")
+    if np.any(np.diff(t) > 0.0):
+        raise ValueError("tau must be nonincreasing")
+    if np.any(t > w):
+        raise ValueError("widths must dominate tau entrywise (the prior must hold)")
     return w, t
 
 

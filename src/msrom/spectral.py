@@ -78,9 +78,9 @@ class Assembly:
 
     @property
     def singular(self) -> bool:
-        """Whether sigma_n counts as zero against :attr:`norm` (see ``decomp.nonzero``);
-        then the instance has no quotient bound and no PG error."""
-        return self.decomp.sigma.size > 0 and not self.decomp.nonzero(self.norm)[-1]
+        """Whether sigma_n (n >= 1 by the hierarchy) counts as zero against :attr:`norm`
+        (``decomp.nonzero``); then there is no quotient bound and no PG error."""
+        return not self.decomp.nonzero(self.norm)[-1]
 
 
 def _representers(riesz) -> np.ndarray:

@@ -132,10 +132,18 @@ def system_of(decomp, hierarchy, gamma=0.0):
 
 
 def identity_hierarchy(widths, distances=None):
-    """A hierarchy on the first n coordinate directions of R^(n+1), n + 1 = len(widths)."""
+    """A hierarchy on the first n coordinate directions of R^(n+1), n + 1 = len(widths);
+    the distances default to the widths."""
     n = len(widths) - 1
     basis = OrthonormalFrame(AmbientSpace(n + 1), np.eye(n + 1)[:, :n])
+    distances = widths if distances is None else distances
     return SubspaceHierarchy(basis, widths=widths, distances=distances)
+
+
+def slice_hierarchy(basis, widths):
+    """A hierarchy for the slice solve, which reads the widths alone; its
+    distances are zero, which every width dominates."""
+    return SubspaceHierarchy(basis, widths=widths, distances=np.zeros(len(widths)))
 
 
 def bad_profiles(good, key="widths"):
@@ -156,7 +164,7 @@ def bad_profiles(good, key="widths"):
     ]
 
 
-def assemble(problem, hierarchy, tests):
+def gram_and_load(problem, hierarchy, tests):
     """The (G, d) pair of the discrete system, via the public plumbing."""
     riesz = riesz_representers(problem, tests)
     return gram_matrix(riesz, hierarchy.basis), rhs_vector(problem, tests)

@@ -12,19 +12,19 @@ import time
 
 import numpy as np
 
-import helpers
 from helpers import (
     bound_step_ratios,
     brute_force_ms,
     descending,
+    gram_and_load,
     random_orthogonal,
+    slice_hierarchy,
     square_instance,
     sup_oracle,
     sweep_instance,
 )
 from msrom import (
     SolverOptions,
-    SubspaceHierarchy,
     assemble,
     error_norm,
     example1,
@@ -192,11 +192,11 @@ def _tightened_instance(rng):
     X = random_orthogonal(rng, 4)
     seed = int(rng.integers(0, 2**31))
     problem, hierarchy, tests = synth_prescribed(4, 6, 13, sigma, X, tau, tau.copy(), seed)
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     tails = np.array([float(np.linalg.norm(c_ls[k:])) for k in range(4)] + [0.0])
     widths = tails * rng.uniform(0.35, 1.1, size=5)
-    return assemble(problem, SubspaceHierarchy(hierarchy.basis, widths), tests), G, d
+    return assemble(problem, slice_hierarchy(hierarchy.basis, widths), tests), G, d
 
 
 def test_criterion_6_solver_cross_validation():
@@ -216,7 +216,7 @@ def test_criterion_6_solver_cross_validation():
         # roomy widths turn the constraints off and the two projectors agree
         sigma_n = np.linalg.svd(G, compute_uv=False)[-1]
         roomy = np.full(5, 10.0 * float(np.linalg.norm(d)) / sigma_n)
-        loose = SubspaceHierarchy(assembly.hierarchy.basis, roomy)
+        loose = slice_hierarchy(assembly.hierarchy.basis, roomy)
         ms = solve_ms(dataclasses.replace(assembly, hierarchy=loose), options)
         _, pg_coeffs = solve_pg(assembly)
         assert float(np.linalg.norm(ms.coeffs - pg_coeffs)) <= 1e-8

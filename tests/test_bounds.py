@@ -95,8 +95,9 @@ def test_babuska_rejects_bad_distance():
     for bad in [-0.1, np.nan]:
         with pytest.raises(ValueError, match="tau entries must be nonnegative"):
             identity_hierarchy(np.ones(3), [1.0, 0.5, bad])
-    with pytest.raises(ValueError, match="empty decomposition"):
-        ms_bound(diag_system(np.zeros(0)))
+    # and has at least one direction, so there is no empty decomposition to bound
+    with pytest.raises(ValueError, match="at least one trial direction, got n = 0"):
+        diag_system(np.zeros(0))
 
 
 # --------------------------------------------------------------- water filling
@@ -332,9 +333,12 @@ def test_ms_bound_validation():
     widths = np.array([1.0, 0.5, 0.2])
     with pytest.raises(ValueError, match="'guessed'"):
         ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths, widths)), "guessed")
-    # "known" needs the true distances, which this hierarchy does not know
-    with pytest.raises(ValueError, match="true distance profile"):
-        ms_bound(diag_system([1.0, 0.5], identity_hierarchy(widths)))
+    # "known" reads the true distances, which every hierarchy carries
+    basis = identity_hierarchy(widths).basis
+    with pytest.raises(TypeError, match="distances"):
+        SubspaceHierarchy(basis, widths=widths)
+    with pytest.raises(ValueError, match=r"^tau must have length n\+1 = 3, got shape \(\)$"):
+        SubspaceHierarchy(basis, widths=widths, distances=None)
 
 
 def test_ms_bound_hierarchy_consistency():
@@ -420,7 +424,7 @@ def test_ms_bound_prices_sub_cutoff_singular_values_as_zero():
     cfg = parse_config(json.dumps(doc))
     for seed in range(cfg.seed, cfg.seed + cfg.repetitions):
         problem, hierarchy, tests = _build_instance(cfg, seed)
-        report, solution, decomp = run_instance(problem, hierarchy, tests, cfg.solver)
+        report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
         assert report.babuska is None and solution.converged
         assert report.actual_ms_error <= report.ms_bound
         gam, delta = report.intermediates.gamma, report.intermediates.delta

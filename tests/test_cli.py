@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import msrom
-from msrom import SubspaceHierarchy
+from msrom import SolverOptions, SubspaceHierarchy
 from msrom.cli import (
     _COMMON_KEYS,
     _MODE_KEYS,
@@ -252,20 +252,13 @@ def test_parse_tau_mode_values():
 
 
 def test_parse_solver_overrides():
-    cfg = parse_config(example1_doc(solver={"max_iterations": 1000}))
-    assert cfg.solver.max_iterations == 1000
-    with pytest.raises(ValidationError, match="unknown solver option"):
-        parse_config(example1_doc(solver={"gradient_tolerance": 1e-8}))
-    with pytest.raises(ValidationError, match="solver"):
-        parse_config(example1_doc(solver={"step_size": 0.1}))
-    with pytest.raises(ValidationError, match="solver"):
-        parse_config(example1_doc(solver={"dykstra_tolerance": 1e-10}))
-    # SolverOptions is the one check of the cap, for any value that is not a positive integer
-    for cap in (0, 2.5, True, "5"):
-        with pytest.raises(
-            ValidationError, match="invalid solver options: max_iterations must be a positive"
-        ):
-            parse_config(example1_doc(solver={"max_iterations": cap}))
+    # a config sets no solver option: a run solves with the default SolverOptions,
+    # and a library caller caps a solve through run_instance's options
+    unknown = r"^unknown field\(s\) for mode 'example1': \['solver'\]$"
+    solvers = ({"max_iterations": 1000}, {"gradient_tolerance": 1e-8}, {"step_size": 0.1}, {})
+    for solver in solvers + ({"max_iterations": 0}, {"max_iterations": "5"}, 5):
+        with pytest.raises(ValidationError, match=unknown):
+            parse_config(example1_doc(solver=solver))
 
 
 def test_parse_prescribed():
@@ -299,14 +292,18 @@ def test_parse_prescribed():
 
 
 def test_parse_random_sweep():
-    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 6, "seed": 1}))
+    sweep = {"mode": "random-sweep", "n_min": 3, "n_max": 6, "seed": 1}
+    cfg = parse_config(json.dumps(sweep))
     assert cfg.n_min == 3 and cfg.n_max == 6 and cfg.N is None
+    # the sweep draws N = n + m + 3 per instance; a config does not set it
+    unknown = r"^unknown field\(s\) for mode 'random-sweep': \['N'\]$"
+    for N in (10, 30):
+        with pytest.raises(ValidationError, match=unknown):
+            parse_config(json.dumps(dict(sweep, N=N)))
     with pytest.raises(ValidationError, match="n_min"):
         parse_config(json.dumps({"mode": "random-sweep", "n_min": 0, "n_max": 4, "seed": 1}))
     with pytest.raises(ValidationError, match="n_max"):
         parse_config(json.dumps({"mode": "random-sweep", "n_min": 5, "n_max": 4, "seed": 1}))
-    with pytest.raises(ValidationError, match="N"):
-        parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 6, "N": 10, "seed": 1}))
 
 
 _JUNK = st.one_of(
@@ -345,7 +342,6 @@ def _documents(draw):
         "seed": draw(st.integers(0, 2**40)),
         "repetitions": draw(st.integers(1, 3)),
         "tau_mode": draw(st.sampled_from(["known", "practitioner"])),
-        "solver": {"max_iterations": draw(st.integers(1, 10**6))},
         "n": n,
         "m": m,
         "N": n + m + draw(st.integers(0, 4)),
@@ -355,8 +351,6 @@ def _documents(draw):
         "n_min": n_min,
         "n_max": n_max,
     }
-    if mode == "random-sweep":
-        doc["N"] = 3 * n_max + draw(st.integers(0, 4))
     doc = {key: doc[key] for key in doc if key in _COMMON_KEYS | _MODE_KEYS[mode]}
     for key in draw(st.sets(st.sampled_from(sorted(_COMMON_KEYS | _MODE_KEYS[mode])), max_size=3)):
         value = draw(_CORRUPT)
@@ -461,6 +455,7 @@ def test_run_random_sweep_bound_holds(tmp_path):
         if row["ell"] == "inactive":
             assert row["rho"] == ""
         assert row["converged"] == "true"
+        assert int(row["N"]) == int(row["n"]) + int(row["m"]) + 3
 
 
 @pytest.mark.parametrize(
@@ -475,7 +470,7 @@ def test_bound_holds_with_many_more_tests_than_trial_directions(doc):
     cfg = parse_config(json.dumps(doc))
     for seed in range(100):
         problem, hierarchy, tests = _build_instance(cfg, seed)
-        report, solution, _ = run_instance(problem, hierarchy, tests, cfg.solver)
+        report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
         tau_n = float(hierarchy.distances[-1])
         assert solution.converged, seed
         assert report.actual_ms_error <= report.ms_bound, seed
@@ -565,19 +560,28 @@ def run_through_main(tmp_path, doc):
 
 
 def test_main_zero_smallest_singular_value(tmp_path):
-    doc = {
+    # a square system with sigma_3 = 0, and a tall one (m = 5) with sigma_3 = 1e-13
+    # against ||R||_2 = 1, which no checked-in config reaches
+    square = {
         "mode": "prescribed", "n": 3, "m": 3, "N": 10, "sigma": [1.0, 0.5, 0.0],
         "tau": [0.8, 0.4, 0.2, 0.1], "widths": [1.0, 0.5, 0.3, 0.2], "seed": 3, "repetitions": 3,
     }
-    code, rows = run_through_main(tmp_path, doc)
-    assert code == 0
-    assert [r["seed"] for r in rows] == ["3", "4", "5"]
-    for row in rows:
-        # the square system is singular: no classical bound and no classical solution
-        assert row["babuska_bound"] == "undefined"
-        assert row["actual_pg_error"] == "undefined"
-        assert row["converged"] == "true"
-        assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
+    tall = {
+        "mode": "prescribed", "n": 3, "m": 5, "N": 11, "sigma": [1.0, 0.5, 1e-13],
+        "tau": [0.5, 0.3, 0.2, 0.1], "widths": [0.6, 0.4, 0.25, 0.1], "seed": 1, "repetitions": 3,
+    }
+    for doc in (square, tall):
+        code, rows = run_through_main(tmp_path, doc)
+        first = (tmp_path / "out.csv").read_bytes()
+        assert code == 0 and run_through_main(tmp_path, doc)[0] == 0
+        assert (tmp_path / "out.csv").read_bytes() == first
+        assert [r["seed"] for r in rows] == [str(doc["seed"] + i) for i in range(3)]
+        for row in rows:
+            # the system is singular: no classical bound and no classical solution
+            assert row["babuska_bound"] == "undefined"
+            assert row["actual_pg_error"] == "undefined"
+            assert row["converged"] == "true"
+            assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
 
 
 @pytest.mark.parametrize("sigma", [[0.0, 0.0], [1e-13, 0.0]])
@@ -649,13 +653,14 @@ def test_main_quotient_bound_holds_with_sigma_1_below_one(tmp_path, doc):
 def test_run_instance_known_tau_needs_distances():
     cfg = parse_config(example1_doc())
     problem, known, tests = _build_instance(cfg, cfg.seed)
-    hierarchy = SubspaceHierarchy(known.basis, widths=known.widths)
-    # a library call, not a config: ms_bound's ValueError, as for an unknown mode
-    with pytest.raises(ValueError, match="true distance profile"):
-        run_instance(problem, hierarchy, tests, cfg.solver)
+    # every hierarchy carries its distances: one without them is not built
+    with pytest.raises(TypeError, match="distances"):
+        SubspaceHierarchy(known.basis, widths=known.widths)
+    hierarchy = SubspaceHierarchy(known.basis, widths=known.widths, distances=known.distances)
+    # a library call, not a config: ms_bound's ValueError for an unknown mode
     with pytest.raises(ValueError, match="tau_mode must be"):
-        run_instance(problem, known, tests, cfg.solver, "exact")
-    report, _, _ = run_instance(problem, hierarchy, tests, cfg.solver, "practitioner")
+        run_instance(problem, known, tests, SolverOptions(), "exact")
+    report, _, _ = run_instance(problem, hierarchy, tests, SolverOptions(), "practitioner")
     assembly = msrom.assemble(problem, hierarchy, tests)
     assert report.ms_bound == msrom.ms_bound(assembly, "practitioner").ms_bound
 
@@ -695,6 +700,22 @@ def test_main_reports_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
     cfg_path.write_text(json.dumps({"mode": "bogus"}))
     assert main(["validate", str(cfg_path)]) == 1
+    # the removed run inputs: a solver block and a random sweep's N
+    sweep = {"mode": "random-sweep", "n_min": 3, "n_max": 4, "seed": 0}
+    for doc in (json.loads(example1_doc(solver={"max_iterations": 5})), dict(sweep, N=30)):
+        cfg_path.write_text(json.dumps(doc))
+        for command in ("validate", "run"):
+            assert main([command, str(cfg_path)]) == 1
+            assert "unknown field(s)" in capsys.readouterr().err
+
+
+def test_main_reports_undecodable_config(tmp_path, capsys):
+    # a file that is not UTF-8 is refused like an unreadable one, without a traceback
+    cfg_path = tmp_path / "latin.json"
+    cfg_path.write_bytes(b'\xff\xfe{"mode":1}')
+    for command in ("validate", "run"):
+        assert main([command, str(cfg_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_main_has_only_run_and_validate(capsys):

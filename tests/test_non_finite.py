@@ -64,11 +64,13 @@ ORACLE_REFUSED = (ValueError, "must be finite and nonnegative")
 CONFIG_REFUSED = (ValidationError, "non-finite number is not allowed")
 PROBLEM_REFUSED = (ValueError, "factors and z_true must have finite entries")
 ENTRY_POINTS = {
-    "hierarchy-widths": (WIDTHS, lambda v: SubspaceHierarchy(BASIS, widths=v), *WIDTHS_REFUSED),
+    "hierarchy-widths": (
+        WIDTHS, lambda v: SubspaceHierarchy(BASIS, widths=v, distances=TAU), *WIDTHS_REFUSED
+    ),
     "hierarchy-distances": (
         TAU, lambda v: SubspaceHierarchy(BASIS, widths=WIDTHS, distances=v), *TAU_REFUSED
     ),
-    "check_profile-widths": (WIDTHS, lambda v: check_profile(3, v), *WIDTHS_REFUSED),
+    "check_profile-widths": (WIDTHS, lambda v: check_profile(3, v, TAU), *WIDTHS_REFUSED),
     "check_profile-tau": (TAU, lambda v: check_profile(3, WIDTHS, v), *TAU_REFUSED),
     "project_slices-widths": (WIDTHS, lambda v: project_slices(np.ones(3), v), *WIDTHS_REFUSED),
     "synth_prescribed-widths": (WIDTHS, lambda v: prescribed(TAU, v), *WIDTHS_REFUSED),

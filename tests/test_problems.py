@@ -169,10 +169,11 @@ def test_riesz_defining_identity_random_metric():
 def test_hierarchy_validation():
     space = AmbientSpace(4)
     basis = orthonormalize(np.eye(4)[:, :2], space)
+    zeros = np.zeros(3)
     with pytest.raises(ValueError, match="widths must have length"):
-        SubspaceHierarchy(basis, widths=np.array([1.0, 0.5]))  # wrong length
+        SubspaceHierarchy(basis, widths=np.array([1.0, 0.5]), distances=zeros)  # wrong length
     with pytest.raises(ValueError, match="widths entries must be nonnegative"):
-        SubspaceHierarchy(basis, widths=np.array([1.0, -0.5, 0.1]))
+        SubspaceHierarchy(basis, widths=np.array([1.0, -0.5, 0.1]), distances=zeros)
     with pytest.raises(ValueError, match="tau must be nonincreasing"):
         SubspaceHierarchy(
             basis,
@@ -185,6 +186,10 @@ def test_hierarchy_validation():
             widths=np.array([1.0, 0.5, 0.1]),
             distances=np.array([1.0, 0.6, 0.1]),  # exceeds a width
         )
+    # no hierarchy without a trial direction: every bound and solve reads sigma_n
+    empty = OrthonormalFrame(space, np.zeros((4, 0)))
+    with pytest.raises(ValueError, match="^a hierarchy needs at least one trial direction"):
+        SubspaceHierarchy(empty, widths=np.ones(1), distances=np.ones(1))
 
 
 @pytest.mark.parametrize("spot", [0, 1, 2])
@@ -368,8 +373,8 @@ def test_check_messages_name_config_keys():
         (lambda: check_spectrum(2, [0.2, np.nan]), "sigma entries"),
         (lambda: check_spectrum(2, [0.2, 0.5]), "sigma must be nonincreasing"),
         (lambda: check_profile(1, [1.0, 0.5], [0.5]), "tau must have length"),
-        (lambda: check_profile(1, [1.0], None), "widths must have length"),
-        (lambda: check_profile(1, [1.0, -0.5]), "widths entries"),
+        (lambda: check_profile(1, [1.0], [0.5, 0.0]), "widths must have length"),
+        (lambda: check_profile(1, [1.0, -0.5], [0.5, 0.0]), "widths entries"),
         (lambda: check_profile(1, [1.0, 0.5], [0.5, -0.1]), "tau entries"),
         (lambda: check_profile(1, [1.0, 0.5], [0.1, 0.2]), "tau must be"),
         (lambda: check_profile(1, [1.0, 0.5], [0.6, 0.6]), "widths must"),
@@ -386,7 +391,7 @@ def test_check_messages_name_config_keys():
     # the table that each profile entry point is checked against
     for widths, pattern in bad_profiles([1.0, 0.5, 0.2]):
         with pytest.raises(ValueError, match=pattern):
-            check_profile(2, widths)
+            check_profile(2, widths, np.zeros(3))
     assert check_example2(1e-3, 16) == 1 / 30
     # the plateau underflows, no OverflowError
     with pytest.raises(ValueError, match="tau must lie in"):

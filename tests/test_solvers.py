@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import helpers
 from helpers import (
     bad_profiles,
     brute_force_ms,
@@ -15,9 +14,11 @@ from helpers import (
     clip_to_feasible,
     descending,
     dykstra_projection,
+    gram_and_load,
     random_feasible,
     random_orthogonal,
     random_spd,
+    slice_hierarchy,
     square_instance,
     sweep_instance,
 )
@@ -51,14 +52,14 @@ def tail_norms(c):
 
 def tightened(problem, hierarchy, tests, rng, low=0.35, high=1.1):
     """Rebuild the hierarchy with widths that actually bite."""
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     n = hierarchy.n
     factors = rng.uniform(low, high, size=n)
     widths = np.empty(n + 1)
     widths[:n] = tail_norms(c_ls) * factors
     widths[n] = 0.0
-    return SubspaceHierarchy(hierarchy.basis, widths=widths), G, d
+    return slice_hierarchy(hierarchy.basis, widths), G, d
 
 
 # ---------------------------------------------------------------- projection
@@ -160,7 +161,7 @@ def test_solve_pg_defining_equations():
     rng = np.random.default_rng(2)
     problem, hierarchy, tests = square_instance(rng)
     point, coeffs = solve_pg(assemble(problem, hierarchy, tests))
-    _, d = helpers.assemble(problem, hierarchy, tests)
+    _, d = gram_and_load(problem, hierarchy, tests)
     scale = np.linalg.norm(d)
     R, MZ = problem.factors
     A = R @ MZ.T  # a(v, z) = v^T A z in this Euclidean space
@@ -204,7 +205,7 @@ def test_solve_pg_singular_system():
     assembly = assemble(problem, hierarchy, tests)
     assert assembly.singular
     _, coeffs = solve_pg(assembly)
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert np.max(np.abs(coeffs - want)) <= 1e-9 * np.max(np.abs(want))
     assert run_instance(problem, hierarchy, tests, SolverOptions())[0].actual_pg_error is None
@@ -216,7 +217,7 @@ def test_solve_pg_least_squares_when_overdetermined():
     while tests.n_columns == hierarchy.n:
         problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
     _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     # normal equations of the least-squares formulation
     grad = G.T @ (G @ coeffs - d)
     assert np.max(np.abs(grad)) <= 1e-9 * max(1.0, np.linalg.norm(d))
@@ -234,7 +235,7 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
         n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=9
     )
     _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert np.max(np.abs(coeffs - want)) <= 1e-8 * np.max(np.abs(want))
 
@@ -256,7 +257,7 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
     report, solution, _ = run_instance(problem, hierarchy, tests, SolverOptions())
     assembly = assemble(problem, hierarchy, tests)
     assert assembly.singular and report.babuska is None
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     want = np.linalg.lstsq(G, d, rcond=SINGULAR_REL_TOL)[0]
     assert report.actual_pg_error is None
     # tall or square, the library solve is the truncated least-squares solution
@@ -281,11 +282,11 @@ def test_rejects_fewer_tests_than_trial_directions():
 def test_solve_ms_inactive_constraints_match_pg():
     rng = np.random.default_rng(8)
     problem, hierarchy, tests = square_instance(rng)
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     sigma_min = np.linalg.svd(G, compute_uv=False)[-1]
     bound = 10.0 * np.linalg.norm(d) / sigma_min
     n = hierarchy.n
-    roomy = SubspaceHierarchy(hierarchy.basis, widths=np.full(n + 1, bound))
+    roomy = slice_hierarchy(hierarchy.basis, np.full(n + 1, bound))
     assembly = assemble(problem, hierarchy, tests)
     pg_point, _ = solve_pg(assembly)
     solution = solve_ms(dataclasses.replace(assembly, hierarchy=roomy))
@@ -297,7 +298,7 @@ def test_solve_ms_all_zero_widths():
     rng = np.random.default_rng(9)
     problem, hierarchy, tests = square_instance(rng)
     n = hierarchy.n
-    pinched = SubspaceHierarchy(hierarchy.basis, widths=np.zeros(n + 1))
+    pinched = slice_hierarchy(hierarchy.basis, np.zeros(n + 1))
     solution = solve_ms(assemble(problem, pinched, tests))
     assert solution.converged
     assert np.allclose(solution.coeffs, 0.0)
@@ -309,7 +310,7 @@ def test_solve_ms_zero_width_pins_tail():
     problem, hierarchy, tests = square_instance(rng, n_low=5, n_high=5)
     widths = hierarchy.widths.copy()
     widths[3:] = 0.0
-    cut = SubspaceHierarchy(hierarchy.basis, widths=widths)
+    cut = slice_hierarchy(hierarchy.basis, widths)
     solution = solve_ms(assemble(problem, cut, tests))
     assert solution.converged
     assert np.all(solution.coeffs[3:] == 0.0)
@@ -381,7 +382,7 @@ def test_solve_ms_truth_projection_chain():
     rng = np.random.default_rng(15)
     for _ in range(6):
         problem, hierarchy, tests = sweep_instance(rng, n_high=8)
-        G, d = helpers.assemble(problem, hierarchy, tests)
+        G, d = gram_and_load(problem, hierarchy, tests)
         trial = hierarchy.basis
         assembly = assemble(problem, hierarchy, tests)
         solution = solve_ms(assembly)
@@ -423,10 +424,10 @@ def test_solve_ms_singular_gram_with_biting_widths():
         problem, hierarchy, tests = synth_prescribed(
             n, m, n + m + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=seed
         )
-        G, d = helpers.assemble(problem, hierarchy, tests)
+        G, d = gram_and_load(problem, hierarchy, tests)
         c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
         widths = np.append(tail_norms(c_ls) * rng.uniform(0.3, 1.0, n), 0.0)
-        biting = SubspaceHierarchy(hierarchy.basis, widths=widths)
+        biting = slice_hierarchy(hierarchy.basis, widths)
         assembly = assemble(problem, biting, tests)
         assert assembly.singular, seed
         solution = solve_ms(assembly)
@@ -559,7 +560,7 @@ def plateau_case(rng, metric):
     problem, hierarchy, tests = synth_prescribed(
         n, n, N, sigma, X, tau, tau.copy(), seed=seed, metric=spd
     )
-    G, d = helpers.assemble(problem, hierarchy, tests)
+    G, d = gram_and_load(problem, hierarchy, tests)
     widths = np.append(tail_norms(np.linalg.lstsq(G, d, rcond=None)[0]), 0.0)
     widths[:n] *= rng.uniform(0.3, 1.1, size=n)
     # plateaus of ties, and rises slight or far above the running minimum
@@ -586,7 +587,7 @@ def test_solve_ms_ignores_dominated_widths(metric):
         problem, hierarchy, tests = example1(1e-4, 10, 40, 17)
         cases.append((problem, hierarchy.basis, tests, hierarchy.widths.copy()))
     for problem, basis, tests, widths in cases:
-        assembly = assemble(problem, SubspaceHierarchy(basis, widths=widths), tests)
+        assembly = assemble(problem, slice_hierarchy(basis, widths), tests)
         base = solve_ms(assembly)
         assert base.converged
         assert np.all(tail_norms(base.coeffs) <= widths[:-1] * (1.0 + 1e-8) + 1e-12)
@@ -598,7 +599,7 @@ def test_solve_ms_ignores_dominated_widths(metric):
         lifted[drop] = [np.min(widths[:k]) * rng.uniform(1.0, 4.0) for k in drop]
         scale = max(1.0, float(np.max(np.abs(base.coeffs))))
         for variant in (raised, lifted):
-            variant_hierarchy = SubspaceHierarchy(basis, widths=variant)
+            variant_hierarchy = slice_hierarchy(basis, variant)
             other = solve_ms(dataclasses.replace(assembly, hierarchy=variant_hierarchy))
             assert other.converged
             assert np.max(np.abs(other.coeffs - base.coeffs)) <= 1e-10 * scale
@@ -636,7 +637,7 @@ def test_fallback_stress_corpus(monkeypatch):
         widths = hierarchy.widths
         assert solution.converged, seed
         assert np.all(tail_norms(solution.coeffs) <= widths[:n] * (1.0 + 1e-8) + 1e-12), seed
-        G, d = helpers.assemble(problem, hierarchy, tests)
+        G, d = gram_and_load(problem, hierarchy, tests)
         assert solution.kkt_residual <= max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d)), seed
         assert report.actual_ms_error <= report.ms_bound, seed
 
@@ -682,7 +683,7 @@ def scaled(problem, hierarchy, s):
         SubspaceHierarchy(
             hierarchy.basis,
             s * hierarchy.widths,
-            None if hierarchy.distances is None else s * hierarchy.distances,
+            s * hierarchy.distances,
         ),
     )
 
@@ -735,7 +736,7 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     problem = ProblemInstance(space, np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]), factors=(A, E))
     trial = OrthonormalFrame(space, E[:, :3])
     tests = OrthonormalFrame(space, E[:, 3:])
-    hierarchy = SubspaceHierarchy(trial, widths=np.array([10.0, 0.5, 0.3, 0.0]))
+    hierarchy = slice_hierarchy(trial, np.array([10.0, 0.5, 0.3, 0.0]))
     raised, solve = [], np.linalg.solve
 
     def counting_solve(a, b):
@@ -762,7 +763,7 @@ def test_solve_ms_flat_cost_returns_the_origin():
     # is set directly, d = (1, 2, 0)
     space = AmbientSpace(6)
     E = np.eye(6)
-    hierarchy = SubspaceHierarchy(OrthonormalFrame(space, E[:, :3]), widths=np.array([1.0, 0.5, 0.2, 0.1]))
+    hierarchy = slice_hierarchy(OrthonormalFrame(space, E[:, :3]), np.array([1.0, 0.5, 0.2, 0.1]))
     tests = OrthonormalFrame(space, E[:, 3:])
     rounding = np.zeros((6, 6))
     rounding[3:, 3:] = np.eye(3)  # A z_j = z_j + 1e-17 w_j
@@ -791,7 +792,7 @@ def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
         A[j, 3 + j] = a
     problem = ProblemInstance(space, np.zeros(8), factors=(A, E))
     trial = OrthonormalFrame(space, E[:, :3])
-    hierarchy = SubspaceHierarchy(trial, widths=np.array([2.0, 1.0, 0.5, 0.1]))
+    hierarchy = slice_hierarchy(trial, np.array([2.0, 1.0, 0.5, 0.1]))
     tests = OrthonormalFrame(space, E[:, 3:6])
     calls, lstsq = [], np.linalg.lstsq
 
@@ -844,7 +845,7 @@ def test_solver_options_validation():
         SolverOptions(max_iterations=0)
     # the integer rule of the dimensions: a NaN cap compared false with
     # every count and stopped the dual Newton after one evaluation
-    for cap in [float("nan"), 2.5, float("inf"), True, np.float64(5.0)]:
+    for cap in [float("nan"), 2.5, float("inf"), True, np.float64(5.0), "5"]:
         with pytest.raises(ValueError, match="max_iterations must be a positive integer"):
             SolverOptions(max_iterations=cap)
     problem, hierarchy, tests = example1(1e-4, 10, 40, 7)

@@ -369,7 +369,8 @@ def test_assembly_checks_the_hierarchy_size():
     assert assembly.hierarchy is other
     with pytest.raises(ValueError, match=f"^{mismatch.format(2)}$"):
         dataclasses.replace(assembly, hierarchy=hierarchy)
-    same_n = SubspaceHierarchy(other.basis, widths=np.array([1.0, 0.5, 0.3]))
+    profile = np.array([1.0, 0.5, 0.3])
+    same_n = SubspaceHierarchy(other.basis, widths=profile, distances=profile)
     assert dataclasses.replace(assembly, hierarchy=same_n).hierarchy is same_n
 
 
