@@ -66,8 +66,6 @@ CSV_COLUMNS = (
     "converged",
 )
 
-MODES = ("example1", "example2", "prescribed", "random-sweep")
-
 _COMMON_KEYS = {"mode", "seed", "output_path", "tau_mode", "repetitions"}
 _MODE_KEYS = {
     "example1": {"tau", "n", "m", "N"},
@@ -75,6 +73,7 @@ _MODE_KEYS = {
     "prescribed": {"n", "m", "N", "sigma", "tau", "widths"},
     "random-sweep": {"n_min", "n_max"},
 }
+MODES = tuple(_MODE_KEYS)
 
 
 class ValidationError(ValueError):
@@ -283,19 +282,19 @@ def run_experiment(
 ) -> int:
     """Execute all repetitions and write the CSV report.
 
-    Returns the process exit code: 0 on success, 2 when any solve failed to
-    converge, 1 on runtime failure (raised as exceptions by callees).
+    Returns the process exit code: 0, or 2 when any solve failed to
+    converge; unless ``quiet``, the stderr summary counts those rows.
+    Runtime failures are raised by the callees.
     """
     lines = [",".join(CSV_COLUMNS)]
-    any_unconverged = False
+    unconverged = 0
     for i in range(cfg.repetitions):
         rep_seed = cfg.seed + i
         problem, hierarchy, tests = _build_instance(cfg, rep_seed)
         report, solution, decomp = run_instance(
             problem, hierarchy, tests, SolverOptions(), cfg.tau_mode
         )
-        if not solution.converged:
-            any_unconverged = True
+        unconverged += not solution.converged
         wf = report.water_filling
         cells = [
             cfg.mode,
@@ -332,10 +331,10 @@ def run_experiment(
         shown = destination
     if not quiet:
         print(
-            f"rows={cfg.repetitions} unconverged={int(any_unconverged)} output={shown}",
+            f"rows={cfg.repetitions} unconverged={unconverged} output={shown}",
             file=sys.stderr,
         )
-    return 2 if any_unconverged else 0
+    return 2 if unconverged else 0
 
 
 def main(argv=None) -> int:
@@ -357,21 +356,12 @@ def main(argv=None) -> int:
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
+            cfg = parse_config(handle.read())
+        if args.command == "run":
+            return run_experiment(cfg, output_override=args.output, quiet=args.quiet)
+    except (OSError, UnicodeDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    try:
-        cfg = parse_config(text)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.command == "validate":
-        print("ok")
-        return 0
-    try:
-        return run_experiment(cfg, output_override=args.output, quiet=args.quiet)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    print("ok")
+    return 0
 

@@ -166,26 +166,23 @@ def _solve_core(decomp: GramDecomposition, scale: float, d, eps, opts: SolverOpt
     ``scale`` is the norm against which a singular value counts as zero
     (:meth:`GramDecomposition.nonzero`).  ``eps`` has length n+1 with all
     entries for k < n strictly positive (zero widths are eliminated by the
-    caller).  Returns ``(c, iterations, converged, kkt_residual)``.
+    caller).  Returns ``(c, iterations, converged, kkt_residual)``: the origin,
+    at once, when no singular value counts as nonzero (n = 0 included).
     """
     G = decomp.G
     n = G.shape[1]
-    if n == 0:
-        return np.zeros(0), 0, True, 0.0
+    nonzero = decomp.nonzero(scale)
+    if not nonzero.any():
+        return np.zeros(n), 0, True, 0.0
     H = G.T @ G
     h = G.T @ d
     s1 = float(decomp.sigma[0])
-    nonzero = decomp.nonzero(scale)
     # a width binds only where the running minimum (project_slices' caps)
     # strictly falls; nested trial spaces make any other one implied
     running = np.minimum.accumulate(eps[:n])
     binding_ks = np.flatnonzero(running < np.append(np.inf, running[:-1]))
     tails, eps_b = (np.arange(n) >= binding_ks[:, None]).astype(float), eps[binding_ks]
     eps2 = eps_b**2
-    if not nonzero[0]:
-        # every singular value counts as zero: a flat cost surface, on which
-        # the origin is feasible and optimal
-        return np.zeros(n), 0, True, 0.0
     eta = 1.0 / (2.0 * s1 * s1)
     c_ls = _least_squares(decomp, d, nonzero)
 
@@ -288,8 +285,8 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
     zero_idx = np.nonzero(eps[:n] == 0.0)[0]
     n_free = int(zero_idx[0]) if zero_idx.size else n
     reduced = decomp if n_free == n else decompose(G[:, :n_free])
-    reduced_eps = np.concatenate([eps[:n_free], [0.0]])
-    c_red, iterations, converged, kkt = _solve_core(reduced, assembly.norm, d, reduced_eps, opts)
+    # eps[n_free] is 0 when n_free < n, the final width otherwise
+    c_red, iterations, converged, kkt = _solve_core(reduced, assembly.norm, d, eps[: n_free + 1], opts)
     coeffs = np.zeros(n)
     coeffs[:n_free] = c_red
     residual = G @ coeffs - d

@@ -141,8 +141,6 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
         raise ValueError(f"vectors live in R^{N}, space has dim {space.dim}")
     if not all_finite(V):
         raise ValueError("vectors must have finite entries")
-    if k == 0:
-        return OrthonormalFrame(space, np.zeros((N, 0)))
     if k > N:
         raise ValueError(
             f"input vector {N} is numerically dependent on its predecessors "
@@ -157,7 +155,7 @@ def orthonormalize(vectors: np.ndarray, space: AmbientSpace) -> OrthonormalFrame
         norms = np.linalg.norm(R, axis=0)  # the metric norms of the inputs
         Q = Q @ np.linalg.inv(C).T
     pivots = np.diag(R)
-    tol = RANK_TOL * float(norms.max())
+    tol = RANK_TOL * float(norms.max(initial=0.0))
     small = np.flatnonzero(np.abs(pivots) <= tol)
     if small.size:
         j = int(small[0])

@@ -26,8 +26,9 @@ SINGULAR_REL_TOL = 1e-12
 
 @dataclass(eq=False)
 class GramDecomposition:
-    """SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix, m >= n, with LAPACK's
-    signs: every reader pairs U's columns with X's or reads X in magnitude."""
+    """SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix with LAPACK's signs:
+    every reader pairs U's columns with X's or reads X in magnitude.  A wide
+    G (m < n) is refused, so that every sigma_j is a singular value of G."""
 
     G: np.ndarray
     U: np.ndarray
@@ -36,6 +37,8 @@ class GramDecomposition:
 
     def __post_init__(self) -> None:
         m, n = self.G.shape
+        if m < n:
+            raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
         if self.U.shape != (m, m) or self.X.shape != (n, n) or self.sigma.shape != (n,):
             raise ValueError("inconsistent factor shapes")
         s = self.sigma  # finite first: np.diff warns on inf - inf
@@ -97,11 +100,9 @@ def gram_matrix(riesz, trial: OrthonormalFrame) -> np.ndarray:
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
-    """Full SVD of ``G``; sigma is padded with zeros to length n."""
+    """Full SVD of an m x n ``G``; a wide one (m < n) raises ``ValueError``."""
     G = np.asarray(G, dtype=float)
-    U, s, Vt = np.linalg.svd(G, full_matrices=True)
-    sigma = np.zeros(G.shape[1])
-    sigma[: s.shape[0]] = s
+    U, sigma, Vt = np.linalg.svd(G, full_matrices=True)
     return GramDecomposition(G=G, U=U, X=Vt.T, sigma=sigma)
 
 
@@ -147,12 +148,9 @@ def assemble(
     Forms the representers, the load vector, the Gram matrix, its SVD and
     the two norms of :func:`gamma` once each, and keeps ``hierarchy`` with
     them, so that the projectors and the bounds of one instance read one
-    record.  Needs at least as many tests as trial directions.
+    record; fewer tests than trial directions raise ``ValueError``.
     """
     trial = hierarchy.basis
-    m, n = tests.n_columns, trial.n_columns
-    if m < n:
-        raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
     R = riesz_representers(problem, tests)
     d = rhs_vector(problem, tests)
     decomp = decompose(gram_matrix(R, trial))

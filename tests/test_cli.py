@@ -390,19 +390,44 @@ def test_checked_in_configs_validate_and_build(path, capsys):
         assert (hierarchy.n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
 
 
+def package_env():
+    """The environment with the tested msrom package first on PYTHONPATH."""
+    src = str(Path(msrom.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_module_form_validates_without_warnings():
     # `python -m msrom` runs msrom/__main__.py; `python -m msrom.cli` warns
     # that the package imported msrom.cli before runpy executed it
     root = Path(__file__).resolve().parents[1]
-    src = str(Path(msrom.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "msrom", "validate",
          str(root / "scripts" / "configs" / "example1.json")],
-        capture_output=True, text=True, env=env, cwd=root, timeout=60,
+        capture_output=True, text=True, env=package_env(), cwd=root, timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
+
+
+def test_scripts_run_cleanly(tmp_path):
+    # both scripts under scripts/ finish without a bound violation, write the
+    # run's CSV columns, and raise no RuntimeWarning (overflow, invalid value)
+    root = Path(__file__).resolve().parents[1]
+    sweep = tmp_path / "sweep.csv"
+    commands = [
+        ["run_examples.py", "--outdir", str(tmp_path)],
+        ["bound_vs_error_sweep.py", "--repetitions", "20", "--output", str(sweep)],
+    ]
+    output = ""
+    for script, *args in commands:
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", str(root / "scripts" / script), *args],
+            capture_output=True, text=True, env=package_env(), cwd=tmp_path, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        output += done.stdout
+    assert "violations   0" in output
+    for name in ("example1.csv", "example2.csv", "sweep.csv"):
+        assert (tmp_path / name).read_text().splitlines()[0] == ",".join(CSV_COLUMNS)
 
 
 # ---------------------------------------------------------------- experiments
@@ -537,6 +562,20 @@ def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     assert run_experiment(cfg, quiet=True) == 2
     (row,) = read_rows(out)
     assert row["converged"] == "false"
+
+
+def test_run_summary_counts_unconverged_rows(tmp_path, monkeypatch, capsys):
+    # one Newton evaluation leaves most sweep instances uncertified
+    import msrom.cli as cli_module
+
+    monkeypatch.setattr(cli_module, "SolverOptions", lambda: SolverOptions(max_iterations=1))
+    out = tmp_path / "capped.csv"
+    doc = {"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 2026, "repetitions": 10}
+    cfg = parse_config(json.dumps(dict(doc, output_path=str(out))))
+    assert run_experiment(cfg) == 2
+    count = sum(row["converged"] == "false" for row in read_rows(out))
+    assert 2 <= count < 10
+    assert f"rows=10 unconverged={count} output=" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("seed", [3463, 6339, 6662])

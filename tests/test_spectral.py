@@ -97,7 +97,6 @@ def test_decompose_shapes_and_padding():
     cases = [
         rng.standard_normal((5, 5)),
         rng.standard_normal((9, 4)),
-        rng.standard_normal((3, 6)),  # m < n: sigma is padded with zeros to length n
         # right singular vectors with tied magnitudes 1/2
         random_orthogonal(rng, 4) @ np.diag([4.0, 3.0, 2.0, 1.0]) @ H.T,
         np.ones((3, 2)),
@@ -109,13 +108,14 @@ def test_decompose_shapes_and_padding():
         m, n = G.shape
         decomp = decompose(G)
         assert (decomp.U.shape, decomp.X.shape, decomp.sigma.shape) == ((m, m), (n, n), (n,))
-        k = min(m, n)
         scale = max(1.0, float(np.max(np.abs(G), initial=0.0)))
         singular_values = np.linalg.svd(G, compute_uv=False)
-        assert np.allclose(decomp.sigma[:k], singular_values, rtol=0, atol=1e-12 * scale)
-        assert np.array_equal(decomp.sigma[k:], np.zeros(n - k))
-        if 0 < n <= m:
+        assert np.allclose(decomp.sigma, singular_values, rtol=0, atol=1e-12 * scale)
+        if n > 0:
             assert reconstruction_error(decomp) <= 1e-10
+    # m < n: refused, not padded with zeros to length n
+    with pytest.raises(ValueError, match=r"at least as many tests as trial directions \(m=3, n=6\)"):
+        decompose(rng.standard_normal((3, 6)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,8 +136,12 @@ def test_decompose_reconstruction_property(seed):
         ({"sigma": np.ones(3)}, "inconsistent factor shapes"),
         ({"sigma": np.array([0.5, 1.0])}, "nonincreasing"),
         ({"sigma": np.array([1.0, -0.5])}, "nonnegative"),
+        (  # consistent factors of a wide G
+            {"G": np.ones((2, 3)), "U": np.eye(2), "X": np.eye(3), "sigma": np.array([1.0, 0.5, 0.0])},
+            r"at least as many tests as trial directions \(m=2, n=3\)",
+        ),
     ],
-    ids=["U", "X", "sigma-length", "sigma-unsorted", "sigma-negative"],
+    ids=["U", "X", "sigma-length", "sigma-unsorted", "sigma-negative", "wide"],
 )
 def test_gram_decomposition_checks(fields, match):
     parts = {"G": np.ones((3, 2)), "U": np.eye(3), "X": np.eye(2), "sigma": np.array([1.0, 0.5])}
