@@ -9,7 +9,6 @@ byte-identical CSV.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import sys
@@ -240,7 +239,7 @@ def _build_instance(
     tau_prof = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
     X = _random_orthogonal(rng, n)
     child_seed = int(rng.integers(0, 2**31))
-    return synth_prescribed(n, m, N, sigma, X, tau_prof, tau_prof.copy(), child_seed)
+    return synth_prescribed(n, m, N, sigma, X, tau_prof, tau_prof, child_seed)
 
 
 def _fmt(value) -> str:
@@ -338,6 +337,7 @@ def run_experiment(
 
 
 def main(argv=None) -> int:
+    import argparse  # here, so `import msrom` loads neither argparse nor gettext
     parser = argparse.ArgumentParser(
         prog="msrom",
         description="Slice-constrained projection experiments with error bounds",

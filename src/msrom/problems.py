@@ -64,8 +64,8 @@ class SubspaceHierarchy:
     least one column.  ``widths`` are the slice radii ``eps_0..eps_n`` used as
     constraints; ``distances`` are the true values ``tau_k = dist(z_true,
     V_k)``.  Construction checks n and the profile once (:func:`check_profile`;
-    ``ValueError`` otherwise); the record is frozen, so every reader may rely
-    on that check.
+    ``ValueError`` otherwise) and keeps the checked copies, not the caller's
+    arrays; the record is frozen, so every reader may rely on that check.
     """
 
     basis: OrthonormalFrame
@@ -213,10 +213,10 @@ PROFILE_LIMIT = 1e125
 
 
 def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
-    """A width or distance vector as a float array: length n+1, entries finite and
-    in [0, ``PROFILE_LIMIT``].  The one check of such a vector at every entry
-    point; ``key`` names it in the ``ValueError`` message."""
-    v = np.asarray(values, dtype=float)
+    """A private contiguous float copy of a width or distance vector: length n+1,
+    entries finite and in [0, ``PROFILE_LIMIT``].  The one check of such a vector
+    at every entry point; ``key`` names it in the ``ValueError`` message."""
+    v = np.array(values, dtype=float)
     if v.shape != (n + 1,):
         raise ValueError(f"{key} must have length n+1 = {n + 1}, got shape {v.shape}")
     if not (v >= 0.0).all():  # NaN fails the comparison too
@@ -228,7 +228,7 @@ def check_vector(n: int, values, key: str = "widths") -> np.ndarray:
 
 def check_profile(n: int, widths, tau):
     """Widths and true distances ``tau``, each valid for :func:`check_vector`, with
-    ``tau`` nonincreasing and below the widths.  Returns them as float arrays."""
+    ``tau`` nonincreasing and below the widths.  Returns the checked copies."""
     t = check_vector(n, tau, "tau")
     w = check_vector(n, widths)
     if np.any(np.diff(t) > 0.0):
@@ -344,7 +344,7 @@ def example1(
     root = float(np.sqrt(tau))
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
     profile = np.array([1.0] * (n - 2) + [root, root, tau])
-    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile.copy(), seed)
+    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile, seed)
 
 
 def example2(
@@ -369,4 +369,4 @@ def example2(
     if n >= 3:
         sigma[0] = 1.0
     profile = np.array([0.5] + [limit] * (n - 1) + [tau])
-    return synth_prescribed(n, m, N, sigma, X, profile, profile.copy(), seed)
+    return synth_prescribed(n, m, N, sigma, X, profile, profile, seed)

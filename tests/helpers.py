@@ -114,7 +114,7 @@ def metric_example1(n, N, seed, metric, tau=1e-4):
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
     profile = np.array([1.0] * (n - 2) + [root, root, tau])
     return synth_prescribed(
-        n, n, N, sigma, np.eye(n), profile, profile.copy(), seed, metric=metric
+        n, n, N, sigma, np.eye(n), profile, profile, seed, metric=metric
     )
 
 
@@ -208,7 +208,7 @@ def sweep_instance(rng, n_low=3, n_high=12):
     tau = descending(rng, n + 1, 1e-3, 1.2)
     X = random_orthogonal(rng, n)
     seed = int(rng.integers(0, 2**31))
-    return synth_prescribed(n, m, N, sigma, X, tau, tau.copy(), seed)
+    return synth_prescribed(n, m, N, sigma, X, tau, tau, seed)
 
 
 def square_instance(rng, n_low=3, n_high=10):
@@ -224,7 +224,7 @@ def square_instance(rng, n_low=3, n_high=10):
     tau = descending(rng, n + 1, 1e-3, 1.2)
     X = random_orthogonal(rng, n)
     seed = int(rng.integers(0, 2**31))
-    return synth_prescribed(n, n, N, sigma, X, tau, tau.copy(), seed)
+    return synth_prescribed(n, n, N, sigma, X, tau, tau, seed)
 
 
 def clip_to_feasible(c, widths):

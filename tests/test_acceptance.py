@@ -148,7 +148,7 @@ def test_criterion_4_quotient_bound_validity_below_a_unit_sigma_1():
         tau = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
         X = random_orthogonal(rng, n)
         seed = int(rng.integers(0, 2**31))
-        problem, hierarchy, tests = synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau.copy(), seed)
+        problem, hierarchy, tests = synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau, seed)
         report, solution, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
         assert report.actual_pg_error <= report.babuska, seed
         assert report.actual_ms_error <= report.ms_bound + 1e-12, seed
@@ -191,7 +191,7 @@ def _tightened_instance(rng):
     tau = descending(rng, 5, 1e-3, 1.0)
     X = random_orthogonal(rng, 4)
     seed = int(rng.integers(0, 2**31))
-    problem, hierarchy, tests = synth_prescribed(4, 6, 13, sigma, X, tau, tau.copy(), seed)
+    problem, hierarchy, tests = synth_prescribed(4, 6, 13, sigma, X, tau, tau, seed)
     G, d = gram_and_load(problem, hierarchy, tests)
     c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
     tails = np.array([float(np.linalg.norm(c_ls[k:])) for k in range(4)] + [0.0])

@@ -364,13 +364,28 @@ def test_ms_bound_practitioner_reads_the_widths_as_distances():
         practitioner = ms_bound(
             system_of(decomp, identity_hierarchy(widths, distances), 0.7), "practitioner"
         )
-        # the widths array itself: |X|^T v of a contiguous copy of this reversed
-        # view can differ in the last bit
-        known = ms_bound(system_of(decomp, identity_hierarchy(widths, widths), 0.7))
+        known = ms_bound(system_of(decomp, identity_hierarchy(widths), 0.7))
         assert practitioner.ms_bound == known.ms_bound
         assert practitioner.babuska == known.babuska
         assert practitioner.water_filling == known.water_filling
         assert np.array_equal(practitioner.intermediates.delta, known.intermediates.delta)
+
+
+def test_ms_bound_reads_the_profile_values_not_their_layout():
+    # the random sweep draws its distances as a reversed view; delta = |X|^T v
+    # must not round differently for a contiguous copy of the same values
+    # (sweep seed 2038 is a row whose ms_bound once moved with the layout)
+    cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
+    problem, hierarchy, tests = _build_instance(cfg, 2038)
+    contiguous = np.array(hierarchy.distances)
+    view = contiguous[::-1].copy()[::-1]
+    reports = []
+    for distances in (view, contiguous):
+        rebuilt = SubspaceHierarchy(hierarchy.basis, widths=contiguous, distances=distances)
+        report = ms_bound(assemble(problem, rebuilt, tests))
+        wf = report.water_filling
+        reports.append((wf.ell, wf.rho, wf.sup_value, report.ms_bound))
+    assert reports[0] == reports[1]
 
 
 def test_ms_bound_carries_actual_errors():

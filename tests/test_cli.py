@@ -408,6 +408,15 @@ def test_module_form_validates_without_warnings():
     assert (done.returncode, done.stdout, done.stderr) == (0, "ok\n", "")
 
 
+def test_import_leaves_argparse_unloaded():
+    # only `main` parses arguments; a library caller does not pay for argparse
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, msrom; print('argparse' in sys.modules)"],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+
+
 def test_scripts_run_cleanly(tmp_path):
     # both scripts under scripts/ finish without a bound violation, write the
     # run's CSV columns, and raise no RuntimeWarning (overflow, invalid value)

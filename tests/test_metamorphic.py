@@ -1,8 +1,10 @@
 """Metamorphic tests of the whole pipeline: a metric instance against its
 Euclidean image, a rotated test basis against the original one, a nearly
-symmetric metric against its symmetrization, and trial vectors with flipped
-signs against the original ones."""
+symmetric metric against its symmetrization, trial vectors with flipped
+signs against the original ones, and the paper examples' singular vectors
+rotated inside a tie of sigma against LAPACK's."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -11,11 +13,13 @@ import pytest
 from helpers import random_orthogonal, random_spd
 from msrom import (
     AmbientSpace,
+    GramDecomposition,
     OrthonormalFrame,
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
     assemble,
+    ms_bound,
     run_instance,
     solve_pg,
     synth_prescribed,
@@ -32,7 +36,7 @@ def instance(metric, m, n=8, N=40, seed=5, tau=1e-3):
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
     profile = np.array([1.0] * (n - 2) + [root, root, tau])
     M = None if metric is None else random_spd(np.random.default_rng(seed), N, spread=10.0)
-    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile.copy(), seed, metric=M)
+    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile, seed, metric=M)
 
 
 def outcome(problem, hierarchy, tests):
@@ -134,7 +138,7 @@ def example1_in_metric(M, seed, n, tau):
     root = float(np.sqrt(tau))
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
     profile = np.array([1.0] * (n - 2) + [root, root, tau])
-    return synth_prescribed(n, n, len(M), sigma, np.eye(n), profile, profile.copy(), seed, metric=M)
+    return synth_prescribed(n, n, len(M), sigma, np.eye(n), profile, profile, seed, metric=M)
 
 
 def test_nearly_symmetric_metric_gives_the_rows_of_its_symmetrization():
@@ -199,3 +203,39 @@ def test_flipped_trial_signs_leave_the_rows(corpus):
         if corpus == "sweep":
             assert (got["ell"], got["rho"]) == (want["ell"], want["rho"])
         assert_same_row(got, want, skip=("ell", "rho"))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"mode": "example1", "tau": 1e-4, "n": 10, "N": 40, "seed": 0},
+        {"mode": "example2", "tau": 1e-3, "n": 16, "N": 64, "seed": 0},
+    ],
+    ids=["example1", "example2"],
+)
+def test_rotations_inside_a_tie_leave_the_paper_examples_bounds(doc):
+    # inside a cluster of sigma equal to 1e-12 sigma_1, U Q and X Q are SVD
+    # bases too for any orthogonal Q.  On both paper examples sup_value and
+    # ms_bound do not depend on that choice (ell and rho may); on other tied
+    # instances they can (ROADMAP item 2), so this is the floor a canonical
+    # basis must keep
+    rng = np.random.default_rng(29)
+    for problem, hierarchy, tests in config_instances(doc, range(7, 10)):
+        assembly = assemble(problem, hierarchy, tests)
+        want = ms_bound(assembly)
+        decomp = assembly.decomp
+        s = decomp.sigma
+        blocks = np.split(np.arange(s.size), np.flatnonzero(s[:-1] - s[1:] > 1e-12 * s[0]) + 1)
+        assert max(map(len, blocks)) > 1
+        for _ in range(5):
+            U, X = decomp.U.copy(), decomp.X.copy()
+            for block in blocks:
+                Q = random_orthogonal(rng, len(block))
+                U[:, block], X[:, block] = U[:, block] @ Q, X[:, block] @ Q
+            rotated = GramDecomposition(G=decomp.G, U=U, X=X, sigma=s)
+            got = ms_bound(dataclasses.replace(assembly, decomp=rotated))
+            for other, value in [
+                (got.water_filling.sup_value, want.water_filling.sup_value),
+                (got.ms_bound, want.ms_bound),
+            ]:
+                assert abs(other - value) <= 1e-12 * value, (other, value)

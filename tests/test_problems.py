@@ -71,7 +71,7 @@ def test_factored_operator_matches_dense(metric):
     sigma = descending(rng, n, 0.05, 1.0)
     tau = descending(rng, n + 1, 0.01, 1.0)
     problem, _, tests = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=31,
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=31,
         metric=random_spd(rng, N) if metric else None,
     )
     space = problem.space
@@ -192,6 +192,21 @@ def test_hierarchy_validation():
         SubspaceHierarchy(empty, widths=np.ones(1), distances=np.ones(1))
 
 
+def test_hierarchy_keeps_private_copies_of_the_profile():
+    # the record is checked once and frozen, so the caller's later writes must
+    # not reach it; one array passed as both profiles gives two copies
+    basis = orthonormalize(np.eye(4)[:, :2], AmbientSpace(4))
+    w, t = np.array([1.0, 0.5, 0.2]), np.array([0.8, 0.4, 0.1])
+    hierarchy = SubspaceHierarchy(basis, widths=w, distances=t)
+    w[0], t[1] = -5.0, np.nan
+    assert hierarchy.widths.tolist() == [1.0, 0.5, 0.2]
+    assert hierarchy.distances.tolist() == [0.8, 0.4, 0.1]
+    profile = np.array([1.0, 0.5, 0.2])
+    shared = SubspaceHierarchy(basis, widths=profile, distances=profile)
+    assert not np.shares_memory(shared.widths, shared.distances)
+    assert not np.shares_memory(shared.widths, profile)
+
+
 @pytest.mark.parametrize("spot", [0, 1, 2])
 def test_hierarchy_rejects_nan_distances(spot):
     # every other distance check is a comparison, which NaN passes
@@ -223,7 +238,7 @@ def test_synth_degenerate_truth():
     n, m, N = 3, 5, 9
     zeros = np.zeros(n + 1)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, np.ones(n), np.eye(n), zeros, zeros.copy(), seed=11
+        n, m, N, np.ones(n), np.eye(n), zeros, zeros, seed=11
     )
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     expected = np.vstack([np.eye(n), np.zeros((m - n, n))])
@@ -237,7 +252,7 @@ def test_synth_prescribed_round_trip_spectrum():
     sigma = descending(rng, n, 0.05, 1.0)
     tau = descending(rng, n + 1, 0.01, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=21
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=21
     )
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
@@ -250,7 +265,7 @@ def test_synth_prescribed_exact_distances():
     sigma = descending(rng, n, 0.1, 1.0)
     tau = descending(rng, n + 1, 0.05, 2.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=31
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=31
     )
     z, W = problem.z_true, hierarchy.basis.columns
     for k in range(n + 1):
@@ -264,7 +279,7 @@ def test_synth_prescribed_orthonormal_representers():
     sigma = descending(rng, n, 0.0, 1.0)
     tau = descending(rng, n + 1, 0.0, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=41
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=41
     )
     R = riesz_representers(problem, tests)
     assert np.max(np.abs(R.T @ R - np.eye(m))) <= 1e-9
@@ -276,7 +291,7 @@ def test_synth_prescribed_with_metric():
     sigma = np.array([0.9, 0.5, 0.2])
     tau = np.array([1.0, 0.6, 0.3, 0.1])
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, np.eye(n), tau, tau.copy(), seed=51, metric=random_spd(rng, N)
+        n, m, N, sigma, np.eye(n), tau, tau, seed=51, metric=random_spd(rng, N)
     )
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
@@ -293,10 +308,10 @@ def test_test_basis_is_the_leading_base_frame(metric):
     tau = descending(rng, n + 1, 0.01, 1.0)
     X = random_orthogonal(rng, n)
     M = random_spd(rng, N) if metric else None
-    _, hierarchy, tests = synth_prescribed(n, n, N, sigma, X, tau, tau.copy(), 5, metric=M)
+    _, hierarchy, tests = synth_prescribed(n, n, N, sigma, X, tau, tau, 5, metric=M)
     assert np.array_equal(tests.columns, hierarchy.basis.columns)
     m = 9
-    problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau.copy(), 5, metric=M)
+    problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau, 5, metric=M)
     Z = tests.columns
     assert np.array_equal(Z[:, :n], hierarchy.basis.columns)
     assert np.max(np.abs(Z.T @ metric_of(problem.space) @ Z - np.eye(m))) <= 1e-12
@@ -312,7 +327,7 @@ def test_square_instance_shares_the_trial_frame(metric):
     tau = descending(rng, n + 1, 0.01, 1.0)
     M = random_spd(rng, N) if metric else None
     problem, hierarchy, tests = synth_prescribed(
-        n, n, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), 3, metric=M
+        n, n, N, sigma, random_orthogonal(rng, n), tau, tau, 3, metric=M
     )
     assert tests is hierarchy.basis
     assert problem.factors[1] is hierarchy.basis.metric_image
@@ -328,7 +343,7 @@ def test_truth_rebuilt_from_the_seed(metric):
     tau = descending(rng, n + 1, 0.01, 1.0)
     M = random_spd(rng, N) if metric else None
     problem, _, _ = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed, metric=M
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed, metric=M
     )
     space = problem.space
     metric = metric_of(space)
@@ -409,7 +424,7 @@ def test_synth_prescribed_checks_the_profile_once(monkeypatch):
         lambda *args: calls.append(1) or check_profile(*args),
     )
     tau = np.array([1.0, 0.6, 0.3, 0.1])
-    _, hierarchy, _ = synth_prescribed(3, 4, 9, [0.9, 0.5, 0.2], np.eye(3), tau, tau.copy(), 51)
+    _, hierarchy, _ = synth_prescribed(3, 4, 9, [0.9, 0.5, 0.2], np.eye(3), tau, tau, 51)
     assert len(calls) == 1
     assert np.array_equal(hierarchy.distances, tau)
 
@@ -478,7 +493,7 @@ def test_synth_prescribed_properties(seed):
     sigma = descending(rng, n, 0.0, 1.0)
     tau = descending(rng, n + 1, 0.0, 1.5)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), int(rng.integers(0, 2**31))
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, int(rng.integers(0, 2**31))
     )
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)

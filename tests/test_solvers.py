@@ -177,7 +177,7 @@ def test_solve_pg_recovers_truth_inside_trial():
     sigma = descending(rng, n, 0.3, 1.0)
     tau = np.array([1.0, 0.8, 0.5, 0.3, 0.1, 0.0])  # tau_n = 0: truth in V_n
     problem, hierarchy, tests = synth_prescribed(
-        n, n, 2 * n + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=13
+        n, n, 2 * n + 2, sigma, random_orthogonal(rng, n), tau, tau, seed=13
     )
     point, _ = solve_pg(assemble(problem, hierarchy, tests))
     assert np.linalg.norm(point - problem.z_true) <= 1e-8
@@ -200,7 +200,7 @@ def test_solve_pg_singular_system():
     sigma = np.array([1.0, 0.5, 0.0])
     tau = descending(rng, n + 1, 0.05, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, n, 2 * n + 2, sigma, np.eye(n), tau, tau.copy(), seed=23
+        n, n, 2 * n + 2, sigma, np.eye(n), tau, tau, seed=23
     )
     assembly = assemble(problem, hierarchy, tests)
     assert assembly.singular
@@ -232,7 +232,7 @@ def test_solve_pg_matches_lstsq_near_and_at_rank_loss(m, sigma_n):
     sigma = np.array([1.0, 0.6, 0.3, 0.1, sigma_n])
     tau = descending(rng, n + 1, 1e-3, 1.2)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=9
+        n, m, n + m + 3, sigma, random_orthogonal(rng, n), tau, tau, seed=9
     )
     _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     G, d = gram_and_load(problem, hierarchy, tests)
@@ -403,7 +403,7 @@ def test_solve_ms_flags_non_unique_spectrum():
     sigma = np.array([1.0, 0.5, 0.0])
     tau = descending(rng, n + 1, 0.05, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, n, 8, sigma, np.eye(n), tau, tau.copy(), seed=3
+        n, n, 8, sigma, np.eye(n), tau, tau, seed=3
     )
     assembly = assemble(problem, hierarchy, tests)
     assert assembly.singular  # what the row shows as babuska_bound = undefined
@@ -422,7 +422,7 @@ def test_solve_ms_singular_gram_with_biting_widths():
         sigma[-int(rng.integers(1, 3)) :] = 0.0
         tau = descending(rng, n + 1, 1e-3, 1.2)
         problem, hierarchy, tests = synth_prescribed(
-            n, m, n + m + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=seed
+            n, m, n + m + 4, sigma, random_orthogonal(rng, n), tau, tau, seed=seed
         )
         G, d = gram_and_load(problem, hierarchy, tests)
         c_ls = np.linalg.lstsq(G, d, rcond=None)[0]
@@ -463,7 +463,7 @@ def threaded_instance(kind):
         tau[3:] = 0.0  # widths equal distances, so eps_3 = 0 pins the tail
     metric = random_spd(rng, N) if kind == "metric" else None
     return synth_prescribed(
-        n, m, N, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=5, metric=metric
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=5, metric=metric
     )
 
 
@@ -558,7 +558,7 @@ def plateau_case(rng, metric):
     spd = random_spd(rng, N) if metric else None
     seed = int(rng.integers(2**31))
     problem, hierarchy, tests = synth_prescribed(
-        n, n, N, sigma, X, tau, tau.copy(), seed=seed, metric=spd
+        n, n, N, sigma, X, tau, tau, seed=seed, metric=spd
     )
     G, d = gram_and_load(problem, hierarchy, tests)
     widths = np.append(tail_norms(np.linalg.lstsq(G, d, rcond=None)[0]), 0.0)

@@ -262,7 +262,7 @@ def test_gamma_square_case_closed_form():
     sigma = descending(rng, n, 0.05, 0.95)
     tau = descending(rng, n + 1, 0.05, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, n, 2 * n + 4, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=17
+        n, n, 2 * n + 4, sigma, random_orthogonal(rng, n), tau, tau, seed=17
     )
     riesz = riesz_representers(problem, tests)
     g = gamma_of(riesz, hierarchy.basis)[0]
@@ -275,7 +275,7 @@ def test_gamma_extra_representers_reach_one():
     sigma = descending(rng, n, 0.2, 0.9)
     tau = descending(rng, n + 1, 0.05, 1.0)
     problem, hierarchy, tests = synth_prescribed(
-        n, m, n + m + 2, sigma, random_orthogonal(rng, n), tau, tau.copy(), seed=27
+        n, m, n + m + 2, sigma, random_orthogonal(rng, n), tau, tau, seed=27
     )
     riesz = riesz_representers(problem, tests)
     assert abs(gamma_of(riesz, hierarchy.basis)[0] - 1.0) <= 1e-9
@@ -336,7 +336,7 @@ def test_deltas_flat_rotation_collapses_profile():
     X = flat_orthogonal(n)
     sigma = np.linspace(1.0, 0.1, n)
     decomp = GramDecomposition(G=(X * sigma) @ X.T, U=X.copy(), X=X, sigma=sigma)
-    hierarchy = identity_hierarchy(profile, profile.copy())
+    hierarchy = identity_hierarchy(profile)
     inter = ms_bound(system_of(decomp, hierarchy)).intermediates
     assert np.allclose(inter.delta, 2.0 * n**-0.5, atol=1e-12)
 
@@ -344,7 +344,7 @@ def test_deltas_flat_rotation_collapses_profile():
 def test_deltas_all_zero_profile():
     n = 3
     zeros = np.zeros(n + 1)
-    hierarchy = identity_hierarchy(zeros, zeros.copy())
+    hierarchy = identity_hierarchy(zeros)
     decomp = decompose(np.eye(n))
     assert np.allclose(ms_bound(system_of(decomp, hierarchy)).intermediates.delta, 0.0)
 
@@ -362,7 +362,7 @@ def test_assembly_checks_the_hierarchy_size():
     # every assembly, assembled, built by hand or replaced, pairs a
     # decomposition with a hierarchy of its size n
     widths = np.array([1.0, 0.5, 0.3, 0.2])
-    hierarchy = identity_hierarchy(widths, widths.copy())
+    hierarchy = identity_hierarchy(widths)
     mismatch = "decomposition size {} does not match the hierarchy's n = 3"
     with pytest.raises(ValueError, match=f"^{mismatch.format(4)}$"):
         system_of(decompose(np.eye(4)), hierarchy)
