@@ -8,6 +8,7 @@ realized by the slice-constrained solve.
 
 import argparse
 import csv
+import dataclasses
 import pathlib
 
 from msrom import parse_config, run_experiment
@@ -18,7 +19,7 @@ CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
 def run_one(name: str, outdir: pathlib.Path) -> int:
     cfg = parse_config((CONFIG_DIR / f"{name}.json").read_text())
     out = outdir / f"{name}.csv"
-    code = run_experiment(cfg, output_override=str(out), quiet=True)
+    code = run_experiment(dataclasses.replace(cfg, output_path=str(out)), quiet=True)
     with out.open() as fh:
         row = next(csv.DictReader(fh))
     print(

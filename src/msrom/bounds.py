@@ -71,18 +71,19 @@ class BoundReport:
     actual_ms_error: float | None = None
 
 
-def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolution:
+def water_filling(delta, sigma, budget: float) -> WaterFillingSolution:
     """Closed-form maximum of the budgeted coordinate fill.
 
     Coordinates are filled from the tail (largest reward per unit cost
-    first) until the budget ``4 * gamma**2 * tau_n**2`` is spent.  If the
-    total cost never reaches the budget, the constraint is inactive and
-    every coordinate saturates.  A zero budget met by a positive total cost
-    is the degenerate active case: only the cost-free tail saturates
-    (``ell = n``, ``rho = 0``).  A finite ``delta_j`` whose cost
-    ``sigma_j**2 * delta_j**2`` overflows never saturates: filled partially,
-    it takes what the budget leaves at the price ``sigma_j**2`` per unit of
-    ``beta_j**2`` and reports ``rho = 0``.
+    first) until ``budget`` is spent.  If the total cost never reaches it,
+    the constraint is inactive and every coordinate saturates.  Otherwise
+    ``ell`` is the last paying coordinate whose tail cost meets it, so a
+    zero budget reads the limit of small positive ones (``rho = 0``); an
+    infinite budget never binds.  A finite ``delta_j`` whose reward
+    ``delta_j**2`` or cost ``sigma_j**2 * delta_j**2`` overflows never
+    saturates: filled partially, it takes what the budget leaves at the
+    price ``sigma_j**2`` per unit of ``beta_j**2`` and reports ``rho = 0``.
+    Raises ValueError for a negative or NaN budget.
     """
     delta = np.asarray(delta, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -95,13 +96,11 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
         raise ValueError("delta and sigma entries must be finite and nonnegative")
     if np.any(np.diff(sigma) > 0.0):
         raise ValueError("sigma must be nonincreasing")
-    if tau_n < 0.0 or not np.isfinite(tau_n):
-        raise ValueError(f"tau_n must be finite and nonnegative, got {tau_n}")
-    if gamma < 0.0 or not np.isfinite(gamma):
-        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    if not budget >= 0.0:  # NaN fails the comparison
+        raise ValueError(f"budget must be nonnegative, got {budget}")
     n = delta.shape[0]
-    budget = 4.0 * gamma * gamma * tau_n * tau_n
-    with np.errstate(over="ignore"):  # an overflowing cost is handled at cost_ell below
+    with np.errstate(over="ignore"):  # an overflowing reward or cost is priced below
+        reward = delta * delta
         cost = sigma * sigma * delta * delta
     # suffix[l] = sum of cost[l:], with suffix[n] = 0; suffix[0] is the total
     suffix = np.zeros(n + 1)
@@ -111,18 +110,15 @@ def water_filling(delta, sigma, gamma: float, tau_n: float) -> WaterFillingSolut
     # positive cost has zero reward, so the saturated value is also the
     # constrained one
     if total < budget or total == 0.0:
-        return WaterFillingSolution(ell=None, rho=None, sup_value=float(np.sum(delta * delta)))
-    if budget == 0.0:
-        last_paying = int(np.max(np.nonzero(cost > 0.0)[0]))
-        sup = float(np.sum(delta[last_paying + 1 :] ** 2))
-        return WaterFillingSolution(ell=n, rho=0.0, sup_value=sup)
-    # the last suffix to meet the budget: suffix[0] = total does, and the cost
-    # at ell is positive, or suffix[ell + 1] would equal suffix[ell] and meet it too
-    ell = int(np.flatnonzero(suffix[:n] >= budget)[-1])
+        return WaterFillingSolution(ell=None, rho=None, sup_value=float(np.sum(reward)))
+    # the last paying coordinate whose suffix meets the budget: the first
+    # paying one's suffix is the total, which does; at a positive budget the
+    # last suffix to meet it pays anyway, or suffix[ell + 1] would meet it too
+    ell = int(np.flatnonzero((suffix[:n] >= budget) & (cost > 0.0))[-1])
     cost_ell = float(cost[ell])
-    tail = float(np.sum(delta[ell + 1 :] ** 2))
+    tail = float(np.sum(reward[ell + 1 :]))
     room = budget - float(suffix[ell + 1])
-    if cost_ell == np.inf:  # an overflowing cost: what is left buys beta_ell^2 at sigma_ell^2
+    if max(cost_ell, float(reward[ell])) == np.inf:  # what is left buys beta_ell^2 at sigma_ell^2
         sup = tail + room / float(sigma[ell]) ** 2
         return WaterFillingSolution(ell=ell + 1, rho=0.0, sup_value=sup)
     rho = min(max(room / cost_ell, 0.0), 1.0)
@@ -149,11 +145,12 @@ def ms_bound(assembly: Assembly, tau_mode: str = "known") -> BoundReport:
     profile = hierarchy.profile(tau_mode)
     n, absX = hierarchy.n, np.abs(decomp.X)
     delta = absX.T @ profile[:n] + absX.T @ hierarchy.widths[:n]
-    tau_n = float(profile[-1])
-    wf = water_filling(delta, decomp.sigma * decomp.nonzero(assembly.norm), assembly.gamma, tau_n)
+    gamma, tau_n = assembly.gamma, float(profile[-1])
+    budget = 4.0 * gamma * gamma * tau_n * tau_n
+    wf = water_filling(delta, decomp.sigma * decomp.nonzero(assembly.norm), budget)
     return BoundReport(
         babuska=None if assembly.singular else float(assembly.norm / decomp.sigma[-1] * tau_n),
         ms_bound=float(np.sqrt(wf.sup_value + tau_n * tau_n)),
-        intermediates=BoundIntermediates(assembly.gamma, delta),
+        intermediates=BoundIntermediates(gamma, delta),
         water_filling=wf,
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -276,10 +276,9 @@ def run_instance(
     return report, solution, assembly.decomp
 
 
-def run_experiment(
-    cfg: ExperimentConfig, output_override: str | None = None, quiet: bool = False
-) -> int:
-    """Execute all repetitions and write the CSV report.
+def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
+    """Execute all repetitions and write the CSV report to
+    ``cfg.output_path``, or to stdout when it is None.
 
     Returns the process exit code: 0, or 2 when any solve failed to
     converge; unless ``quiet``, the stderr summary counts those rows.
@@ -320,17 +319,15 @@ def run_experiment(
         lines.append(",".join(_fmt(c) for c in cells))
     text = "\n".join(lines) + "\n"
 
-    destination = output_override if output_override is not None else cfg.output_path
-    if destination is None:
+    if cfg.output_path is None:
         sys.stdout.write(text)
-        shown = "<stdout>"
     else:
-        with open(destination, "w", encoding="utf-8", newline="\n") as handle:
+        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
-        shown = destination
     if not quiet:
         print(
-            f"rows={cfg.repetitions} unconverged={unconverged} output={shown}",
+            f"rows={cfg.repetitions} unconverged={unconverged} "
+            f"output={cfg.output_path or '<stdout>'}",
             file=sys.stderr,
         )
     return 2 if unconverged else 0
@@ -358,7 +355,9 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             cfg = parse_config(handle.read())
         if args.command == "run":
-            return run_experiment(cfg, output_override=args.output, quiet=args.quiet)
+            if args.output is not None:
+                cfg = replace(cfg, output_path=args.output)
+            return run_experiment(cfg, quiet=args.quiet)
     except (OSError, UnicodeDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -363,20 +363,20 @@ def brute_force_projection(c, widths, rng, n_starts=40):
     return best_x
 
 
-def _fill_by_lp(delta, sigma, gamma, tau_n):
+def _fill_by_lp(delta, sigma, budget):
     """``(ell, rho, sup_value)`` of the bound's fill, solved by linprog.
 
     Maximizes ``sum(delta_j**2 t_j)`` over ``t_j`` in [0, 1] subject to
-    ``sum(sigma_j**2 delta_j**2 t_j) <= 4 gamma**2 tau_n**2``, the objective
+    ``sum(sigma_j**2 delta_j**2 t_j) <= budget``, the objective
     scaled by its largest reward and the budget row by the budget.  The dual simplex returns a vertex, so at most one
     ``t_j`` is fractional.  ``ell`` is the 1-based first paying coordinate
     with ``t > 0`` and ``rho`` its ``t``; both are None when every paying
     coordinate saturates (the budget does not bind), and a zero budget that
-    binds reads ``ell = n, rho = 0``.
+    binds reads the limit of small positive budgets: ``ell`` the last
+    paying coordinate, ``rho = 0``.
     """
     reward = delta * delta
     cost = sigma * sigma * reward
-    budget = 4.0 * gamma * gamma * tau_n * tau_n
     unit = budget or float(cost.max(initial=0.0)) or 1.0
     res = linprog(
         -reward / (float(reward.max(initial=0.0)) or 1.0),
@@ -393,7 +393,8 @@ def _fill_by_lp(delta, sigma, gamma, tau_n):
         ell, rho = None, None
     else:
         filled = paying[t[paying] > 0.0]
-        ell, rho = (int(filled[0]) + 1, float(t[filled[0]])) if filled.size else (delta.size, 0.0)
+        ell = int(filled[0] if filled.size else paying[-1]) + 1
+        rho = float(t[ell - 1])
     return ell, rho, float(reward @ t)
 
 
@@ -401,11 +402,11 @@ def _fill_by_lp(delta, sigma, gamma, tau_n):
 ORACLE_MAX_DIM = 6
 
 
-def sup_oracle(delta, sigma, gamma, tau_n):
+def sup_oracle(delta, sigma, budget):
     """Exhaustive maximum of the bound's fill, for n <= ORACLE_MAX_DIM.
 
     Maximizes ``sum(beta_j**2)`` over ``|beta_j| <= delta_j`` and
-    ``sum(sigma_j**2 beta_j**2) <= 4 gamma**2 tau_n**2``.  In the variables
+    ``sum(sigma_j**2 beta_j**2) <= budget``.  In the variables
     ``t_j = beta_j**2 / delta_j**2`` this is a linear program over a box with
     one budget row, so some optimizer has at most one fractional coordinate:
     every 0/1 assignment is tried, and each completion of it by one
@@ -416,13 +417,12 @@ def sup_oracle(delta, sigma, gamma, tau_n):
     delta, sigma = np.asarray(delta, dtype=float), np.asarray(sigma, dtype=float)
     if delta.ndim != 1 or sigma.shape != delta.shape:
         raise ValueError(f"delta and sigma must be 1-d of one length: {delta.shape}, {sigma.shape}")
-    for values in (delta, sigma, np.array([gamma, tau_n], dtype=float)):
+    for values in (delta, sigma, np.array([budget], dtype=float)):
         if not (np.isfinite(values).all() and (values >= 0.0).all()):
-            raise ValueError("delta, sigma, gamma and tau_n must be finite and nonnegative")
+            raise ValueError("delta, sigma and budget must be finite and nonnegative")
     n = delta.shape[0]
     if n > ORACLE_MAX_DIM:
         raise ValueError(f"enumeration limited to n <= {ORACLE_MAX_DIM}, got {n}")
-    budget = 4.0 * gamma * gamma * tau_n * tau_n
     with np.errstate(over="ignore"):  # an overflowing cost is never taken whole
         cost = sigma * sigma * delta * delta
         reward = delta * delta
@@ -469,7 +469,7 @@ def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="kn
     tau_n = float(profile[-1])
     gamma = float(np.sqrt(1.0 - sigma[-1] ** 2)) if m == n else 1.0
     delta = np.abs(X).T @ (profile[:n] + widths[:n])
-    ell, rho, sup = _fill_by_lp(delta, sigma, gamma, tau_n)
+    ell, rho, sup = _fill_by_lp(delta, sigma, 4.0 * gamma * gamma * tau_n * tau_n)
     row = {
         "sigma_1": float(sigma[0]),
         "sigma_n": float(sigma[-1]),

@@ -175,8 +175,9 @@ def test_criterion_5_water_filling_matches_enumeration_oracle():
             sigma[-1] = 0.0
         gam = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 1.2))
         tau_n = float(rng.uniform(0.0, 1.5))
-        closed = water_filling(delta, sigma, gam, tau_n).sup_value
-        brute = sup_oracle(delta, sigma, gam, tau_n)
+        budget = 4.0 * gam * gam * tau_n * tau_n
+        closed = water_filling(delta, sigma, budget).sup_value
+        brute = sup_oracle(delta, sigma, budget)
         scale = max(closed, brute, 1e-12)
         worst = max(worst, abs(closed - brute) / scale)
         assert abs(closed - brute) <= 1e-9 * scale

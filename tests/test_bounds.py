@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import itertools
 import json
 import math
 
@@ -9,7 +8,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import descending, identity_hierarchy, random_orthogonal, sup_oracle, system_of
+from helpers import (
+    _fill_by_lp,
+    descending,
+    identity_hierarchy,
+    random_orthogonal,
+    sup_oracle,
+    system_of,
+)
 from msrom import (
     GramDecomposition,
     SolverOptions,
@@ -46,7 +52,11 @@ def diag_system(sigma, hierarchy=None):
 
 
 def random_tuple(rng, n):
-    """Random (delta, sigma, gamma, tau_n) with the degenerate corners mixed in."""
+    """Random (delta, sigma, budget) with the degenerate corners mixed in.
+
+    The budget is ms_bound's ``4 gamma**2 tau_n**2`` of a random gamma and
+    tau_n, zero for about one draw in seven.
+    """
     delta = rng.uniform(0.0, 2.0, size=n)
     if rng.random() < 0.2:
         delta[int(rng.integers(0, n))] = 0.0
@@ -57,7 +67,7 @@ def random_tuple(rng, n):
         sigma[: int(rng.integers(2, n + 1))] = sigma[0]  # repeated leading value
     gam = 0.0 if rng.random() < 0.15 else float(rng.uniform(0.0, 1.2))
     tau_n = float(rng.uniform(0.0, 1.5))
-    return delta, sigma, gam, tau_n
+    return delta, sigma, 4.0 * gam * gam * tau_n * tau_n
 
 
 # --------------------------------------------------------------------- babuska
@@ -104,58 +114,76 @@ def test_babuska_rejects_bad_distance():
 
 
 def test_water_filling_frozen_tuple():
-    # delta = (1, 1), sigma = (1, 1/2), gamma = 1, tau_n = 1/4
-    # budget = 4 * tau_n^2 = 1/4; costs are (1, 1/4)
+    # delta = (1, 1), sigma = (1, 1/2), budget 1/4; costs are (1, 1/4)
     # the last coordinate alone exhausts the budget exactly, so ell = 2
     # (1-based), rho = 1, and the attained value is delta_2^2 = 1
-    wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 1.0, 0.25)
+    wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 0.25)
     assert wf.ell == 2
     assert wf.rho == pytest.approx(1.0)
     assert wf.sup_value == pytest.approx(1.0)
-    assert sup_oracle(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 1.0, 0.25) == pytest.approx(1.0)
+    assert sup_oracle(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 0.25) == pytest.approx(1.0)
 
 
 def test_water_filling_inactive():
-    # total cost 0.05 < budget 4: every coordinate saturates
-    wf = water_filling(np.array([1.0, 2.0]), np.array([0.1, 0.1]), 1.0, 1.0)
-    assert wf.ell is None and wf.rho is None
-    assert wf.sup_value == pytest.approx(5.0)
+    # total cost 0.05 < budget: every coordinate saturates; an infinite
+    # budget, what a finite gamma * tau_n that overflows gives, never binds
+    for budget in (4.0, np.inf):
+        wf = water_filling(np.array([1.0, 2.0]), np.array([0.1, 0.1]), budget)
+        assert wf.ell is None and wf.rho is None
+        assert wf.sup_value == 5.0
 
 
 def test_water_filling_all_zero_spectrum():
     # first constraint vacuous: inactive even with a zero budget
-    wf = water_filling(np.array([1.0, 2.0]), np.zeros(2), 1.0, 0.5)
+    wf = water_filling(np.array([1.0, 2.0]), np.zeros(2), 1.0)
     assert wf.ell is None
     assert wf.sup_value == pytest.approx(5.0)
 
 
 def test_water_filling_zero_budget_counts_costless_tail():
-    # gamma = 0 with positive costs: only coordinates after the last paying
-    # one may saturate; here sigma_3 = 0 frees delta_3
+    # a zero budget with positive costs: only coordinates after the last
+    # paying one may saturate; here sigma_3 = 0 frees delta_3, and ell is the
+    # last paying coordinate, filled to rho = 0
     delta = np.array([1.0, 1.0, 2.0])
     sigma = np.array([1.0, 0.5, 0.0])
-    wf = water_filling(delta, sigma, 0.0, 0.7)
-    assert wf.ell == 3
-    assert wf.rho == 0.0
+    wf = water_filling(delta, sigma, 0.0)
+    assert (wf.ell, wf.rho) == (2, 0.0)
     assert wf.sup_value == pytest.approx(4.0)
-    assert sup_oracle(delta, sigma, 0.0, 0.7) == pytest.approx(4.0)
+    assert sup_oracle(delta, sigma, 0.0) == pytest.approx(4.0)
 
 
 def test_water_filling_zero_budget_all_paying():
-    wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 0.0, 0.7)
-    assert wf.ell is not None
+    wf = water_filling(np.array([1.0, 1.0]), np.array([1.0, 0.5]), 0.0)
+    assert (wf.ell, wf.rho) == (2, 0.0)
     assert wf.sup_value == 0.0
+
+
+def test_water_filling_zero_budget_is_the_limit_of_small_budgets():
+    # with a cost-free tail, a zero budget reports the ell of a tiny positive
+    # one, where the fill fraction vanishes, and the LP oracle labels it alike
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        n = int(rng.integers(2, 7))
+        delta = rng.uniform(0.1, 2.0, size=n)
+        sigma = descending(rng, n, 0.1, 1.0)
+        sigma[int(rng.integers(1, n)) :] = 0.0
+        zero, tiny = water_filling(delta, sigma, 0.0), water_filling(delta, sigma, 1e-300)
+        assert zero.rho == 0.0 and zero.ell == tiny.ell
+        assert zero.sup_value == pytest.approx(tiny.sup_value, rel=1e-12)
+        ell, rho, sup = _fill_by_lp(delta, sigma, 0.0)
+        assert (ell, rho) == (zero.ell, 0.0)
+        assert sup == pytest.approx(zero.sup_value, rel=1e-12)
 
 
 def test_water_filling_single_term_edge():
     # even the last term exceeds the budget: ell = n and rho is fractional
     delta = np.array([1.0, 2.0])
     sigma = np.array([1.0, 1.0])
-    wf = water_filling(delta, sigma, 0.5, 0.5)  # budget 0.25, costs (1, 4)
+    wf = water_filling(delta, sigma, 0.25)  # costs (1, 4)
     assert wf.ell == 2
     assert wf.rho == pytest.approx(0.25 / 4.0)
     assert wf.sup_value == pytest.approx(0.25)
-    assert sup_oracle(delta, sigma, 0.5, 0.5) == pytest.approx(0.25)
+    assert sup_oracle(delta, sigma, 0.25) == pytest.approx(0.25)
 
 
 def test_water_filling_interior_fraction():
@@ -163,35 +191,34 @@ def test_water_filling_interior_fraction():
     # the tail coordinate saturates and the head one fills to rho = 3/4
     delta = np.array([1.0, 1.0])
     sigma = np.array([1.0, 0.5])
-    wf = water_filling(delta, sigma, 1.0, 0.5)
+    wf = water_filling(delta, sigma, 1.0)
     assert wf.ell == 1
     assert wf.rho == pytest.approx(0.75)
     assert wf.sup_value == pytest.approx(1.75)
-    assert sup_oracle(delta, sigma, 1.0, 0.5) == pytest.approx(1.75)
+    assert sup_oracle(delta, sigma, 1.0) == pytest.approx(1.75)
 
 
 def test_water_filling_empty():
-    wf = water_filling(np.zeros(0), np.zeros(0), 1.0, 1.0)
+    wf = water_filling(np.zeros(0), np.zeros(0), 4.0)
     assert wf.sup_value == 0.0
     assert wf.ell is None
 
 
 def test_water_filling_input_validation():
     with pytest.raises(ValueError, match="entries must be finite and nonnegative"):
-        water_filling(np.array([-1.0]), np.array([1.0]), 1.0, 1.0)
+        water_filling(np.array([-1.0]), np.array([1.0]), 4.0)
     with pytest.raises(ValueError, match="sigma must be nonincreasing"):
-        water_filling(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 1.0, 1.0)
-    with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
-        water_filling(np.array([1.0]), np.array([1.0]), -0.5, 1.0)
-    with pytest.raises(ValueError, match="tau_n must be finite and nonnegative"):
-        water_filling(np.array([1.0]), np.array([1.0]), 1.0, np.inf)
+        water_filling(np.array([1.0, 1.0]), np.array([0.5, 1.0]), 4.0)
+    for budget in (-1.0, np.nan):
+        with pytest.raises(ValueError, match="budget must be nonnegative"):
+            water_filling(np.array([1.0]), np.array([1.0]), budget)
     with pytest.raises(ValueError, match="1-d with equal length"):
-        water_filling(np.array([1.0, 1.0]), np.array([1.0]), 1.0, 1.0)
+        water_filling(np.array([1.0, 1.0]), np.array([1.0]), 4.0)
 
 
 def test_sup_oracle_dimension_cap():
     with pytest.raises(ValueError, match="enumeration limited to n <= 6"):
-        sup_oracle(np.ones(7), np.ones(7), 1.0, 1.0)
+        sup_oracle(np.ones(7), np.ones(7), 4.0)
 
 
 def test_water_filling_active_invariants():
@@ -199,9 +226,8 @@ def test_water_filling_active_invariants():
     seen_active = 0
     for _ in range(300):
         n = int(rng.integers(1, 6))
-        delta, sigma, gam, tau_n = random_tuple(rng, n)
-        wf = water_filling(delta, sigma, gam, tau_n)
-        budget = 4.0 * gam**2 * tau_n**2
+        delta, sigma, budget = random_tuple(rng, n)
+        wf = water_filling(delta, sigma, budget)
         cost = sigma**2 * delta**2
         if wf.ell is None:
             assert wf.sup_value == pytest.approx(float(np.sum(delta**2)))
@@ -211,10 +237,13 @@ def test_water_filling_active_invariants():
         ell = wf.ell  # 1-based
         assert 1 <= ell <= n
         assert 0.0 <= wf.rho <= 1.0
-        # the suffix from ell meets the budget, the one after it does not
+        # ell pays, its suffix meets the budget, and the one after it does
+        # not, or is cost-free at a zero budget
+        assert cost[ell - 1] > 0.0
         assert float(np.sum(cost[ell - 1 :])) >= budget * (1.0 - 1e-12)
         if ell < n:
-            assert float(np.sum(cost[ell:])) < budget
+            after = float(np.sum(cost[ell:]))
+            assert after < budget or after == budget == 0.0
         if budget > 0.0:
             spent = wf.rho * cost[ell - 1] + float(np.sum(cost[ell:]))
             assert abs(spent - budget) <= 1e-10 * max(budget, 1.0)
@@ -225,9 +254,9 @@ def test_water_filling_active_invariants():
 @given(st.integers(0, 2**32 - 1), st.integers(1, 6))
 def test_water_filling_matches_oracle(seed, n):
     rng = np.random.default_rng(seed)
-    delta, sigma, gam, tau_n = random_tuple(rng, n)
-    closed = water_filling(delta, sigma, gam, tau_n).sup_value
-    brute = sup_oracle(delta, sigma, gam, tau_n)
+    delta, sigma, budget = random_tuple(rng, n)
+    closed = water_filling(delta, sigma, budget).sup_value
+    brute = sup_oracle(delta, sigma, budget)
     assert abs(closed - brute) <= 1e-9 * max(closed, brute, 1e-12)
 
 
@@ -236,10 +265,10 @@ def test_water_filling_matches_oracle(seed, n):
 def test_water_filling_monotone_in_delta(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 6))
-    delta, sigma, gam, tau_n = random_tuple(rng, n)
-    base = water_filling(delta, sigma, gam, tau_n).sup_value
+    delta, sigma, budget = random_tuple(rng, n)
+    base = water_filling(delta, sigma, budget).sup_value
     smaller = delta * rng.uniform(0.0, 1.0, size=n)
-    shrunk = water_filling(smaller, sigma, gam, tau_n).sup_value
+    shrunk = water_filling(smaller, sigma, budget).sup_value
     assert shrunk <= base + 1e-12 * max(1.0, base)
 
 
@@ -249,20 +278,18 @@ def test_water_filling_branch_continuity():
         n = int(rng.integers(1, 6))
         delta = rng.uniform(0.1, 2.0, size=n)
         sigma = descending(rng, n, 0.1, 1.0)
-        gam = float(rng.uniform(0.1, 1.0))
         total = float(np.sum(sigma**2 * delta**2))
-        tau_star = np.sqrt(total / (4.0 * gam**2))
         values = []
-        for wiggle in (1.0 - 1e-9, 1.0 + 1e-9):
-            wf = water_filling(delta, sigma, gam, tau_star * wiggle)
+        for wiggle in (1.0 - 2e-9, 1.0 + 2e-9):
+            wf = water_filling(delta, sigma, total * wiggle)
             values.append(wf.sup_value)
         assert abs(values[0] - values[1]) <= 1e-6 * max(values)
 
 
 def test_water_filling_budget_between_summation_orders():
     # the pairwise and the tail-first sums of the costs differ in the last
-    # bit here, and the budget lies between them
-    args = ([1.992, 0.486, 0.514], [0.763, 0.258, 0.073], 0.5, 1.5255208624741914)
+    # bit here, and the budget equals the larger, pairwise one
+    args = ([1.992, 0.486, 0.514], [0.763, 0.258, 0.073], 2.327213901844001)
     wf = water_filling(*args)
     assert wf.sup_value == pytest.approx(4.468456, abs=5e-7)
     assert abs(wf.sup_value - sup_oracle(*args)) <= 1e-9 * wf.sup_value
@@ -281,20 +308,16 @@ def steps(x, k):
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))
 def test_water_filling_budget_at_cost_total(seed, n):
     # budgets equal to the cost total summed in either order, and one ulp
-    # either side, found by searching gamma and tau_n near the exact solution
+    # either side
     rng = np.random.default_rng(seed)
-    delta, sigma, gam, _ = random_tuple(rng, n)
-    gam = gam or 0.5
+    delta, sigma, _ = random_tuple(rng, n)
     cost = sigma * sigma * delta * delta
     totals = {float(np.sum(cost)), float(np.cumsum(cost[::-1])[-1])}
     assume(min(totals) > 0.0)
-    for target in {b for total in totals for b in steps(total, 1)}:
-        tau_n = math.sqrt(target) / (2.0 * gam)
-        for g, t in itertools.product(steps(gam, 3), steps(tau_n, 3)):
-            if 4.0 * g * g * t * t == target:
-                closed = water_filling(delta, sigma, g, t).sup_value
-                brute = sup_oracle(delta, sigma, g, t)
-                assert abs(closed - brute) <= 1e-9 * max(closed, brute, 1e-12)
+    for budget in {b for total in totals for b in steps(total, 1)}:
+        closed = water_filling(delta, sigma, budget).sup_value
+        brute = sup_oracle(delta, sigma, budget)
+        assert abs(closed - brute) <= 1e-9 * max(closed, brute, 1e-12)
 
 
 # -------------------------------------------------------------------- ms_bound
@@ -388,6 +411,21 @@ def test_ms_bound_reads_the_profile_values_not_their_layout():
     assert reports[0] == reports[1]
 
 
+def test_ms_bound_fills_at_its_budget():
+    # ms_bound's fill is water_filling at the budget 4 gamma^2 tau_n^2, on
+    # the singular values the solvers keep, bit for bit
+    doc = {"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 2026, "repetitions": 100}
+    cfg = parse_config(json.dumps(doc))  # scripts/configs/sweep.json
+    for seed in range(cfg.seed, cfg.seed + cfg.repetitions):
+        assembly = assemble(*_build_instance(cfg, seed))
+        report, decomp = ms_bound(assembly), assembly.decomp
+        gam, tau_n = report.intermediates.gamma, float(assembly.hierarchy.distances[-1])
+        sigma = decomp.sigma * decomp.nonzero(assembly.norm)
+        wf = water_filling(report.intermediates.delta, sigma, 4.0 * gam * gam * tau_n * tau_n)
+        got = report.water_filling
+        assert (got.ell, got.rho, got.sup_value) == (wf.ell, wf.rho, wf.sup_value), seed
+
+
 def test_ms_bound_carries_actual_errors():
     # ms_bound leaves the actual errors empty; run_instance fills them from
     # the two solves on the same assembly
@@ -443,7 +481,8 @@ def test_ms_bound_prices_sub_cutoff_singular_values_as_zero():
         assert report.babuska is None and solution.converged
         assert report.actual_ms_error <= report.ms_bound
         gam, delta = report.intermediates.gamma, report.intermediates.delta
-        raw = water_filling(delta, decomp.sigma, gam, hierarchy.distances[-1])
+        tau_n = hierarchy.distances[-1]
+        raw = water_filling(delta, decomp.sigma, 4.0 * gam * gam * tau_n * tau_n)
         assert report.water_filling.sup_value >= raw.sup_value
 
 
@@ -487,7 +526,8 @@ def test_bounds_hold_at_scale(tmp_path, mode, tau, n, N):
     # defined, the quotient bound
     out = tmp_path / "scale.csv"
     doc = {"mode": mode, "tau": tau, "n": n, "N": N, "seed": 0, "repetitions": 2}
-    assert run_experiment(parse_config(json.dumps(doc)), str(out), quiet=True) == 0
+    cfg = dataclasses.replace(parse_config(json.dumps(doc)), output_path=str(out))
+    assert run_experiment(cfg, quiet=True) == 0
     rows = list(csv.DictReader(out.open()))
     assert [row["seed"] for row in rows] == ["0", "1"]
     for row in rows:
@@ -501,13 +541,19 @@ def test_bounds_hold_at_scale(tmp_path, mode, tau, n, N):
 
 def test_water_filling_overflowing_cost_takes_what_the_budget_leaves():
     # delta_1 is finite, but its cost sigma_1^2 delta_1^2 overflows: it takes
-    # what the budget 4 gamma^2 tau_n^2 = 0.64 leaves after delta_2's cost
-    # 0.25, at the price sigma_1^2 = 1 per unit of beta_1^2
-    args = ([1e200, 1.0], [1.0, 0.5], 2.0, 0.2)
+    # what the budget 0.64 leaves after delta_2's cost 0.25, at the price
+    # sigma_1^2 = 1 per unit of beta_1^2
+    args = ([1e200, 1.0], [1.0, 0.5], 0.64)
     wf = water_filling(*args)
     assert (wf.ell, wf.rho) == (1, 0.0)
     assert wf.sup_value == pytest.approx(1.0 + (0.64 - 0.25), rel=1e-12)
     assert sup_oracle(*args) == pytest.approx(wf.sup_value, rel=1e-12)
+    # a finite cost 1e200 whose reward delta_1^2 overflows is priced alike,
+    # at zero budget too
+    for budget, sup in ((1.0, 1e200), (0.0, 0.0)):
+        wf = water_filling([1e200], [1e-100], budget)
+        assert (wf.ell, wf.rho, wf.sup_value) == (1, 0.0, sup)
+        assert sup_oracle([1e200], [1e-100], budget) == sup
 
 
 def test_decomposed_identity_round_trip():

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -465,8 +466,8 @@ def test_run_example1_rows(tmp_path):
 def test_run_is_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     cfg = parse_config(example1_doc(repetitions=3))
-    run_experiment(cfg, output_override=str(a), quiet=True)
-    run_experiment(cfg, output_override=str(b), quiet=True)
+    for out in (a, b):
+        run_experiment(dataclasses.replace(cfg, output_path=str(out)), quiet=True)
     assert a.read_bytes() == b.read_bytes()
 
 

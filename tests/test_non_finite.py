@@ -77,10 +77,10 @@ ENTRY_POINTS = {
     "synth_prescribed-tau": (TAU, lambda v: prescribed(v, WIDTHS), *TAU_REFUSED),
     "parse_config-widths": (WIDTHS, lambda v: parse_config(config(TAU, v)), *CONFIG_REFUSED),
     "parse_config-tau": (TAU, lambda v: parse_config(config(v, WIDTHS)), *CONFIG_REFUSED),
-    "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.5, 0.1), *FILL_REFUSED),
-    "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.5, 0.1), *FILL_REFUSED),
-    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.5, 0.1), *ORACLE_REFUSED),
-    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.5, 0.1), *ORACLE_REFUSED),
+    "water_filling-delta": (DELTA, lambda v: water_filling(v, SIGMA, 0.04), *FILL_REFUSED),
+    "water_filling-sigma": (SIGMA, lambda v: water_filling(DELTA, v, 0.04), *FILL_REFUSED),
+    "sup_oracle-delta": (DELTA, lambda v: sup_oracle(v, SIGMA, 0.04), *ORACLE_REFUSED),
+    "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.04), *ORACLE_REFUSED),
     "decomposition-sigma": (
         SIGMA,
         lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3), X=np.eye(2), sigma=v),
