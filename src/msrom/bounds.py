@@ -119,7 +119,7 @@ def water_filling(delta, sigma, budget: float) -> WaterFillingSolution:
     tail = float(np.sum(reward[ell + 1 :]))
     room = budget - float(suffix[ell + 1])
     if max(cost_ell, float(reward[ell])) == np.inf:  # what is left buys beta_ell^2 at sigma_ell^2
-        sup = tail + room / float(sigma[ell]) ** 2
+        sup = tail + room / float(sigma[ell]) / float(sigma[ell])  # sigma^2 may overflow
         return WaterFillingSolution(ell=ell + 1, rho=0.0, sup_value=sup)
     rho = min(max(room / cost_ell, 0.0), 1.0)
     sup = tail + rho * float(delta[ell]) ** 2

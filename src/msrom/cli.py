@@ -299,7 +299,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
             rep_seed,
             hierarchy.n,
             tests.n_columns,
-            problem.space.dim,
+            problem.z_true.size,
             hierarchy.distances[-1],
             float(decomp.sigma[0]),
             float(decomp.sigma[-1]),

@@ -1,11 +1,11 @@
 """Variational problem instances, trial hierarchies, and synthetic generators.
 
 A problem is the discretized weak formulation ``a(z, v) = b(v)`` with
-``a(v, z) = v^T M A z``, the operator kept as a factor pair ``A = R MZ^T``,
-and a known solution: ``b(v) = a(z_true, v)``.  The synthetic generators
-construct instances whose Gram spectrum, nested approximation distances, and
-slice widths are known exactly, so error bounds can be compared against
-ground truth.
+``a(v, z) = v^T A z``, the operator kept as a factor pair ``A = R Y^T``,
+and a known solution: ``b(v) = a(z_true, v)``.  Every vector is written in
+orthonormal coordinates.  The synthetic generators construct instances
+whose Gram spectrum, nested approximation distances, and slice widths are
+known exactly, so error bounds can be compared against ground truth.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import AmbientSpace, OrthonormalFrame, all_finite, is_integer, orthonormalize
+from .spaces import OrthonormalFrame, all_finite, is_integer, orthonormalize
 
 __all__ = [
     "ProblemInstance",
@@ -31,28 +31,25 @@ __all__ = [
 class ProblemInstance:
     """Weak problem ``a(z, v) = b(v)`` with a known exact solution ``z_true``.
 
-    The form is ``a(v, z) = v^T M A z`` with ``A = R MZ^T``, given as
-    ``factors=(R, MZ)``, two N x k matrices; every product with ``A`` goes
-    through the factors.  A dense ``A`` is the pair ``(A, I)``.  The
-    right-hand side is ``b(v) = a(z_true, v)``.  The factors and ``z_true``
-    must be finite (``ValueError`` otherwise).
+    ``z_true`` is a vector of R^N.  The form is ``a(v, z) = v^T A z`` with
+    ``A = R Y^T``, given as ``factors=(R, Y)``, two N x k matrices; every
+    product with ``A`` goes through the factors.  A dense ``A`` is the pair
+    ``(A, I)``.  The right-hand side is ``b(v) = a(z_true, v)``.  The factors
+    and ``z_true`` must be finite (``ValueError`` otherwise).
     """
 
-    def __init__(
-        self, space: AmbientSpace, z_true: np.ndarray, *, factors: tuple[np.ndarray, np.ndarray]
-    ) -> None:
-        N = space.dim
-        self.space = space
-        R, MZ = (np.asarray(f, dtype=float) for f in factors)
-        if R.ndim != 2 or R.shape[0] != N or MZ.shape != R.shape:
-            raise ValueError(
-                f"factors must be two ({N}, k) matrices, got {R.shape} and {MZ.shape}"
-            )
-        self.factors = (R, MZ)
+    def __init__(self, z_true: np.ndarray, *, factors: tuple[np.ndarray, np.ndarray]) -> None:
         self.z_true = np.asarray(z_true, dtype=float)
-        if self.z_true.shape != (N,):
-            raise ValueError("z_true has the wrong shape")
-        if not (all_finite(R) and all_finite(MZ) and all_finite(self.z_true)):
+        if self.z_true.ndim != 1:
+            raise ValueError(f"z_true must be a vector, got shape {self.z_true.shape}")
+        N = self.z_true.size
+        R, Y = (np.asarray(f, dtype=float) for f in factors)
+        if R.ndim != 2 or R.shape[0] != N or Y.shape != R.shape:
+            raise ValueError(
+                f"factors must be two ({N}, k) matrices, got {R.shape} and {Y.shape}"
+            )
+        self.factors = (R, Y)
+        if not (all_finite(R) and all_finite(Y) and all_finite(self.z_true)):
             raise ValueError("factors and z_true must have finite entries")
 
 
@@ -97,21 +94,21 @@ def riesz_representers(problem: ProblemInstance, tests: OrthonormalFrame) -> np.
     """The (N, m) matrix whose column j represents ``v -> a(v, z_j)``; with the
     stored convention r_j = A z_j for the test frame's columns z_j.
 
-    With ``A = R MZ^T`` this is ``R (MZ^T Z)`` for any test frame ``Z``,
+    With ``A = R Y^T`` this is ``R (Y^T Z)`` for any test frame ``Z``,
     without forming ``A``.
     """
-    R, MZ = problem.factors
-    return R @ (MZ.T @ tests.columns)
+    R, Y = problem.factors
+    return R @ (Y.T @ tests.columns)
 
 
 def rhs_vector(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
     """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
 
-    ``d = Z^T A^T M z_true``, which with ``A = R MZ^T`` is ``Z^T (MZ (R^T M
+    ``d = Z^T A^T z_true``, which with ``A = R Y^T`` is ``Z^T (Y (R^T
     z_true))`` for any test frame ``Z``.
     """
-    R, MZ = problem.factors
-    return tests.columns.T @ (MZ @ (R.T @ problem.space.apply_metric(problem.z_true)))
+    R, Y = problem.factors
+    return tests.columns.T @ (Y @ (R.T @ problem.z_true))
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -260,6 +257,31 @@ def check_example2(tau: float, n: int) -> float:
     return limit
 
 
+# A metric may differ from its transpose by this times its largest entry;
+# within it, 0.5 (M + M^T) is factored.
+_METRIC_SYM_TOL = 1e-12
+
+
+def _metric_root(N: int, metric) -> np.ndarray:
+    """``L^T`` for the N x N metric ``M = L L^T`` (Cholesky) of a finite M,
+    symmetric to ``_METRIC_SYM_TOL``; a failed factorization refuses an M that
+    is not positive definite."""
+    M = np.array(metric, dtype=float)
+    if M.shape != (N, N):
+        raise ValueError(f"metric must be {N}x{N}, got {M.shape}")
+    scale = np.max(np.abs(M))
+    if not np.isfinite(scale):
+        raise ValueError("metric entries must be finite")
+    if not np.array_equal(M, M.T):
+        if np.max(np.abs(M - M.T)) > _METRIC_SYM_TOL * scale:
+            raise ValueError("metric must be symmetric")
+        M = 0.5 * (M + M.T)
+    try:
+        return np.linalg.cholesky(M).T
+    except np.linalg.LinAlgError:
+        raise ValueError("metric must be positive definite") from None
+
+
 def synth_prescribed(
     n: int,
     m: int,
@@ -282,14 +304,20 @@ def synth_prescribed(
 
     so the Gram matrix of ``{r_j}`` against ``{w_i}`` has singular values
     ``sigma`` and right factor ``X``, while ``{r_j}`` stays orthonormal.  The
-    operator is ``A = R (M Z)^T``, which makes ``A z_j = r_j`` for any
+    operator is ``A = R Z^T``, which makes ``A z_j = r_j`` for any
     orthonormal test basis Z, so outputs depend on Z only through rounding.
     Z is not random: it is the first m columns of the frame ``[W Q]``, which
-    for m = n is W itself.  The instance keeps A as the factor pair ``(R, M
+    for m = n is W itself.  The instance keeps A as the factor pair ``(R,
     Z)`` and never forms the N x N matrix.  The truth is ``z_true = sum_k c_k
     w_k + tau_n u`` with ``c_k = sqrt(tau_{k-1}^2 - tau_k^2)`` and a random
     unit ``u`` orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k``
     for all k.  Returns ``(problem, hierarchy, Z)``.
+
+    ``metric``, a symmetric positive-definite N x N ``M``, builds the instance
+    in the inner product ``u^T M v`` and returns its image in orthonormal
+    coordinates: the random draws pass through ``x -> L^T x``, ``M = L L^T``,
+    an isometry onto Euclidean R^N, before they are orthonormalized or
+    projected.  :func:`_metric_root` states the refusals (``ValueError``).
     """
     check_dimensions(n, m, N)
     sigma = check_spectrum(n, sigma)
@@ -299,13 +327,14 @@ def synth_prescribed(
     # entries of an orthogonal X lie in [-1, 1]: NaN, inf and overflow fail before the product
     if not ((np.abs(X) <= 1.0 + 1e-10).all() and np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10):
         raise ValueError("X must be orthogonal")
+    root = None if metric is None else _metric_root(N, metric)
 
     rng = np.random.default_rng(seed)
-    space = AmbientSpace(N, metric)
-    base = orthonormalize(rng.standard_normal((N, n + m)), space)
+    draws = rng.standard_normal((N, n + m))
+    base = orthonormalize(draws if root is None else root @ draws)
     W = base.columns[:, :n]
     Q = base.columns[:, n:]
-    trial = OrthonormalFrame(space, W)
+    trial = OrthonormalFrame(W)
     hierarchy = SubspaceHierarchy(trial, widths=widths, distances=tau)  # checks the profile
     tau = hierarchy.distances
 
@@ -316,16 +345,18 @@ def synth_prescribed(
     # Z moves no output beyond rounding, so it reuses the frame (at m = n the trial
     # frame itself).  The N x m normals drawn here keep each seed's u and z_true.
     rng.standard_normal((N, m))
-    Z = trial if m == n else OrthonormalFrame(space, base.columns[:, :m])
+    Z = trial if m == n else OrthonormalFrame(base.columns[:, :m])
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     u = rng.standard_normal(N)
+    if root is not None:
+        u = root @ u
     for _ in range(2):
-        u -= W @ (W.T @ space.apply_metric(u))
-    u /= space.norm(u)
+        u -= W @ (W.T @ u)
+    u /= np.linalg.norm(u)
     z_true = W @ coeff + tau[-1] * u
 
-    problem = ProblemInstance(space, z_true, factors=(R, Z.metric_image))
+    problem = ProblemInstance(z_true, factors=(R, Z.columns))
     return problem, hierarchy, Z
 
 

@@ -61,7 +61,7 @@ class Assembly:
 
     ``hierarchy`` is the trial hierarchy, whose frame W, widths and profile
     the projectors and bounds read; ``d`` is the load vector, ``decomp`` the
-    SVD of the Gram matrix ``G = R^T M W`` of the test representers R, and
+    SVD of the Gram matrix ``G = R^T W`` of the test representers R, and
     ``gamma`` and ``norm`` the two values of :func:`gamma`: the complement
     coupling and the representer-family norm ``||R||_2``.  Construction
     checks that the decomposition has the hierarchy's size n (``ValueError``
@@ -96,7 +96,7 @@ def _representers(riesz) -> np.ndarray:
 
 def gram_matrix(riesz, trial: OrthonormalFrame) -> np.ndarray:
     """Matrix with entry (i, j) = <r_i, w_j> for the columns r_i of ``riesz``."""
-    return _representers(riesz).T @ trial.metric_image
+    return _representers(riesz).T @ trial.columns
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
@@ -107,15 +107,15 @@ def decompose(G: np.ndarray) -> GramDecomposition:
 
 
 def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
-    """``(gamma, norm)``: two metric operator norms of the representers ``R``.
+    """``(gamma, norm)``: two operator norms of the representers ``R``.
 
     ``gamma`` is the largest coupling of the representers with the trial
     complement, ``sup { (sum_j <r_j, v>^2)^(1/2) : v in complement, ||v|| =
-    1 }``: the norm of their component off the trial span, ``P = (I - W W^T
-    M) R``.  ``norm`` is the norm of the whole family, the continuity
-    constant of the quotient bound; with ``C = W^T M R = gram^T``, where
+    1 }``: the norm of their component off the trial span, ``P = (I - W
+    W^T) R``.  ``norm`` is the norm of the whole family, the continuity
+    constant of the quotient bound; with ``C = W^T R = gram^T``, where
     ``gram`` is :func:`gram_matrix` of ``riesz`` and ``trial``, ``R = W C +
-    P`` gives ``R^T M R = C^T C + P^T M P``.  Each
+    P`` gives ``R^T R = C^T C + P^T P``.  Each
     is the square root of the top eigenvalue of an m x m Gram, formed from
     its factors divided by their largest-magnitude entry so the squares
     neither overflow nor underflow; the top eigenvalue carries full
@@ -123,20 +123,20 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     space or ``P`` is exactly zero; both are 0 without representers.
     """
     R = _representers(riesz)
-    space, W = trial.space, trial.columns
+    W = trial.columns
     C = np.asarray(gram, dtype=float).T
     P = R - W @ C
-    scale = float(np.max(np.abs(P), initial=0.0)) if trial.n_columns < space.dim else 0.0
-    gam, PMP = 0.0, 0.0
+    scale = float(np.max(np.abs(P), initial=0.0)) if trial.n_columns < W.shape[0] else 0.0
+    gam, PTP = 0.0, 0.0
     if scale > 0.0:
         P = P / scale
-        PMP = P.T @ space.apply_metric(P)
-        gam = scale * float(np.sqrt(max(np.linalg.eigvalsh(PMP)[-1], 0.0)))
+        PTP = P.T @ P
+        gam = scale * float(np.sqrt(max(np.linalg.eigvalsh(PTP)[-1], 0.0)))
     unit = max(scale, float(np.max(np.abs(C), initial=0.0)))
     if unit == 0.0:
         return gam, 0.0
     C = C / unit
-    top = np.linalg.eigvalsh(C.T @ C + (scale / unit) ** 2 * PMP)[-1]
+    top = np.linalg.eigvalsh(C.T @ C + (scale / unit) ** 2 * PTP)[-1]
     return gam, unit * float(np.sqrt(max(top, 0.0)))
 
 

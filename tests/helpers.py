@@ -16,7 +16,6 @@ import numpy as np
 from scipy.optimize import linprog, minimize
 
 from msrom import (
-    AmbientSpace,
     Assembly,
     OrthonormalFrame,
     SubspaceHierarchy,
@@ -44,22 +43,17 @@ def random_spd(rng, dim, spread=4.0):
     return (q * eigs) @ q.T
 
 
-def metric_of(space):
-    return space.metric if space.metric is not None else np.eye(space.dim)
-
-
 def metric_norm(M, v):
     return float(np.sqrt(max(v @ M @ v, 0.0)))
 
 
-def mgs_orthonormalize(V, space):
-    """Two-pass modified Gram-Schmidt of the columns of V in the metric.
+def mgs_orthonormalize(V, M):
+    """Two-pass modified Gram-Schmidt of the columns of V in the inner product
+    ``u^T M v``, for an SPD matrix M.
 
-    Returns the (N, k) matrix of metric-orthonormal columns; raises
-    ValueError when a pivot drops to GS_RANK_TOL times the largest input
-    norm.
+    Returns the (N, k) matrix of M-orthonormal columns; raises ValueError
+    when a pivot drops to GS_RANK_TOL times the largest input norm.
     """
-    M = metric_of(space)
     V = np.asarray(V, dtype=float)
     tol = GS_RANK_TOL * max((metric_norm(M, v) for v in V.T), default=0.0)
     basis = []
@@ -76,14 +70,12 @@ def mgs_orthonormalize(V, space):
 
 
 def complement_frame(frame):
-    """Metric-orthonormal basis of the complement of the frame's span.
+    """Orthonormal basis of the complement of the frame's span.
 
     Completes the frame with standard basis vectors in index order by
     two-pass Gram-Schmidt; a frame that fills the space gives zero columns.
     """
-    space = frame.space
-    M = metric_of(space)
-    N, k = space.dim, frame.n_columns
+    N, k = frame.columns.shape
     existing = [frame.columns[:, j] for j in range(k)]
     out = []
     for i in range(N):
@@ -91,17 +83,32 @@ def complement_frame(frame):
             break
         v = np.zeros(N)
         v[i] = 1.0
-        base = float(np.sqrt(M[i, i]))
         for _ in range(2):
             for q in existing + out:
-                v -= (q @ M @ v) * q
-        nrm = metric_norm(M, v)
-        if nrm > GS_RANK_TOL * base:
+                v -= (q @ v) * q
+        nrm = float(np.linalg.norm(v))
+        if nrm > GS_RANK_TOL:
             out.append(v / nrm)
     if len(out) != N - k:
         raise ValueError("failed to complete the frame to a full basis")
     cols = np.column_stack(out) if out else np.zeros((N, 0))
-    return OrthonormalFrame(space, cols)
+    return OrthonormalFrame(cols)
+
+
+def metric_draws(n, m, N, seed, M):
+    """What ``synth_prescribed(n, m, N, ..., seed)`` draws, built in the metric M
+    itself: ``(base, u)``, the metric Gram-Schmidt frame ``[W Q]`` of the first
+    N x (n + m) normals, and the M-unit ``u`` M-orthogonal to W from the last N.
+    With ``metric=M = L L^T`` the generator's frames and truth are their
+    images under ``L^T``."""
+    draws = np.random.default_rng(seed)
+    base = mgs_orthonormalize(draws.standard_normal((N, n + m)), M)
+    W = base[:, :n]
+    draws.standard_normal((N, m))  # the normals the generator discards
+    u = draws.standard_normal(N)
+    for _ in range(2):
+        u -= W @ (W.T @ (M @ u))
+    return base, u / metric_norm(M, u)
 
 
 def descending(rng, size, low, high):
@@ -135,7 +142,7 @@ def identity_hierarchy(widths, distances=None):
     """A hierarchy on the first n coordinate directions of R^(n+1), n + 1 = len(widths);
     the distances default to the widths."""
     n = len(widths) - 1
-    basis = OrthonormalFrame(AmbientSpace(n + 1), np.eye(n + 1)[:, :n])
+    basis = OrthonormalFrame(np.eye(n + 1)[:, :n])
     distances = widths if distances is None else distances
     return SubspaceHierarchy(basis, widths=widths, distances=distances)
 
@@ -173,7 +180,7 @@ def gram_and_load(problem, hierarchy, tests):
 def bound_step_ratios(problem, hierarchy, decomp, report, coeffs, slack=1e-9):
     """Check the two steps of the slice-constrained bound on one row.
 
-    With ``c = W^T M z_true`` the truth's trial coefficients, ``e = coeffs -
+    With ``c = W^T z_true`` the truth's trial coefficients, ``e = coeffs -
     c`` the error of the solve's coefficients and ``beta = X^T e`` for the
     row's right singular vectors X, and delta and gamma read from the
     "known" bound ``report``:
@@ -188,7 +195,7 @@ def bound_step_ratios(problem, hierarchy, decomp, report, coeffs, slack=1e-9):
     and returns the largest ratios ``(max |beta_j| / delta_j, ||G e||^2 /
     budget)``, each 0 where its denominator is.
     """
-    c = hierarchy.basis.columns.T @ problem.space.apply_metric(problem.z_true)
+    c = hierarchy.basis.columns.T @ problem.z_true
     beta = decomp.X.T @ (coeffs - c)
     delta, gam = report.intermediates.delta, report.intermediates.gamma
     assert np.all(np.abs(beta) <= delta + slack), (beta, delta)
@@ -438,8 +445,10 @@ def sup_oracle(delta, sigma, budget):
         for j in range(n):
             if j in taken or cost[j] <= 0.0:
                 continue
-            # priced per unit of beta_j^2, so that an overflowing cost still buys a fraction
-            best = max(best, value + min(float(reward[j]), remaining / float(sigma[j]) ** 2))
+            # priced sigma_j^2 per unit of beta_j^2, divided by sigma_j twice, so
+            # that an overflowing cost or price still buys a fraction
+            s_j = float(sigma[j])
+            best = max(best, value + min(float(reward[j]), remaining / s_j / s_j))
     return best
 
 
@@ -447,10 +456,11 @@ def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="kn
     """Predicted CSV columns of a ``synth_prescribed`` instance.
 
     ``sigma``, ``X``, ``tau`` and ``widths`` are the generator's inputs;
-    ``R``, ``W`` (the trial basis), ``z_true`` and ``metric`` are the
-    instance's public arrays.  By construction the Gram matrix is
-    ``G = [diag(sigma) X^T; 0]``, so ``sigma`` is its spectrum and ``X`` its
-    right factor, and the representers' component off the trial span is
+    ``R``, ``W`` (the trial basis) and ``z_true`` are the instance's arrays,
+    in coordinates whose inner product is ``u^T metric v`` (Euclidean for
+    None).  By construction the Gram matrix is ``G = [diag(sigma) X^T; 0]``,
+    so ``sigma`` is its spectrum and ``X`` its right factor, and the
+    representers' component off the trial span is
     ``sqrt(1 - sigma_j**2) q_j`` (j <= n) or ``q_j`` (j > n) for orthonormal
     ``q_j``: ``gamma = sqrt(1 - sigma_n**2)`` when m = n and 1 when m > n.
     The representers are orthonormal, so the quotient bound's constant, their

@@ -528,7 +528,8 @@ def test_bounds_hold_at_scale(tmp_path, mode, tau, n, N):
     doc = {"mode": mode, "tau": tau, "n": n, "N": N, "seed": 0, "repetitions": 2}
     cfg = dataclasses.replace(parse_config(json.dumps(doc)), output_path=str(out))
     assert run_experiment(cfg, quiet=True) == 0
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as handle:
+        rows = list(csv.DictReader(handle))
     assert [row["seed"] for row in rows] == ["0", "1"]
     for row in rows:
         assert row["converged"] == "true", row["seed"]
@@ -554,6 +555,11 @@ def test_water_filling_overflowing_cost_takes_what_the_budget_leaves():
         wf = water_filling([1e200], [1e-100], budget)
         assert (wf.ell, wf.rho, wf.sup_value) == (1, 0.0, sup)
         assert sup_oracle([1e200], [1e-100], budget) == sup
+    # a cost whose price sigma_1^2 = 1e320 overflows buys 1 / 1e320, a subnormal
+    wf = water_filling([1.0], [1e160], 1.0)
+    assert (wf.ell, wf.rho) == (1, 0.0)
+    assert wf.sup_value == pytest.approx(1e-320, rel=1e-3)
+    assert sup_oracle([1.0], [1e160], 1.0) == wf.sup_value
 
 
 def test_decomposed_identity_round_trip():

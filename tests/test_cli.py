@@ -170,7 +170,9 @@ def test_profile_limit_keeps_the_solve_finite(tmp_path, capsys):
     at_limit = dict(OVERFLOW_AT_THE_OLD_LIMIT, tau=[1e125] * 3, widths=[1e125] * 3, repetitions=3)
     path.write_text(json.dumps(at_limit))
     assert main(["run", str(path), "--output", str(out), "--quiet"]) == 0
-    for row in csv.DictReader(out.open()):
+    with out.open() as handle:
+        rows = list(csv.DictReader(handle))
+    for row in rows:
         assert float(row["actual_ms_error"]) <= float(row["ms_bound"])
         assert float(row["actual_pg_error"]) <= float(row["babuska_bound"])
 
@@ -388,7 +390,7 @@ def test_checked_in_configs_validate_and_build(path, capsys):
     problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
     assert tests.n_columns >= hierarchy.n
     if cfg.n is not None:
-        assert (hierarchy.n, tests.n_columns, problem.space.dim) == (cfg.n, cfg.m, cfg.N)
+        assert (hierarchy.n, tests.n_columns, problem.z_true.size) == (cfg.n, cfg.m, cfg.N)
 
 
 def package_env():
@@ -558,7 +560,7 @@ def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     def stuck(assembly, options=None):
         n = assembly.hierarchy.n
         return MultiSliceSolution(
-            point=np.zeros(assembly.hierarchy.basis.space.dim),
+            point=np.zeros(assembly.hierarchy.basis.columns.shape[0]),
             coeffs=np.zeros(n),
             cost=1.0,
             iterations=options.max_iterations if options else 0,

@@ -1,5 +1,6 @@
-"""Metamorphic tests of the whole pipeline: a metric instance against its
-Euclidean image, a rotated test basis against the original one, a nearly
+"""Metamorphic tests of the whole pipeline: a metric instance against the
+Euclidean image of the same instance built in the metric by Gram-Schmidt, a
+rotated test basis against the original one, a nearly
 symmetric metric against its symmetrization, trial vectors with flipped
 signs against the original ones, and the paper examples' singular vectors
 rotated inside a tie of sigma against LAPACK's."""
@@ -10,9 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_orthogonal, random_spd
+from helpers import metric_draws, random_orthogonal, random_spd
 from msrom import (
-    AmbientSpace,
     GramDecomposition,
     OrthonormalFrame,
     ProblemInstance,
@@ -30,13 +30,18 @@ REL = 1e-10
 CASES = [(None, 8), ("spd", 8), ("spd", 11)]  # (metric, m) with n = 8
 
 
-def instance(metric, m, n=8, N=40, seed=5, tau=1e-3):
+def example1_inputs(n, tau):
     """example1's spectrum and profile, so that the widths bite."""
     root = float(np.sqrt(tau))
     sigma = np.array([1.0] * (n - 3) + [root, root, tau])
-    profile = np.array([1.0] * (n - 2) + [root, root, tau])
+    return sigma, np.array([1.0] * (n - 2) + [root, root, tau])
+
+
+def instance(metric, m, n=8, N=40, seed=5, tau=1e-3):
+    """An instance on example1's inputs, and its metric (None for the Euclidean one)."""
+    sigma, profile = example1_inputs(n, tau)
     M = None if metric is None else random_spd(np.random.default_rng(seed), N, spread=10.0)
-    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile, seed, metric=M)
+    return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile, seed, metric=M), M
 
 
 def outcome(problem, hierarchy, tests):
@@ -65,24 +70,28 @@ def assert_same(got, want, keys):
 
 @pytest.mark.parametrize("metric,m", CASES)
 def test_metric_instance_equals_its_euclidean_image(metric, m):
-    # x -> L^T x, with M = L L^T, is an isometry onto the Euclidean R^N; it
-    # maps the frames to L^T W and L^T Z, the operator A = R (M Z)^T to
-    # (L^T R)(L^T Z)^T and the truth to L^T z_true, and every number a run
-    # reports is defined by inner products alone
-    problem, hierarchy, tests = instance(metric, m)
-    space = problem.space
-    L = np.eye(space.dim) if space.metric is None else np.linalg.cholesky(space.metric)
-    R, _ = problem.factors
-    flat = AmbientSpace(space.dim)
-    LZ = L.T @ tests.columns
+    # the instance built in the metric M itself, from the generator's draws by
+    # metric Gram-Schmidt: frames W and Z, representers R, the operator A = R
+    # (M Z)^T and the truth z_true.  x -> L^T x, with M = L L^T, is an isometry
+    # onto the Euclidean R^N; it maps the frames to L^T W and L^T Z, the
+    # operator to (L^T R)(L^T Z)^T and the truth to L^T z_true, and every number
+    # a run reports is defined by inner products alone.  The generator returns
+    # that image, so both instances report the same numbers
+    n, N, seed = 8, 40, 5
+    (problem, hierarchy, tests), M = instance(metric, m)
+    M = np.eye(N) if M is None else M
+    base, u = metric_draws(n, m, N, seed, M)
+    W, Q = base[:, :n], base[:, n:]
+    sigma, _ = example1_inputs(n, 1e-3)
+    R = np.hstack([W * sigma + Q[:, :n] * np.sqrt(1.0 - sigma**2), Q[:, n:]])
+    tau = hierarchy.distances
+    z_true = W @ np.sqrt(tau[:-1] ** 2 - tau[1:] ** 2) + tau[-1] * u
+    Lt = np.linalg.cholesky(M).T
+    LZ = Lt @ base[:, :m]
     image = (
-        ProblemInstance(flat, z_true=L.T @ problem.z_true, factors=(L.T @ R, LZ)),
-        SubspaceHierarchy(
-            OrthonormalFrame(flat, L.T @ hierarchy.basis.columns),
-            hierarchy.widths,
-            hierarchy.distances,
-        ),
-        OrthonormalFrame(flat, LZ),
+        ProblemInstance(Lt @ z_true, factors=(Lt @ R, LZ)),
+        SubspaceHierarchy(OrthonormalFrame(Lt @ W), hierarchy.widths, hierarchy.distances),
+        OrthonormalFrame(LZ),
     )
     want = outcome(problem, hierarchy, tests)
     assert want["ms_iterations"] > 0  # the widths bite: MS is not the LS solution
@@ -94,9 +103,9 @@ def test_metric_instance_equals_its_euclidean_image(metric, m):
 def test_rotated_test_basis_leaves_solutions_and_bounds(metric, m):
     # Z -> Z O turns G into O^T G and d into O^T d: the residual norm, hence
     # both projections, and the singular values and gamma do not change
-    problem, hierarchy, tests = instance(metric, m)
+    (problem, hierarchy, tests), _ = instance(metric, m)
     O = random_orthogonal(np.random.default_rng(17), m)
-    rotated = OrthonormalFrame(problem.space, tests.columns @ O)
+    rotated = OrthonormalFrame(tests.columns @ O)
     want = outcome(problem, hierarchy, tests)
     got = outcome(problem, hierarchy, rotated)
     assert_same(got, want, ["pg_coeffs", "ms_coeffs", "ms_bound", "babuska"])
@@ -135,9 +144,7 @@ def assert_same_row(got, want, skip=()):
 
 def example1_in_metric(M, seed, n, tau):
     """example1's spectrum and profile at m = n in the metric M."""
-    root = float(np.sqrt(tau))
-    sigma = np.array([1.0] * (n - 3) + [root, root, tau])
-    profile = np.array([1.0] * (n - 2) + [root, root, tau])
+    sigma, profile = example1_inputs(n, tau)
     return synth_prescribed(n, n, len(M), sigma, np.eye(n), profile, profile, seed, metric=M)
 
 
@@ -194,7 +201,7 @@ def test_flipped_trial_signs_leave_the_rows(corpus):
     for problem, hierarchy, tests in SIGN_FLIP_CORPUS[corpus]():
         signs = np.where(rng.random(hierarchy.n) < 0.5, -1.0, 1.0)
         flipped = SubspaceHierarchy(
-            OrthonormalFrame(problem.space, hierarchy.basis.columns * signs),
+            OrthonormalFrame(hierarchy.basis.columns * signs),
             hierarchy.widths,
             hierarchy.distances,
         )

@@ -11,7 +11,6 @@ import pytest
 
 from helpers import sup_oracle
 from msrom import (
-    AmbientSpace,
     GramDecomposition,
     OrthonormalFrame,
     ProblemInstance,
@@ -27,9 +26,9 @@ from msrom.problems import check_profile
 
 WIDTHS = np.array([1.0, 0.6, 0.3, 0.2])
 TAU = np.array([0.8, 0.4, 0.2, 0.1])
-BASIS = OrthonormalFrame(AmbientSpace(4), np.eye(4)[:, :3])
+BASIS = OrthonormalFrame(np.eye(4)[:, :3])
 DELTA, SIGMA = np.array([1.0, 1.0]), np.array([1.0, 0.5])
-# the operator factor pair (R, MZ) and the truth of a problem on R^4
+# the two factors of an operator and the truth of a problem on R^4
 FACTOR, TRUTH = np.arange(8.0).reshape(4, 2), np.ones(4)
 
 
@@ -92,24 +91,24 @@ ENTRY_POINTS = {
     ),
     "orthonormalize-vectors": (
         BASIS.columns,
-        lambda v: orthonormalize(v, BASIS.space),
+        orthonormalize,
         ValueError,
         "vectors must have finite entries",
     ),
     "frame-columns": (
         BASIS.columns,
-        lambda v: OrthonormalFrame(BASIS.space, v),
+        OrthonormalFrame,
         ValueError,
         "columns must have finite entries",
     ),
     "problem-z_true": (
-        TRUTH, lambda v: ProblemInstance(BASIS.space, v, factors=(FACTOR, FACTOR)), *PROBLEM_REFUSED
+        TRUTH, lambda v: ProblemInstance(v, factors=(FACTOR, FACTOR)), *PROBLEM_REFUSED
     ),
     "problem-factors": (
-        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(v, FACTOR)), *PROBLEM_REFUSED
+        FACTOR, lambda v: ProblemInstance(TRUTH, factors=(v, FACTOR)), *PROBLEM_REFUSED
     ),
     "problem-factors-MZ": (
-        FACTOR, lambda v: ProblemInstance(BASIS.space, TRUTH, factors=(FACTOR, v)), *PROBLEM_REFUSED
+        FACTOR, lambda v: ProblemInstance(TRUTH, factors=(FACTOR, v)), *PROBLEM_REFUSED
     ),
 }
 

@@ -7,19 +7,17 @@ from helpers import (
     bad_profiles,
     descending,
     gamma_of,
+    metric_draws,
     metric_example1,
-    metric_norm,
-    metric_of,
-    mgs_orthonormalize,
     random_orthogonal,
     random_spd,
 )
 from msrom import (
-    AmbientSpace,
     OrthonormalFrame,
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
+    assemble,
     example1,
     example2,
     flat_orthogonal,
@@ -51,13 +49,17 @@ from msrom.problems import (
             {"factors": (np.ones((3, 2)), np.ones((3, 1))), "z_true": np.ones(3)},
             r"factors must be two \(3, k\) matrices",
         ),
-        ({"factors": (np.eye(3), np.eye(3)), "z_true": np.ones(2)}, "z_true has the wrong shape"),
+        (
+            {"factors": (np.eye(3), np.eye(3)), "z_true": np.ones((3, 1))},
+            r"z_true must be a vector, got shape \(3, 1\)",
+        ),
     ],
     ids=["operator", "factors", "z_true"],
 )
 def test_problem_rejects_wrong_shapes(kwargs, match):
+    # R^N is the truth's: the factors must have N rows
     with pytest.raises(ValueError, match=match):
-        ProblemInstance(AmbientSpace(3), **kwargs)
+        ProblemInstance(**kwargs)
 
 
 def relative_gap(got, want):
@@ -74,20 +76,17 @@ def test_factored_operator_matches_dense(metric):
         n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=31,
         metric=random_spd(rng, N) if metric else None,
     )
-    space = problem.space
-    R, MZ = problem.factors
-    A = R @ MZ.T
-    M = metric_of(space)
-    Z = tests.columns
+    R, Z = problem.factors
+    A = R @ Z.T
     frames = [
         tests,
-        OrthonormalFrame(space, Z @ random_orthogonal(rng, m)),
-        orthonormalize(rng.standard_normal((N, 5)), space),
+        OrthonormalFrame(tests.columns @ random_orthogonal(rng, m)),
+        orthonormalize(rng.standard_normal((N, 5))),
     ]
     for frame in frames:
         Y = frame.columns
         assert relative_gap(riesz_representers(problem, frame), A @ Y) <= 1e-13
-        assert relative_gap(rhs_vector(problem, frame), Y.T @ A.T @ M @ problem.z_true) <= 1e-13
+        assert relative_gap(rhs_vector(problem, frame), Y.T @ A.T @ problem.z_true) <= 1e-13
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -96,10 +95,8 @@ def test_dense_rebuild_reproduces_run_instance(metric):
     problem, hierarchy, tests = metric_example1(
         8, 40, 41, random_spd(rng, 40) if metric else None
     )
-    R, MZ = problem.factors
-    dense = ProblemInstance(
-        problem.space, problem.z_true, factors=(R @ MZ.T, np.eye(problem.space.dim))
-    )
+    R, Z = problem.factors
+    dense = ProblemInstance(problem.z_true, factors=(R @ Z.T, np.eye(problem.z_true.size)))
     options = SolverOptions()
     (a, sol_a, dec_a), (b, sol_b, dec_b) = (
         run_instance(p, hierarchy, tests, options) for p in (problem, dense)
@@ -119,56 +116,55 @@ def test_dense_rebuild_reproduces_run_instance(metric):
 
 
 def test_synthetic_rhs_identity():
-    # d_j = b(z_j) = a(z_true, z_j) = z_true^T M A z_j for a dense A in a metric
+    # d_j = b(z_j) = a(z_true, z_j) = z_true^T A z_j for a dense A
     rng = np.random.default_rng(0)
-    M = random_spd(rng, 5)
-    space = AmbientSpace(5, M)
     A = rng.standard_normal((5, 5))
     z = rng.standard_normal(5)
-    problem = ProblemInstance(space, z, factors=(A, np.eye(5)))
-    tests = orthonormalize(rng.standard_normal((5, 4)), space)
+    problem = ProblemInstance(z, factors=(A, np.eye(5)))
+    tests = orthonormalize(rng.standard_normal((5, 4)))
     d = rhs_vector(problem, tests)
     for j in range(4):
-        b = z @ M @ A @ tests.columns[:, j]
+        b = z @ A @ tests.columns[:, j]
         assert abs(d[j] - b) <= 1e-9 * max(1.0, abs(b))
 
 
 def test_riesz_identity_operator():
     rng = np.random.default_rng(2)
-    space = AmbientSpace(4)
-    Z = orthonormalize(rng.standard_normal((4, 3)), space)
-    problem = ProblemInstance(space, np.zeros(4), factors=(np.eye(4), np.eye(4)))
+    Z = orthonormalize(rng.standard_normal((4, 3)))
+    problem = ProblemInstance(np.zeros(4), factors=(np.eye(4), np.eye(4)))
     family = riesz_representers(problem, Z)
     assert np.allclose(family, Z.columns)
 
 
 def test_riesz_zero_operator():
-    space = AmbientSpace(3)
-    Z = orthonormalize(np.eye(3)[:, :2], space)
-    problem = ProblemInstance(space, np.zeros(3), factors=(np.zeros((3, 3)), np.eye(3)))
+    Z = orthonormalize(np.eye(3)[:, :2])
+    problem = ProblemInstance(np.zeros(3), factors=(np.zeros((3, 3)), np.eye(3)))
     family = riesz_representers(problem, Z)
     assert np.allclose(family, 0.0)
 
 
 def test_riesz_defining_identity_random_metric():
+    # a form v^T M A z in the metric M = L L^T is, in the coordinates x -> L^T x,
+    # the form with operator L^T A L^-T; its representers, mapped back by
+    # L^-T, satisfy <r_j, v>_M = a(v, z_j) for the test vectors z_j mapped back
     rng = np.random.default_rng(3)
     M = random_spd(rng, 6)
-    space = AmbientSpace(6, M)
+    Lt = np.linalg.cholesky(M).T
     A = rng.standard_normal((6, 6))
-    Z = orthonormalize(rng.standard_normal((6, 6)), space)
-    problem = ProblemInstance(space, np.zeros(6), factors=(A, np.eye(6)))
-    family = riesz_representers(problem, Z)
+    Z = orthonormalize(rng.standard_normal((6, 6)))
+    problem = ProblemInstance(np.zeros(6), factors=(Lt @ A @ np.linalg.inv(Lt), np.eye(6)))
+    family = np.linalg.solve(Lt, riesz_representers(problem, Z))
+    tests = np.linalg.solve(Lt, Z.columns)
     for _ in range(20):
         v = rng.standard_normal(6)
         for j in range(6):
             lhs = family[:, j] @ M @ v  # <r_j, v> = a(v, z_j) = v^T M A z_j
-            rhs = v @ M @ A @ Z.columns[:, j]
+            rhs = v @ M @ A @ tests[:, j]
             assert abs(lhs - rhs) <= 1e-9 * max(1.0, abs(rhs))
 
 
 def test_hierarchy_validation():
-    space = AmbientSpace(4)
-    basis = orthonormalize(np.eye(4)[:, :2], space)
+    basis = orthonormalize(np.eye(4)[:, :2])
     zeros = np.zeros(3)
     with pytest.raises(ValueError, match="widths must have length"):
         SubspaceHierarchy(basis, widths=np.array([1.0, 0.5]), distances=zeros)  # wrong length
@@ -187,7 +183,7 @@ def test_hierarchy_validation():
             distances=np.array([1.0, 0.6, 0.1]),  # exceeds a width
         )
     # no hierarchy without a trial direction: every bound and solve reads sigma_n
-    empty = OrthonormalFrame(space, np.zeros((4, 0)))
+    empty = OrthonormalFrame(np.zeros((4, 0)))
     with pytest.raises(ValueError, match="^a hierarchy needs at least one trial direction"):
         SubspaceHierarchy(empty, widths=np.ones(1), distances=np.ones(1))
 
@@ -195,7 +191,7 @@ def test_hierarchy_validation():
 def test_hierarchy_keeps_private_copies_of_the_profile():
     # the record is checked once and frozen, so the caller's later writes must
     # not reach it; one array passed as both profiles gives two copies
-    basis = orthonormalize(np.eye(4)[:, :2], AmbientSpace(4))
+    basis = orthonormalize(np.eye(4)[:, :2])
     w, t = np.array([1.0, 0.5, 0.2]), np.array([0.8, 0.4, 0.1])
     hierarchy = SubspaceHierarchy(basis, widths=w, distances=t)
     w[0], t[1] = -5.0, np.nan
@@ -210,7 +206,7 @@ def test_hierarchy_keeps_private_copies_of_the_profile():
 @pytest.mark.parametrize("spot", [0, 1, 2])
 def test_hierarchy_rejects_nan_distances(spot):
     # every other distance check is a comparison, which NaN passes
-    basis = orthonormalize(np.eye(4)[:, :2], AmbientSpace(4))
+    basis = orthonormalize(np.eye(4)[:, :2])
     distances = np.array([1.0, 0.5, 0.1])
     distances[spot] = np.nan
     with pytest.raises(ValueError, match="tau entries must be nonnegative"):
@@ -296,8 +292,10 @@ def test_synth_prescribed_with_metric():
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
     assert np.max(np.abs(s - sigma)) <= 1e-9
-    M, z, W = metric_of(problem.space), problem.z_true, hierarchy.basis.columns
-    assert abs(metric_norm(M, z - W @ (W.T @ M @ z)) - tau[-1]) <= 1e-9
+    # the instance is returned in orthonormal coordinates
+    z, W = problem.z_true, hierarchy.basis.columns
+    assert np.max(np.abs(W.T @ W - np.eye(n))) <= 1e-12
+    assert abs(np.linalg.norm(z - W @ (W.T @ z)) - tau[-1]) <= 1e-9
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -314,13 +312,13 @@ def test_test_basis_is_the_leading_base_frame(metric):
     problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau, 5, metric=M)
     Z = tests.columns
     assert np.array_equal(Z[:, :n], hierarchy.basis.columns)
-    assert np.max(np.abs(Z.T @ metric_of(problem.space) @ Z - np.eye(m))) <= 1e-12
+    assert np.max(np.abs(Z.T @ Z - np.eye(m))) <= 1e-12
 
 
 @pytest.mark.parametrize("metric", [False, True])
 def test_square_instance_shares_the_trial_frame(metric):
-    # at m = n the test basis is the trial frame, and M W is formed once for
-    # the operator's factor and the Gram
+    # at m = n the test basis is the trial frame, and its columns are the
+    # operator's second factor
     rng = np.random.default_rng(14)
     n, N = 5, 16
     sigma = descending(rng, n, 0.05, 1.0)
@@ -330,7 +328,7 @@ def test_square_instance_shares_the_trial_frame(metric):
         n, n, N, sigma, random_orthogonal(rng, n), tau, tau, 3, metric=M
     )
     assert tests is hierarchy.basis
-    assert problem.factors[1] is hierarchy.basis.metric_image
+    assert problem.factors[1] is hierarchy.basis.columns
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -345,17 +343,49 @@ def test_truth_rebuilt_from_the_seed(metric):
     problem, _, _ = synth_prescribed(
         n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed, metric=M
     )
-    space = problem.space
-    metric = metric_of(space)
-    draws = np.random.default_rng(seed)
-    W = mgs_orthonormalize(draws.standard_normal((N, n + m)), space)[:, :n]
-    draws.standard_normal((N, m))
-    u = draws.standard_normal(N)
-    for _ in range(2):
-        u -= W @ (W.T @ (metric @ u))
-    u /= metric_norm(metric, u)
-    want = W @ np.sqrt(tau[:-1] ** 2 - tau[1:] ** 2) + tau[-1] * u
+    M = np.eye(N) if M is None else M
+    base, u = metric_draws(n, m, N, seed, M)
+    want = base[:, :n] @ np.sqrt(tau[:-1] ** 2 - tau[1:] ** 2) + tau[-1] * u
+    want = np.linalg.cholesky(M).T @ want  # the image in orthonormal coordinates
     assert np.linalg.norm(problem.z_true - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("spread", [10.0, 1e3, 1e5])
+def test_metric_frames_are_the_image_of_metric_gram_schmidt(spread):
+    # with metric=M = L L^T the generator's trial and test frames are L^T times
+    # the metric Gram-Schmidt frame of its seeded draws
+    rng = np.random.default_rng(15)
+    n, m, N, seed = 6, 9, 30, 23
+    sigma = descending(rng, n, 0.05, 1.0)
+    tau = descending(rng, n + 1, 0.01, 1.0)
+    M = random_spd(rng, N, spread=spread)
+    _, hierarchy, tests = synth_prescribed(
+        n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed, metric=M
+    )
+    base, _ = metric_draws(n, m, N, seed, M)
+    image = np.linalg.cholesky(M).T @ base
+    assert np.max(np.abs(hierarchy.basis.columns - image[:, :n])) <= 1e-10
+    assert np.max(np.abs(tests.columns - image[:, :m])) <= 1e-10
+
+
+def test_frame_and_problem_of_different_dimension_are_refused():
+    # nothing holds an ambient dimension: the products of a frame in R^N with a
+    # problem in another R^N' refuse the pair
+    problem, hierarchy, tests = synth_prescribed(
+        2, 3, 8, [1.0, 0.5], np.eye(2), [1.0, 0.5, 0.2], [1.0, 0.5, 0.2], 0
+    )
+    other = orthonormalize(np.eye(9)[:, :3])
+    longer = SubspaceHierarchy(
+        orthonormalize(np.eye(9)[:, :2]), hierarchy.widths, hierarchy.distances
+    )
+    for call in (
+        lambda: riesz_representers(problem, other),
+        lambda: rhs_vector(problem, other),
+        lambda: assemble(problem, hierarchy, other),
+        lambda: assemble(problem, longer, tests),
+    ):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_hadamard_available_matches_flat_orthogonal():
@@ -552,8 +582,7 @@ def test_example2_validation():
 
 def test_riesz_family_shape_check():
     # the representers are an (N, m) matrix; a single vector is refused
-    space = AmbientSpace(3)
-    trial = OrthonormalFrame(space, np.eye(3)[:, :1])
+    trial = OrthonormalFrame(np.eye(3)[:, :1])
     for call in (
         lambda R: gram_matrix(R, trial),
         lambda R: gamma_of(R, trial),

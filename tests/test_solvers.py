@@ -23,7 +23,6 @@ from helpers import (
     sweep_instance,
 )
 from msrom import (
-    AmbientSpace,
     GramDecomposition,
     OrthonormalFrame,
     ProblemInstance,
@@ -163,8 +162,8 @@ def test_solve_pg_defining_equations():
     point, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     _, d = gram_and_load(problem, hierarchy, tests)
     scale = np.linalg.norm(d)
-    R, MZ = problem.factors
-    A = R @ MZ.T  # a(v, z) = v^T A z in this Euclidean space
+    R, Z = problem.factors
+    A = R @ Z.T  # a(v, z) = v^T A z
     for j in range(tests.n_columns):
         z_j = tests.columns[:, j]
         gap = point @ A @ z_j - problem.z_true @ A @ z_j
@@ -186,7 +185,7 @@ def test_solve_pg_recovers_truth_inside_trial():
 def test_solve_pg_zero_rhs():
     rng = np.random.default_rng(4)
     problem, hierarchy, tests = square_instance(rng)
-    silent = ProblemInstance(problem.space, np.zeros(problem.space.dim), factors=problem.factors)
+    silent = ProblemInstance(np.zeros(problem.z_true.size), factors=problem.factors)
     point, coeffs = solve_pg(assemble(silent, hierarchy, tests))
     assert np.allclose(point, 0.0)
     assert np.allclose(coeffs, 0.0)
@@ -271,7 +270,7 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
 def test_rejects_fewer_tests_than_trial_directions():
     rng = np.random.default_rng(7)
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
-    short = OrthonormalFrame(tests.space, tests.columns[:, :2])
+    short = OrthonormalFrame(tests.columns[:, :2])
     with pytest.raises(ValueError, match="at least as many tests as trial directions"):
         assemble(problem, hierarchy, short)
 
@@ -386,8 +385,7 @@ def test_solve_ms_truth_projection_chain():
         trial = hierarchy.basis
         assembly = assemble(problem, hierarchy, tests)
         solution = solve_ms(assembly)
-        M = problem.space.apply_metric
-        c_star = trial.columns.T @ M(problem.z_true)
+        c_star = trial.columns.T @ problem.z_true
         assert np.all(tail_norms(c_star) <= hierarchy.widths[: hierarchy.n] + 1e-10)
         r_star = G @ c_star - d
         f_star = float(r_star @ r_star)
@@ -679,7 +677,7 @@ def test_solve_ms_reports_non_convergence_when_the_budget_runs_out():
 def scaled(problem, hierarchy, s):
     """The same instance with the truth, the widths and the distances times s."""
     return (
-        ProblemInstance(problem.space, s * problem.z_true, factors=problem.factors),
+        ProblemInstance(s * problem.z_true, factors=problem.factors),
         SubspaceHierarchy(
             hierarchy.basis,
             s * hierarchy.widths,
@@ -729,13 +727,12 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     # G = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]: c_0 costs nothing and only the
     # loose width eps_0 = 10 covers it, so K = H + diag(tails^T lam) (3 x 3)
     # keeps an exact zero pivot while its multiplier is zero
-    space = AmbientSpace(6)
     E = np.eye(6)
     A = np.zeros((6, 6))
     A[1, 3] = A[2, 4] = A[3, 5] = 1.0
-    problem = ProblemInstance(space, np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]), factors=(A, E))
-    trial = OrthonormalFrame(space, E[:, :3])
-    tests = OrthonormalFrame(space, E[:, 3:])
+    problem = ProblemInstance(np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]), factors=(A, E))
+    trial = OrthonormalFrame(E[:, :3])
+    tests = OrthonormalFrame(E[:, 3:])
     hierarchy = slice_hierarchy(trial, np.array([10.0, 0.5, 0.3, 0.0]))
     raised, solve = [], np.linalg.solve
 
@@ -761,15 +758,14 @@ def test_solve_ms_flat_cost_returns_the_origin():
     # = 1e-17 against ||R||_2 = 1): every point costs ||d||^2, and the
     # origin, feasible for any widths, is returned without iterating.  The load
     # is set directly, d = (1, 2, 0)
-    space = AmbientSpace(6)
     E = np.eye(6)
-    hierarchy = slice_hierarchy(OrthonormalFrame(space, E[:, :3]), np.array([1.0, 0.5, 0.2, 0.1]))
-    tests = OrthonormalFrame(space, E[:, 3:])
+    hierarchy = slice_hierarchy(OrthonormalFrame(E[:, :3]), np.array([1.0, 0.5, 0.2, 0.1]))
+    tests = OrthonormalFrame(E[:, 3:])
     rounding = np.zeros((6, 6))
     rounding[3:, 3:] = np.eye(3)  # A z_j = z_j + 1e-17 w_j
     rounding[:3, 3:] = 1e-17 * np.eye(3)
     for operator in (np.zeros((6, 6)), rounding):
-        problem = ProblemInstance(space, np.zeros(6), factors=(operator, E))
+        problem = ProblemInstance(np.zeros(6), factors=(operator, E))
         assembly = dataclasses.replace(
             assemble(problem, hierarchy, tests), d=np.array([1.0, 2.0, 0.0])
         )
@@ -785,15 +781,14 @@ def test_solve_ms_flat_cost_returns_the_origin():
 def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
     # G = diag(1, 0.5, 0.25) and d = (1, 0, 1): c_1 = 0 at the solution, so its
     # tail column of the dual Hessian vanishes and the free block is singular
-    space = AmbientSpace(8)
     E = np.eye(8)
     A = np.zeros((8, 8))
     for j, a in enumerate((1.0, 0.5, 0.25)):
         A[j, 3 + j] = a
-    problem = ProblemInstance(space, np.zeros(8), factors=(A, E))
-    trial = OrthonormalFrame(space, E[:, :3])
+    problem = ProblemInstance(np.zeros(8), factors=(A, E))
+    trial = OrthonormalFrame(E[:, :3])
     hierarchy = slice_hierarchy(trial, np.array([2.0, 1.0, 0.5, 0.1]))
-    tests = OrthonormalFrame(space, E[:, 3:6])
+    tests = OrthonormalFrame(E[:, 3:6])
     calls, lstsq = [], np.linalg.lstsq
 
     def counting_lstsq(*args, **kwargs):
@@ -876,21 +871,20 @@ def test_solve_ms_properties(seed):
 
 
 def test_error_norm_cases():
-    space = AmbientSpace(2)
-    problem = ProblemInstance(space, np.array([1.0, 0.0]), factors=(np.eye(2), np.eye(2)))
+    problem = ProblemInstance(np.array([1.0, 0.0]), factors=(np.eye(2), np.eye(2)))
     assert error_norm(problem.z_true, problem) == 0.0
     assert error_norm(np.array([0.0, 1.0]), problem) == pytest.approx(np.sqrt(2.0))
 
 
 def test_error_norm_matches_metric_formula():
+    # points and truth written in the metric M = L L^T, mapped to orthonormal
+    # coordinates by L^T: the error norm there is the metric norm
     rng = np.random.default_rng(18)
-    from helpers import random_spd
-
     M = random_spd(rng, 4)
-    space = AmbientSpace(4, M)
+    Lt = np.linalg.cholesky(M).T
     z = rng.standard_normal(4)
-    problem = ProblemInstance(space, z, factors=(np.eye(4), np.eye(4)))
+    problem = ProblemInstance(Lt @ z, factors=(np.eye(4), np.eye(4)))
     p = rng.standard_normal(4)
     want = float(np.sqrt((z - p) @ M @ (z - p)))
-    assert error_norm(p, problem) == pytest.approx(want, rel=1e-12)
+    assert error_norm(Lt @ p, problem) == pytest.approx(want, rel=1e-12)
 

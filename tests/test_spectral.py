@@ -18,7 +18,6 @@ from helpers import (
     system_of,
 )
 from msrom import (
-    AmbientSpace,
     Assembly,
     GramDecomposition,
     OrthonormalFrame,
@@ -34,6 +33,12 @@ from msrom import (
 )
 
 
+def metric_root(rng, N, metric):
+    """``L^T`` for a random SPD metric ``M = L L^T`` (the identity when not
+    ``metric``): it maps vectors written in M to orthonormal coordinates."""
+    return np.linalg.cholesky(random_spd(rng, N)).T if metric else np.eye(N)
+
+
 def reconstruction_error(decomp):
     m, n = decomp.G.shape
     Lam = np.zeros((m, n))
@@ -44,15 +49,13 @@ def reconstruction_error(decomp):
 
 def test_gram_matrix_self():
     rng = np.random.default_rng(0)
-    space = AmbientSpace(5)
-    trial = orthonormalize(rng.standard_normal((5, 3)), space)
+    trial = orthonormalize(rng.standard_normal((5, 3)))
     riesz = trial.columns.copy()
     assert np.allclose(gram_matrix(riesz, trial), np.eye(3), atol=1e-12)
 
 
 def test_gram_matrix_orthogonal_representers():
-    space = AmbientSpace(4)
-    trial = orthonormalize(np.eye(4)[:, :2], space)
+    trial = orthonormalize(np.eye(4)[:, :2])
     riesz = np.eye(4)[:, 2:]
     assert np.allclose(gram_matrix(riesz, trial), 0.0)
 
@@ -151,23 +154,21 @@ def test_gram_decomposition_checks(fields, match):
 
 def test_gamma_zero_when_representers_in_span():
     rng = np.random.default_rng(6)
-    space = AmbientSpace(6)
-    trial = orthonormalize(rng.standard_normal((6, 3)), space)
+    trial = orthonormalize(rng.standard_normal((6, 3)))
     riesz = trial.columns @ rng.standard_normal((3, 4))
     assert gamma_of(riesz, trial)[0] <= 1e-12
 
 
 def test_gamma_matches_complement_basis_oracle():
     rng = np.random.default_rng(12)
-    for i in range(40):
+    for _ in range(40):
         N = int(rng.integers(2, 13))
         n = int(rng.integers(1, N))
         m = int(rng.integers(1, 7))
-        space = AmbientSpace(N, random_spd(rng, N) if i % 2 else None)
-        trial = orthonormalize(rng.standard_normal((N, n)), space)
+        trial = orthonormalize(rng.standard_normal((N, n)))
         riesz = rng.standard_normal((N, m))
         comp = complement_frame(trial)
-        C = riesz.T @ space.apply_metric(comp.columns)
+        C = riesz.T @ comp.columns
         want = np.linalg.svd(C, compute_uv=False)[0]
         assert abs(gamma_of(riesz, trial)[0] - want) <= 1e-12 * want
 
@@ -175,9 +176,9 @@ def test_gamma_matches_complement_basis_oracle():
 @pytest.mark.parametrize("metric", [False, True])
 def test_gamma_scales_with_extreme_representers(metric):
     rng = np.random.default_rng(14)
-    space = AmbientSpace(9, random_spd(rng, 9) if metric else None)
-    trial = orthonormalize(rng.standard_normal((9, 3)), space)
-    R = rng.standard_normal((9, 4))
+    root = metric_root(rng, 9, metric)
+    trial = orthonormalize(root @ rng.standard_normal((9, 3)))
+    R = root @ rng.standard_normal((9, 4))
     g, norm = gamma_of(R, trial)
     for c in (1e-200, 1e200):
         g_c, norm_c = gamma_of(c * R, trial)
@@ -188,8 +189,7 @@ def test_gamma_scales_with_extreme_representers(metric):
 @pytest.mark.parametrize("metric", [False, True])
 def test_gamma_in_span_is_rounding_sized(metric):
     rng = np.random.default_rng(15)
-    space = AmbientSpace(8, random_spd(rng, 8) if metric else None)
-    trial = orthonormalize(rng.standard_normal((8, 4)), space)
+    trial = orthonormalize(metric_root(rng, 8, metric) @ rng.standard_normal((8, 4)))
     B = trial.columns @ rng.standard_normal((4, 5))
     for c in (1e-200, 1.0, 1e200):
         g = gamma_of(c * B, trial)[0]
@@ -204,22 +204,20 @@ def test_gamma_large_matches_svd_of_complement_component(metric):
     problem, hierarchy, tests = metric_example1(100, N, 16, random_spd(rng, N) if metric else None)
     W = hierarchy.basis.columns
     R = riesz_representers(problem, tests)
-    M = problem.space.metric if metric else np.eye(N)
-    P = np.linalg.cholesky(M).T @ (R - W @ (W.T @ M @ R))
+    P = R - W @ (W.T @ R)  # in the orthonormal coordinates the generator returns
     want = np.linalg.svd(P, compute_uv=False)[0]
     assert abs(gamma_of(R, hierarchy.basis)[0] - want) <= 1e-12 * want
 
 
 def test_gamma_zero_without_complement_or_representers():
     rng = np.random.default_rng(13)
-    space = AmbientSpace(4, random_spd(rng, 4))
-    full = orthonormalize(rng.standard_normal((4, 4)), space)
+    full = orthonormalize(rng.standard_normal((4, 4)))
     assert gamma_of(rng.standard_normal((4, 3)), full)[0] == 0.0
-    trial = orthonormalize(rng.standard_normal((4, 2)), space)
+    trial = orthonormalize(rng.standard_normal((4, 2)))
     assert gamma_of(np.zeros((4, 0)), trial)[0] == 0.0
     assert gamma_of(np.zeros((4, 2)), trial) == (0.0, 0.0)
     # coordinate trial vectors make P = R - W (W^T R) exactly zero
-    coordinates = OrthonormalFrame(AmbientSpace(6), np.eye(6)[:, :3])
+    coordinates = OrthonormalFrame(np.eye(6)[:, :3])
     R = np.zeros((6, 4))
     R[:3] = rng.standard_normal((3, 4))
     g, norm = gamma_of(R, coordinates)
@@ -229,15 +227,13 @@ def test_gamma_zero_without_complement_or_representers():
 
 @pytest.mark.parametrize("metric", [False, True])
 def test_gamma_norm_matches_svd_of_the_family(metric):
-    # ||R||_2 in the metric is the top singular value of L^T R, M = L L^T
+    # ||R||_2 in the metric M = L L^T is the top singular value of the image L^T R
     rng = np.random.default_rng(18)
     for N, n, m in ((9, 3, 4), (7, 0, 3), (5, 5, 2), (12, 4, 8)):
-        M = random_spd(rng, N) if metric else np.eye(N)
-        space = AmbientSpace(N, M if metric else None)
-        trial = orthonormalize(rng.standard_normal((N, n)), space)
-        R = rng.standard_normal((N, m))
-        L = np.linalg.cholesky(M)
-        want = np.linalg.svd(L.T @ R, compute_uv=False)[0]
+        root = metric_root(rng, N, metric)
+        trial = orthonormalize(root @ rng.standard_normal((N, n)))
+        R = root @ rng.standard_normal((N, m))
+        want = np.linalg.svd(R, compute_uv=False)[0]
         g, norm = gamma_of(R, trial)
         assert abs(norm - want) <= 1e-12 * want, (N, n, m)
         assert g <= norm * (1.0 + 1e-12)
@@ -288,11 +284,10 @@ def test_gamma_dominates_random_complement_samples():
     riesz = riesz_representers(problem, tests)
     g = gamma_of(riesz, trial)[0]
     comp = complement_frame(trial)
-    M = problem.space.apply_metric
     coefs = rng.standard_normal((comp.n_columns, 10_000))
     coefs /= np.linalg.norm(coefs, axis=0)
     V = comp.columns @ coefs
-    vals = np.linalg.norm(riesz.T @ M(V), axis=0)
+    vals = np.linalg.norm(riesz.T @ V, axis=0)
     assert np.all(vals <= g + 1e-9)
 
 
@@ -300,8 +295,7 @@ def test_gamma_matches_sampled_supremum_on_plane_complement():
     # a 2-dim complement lets stratified angles cover the unit circle densely
     # enough that the sampled supremum must land within 1e-6 of the norm
     rng = np.random.default_rng(11)
-    space = AmbientSpace(6)
-    trial = orthonormalize(rng.standard_normal((6, 4)), space)
+    trial = orthonormalize(rng.standard_normal((6, 4)))
     riesz = 0.5 * rng.standard_normal((6, 3))
     g = gamma_of(riesz, trial)[0]
     comp = complement_frame(trial)

@@ -65,11 +65,15 @@ def library_row(problem, hierarchy, tests, tau_mode="known"):
 
 
 def assert_matches_oracle(instance, sigma, X, tau, widths, metric=None, tau_mode="known"):
+    """The library's row of ``instance`` against the oracle's.  With a metric
+    M = L L^T the instance is in orthonormal coordinates, and the oracle reads
+    its arrays mapped back by L^-T, in the coordinates of M."""
     problem, hierarchy, tests = instance
-    want = synthetic_row(
-        sigma, X, tau, widths, problem.factors[0], hierarchy.basis.columns,
-        problem.z_true, metric, tau_mode,
-    )
+    arrays = [problem.factors[0], hierarchy.basis.columns, problem.z_true]
+    if metric is not None:
+        Lt = np.linalg.cholesky(metric).T
+        arrays = [np.linalg.solve(Lt, a) for a in arrays]
+    want = synthetic_row(sigma, X, tau, widths, *arrays, metric, tau_mode)
     got = library_row(problem, hierarchy, tests, tau_mode)
     tied = bool(np.any(np.diff(sigma) == 0.0))
     for key, value in want.items():
