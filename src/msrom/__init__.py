@@ -6,24 +6,34 @@ a constrained variant that additionally keeps the approximation inside a
 nested family of distance slices.  Both come with computable worst-case
 error bounds.  Every problem is a synthetic instance with a known solution,
 built by a generator, so the bounds are checked against actual errors.
+
+``import msrom`` binds only the config names (:mod:`msrom.config`), so that
+checking a config loads no numpy; the numeric modules load on first use.
 """
 
-from . import bounds, cli, problems, solvers, spaces, spectral
-from .bounds import *
-from .cli import *
-from .problems import *
-from .solvers import *
-from .spaces import *
-from .spectral import *
+import sys
+from importlib import import_module
+
+from . import config
+from .config import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    *spaces.__all__,
-    *problems.__all__,
-    *spectral.__all__,
-    *solvers.__all__,
-    *bounds.__all__,
-    *cli.__all__,
-    "__version__",
-]
+
+def __getattr__(name: str):
+    """The first lookup of an unbound name (PEP 562) imports the numeric modules
+    and binds their public names and ``__all__`` here; later lookups skip this."""
+    namespace = globals()
+    if "__all__" in namespace:  # all loaded: the name does not exist
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    names = []  # cli's names include the config API
+    for layer in ("spaces", "problems", "spectral", "solvers", "bounds", "cli"):
+        module = import_module(f"{__name__}.{layer}")  # `from . import` would call this again
+        namespace.update((public, getattr(module, public)) for public in module.__all__)
+        names += module.__all__
+    namespace["__all__"] = [*names, "__version__"]
+    return getattr(sys.modules[__name__], name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *getattr(sys.modules[__name__], "__all__")})

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import OrthonormalFrame, all_finite, is_integer, orthonormalize
+from .config import check_dimensions, check_example1, check_example2, hadamard_available
+from .spaces import OrthonormalFrame, all_finite, orthonormalize
 
 __all__ = [
     "ProblemInstance",
@@ -111,22 +112,6 @@ def rhs_vector(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
     return tests.columns.T @ (Y @ (R.T @ problem.z_true))
 
 
-_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-
-def _is_prime(q: int) -> bool:
-    """Miller-Rabin on the primes to 41: exact below 3.3e24 (past any buildable order), fast."""
-    if q < 2 or any(q % p == 0 for p in _PRIME_BASES):
-        return q in _PRIME_BASES
-    s = ((q - 1) & (1 - q)).bit_length() - 1  # q - 1 = d * 2**s with d odd
-    d = (q - 1) >> s
-    for a in _PRIME_BASES:
-        x = pow(a, d, q)
-        if x != 1 and all(pow(x, 2**r, q) != q - 1 for r in range(s)):
-            return False
-    return True
-
-
 def _paley(q: int) -> np.ndarray:
     """Order q+1 Hadamard matrix from quadratic residues, q prime, q % 4 == 3."""
     chi = np.array([0.0] + [1.0 if pow(a, (q - 1) // 2, q) == 1 else -1.0 for a in range(1, q)])
@@ -136,18 +121,6 @@ def _paley(q: int) -> np.ndarray:
     S[1:, 0] = -1.0
     S[1:, 1:] = chi[(i[None, :] - i[:, None]) % q]
     return np.eye(q + 1) + S
-
-
-def hadamard_available(n: int) -> bool:
-    """Whether :func:`flat_orthogonal` can build order ``n``: ``2**k`` or
-    ``2**k * (q + 1)`` with ``q`` a prime congruent to 3 mod 4."""
-    while n >= 1:
-        if n <= 2 or (n % 4 == 0 and _is_prime(n - 1)):
-            return True
-        if n % 2:
-            return False
-        n //= 2
-    return False
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -165,7 +138,8 @@ def flat_orthogonal(n: int) -> np.ndarray:
     """Orthogonal n x n matrix whose entries all have magnitude n**-0.5.
 
     Built from doubling and quadratic-residue constructions; raises
-    ``ValueError`` exactly where :func:`hadamard_available` is false.
+    ``ValueError`` exactly where :func:`msrom.config.hadamard_available` is
+    false.
     """
     if n < 1:
         raise ValueError("order must be positive")
@@ -174,21 +148,7 @@ def flat_orthogonal(n: int) -> np.ndarray:
     return _hadamard(n) / np.sqrt(n)
 
 
-# Generator preconditions.  Each message names the parameter by its config
-# key, so the CLI can pass it on unchanged.
-def check_dimensions(n: int, m: int, N: int) -> None:
-    """Room for n trial directions, m >= n tests and their complement; each
-    dimension an integer (:func:`msrom.spaces.is_integer`)."""
-    if not all(is_integer(v) for v in (n, m, N)):
-        raise ValueError(f"n, m and N must be integers, got {n!r}, {m!r} and {N!r}")
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    if m < n:
-        raise ValueError(f"m must be >= n = {n}, got {m}")
-    if N < n + m:
-        raise ValueError(f"N must be >= n + m = {n + m}, got {N}")
-
-
+# Generator preconditions on arrays; those on scalars are in config.py, free of numpy.
 def check_spectrum(n: int, sigma) -> np.ndarray:
     """``sigma`` has length n, entries in [0, 1] and is nonincreasing."""
     sigma = np.asarray(sigma, dtype=float)
@@ -233,28 +193,6 @@ def check_profile(n: int, widths, tau):
     if np.any(t > w):
         raise ValueError("widths must dominate tau entrywise (the prior must hold)")
     return w, t
-
-
-def check_example1(tau: float, n: int) -> None:
-    """Ranges of ``tau`` and ``n`` in :func:`example1` (dimensions: :func:`check_dimensions`)."""
-    if not 0.0 < tau < 1.0:
-        raise ValueError("tau must lie in (0, 1) for example1")
-    if n < 4:
-        raise ValueError(f"n must be at least 4 for example1, got {n}")
-
-
-def check_example2(tau: float, n: int) -> float:
-    """Parameter ranges of :func:`example2`; returns the plateau 1/(2(n-1))."""
-    if n < 2:
-        raise ValueError(f"n must be at least 2 for example2, got {n}")
-    limit = 1 / (2 * (n - 1))  # int / int: correctly rounded, no OverflowError for huge n
-    if not 0.0 < tau <= limit:
-        raise ValueError(
-            f"tau must lie in (0, 1/(2(n-1))] = (0, {limit}] for n = {n}, got {tau}"
-        )
-    if not hadamard_available(n):
-        raise ValueError(f"n = {n} has no flat orthogonal matrix construction")
-    return limit
 
 
 # A metric may differ from its transpose by this times its largest entry;

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import is_integer
+
 # gram_matrix and rhs_vector are not called here; they stay importable from
 # this module because the benchmark's tracing test patches them here
 from .problems import ProblemInstance, check_vector, rhs_vector  # noqa: F401
-from .spaces import is_integer
 from .spectral import Assembly, GramDecomposition, decompose, gram_matrix  # noqa: F401
 
 __all__ = [
@@ -43,7 +44,7 @@ STALL_REL_TOL = 1e-10
 class SolverOptions:
     """Iteration budget for :func:`solve_ms`.
 
-    ``max_iterations``, a positive integer (:func:`msrom.spaces.is_integer`),
+    ``max_iterations``, a positive integer (:func:`msrom.config.is_integer`),
     caps the Newton evaluations (factorizations of the penalized normal
     matrix) of the dual iteration.  A dual iteration that reaches the cap
     ends like any other: at the projection of its last point onto the
@@ -301,5 +302,11 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
 
 
 def error_norm(solution_point, problem: ProblemInstance) -> float:
-    """Distance between a computed point and the exact solution."""
-    return float(np.linalg.norm(np.asarray(solution_point, dtype=float) - problem.z_true))
+    """Distance between a computed point and the exact solution; a point
+    that is not a vector of the solution's length raises ``ValueError``."""
+    point = np.asarray(solution_point, dtype=float)
+    if point.shape != problem.z_true.shape:
+        raise ValueError(
+            f"point must have the solution's length {problem.z_true.size}, got shape {point.shape}"
+        )
+    return float(np.linalg.norm(point - problem.z_true))

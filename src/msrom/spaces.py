@@ -20,12 +20,6 @@ __all__ = [
 RANK_TOL = 1e-10
 
 
-def is_integer(value) -> bool:
-    """The one integer rule of dimensions and counts: a Python or numpy
-    integer, never a bool or a float to truncate."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def all_finite(arr: np.ndarray) -> bool:
     """Whether every entry of the float array ``arr`` is finite; NaN propagates
     through min and max, which need no temporary array."""

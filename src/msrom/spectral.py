@@ -148,9 +148,16 @@ def assemble(
     Forms the representers, the load vector, the Gram matrix, its SVD and
     the two norms of :func:`gamma` once each, and keeps ``hierarchy`` with
     them, so that the projectors and the bounds of one instance read one
-    record; fewer tests than trial directions raise ``ValueError``.
+    record.  Fewer tests than trial directions, or a frame in another R^N
+    than the problem, raise ``ValueError``.
     """
     trial = hierarchy.basis
+    N = problem.z_true.size
+    for name, frame in (("test", tests), ("trial", trial)):
+        if frame.columns.shape[0] != N:
+            raise ValueError(
+                f"the {name} frame lies in R^{frame.columns.shape[0]}, the problem in R^{N}"
+            )
     R = riesz_representers(problem, tests)
     d = rhs_vector(problem, tests)
     decomp = decompose(gram_matrix(R, trial))

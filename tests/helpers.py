@@ -10,11 +10,14 @@ between these routines and the package is then evidence, not a tautology.
 """
 
 import itertools
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
+import msrom
 from msrom import (
     Assembly,
     OrthonormalFrame,
@@ -500,3 +503,10 @@ def synthetic_row(sigma, X, tau, widths, R, W, z_true, metric=None, tau_mode="kn
         row["babuska_bound"] = float(1.0 / sigma[-1] * tau_n)
         row["actual_pg_error"] = float(np.sqrt(shift @ shift + tau[-1] ** 2))
     return row
+
+
+def package_env():
+    """The environment with the tested msrom package first on PYTHONPATH, for
+    the tests that run it in a fresh interpreter."""
+    src = str(Path(msrom.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

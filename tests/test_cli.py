@@ -1,7 +1,6 @@
 import csv
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -12,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import package_env
+
 import msrom
 from msrom import SolverOptions, SubspaceHierarchy
 from msrom.cli import (
-    _COMMON_KEYS,
-    _MODE_KEYS,
     CSV_COLUMNS,
-    MODES,
     ExperimentConfig,
     ValidationError,
     _build_instance,
@@ -27,6 +25,7 @@ from msrom.cli import (
     run_experiment,
     run_instance,
 )
+from msrom.config import _COMMON_KEYS, _MODE_KEYS, MODES, is_integer
 from msrom.solvers import MultiSliceSolution
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
@@ -393,15 +392,8 @@ def test_checked_in_configs_validate_and_build(path, capsys):
         assert (hierarchy.n, tests.n_columns, problem.z_true.size) == (cfg.n, cfg.m, cfg.N)
 
 
-def package_env():
-    """The environment with the tested msrom package first on PYTHONPATH."""
-    src = str(Path(msrom.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
-
 def test_module_form_validates_without_warnings():
-    # `python -m msrom` runs msrom/__main__.py; `python -m msrom.cli` warns
-    # that the package imported msrom.cli before runpy executed it
+    # `python -m msrom` runs msrom/__main__.py, the module form of the console script
     root = Path(__file__).resolve().parents[1]
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "msrom", "validate",
@@ -412,12 +404,65 @@ def test_module_form_validates_without_warnings():
 
 
 def test_import_leaves_argparse_unloaded():
-    # only `main` parses arguments; a library caller does not pay for argparse
+    # only `main` parses arguments, and only a run or a prescribed spectrum
+    # needs arrays: importing msrom and checking a config of the other modes
+    # loads neither argparse nor numpy
+    docs = [
+        example1_doc(),
+        json.dumps({"mode": "example2", "tau": 1e-3, "n": 16, "N": 64, "seed": 7}),
+        json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 1}),
+    ]
+    code = (
+        "import sys, msrom\n"
+        "for doc in sys.argv[1:]:\n"
+        "    msrom.parse_config(doc)\n"
+        "print(sorted({'argparse', 'numpy'} & set(sys.modules)))\n"
+    )
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, msrom; print('argparse' in sys.modules)"],
+        [sys.executable, "-c", code, *docs],
         capture_output=True, text=True, env=package_env(), timeout=60,
     )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_validate_loads_no_numpy(path):
+    # `-X importtime` lists on stderr every module the command imports
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "msrom", "validate", str(path)],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    imported = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert (done.returncode, done.stdout) == (0, "ok\n")
+    assert "msrom.config" in imported and "argparse" in imported
+    assert not {"numpy", "msrom.cli", "msrom.problems"} & imported
+
+
+def test_prescribed_config_validates_with_the_array_checks():
+    # the one mode whose checks need numpy loads it, and keeps checked arrays
+    doc = json.dumps({
+        "mode": "prescribed", "n": 2, "m": 2, "N": 6, "seed": 0,
+        "sigma": [1.0, 0.5], "tau": [1.0, 0.5, 0.2], "widths": [1.0, 0.6, 0.2],
+    })
+    code = (
+        "import sys, msrom\n"
+        "cfg = msrom.parse_config(sys.argv[1])\n"
+        "print('numpy' in sys.modules, type(cfg.sigma).__name__, cfg.widths.tolist())\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, doc],
+        capture_output=True, text=True, env=package_env(), timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "True ndarray [1.0, 0.6, 0.2]\n", ""
+    )
+
+
+def test_is_integer_takes_python_and_numpy_integers_only():
+    for value in (3, -2, 2**80, np.int64(3), np.uint8(3)):
+        assert is_integer(value), value
+    for value in (True, np.True_, 3.0, np.float64(3), "3", None):
+        assert not is_integer(value), value
 
 
 def test_scripts_run_cleanly(tmp_path):

@@ -370,7 +370,7 @@ def test_metric_frames_are_the_image_of_metric_gram_schmidt(spread):
 
 def test_frame_and_problem_of_different_dimension_are_refused():
     # nothing holds an ambient dimension: the products of a frame in R^N with a
-    # problem in another R^N' refuse the pair
+    # problem in another R^N' refuse the pair, and assemble names the frame
     problem, hierarchy, tests = synth_prescribed(
         2, 3, 8, [1.0, 0.5], np.eye(2), [1.0, 0.5, 0.2], [1.0, 0.5, 0.2], 0
     )
@@ -381,11 +381,13 @@ def test_frame_and_problem_of_different_dimension_are_refused():
     for call in (
         lambda: riesz_representers(problem, other),
         lambda: rhs_vector(problem, other),
-        lambda: assemble(problem, hierarchy, other),
-        lambda: assemble(problem, longer, tests),
     ):
         with pytest.raises(ValueError):
             call()
+    with pytest.raises(ValueError, match=r"^the test frame lies in R\^9, the problem in R\^8$"):
+        assemble(problem, hierarchy, other)
+    with pytest.raises(ValueError, match=r"^the trial frame lies in R\^9, the problem in R\^8$"):
+        assemble(problem, longer, tests)
 
 
 def test_hadamard_available_matches_flat_orthogonal():

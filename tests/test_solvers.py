@@ -874,6 +874,10 @@ def test_error_norm_cases():
     problem = ProblemInstance(np.array([1.0, 0.0]), factors=(np.eye(2), np.eye(2)))
     assert error_norm(problem.z_true, problem) == 0.0
     assert error_norm(np.array([0.0, 1.0]), problem) == pytest.approx(np.sqrt(2.0))
+    # a point of another shape is refused, not broadcast against the truth
+    for point in (np.zeros(1), np.zeros(3), np.zeros((2, 1)), 0.0):
+        with pytest.raises(ValueError, match="must have the solution's length 2, got shape"):
+            error_norm(point, problem)
 
 
 def test_error_norm_matches_metric_formula():
