@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import sys
 from dataclasses import dataclass, replace
 
@@ -249,6 +250,12 @@ def main(argv=None) -> int:
     val_p.add_argument("config", help="path to a JSON config")
 
     args = parser.parse_args(argv)
+    if args.command == "run":
+        # one BLAS thread, so that a run's bytes do not depend on the host's
+        # cores; set before a prescribed config loads numpy, unless the user did
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+            os.environ.setdefault(var, "1")
 
     try:
         with open(args.config, "r", encoding="utf-8") as handle:

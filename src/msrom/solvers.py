@@ -138,11 +138,6 @@ def project_slices(c, widths) -> np.ndarray:
     return c * np.sqrt(factors)
 
 
-def _kkt_tol(eps2, cc):
-    """Slack on ``||c[k:]||^2 <= eps_k^2``, for eps_k^2 (widest first) and ||c||^2."""
-    return 1e-11 * np.maximum(eps2, 1e-30 * eps2[0]) + 1e-14 * cc
-
-
 def _dual_point(H, h, lam, tails, eps2):
     """Minimizer of the Lagrangian for the multipliers ``lam``.
 
@@ -168,7 +163,10 @@ def _solve_core(decomp: GramDecomposition, scale: float, d, eps, opts: SolverOpt
     (:meth:`GramDecomposition.nonzero`).  ``eps`` has length n+1 with all
     entries for k < n strictly positive (zero widths are eliminated by the
     caller).  Returns ``(c, iterations, converged, kkt_residual)``: the origin,
-    at once, when no singular value counts as nonzero (n = 0 included).
+    at once, when no singular value counts as nonzero (n = 0 included), where
+    the step 1/(2 s1^2) of the certificate is undefined; otherwise the
+    projection of the last point, the least-squares one when the Newton is
+    skipped, with its certificate.
     """
     G = decomp.G
     n = G.shape[1]
@@ -184,83 +182,80 @@ def _solve_core(decomp: GramDecomposition, scale: float, d, eps, opts: SolverOpt
     binding_ks = np.flatnonzero(running < np.append(np.inf, running[:-1]))
     tails, eps_b = (np.arange(n) >= binding_ks[:, None]).astype(float), eps[binding_ks]
     eps2 = eps_b**2
-    eta = 1.0 / (2.0 * s1 * s1)
-    c_ls = _least_squares(decomp, d, nonzero)
-
-    def prox_residual(c):
-        g = 2.0 * (H @ c - h)
-        return float(np.linalg.norm(c - project_slices(c - eta * g, eps)) / eta)
-
-    if np.all(np.sqrt(tails @ (c_ls * c_ls)) <= eps_b * (1.0 - 1e-9)):
-        return c_ls, 0, True, prox_residual(c_ls)
-
     # floors scale with the problem, so that scaling d and the widths scales every
     # decision: the widest binding width is the unit of c, s1^2 times it that of the gradient
     wide = float(eps_b[0])
     cert = max(1e-8 * s1 * s1 * wide, 1e-6 * float(np.linalg.norm(2.0 * h)))
-
-    # Projected Newton (Bertsekas 1982) on the concave dual
-    # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
-    # A singular H starts at a tiny lam.
-    lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * (not nonzero[-1])
-    c, F, K = _dual_point(H, h, lam, tails, eps2)
-    evals, stalled = 1, False
-    # stop at a KKT point, a stall or the cap
-    while not stalled and evals < opts.max_iterations:
-        if (np.where(lam > 0.0, np.abs(F), F) <= _kkt_tol(eps2, float(c @ c))).all():
-            break
-        B = (tails * c).T
-        J = -2.0 * (B.T @ np.linalg.solve(K, B))  # the dual Hessian
-        # diagonally scaled gradient step; -inf where a tail of c vanishes
-        scaled = np.divide(F, -J.diagonal(), out=np.full_like(F, -np.inf), where=J.diagonal() < 0)
-        w = float(np.linalg.norm(lam - np.maximum(lam + scaled, 0.0)))
-        # Newton on the secular form 1/||c[k:]|| - 1/eps_k (More and Sorensen 1983),
-        # nearly linear in lam where F is not: F times 2 t^2 / (eps (t + eps)) for
-        # t = ||c[k:]||; plain Newton when that is no ascent direction.  The
-        # factor is formed first: F * t^2 would square the problem's scale
-        t2 = np.maximum(F + eps2, 0.0)
-        for rhs in (F * (2.0 * t2 / (eps_b * (np.sqrt(t2) + eps_b))), F):
-            # multipliers within w of zero are held: the scaled gradient step for
-            # those pushed down, none for those whose Newton step crosses zero
-            held = (lam <= w) & (F < 0.0)
-            down = np.where(held, scaled, 0.0)
-            while True:
-                free = ~held
-                step, J_free = down.copy(), J[free][:, free]
-                try:
-                    step[free] = np.linalg.solve(J_free, -rhs[free])
-                except np.linalg.LinAlgError:
-                    step[free] = np.linalg.lstsq(J_free, -rhs[free], rcond=None)[0]
-                cross = free & (lam <= w) & (lam + step < 0.0)
-                if not cross.any():
+    c, evals = _least_squares(decomp, d, nonzero), 0
+    # least-squares coefficients inside the widths skip the dual Newton
+    if not np.all(np.sqrt(tails @ (c * c)) <= eps_b * (1.0 - 1e-9)):
+        # Projected Newton (Bertsekas 1982) on the concave dual
+        # q(lam) = -h^T K^{-1} h - sum lam_k eps_k^2 over lam >= 0, gradient F.
+        # A singular H starts at a tiny lam.
+        lam = np.full(binding_ks.size, 1e-10 * s1 * s1) * (not nonzero[-1])
+        # slack on ||c[k:]||^2 <= eps_k^2: this floor plus 1e-14 ||c||^2
+        floor = 1e-11 * np.maximum(eps2, 1e-30 * eps2[0])
+        c, F, K = _dual_point(H, h, lam, tails, eps2)
+        evals, stalled = 1, False
+        # stop at a KKT point, a stall or the cap
+        while not stalled and evals < opts.max_iterations:
+            if (np.where(lam > 0.0, np.abs(F), F) <= floor + 1e-14 * float(c @ c)).all():
+                break
+            B = (tails * c).T
+            J = -2.0 * (B.T @ np.linalg.solve(K, B))  # the dual Hessian
+            # diagonally scaled gradient step; -inf where a tail of c vanishes
+            scaled = np.divide(F, -J.diagonal(), out=np.full_like(F, -np.inf), where=J.diagonal() < 0)
+            w = float(np.linalg.norm(lam - np.maximum(lam + scaled, 0.0)))
+            # Newton on the secular form 1/||c[k:]|| - 1/eps_k (More and Sorensen 1983),
+            # nearly linear in lam where F is not: F times 2 t^2 / (eps (t + eps)) for
+            # t = ||c[k:]||; plain Newton when that is no ascent direction.  The
+            # factor is formed first: F * t^2 would square the problem's scale
+            t2 = np.maximum(F + eps2, 0.0)
+            for rhs in (F * (2.0 * t2 / (eps_b * (np.sqrt(t2) + eps_b))), F):
+                # multipliers within w of zero are held: the scaled gradient step for
+                # those pushed down, none for those whose Newton step crosses zero
+                held = (lam <= w) & (F < 0.0)
+                down = np.where(held, scaled, 0.0)
+                while True:
+                    free = ~held
+                    step, J_free = down.copy(), J[free][:, free]
+                    try:
+                        step[free] = np.linalg.solve(J_free, -rhs[free])
+                    except np.linalg.LinAlgError:
+                        step[free] = np.linalg.lstsq(J_free, -rhs[free], rcond=None)[0]
+                    cross = free & (lam <= w) & (lam + step < 0.0)
+                    if not cross.any():
+                        break
+                    held |= cross
+                slope = float(F[free] @ step[free])
+                if slope > 0.0:
                     break
-                held |= cross
-            slope = float(F[free] @ step[free])
-            if slope > 0.0:
-                break
-        stalled, t = True, 1.0
-        while t >= 1e-6 and evals < opts.max_iterations:
-            lam_t = np.maximum(lam + t * step, 0.0)
-            trial = _dual_point(H, h, lam_t, tails, eps2)
-            evals += 1
-            # q(lam_t) - q(lam) = sum delta_k (<c_t[k:], c[k:]> - eps_k^2)
-            # holds exactly; it avoids differencing the large values of q
-            delta = lam_t - lam
-            increase = float(delta @ (tails @ (trial[0] * c) - eps2))
-            # Armijo along the projection arc; strict, so a step that
-            # moves nothing never passes and the search ends in a stall
-            if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
-                r = G @ c - d
-                value = float(r @ r + lam @ F)  # q + ||d||^2
-                negligible = STALL_REL_TOL * max(value, 1e-30 * (s1 * wide) ** 2)
-                stalled = t < 1.0 and increase <= negligible
-                lam, (c, F, K) = lam_t, trial
-                break
-            t *= 0.5
+            stalled, t = True, 1.0
+            while t >= 1e-6 and evals < opts.max_iterations:
+                lam_t = np.maximum(lam + t * step, 0.0)
+                trial = _dual_point(H, h, lam_t, tails, eps2)
+                evals += 1
+                # q(lam_t) - q(lam) = sum delta_k (<c_t[k:], c[k:]> - eps_k^2)
+                # holds exactly; it avoids differencing the large values of q
+                delta = lam_t - lam
+                increase = float(delta @ (tails @ (trial[0] * c) - eps2))
+                # Armijo along the projection arc; strict, so a step that
+                # moves nothing never passes and the search ends in a stall
+                if increase > 1e-4 * (t * slope + float(F[held] @ delta[held])):
+                    r = G @ c - d
+                    value = float(r @ r + lam @ F)  # q + ||d||^2
+                    negligible = STALL_REL_TOL * max(value, 1e-30 * (s1 * wide) ** 2)
+                    stalled = t < 1.0 and increase <= negligible
+                    lam, (c, F, K) = lam_t, trial
+                    break
+                t *= 0.5
 
-    # one exit: the last Lagrangian minimizer, made feasible, and its certificate
+    # one exit: the last Lagrangian minimizer, made feasible, and its
+    # proximal-gradient residual at the step 1/L, L = 2 s1^2
     best = project_slices(c, eps)
-    r = prox_residual(best)
+    eta = 1.0 / (2.0 * s1 * s1)
+    g = 2.0 * (H @ best - h)
+    r = float(np.linalg.norm(best - project_slices(best - eta * g, eps)) / eta)
     return best, evals, r <= cert, r
 
 
@@ -270,10 +265,10 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
 
     Unless the least-squares coefficients already satisfy the widths, a
     projected Newton method on the multipliers of the binding widths solves
-    the problem.  However the Newton iteration ends (at a KKT point, stalled
-    or out of evaluations), the solve returns the projection of its last
-    point onto the widths, so every returned point lies within them, with
-    ``converged`` telling whether that point meets the certificate.
+    the problem.  Whether the Newton is skipped or ends (at a KKT point,
+    stalled or out of evaluations), the solve returns the projection of its
+    last point onto the widths, so every returned point lies within them,
+    with ``converged`` telling whether that point meets the certificate.
     """
     opts = options if options is not None else SolverOptions()
     trial, eps = assembly.hierarchy.basis, assembly.hierarchy.widths

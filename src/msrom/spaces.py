@@ -30,8 +30,9 @@ def all_finite(arr: np.ndarray) -> bool:
 class OrthonormalFrame:
     """Orthonormal columns spanning a subspace of R^N, an (N, k) array.
 
-    The columns must be finite (``ValueError`` otherwise).  Frames are never
-    mutated after construction.
+    The columns must be finite (``ValueError`` otherwise).  The frame keeps
+    the caller's array: msrom never writes to a frame, but a caller's later
+    write reaches it, unchecked.
     """
 
     columns: np.ndarray

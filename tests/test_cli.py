@@ -518,6 +518,32 @@ def test_run_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+BLAS_THREAD_VARIABLES = (
+    "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS",
+)
+
+
+def test_run_bytes_do_not_depend_on_the_blas_threads(tmp_path):
+    # a threaded BLAS rounds this instance's 500 x 100 products differently
+    # from one thread, from CSV line 2 on; `msrom run` pins one thread unless
+    # the caller chose, so a run with the variables unset writes the same bytes
+    doc = {"mode": "example1", "tau": 1e-4, "n": 100, "m": 100, "N": 500,
+           "seed": 7, "repetitions": 3}
+    path = tmp_path / "large.json"
+    path.write_text(json.dumps(doc))
+    unset = {k: v for k, v in package_env().items() if k not in BLAS_THREAD_VARIABLES}
+    outputs = []
+    for env in (unset, {**unset, "OPENBLAS_NUM_THREADS": "1"}):
+        done = subprocess.run(
+            [sys.executable, "-m", "msrom", "run", str(path), "--quiet"],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        outputs.append(done.stdout)
+    assert outputs[0].count(b"\n") == 4 and outputs[0] == outputs[1]
+
+
 def test_run_random_sweep_bound_holds(tmp_path):
     out = tmp_path / "sweep.csv"
     doc = {

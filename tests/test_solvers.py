@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +292,25 @@ def test_solve_ms_inactive_constraints_match_pg():
     solution = solve_ms(dataclasses.replace(assembly, hierarchy=roomy))
     assert solution.converged
     assert np.linalg.norm(solution.point - pg_point) <= 1e-8
+    # on sweep.json's rows too, a least-squares point inside the widths skips
+    # the dual Newton and ends at the one exit: its projection onto the widths
+    # is the PG solve bit for bit, certified by the proximal residual there
+    cfg = parse_config(Path(__file__).parents[1].joinpath("scripts/configs/sweep.json").read_text())
+    skipped = 0
+    for seed in range(cfg.seed, cfg.seed + cfg.repetitions):
+        assembly = assemble(*_build_instance(cfg, seed))
+        solution = solve_ms(assembly)
+        if solution.iterations > 0 or assembly.singular:
+            continue
+        skipped += 1
+        assert solution.coeffs.tobytes() == solve_pg(assembly)[1].tobytes(), seed
+        G, d, widths = assembly.decomp.G, assembly.d, assembly.hierarchy.widths
+        s1, c = float(assembly.decomp.sigma[0]), solution.coeffs
+        eta = 1.0 / (2.0 * s1 * s1)
+        g = 2.0 * (G.T @ G @ c - G.T @ d)
+        r = float(np.linalg.norm(c - project_slices(c - eta * g, widths)) / eta)
+        assert solution.converged and solution.kkt_residual == r, seed
+    assert skipped == 22
 
 
 def test_solve_ms_all_zero_widths():
