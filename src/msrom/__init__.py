@@ -26,7 +26,7 @@ def __getattr__(name: str):
     namespace = globals()
     if "__all__" in namespace:  # all loaded: the name does not exist
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    names = []  # cli's names include the config API
+    names = list(config.__all__)
     for layer in ("spaces", "problems", "spectral", "solvers", "bounds", "cli"):
         module = import_module(f"{__name__}.{layer}")  # `from . import` would call this again
         namespace.update((public, getattr(module, public)) for public in module.__all__)

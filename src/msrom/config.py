@@ -107,26 +107,18 @@ class ValidationError(ValueError):
 
 @dataclass(eq=False)
 class ExperimentConfig:
-    """Fully validated experiment description; mode-specific fields are None
-    when they do not apply (a random sweep draws n and m per instance, with
-    N = n + m + 3).  Runs solve with the default
+    """Fully validated experiment description.  ``instance`` holds exactly the
+    mode's keys, the keyword arguments besides ``seed`` of the mode's generator
+    (``msrom.cli.GENERATORS``); a random sweep draws n and m per instance, with
+    N = n + m + 3.  Runs solve with the default
     :class:`msrom.solvers.SolverOptions`."""
 
     mode: str
     seed: int
+    instance: dict
     repetitions: int = 1
     tau_mode: str = "known"
     output_path: str | None = None
-    tau: float | None = None
-    n: int | None = None
-    m: int | None = None
-    N: int | None = None
-    # annotations stay strings (PEP 563), so `np` names numpy's array unimported
-    sigma: np.ndarray | None = None
-    distances: np.ndarray | None = None
-    widths: np.ndarray | None = None
-    n_min: int | None = None
-    n_max: int | None = None
 
 
 def _require(doc, key):
@@ -199,38 +191,33 @@ def parse_config(text: str) -> ExperimentConfig:
             f"field 'tau_mode' must be 'known' or 'practitioner', got {tau_mode!r}"
         )
     output_path = doc.get("output_path")
-    if output_path is not None and not isinstance(output_path, str):
-        raise ValidationError("field 'output_path' must be a string")
-    cfg = ExperimentConfig(
-        mode=mode,
-        seed=seed,
-        repetitions=repetitions,
-        tau_mode=tau_mode,
-        output_path=output_path,
-    )
+    if output_path is not None and not (isinstance(output_path, str) and output_path):
+        raise ValidationError("field 'output_path' must be a non-empty string")
 
     if mode == "random-sweep":
-        cfg.n_min = _require_int(doc, "n_min", minimum=1)
-        cfg.n_max = _require_int(doc, "n_max", minimum=cfg.n_min)
-        return cfg
-    cfg.n, cfg.N = _require_int(doc, "n"), _require_int(doc, "N")
-    cfg.m = _require_int(doc, "m") if "m" in doc or mode == "prescribed" else cfg.n
+        n_min = _require_int(doc, "n_min", minimum=1)
+        instance = {"n_min": n_min, "n_max": _require_int(doc, "n_max", minimum=n_min)}
+        return ExperimentConfig(mode, seed, instance, repetitions, tau_mode, output_path)
+    n, N = _require_int(doc, "n"), _require_int(doc, "N")
+    m = _require_int(doc, "m") if "m" in doc or mode == "prescribed" else n
     if mode == "prescribed":
         sigma, tau, widths = (_require_float_list(doc, key) for key in ("sigma", "tau", "widths"))
     else:
-        cfg.tau = _require_float(doc, "tau")
+        tau = _require_float(doc, "tau")
     try:  # the generators' own preconditions, with their messages
-        check_dimensions(cfg.n, cfg.m, cfg.N)
+        check_dimensions(n, m, N)
         if mode == "prescribed":
             from .problems import check_profile, check_spectrum  # numpy, for arrays only
 
-            cfg.sigma = check_spectrum(cfg.n, sigma)
-            cfg.widths, cfg.distances = check_profile(cfg.n, widths, tau)
+            sigma = check_spectrum(n, sigma)
+            widths, tau = check_profile(n, widths, tau)
+            instance = {"n": n, "m": m, "N": N, "sigma": sigma, "tau": tau, "widths": widths}
         else:
-            (check_example1 if mode == "example1" else check_example2)(cfg.tau, cfg.n)
+            (check_example1 if mode == "example1" else check_example2)(tau, n)
+            instance = {"tau": tau, "n": n, "m": m, "N": N}
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(mode, seed, instance, repetitions, tau_mode, output_path)
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_dimensions, check_example1, check_example2, hadamard_available
+from .config import check_dimensions, check_example1, check_example2, hadamard_available, is_integer
 from .spaces import OrthonormalFrame, all_finite, orthonormalize
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "synth_prescribed",
     "example1",
     "example2",
+    "random_instance",
 ]
 
 
@@ -339,3 +340,29 @@ def example2(
         sigma[0] = 1.0
     profile = np.array([0.5] + [limit] * (n - 1) + [tau])
     return synth_prescribed(n, m, N, sigma, X, profile, profile, seed)
+
+
+def random_instance(
+    n_min: int, n_max: int, seed: int
+) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+    """Random-sweep instance: n in [n_min, n_max], m in [n, 2n], N = n + m + 3.
+
+    Draws, in this order from ``seed``: n, m, a nonincreasing spectrum with
+    sigma_1 pinned to 1 (the norm of the orthonormal representers), a
+    nonincreasing distance profile that is also the widths, a Haar-random
+    orthogonal X (QR with the signs of R's diagonal fixed), and the seed of
+    :func:`synth_prescribed`.  ``n_min`` and ``n_max`` are integers with
+    1 <= n_min <= n_max (``ValueError`` otherwise).
+    """
+    if not (is_integer(n_min) and is_integer(n_max) and 1 <= n_min <= n_max):
+        raise ValueError(f"need integers 1 <= n_min <= n_max, got {n_min!r} and {n_max!r}")
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_min, n_max + 1))
+    m = int(rng.integers(n, 2 * n + 1))
+    sigma = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
+    sigma[0] = 1.0
+    tau = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    X = q * np.sign(np.diag(r))
+    child_seed = int(rng.integers(0, 2**31))
+    return synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau, child_seed)

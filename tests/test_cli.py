@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import json
 import subprocess
 import sys
@@ -15,17 +16,17 @@ from helpers import package_env
 
 import msrom
 from msrom import SolverOptions, SubspaceHierarchy
-from msrom.cli import (
-    CSV_COLUMNS,
+from msrom.cli import CSV_COLUMNS, GENERATORS, _build_instance, run_experiment, run_instance
+from msrom.config import (
+    _COMMON_KEYS,
+    _MODE_KEYS,
+    MODES,
     ExperimentConfig,
     ValidationError,
-    _build_instance,
+    is_integer,
     main,
     parse_config,
-    run_experiment,
-    run_instance,
 )
-from msrom.config import _COMMON_KEYS, _MODE_KEYS, MODES, is_integer
 from msrom.solvers import MultiSliceSolution
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json"))
@@ -49,8 +50,7 @@ def read_rows(path):
 def test_parse_minimal_example1():
     cfg = parse_config(example1_doc(output_path="out.csv"))
     assert cfg.mode == "example1"
-    assert cfg.tau == 1e-4
-    assert cfg.n == 10 and cfg.m == 10 and cfg.N == 40
+    assert cfg.instance == {"tau": 1e-4, "n": 10, "m": 10, "N": 40}
     assert cfg.seed == 7
     assert cfg.repetitions == 1
     assert cfg.tau_mode == "known"
@@ -219,7 +219,7 @@ def test_parse_example2_large_order_allocates_no_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert cfg.n == n
+    assert cfg.instance["n"] == n
     assert peak < 1_000_000
 
 
@@ -275,9 +275,9 @@ def test_parse_prescribed():
         "widths": [0.5, 0.3, 0.15, 0.08],
     }
     cfg = parse_config(json.dumps(doc))
-    assert np.allclose(cfg.sigma, [0.9, 0.5, 0.25])
-    assert np.allclose(cfg.distances, [0.4, 0.2, 0.1, 0.05])
-    assert np.allclose(cfg.widths, [0.5, 0.3, 0.15, 0.08])
+    assert np.allclose(cfg.instance["sigma"], [0.9, 0.5, 0.25])
+    assert np.allclose(cfg.instance["tau"], [0.4, 0.2, 0.1, 0.05])
+    assert np.allclose(cfg.instance["widths"], [0.5, 0.3, 0.15, 0.08])
 
     bad = dict(doc, sigma=[0.5, 0.9, 0.25])
     with pytest.raises(ValidationError, match="sigma"):
@@ -293,10 +293,20 @@ def test_parse_prescribed():
         parse_config(json.dumps(bad))
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_mode_keys_are_the_generator_arguments(mode):
+    # a config holds exactly the keyword arguments of its mode's generator
+    parameters = set(inspect.signature(GENERATORS[mode]).parameters)
+    assert parameters - {"seed"} == _MODE_KEYS[mode]
+    docs = [json.loads(path.read_text()) for path in CONFIGS] + [PRESCRIBED]
+    for doc in (doc for doc in docs if doc["mode"] == mode):
+        assert set(parse_config(json.dumps(doc)).instance) == _MODE_KEYS[mode]
+
+
 def test_parse_random_sweep():
     sweep = {"mode": "random-sweep", "n_min": 3, "n_max": 6, "seed": 1}
     cfg = parse_config(json.dumps(sweep))
-    assert cfg.n_min == 3 and cfg.n_max == 6 and cfg.N is None
+    assert cfg.instance == {"n_min": 3, "n_max": 6}
     # the sweep draws N = n + m + 3 per instance; a config does not set it
     unknown = r"^unknown field\(s\) for mode 'random-sweep': \['N'\]$"
     for N in (10, 30):
@@ -375,7 +385,7 @@ def test_parse_config_fuzz(doc):
     except ValidationError:
         return
     assert isinstance(cfg, ExperimentConfig)
-    sizes = [cfg.n_max if cfg.mode == "random-sweep" else cfg.n, cfg.N]
+    sizes = [cfg.instance.get(key) for key in ("n", "n_max", "N")]
     if all(size is None or size <= 40 for size in sizes):
         problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
         assert tests.n_columns >= hierarchy.n
@@ -388,8 +398,9 @@ def test_checked_in_configs_validate_and_build(path, capsys):
     cfg = parse_config(path.read_text())
     problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
     assert tests.n_columns >= hierarchy.n
-    if cfg.n is not None:
-        assert (hierarchy.n, tests.n_columns, problem.z_true.size) == (cfg.n, cfg.m, cfg.N)
+    if "n" in cfg.instance:
+        sizes = (hierarchy.n, tests.n_columns, problem.z_true.size)
+        assert sizes == tuple(cfg.instance[key] for key in ("n", "m", "N"))
 
 
 def test_module_form_validates_without_warnings():
@@ -447,7 +458,8 @@ def test_prescribed_config_validates_with_the_array_checks():
     code = (
         "import sys, msrom\n"
         "cfg = msrom.parse_config(sys.argv[1])\n"
-        "print('numpy' in sys.modules, type(cfg.sigma).__name__, cfg.widths.tolist())\n"
+        "print('numpy' in sys.modules, type(cfg.instance['sigma']).__name__,"
+        " cfg.instance['widths'].tolist())\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code, doc],
@@ -813,6 +825,45 @@ def test_main_reports_unwritable_output(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--output", str(out_path), "--quiet"]) == 1
     assert "error" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_run_into_a_missing_directory_builds_no_instance(tmp_path, monkeypatch, capsys):
+    # the destination opens before the first instance, not after the last
+    built = []
+    monkeypatch.setattr("msrom.cli._build_instance", lambda cfg, seed: built.append(seed))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(example1_doc(repetitions=60))
+    out_path = tmp_path / "no-such-dir" / "out.csv"
+    assert main(["run", str(cfg_path), "--output", str(out_path), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+    assert built == []
+
+
+def test_run_keeps_the_rows_before_a_failure(tmp_path, monkeypatch):
+    # each row is written as it is formed: a run stopped at repetition 3
+    # leaves the header and the two finished rows
+    import msrom.cli as cli_module
+
+    def build(cfg, seed):
+        if seed == cfg.seed + 2:
+            raise RuntimeError("stopped")
+        return real(cfg, seed)
+
+    real = cli_module._build_instance
+    monkeypatch.setattr(cli_module, "_build_instance", build)
+    out = tmp_path / "partial.csv"
+    cfg = parse_config(example1_doc(output_path=str(out), repetitions=5))
+    with pytest.raises(RuntimeError, match="stopped"):
+        run_experiment(cfg, quiet=True)
+    assert [row["seed"] for row in read_rows(out)] == ["7", "8"]
+
+
+def test_validate_refuses_an_empty_output_path(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    for value in ("", 3):
+        cfg_path.write_text(example1_doc(output_path=value))
+        assert main(["validate", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "error: field 'output_path' must be a non-empty string\n"
 
 
 def test_main_reports_bad_config(tmp_path, capsys):

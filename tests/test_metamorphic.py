@@ -24,7 +24,8 @@ from msrom import (
     solve_pg,
     synth_prescribed,
 )
-from msrom.cli import _build_instance, parse_config
+from msrom.cli import _build_instance
+from msrom.config import parse_config
 
 REL = 1e-10
 CASES = [(None, 8), ("spd", 8), ("spd", 11)]  # (metric, m) with n = 8

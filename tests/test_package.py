@@ -4,7 +4,7 @@ import sys
 from helpers import package_env
 
 import msrom
-from msrom import bounds, cli, problems, solvers, spaces, spectral
+from msrom import bounds, cli, config, problems, solvers, spaces, spectral
 
 
 def test_package_names_are_unique_and_resolve():
@@ -12,7 +12,7 @@ def test_package_names_are_unique_and_resolve():
     assert len(names) == len(set(names))
     for name in names:
         assert hasattr(msrom, name), name
-    for module in (spaces, problems, spectral, solvers, bounds, cli):
+    for module in (config, spaces, problems, spectral, solvers, bounds, cli):
         for name in module.__all__:
             assert getattr(msrom, name) is getattr(module, name), name
     # bound in the package namespace, so no lookup reaches __getattr__ again

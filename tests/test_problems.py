@@ -23,6 +23,7 @@ from msrom import (
     flat_orthogonal,
     gram_matrix,
     orthonormalize,
+    random_instance,
     riesz_representers,
     rhs_vector,
     run_instance,
@@ -580,6 +581,15 @@ def test_example2_validation():
     # no flat orthogonal matrix of order 28 from the built-in constructions
     with pytest.raises(ValueError, match="n = 28 has no flat orthogonal matrix"):
         example2(1e-3, n=28, N=120, seed=0)
+
+
+def test_random_instance_validation():
+    # a numpy draw would truncate a float bound, and n = 0 would index an empty spectrum
+    for n_min, n_max in [(0, 3), (0, 0), (4, 3), (2.5, 4), (1, 4.0), (True, 3)]:
+        with pytest.raises(ValueError, match=r"^need integers 1 <= n_min <= n_max"):
+            random_instance(n_min, n_max, 0)
+    problem, hierarchy, tests = random_instance(np.int64(2), 2, 5)
+    assert (hierarchy.n, problem.z_true.size) == (2, 2 + tests.n_columns + 3)
 
 
 def test_riesz_family_shape_check():

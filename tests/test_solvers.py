@@ -40,7 +40,8 @@ from msrom import (
     solve_pg,
     synth_prescribed,
 )
-from msrom.cli import _build_instance, parse_config
+from msrom.cli import _build_instance
+from msrom.config import parse_config
 from msrom.problems import PROFILE_LIMIT
 from msrom.spectral import SINGULAR_REL_TOL
 

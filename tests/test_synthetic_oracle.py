@@ -15,7 +15,8 @@ import pytest
 
 from helpers import random_orthogonal, synthetic_row
 from msrom import SolverOptions, flat_orthogonal, synth_prescribed
-from msrom.cli import _build_instance, parse_config, run_instance
+from msrom.cli import _build_instance, run_instance
+from msrom.config import parse_config
 
 CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
 REL_TOL = 1e-9
@@ -23,23 +24,25 @@ SWEEP = {"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}
 
 
 def generator_inputs(cfg, seed):
-    """``(sigma, X, tau, widths)`` that ``_build_instance(cfg, seed)`` hands the generator."""
-    n = cfg.n
+    """``(sigma, X, tau, widths)`` that ``_build_instance(cfg, seed)`` hands
+    ``synth_prescribed``, derived here independently of the generators."""
+    args = cfg.instance
+    n, tau = args.get("n"), args.get("tau")
     if cfg.mode == "example1":
-        root = float(np.sqrt(cfg.tau))
-        sigma = np.array([1.0] * (n - 3) + [root, root, cfg.tau])
-        profile = np.array([1.0] * (n - 2) + [root, root, cfg.tau])
+        root = float(np.sqrt(tau))
+        sigma = np.array([1.0] * (n - 3) + [root, root, tau])
+        profile = np.array([1.0] * (n - 2) + [root, root, tau])
         return sigma, np.eye(n), profile, profile
     if cfg.mode == "example2":
-        sigma = np.full(n, cfg.tau * np.sqrt(n - cfg.tau**2))
-        sigma[-1] = cfg.tau**2
+        sigma = np.full(n, tau * np.sqrt(n - tau**2))
+        sigma[-1] = tau**2
         sigma[0] = 1.0
-        profile = np.array([0.5] + [1 / (2 * (n - 1))] * (n - 1) + [cfg.tau])
+        profile = np.array([0.5] + [1 / (2 * (n - 1))] * (n - 1) + [tau])
         return sigma, flat_orthogonal(n), profile, profile
     if cfg.mode == "prescribed":
-        return cfg.sigma, np.eye(n), cfg.distances, cfg.widths
-    rng = np.random.default_rng(seed)  # random-sweep: the same draws in the same order
-    n = int(rng.integers(cfg.n_min, cfg.n_max + 1))
+        return args["sigma"], np.eye(n), tau, args["widths"]
+    rng = np.random.default_rng(seed)  # random_instance: the same draws in the same order
+    n = int(rng.integers(args["n_min"], args["n_max"] + 1))
     rng.integers(n, 2 * n + 1)
     sigma = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
     sigma[0] = 1.0
