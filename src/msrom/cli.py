@@ -15,11 +15,9 @@ import numpy as np
 
 from .bounds import ms_bound
 from .config import ExperimentConfig
-from .problems import (
-    ProblemInstance, SubspaceHierarchy, example1, example2, random_instance, synth_prescribed
-)
+from .problems import Instance, ProblemInstance, SubspaceHierarchy, example1, example2
+from .problems import random_instance, synth_prescribed
 from .solvers import SolverOptions, error_norm, solve_ms, solve_pg
-from .spaces import OrthonormalFrame
 from .spectral import assemble
 
 __all__ = ["run_experiment", "run_instance"]
@@ -61,9 +59,7 @@ GENERATORS = {
 }
 
 
-def _build_instance(
-    cfg: ExperimentConfig, rep_seed: int
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+def _build_instance(cfg: ExperimentConfig, rep_seed: int) -> Instance:
     """Materialize one instance: the generator's (problem, hierarchy, tests)."""
     return GENERATORS[cfg.mode](**cfg.instance, seed=rep_seed)
 
@@ -79,7 +75,7 @@ def _fmt(value) -> str:
 def run_instance(
     problem: ProblemInstance,
     hierarchy: SubspaceHierarchy,
-    tests: OrthonormalFrame,
+    tests: np.ndarray,
     options: SolverOptions,
     tau_mode: str = "known",
 ):
@@ -131,7 +127,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = False) -> int:
                 cfg.mode,
                 rep_seed,
                 hierarchy.n,
-                tests.n_columns,
+                tests.shape[1],
                 problem.z_true.size,
                 hierarchy.distances[-1],
                 float(decomp.sigma[0]),

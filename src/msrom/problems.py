@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_dimensions, check_example1, check_example2, hadamard_available, is_integer
-from .spaces import OrthonormalFrame, all_finite, orthonormalize
+from .spaces import all_finite, check_frame, orthonormal, orthonormalize
 
 __all__ = [
     "ProblemInstance",
@@ -59,19 +59,20 @@ class ProblemInstance:
 class SubspaceHierarchy:
     """Nested trial spaces ``V_0 = {0} <= V_1 <= ... <= V_n``.
 
-    Column ``j`` of ``basis`` extends ``V_j`` to ``V_{j+1}``, and there is at
-    least one column.  ``widths`` are the slice radii ``eps_0..eps_n`` used as
-    constraints; ``distances`` are the true values ``tau_k = dist(z_true,
-    V_k)``.  Construction checks n and the profile once (:func:`check_profile`;
-    ``ValueError`` otherwise) and keeps the checked copies, not the caller's
-    arrays; the record is frozen, so every reader may rely on that check.
+    ``basis`` is an (N, n) array; column ``j`` extends ``V_j`` to ``V_{j+1}``,
+    and there is at least one.  ``widths`` are the slice radii ``eps_0..eps_n``
+    used as constraints; ``distances`` are the true values ``tau_k =
+    dist(z_true, V_k)``.  Construction checks the frame (:func:`check_frame`), n
+    and the profile (:func:`check_profile`) once, for every reader (``ValueError``),
+    and keeps the caller's basis and a copy of each profile in a frozen record.
     """
 
-    basis: OrthonormalFrame
+    basis: np.ndarray
     widths: np.ndarray
     distances: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "basis", check_frame(self.basis, "trial"))
         if self.n < 1:
             raise ValueError(f"a hierarchy needs at least one trial direction, got n = {self.n}")
         widths, distances = check_profile(self.n, self.widths, self.distances)
@@ -80,7 +81,7 @@ class SubspaceHierarchy:
 
     @property
     def n(self) -> int:
-        return self.basis.n_columns
+        return self.basis.shape[1]
 
     def profile(self, tau_mode: str) -> np.ndarray:
         """The profile the bounds read: the true distances for ``"known"``, the
@@ -92,25 +93,29 @@ class SubspaceHierarchy:
         return self.distances
 
 
-def riesz_representers(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
+# What a generator returns: the problem, its trial hierarchy and the (N, m) test frame.
+Instance = tuple[ProblemInstance, SubspaceHierarchy, np.ndarray]
+
+
+def riesz_representers(problem: ProblemInstance, tests: np.ndarray) -> np.ndarray:
     """The (N, m) matrix whose column j represents ``v -> a(v, z_j)``; with the
-    stored convention r_j = A z_j for the test frame's columns z_j.
+    stored convention r_j = A z_j for the columns z_j of the test frame ``tests``.
 
     With ``A = R Y^T`` this is ``R (Y^T Z)`` for any test frame ``Z``,
     without forming ``A``.
     """
     R, Y = problem.factors
-    return R @ (Y.T @ tests.columns)
+    return R @ (Y.T @ tests)
 
 
-def rhs_vector(problem: ProblemInstance, tests: OrthonormalFrame) -> np.ndarray:
+def rhs_vector(problem: ProblemInstance, tests: np.ndarray) -> np.ndarray:
     """The vector ``d`` with ``d_j = b(z_j)``, as one product over the test basis.
 
     ``d = Z^T A^T z_true``, which with ``A = R Y^T`` is ``Z^T (Y (R^T
     z_true))`` for any test frame ``Z``.
     """
     R, Y = problem.factors
-    return tests.columns.T @ (Y @ (R.T @ problem.z_true))
+    return tests.T @ (Y @ (R.T @ problem.z_true))
 
 
 def _paley(q: int) -> np.ndarray:
@@ -232,7 +237,7 @@ def synth_prescribed(
     seed: int,
     *,
     metric: np.ndarray | None = None,
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+) -> Instance:
     """Synthesize an instance with prescribed Gram spectrum and distances.
 
     Draws a random orthonormal trial basis w_1..w_n together with m
@@ -263,18 +268,15 @@ def synth_prescribed(
     X = np.asarray(X, dtype=float)
     if X.shape != (n, n):
         raise ValueError(f"X must be {n}x{n}")
-    # entries of an orthogonal X lie in [-1, 1]: NaN, inf and overflow fail before the product
-    if not ((np.abs(X) <= 1.0 + 1e-10).all() and np.max(np.abs(X.T @ X - np.eye(n))) <= 1e-10):
+    if not orthonormal(X):
         raise ValueError("X must be orthogonal")
     root = None if metric is None else _metric_root(N, metric)
 
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((N, n + m))
     base = orthonormalize(draws if root is None else root @ draws)
-    W = base.columns[:, :n]
-    Q = base.columns[:, n:]
-    trial = OrthonormalFrame(W)
-    hierarchy = SubspaceHierarchy(trial, widths=widths, distances=tau)  # checks the profile
+    W, Q = base[:, :n], base[:, n:]
+    hierarchy = SubspaceHierarchy(W, widths=widths, distances=tau)  # checks W and the profile
     tau = hierarchy.distances
 
     R = np.empty((N, m))
@@ -284,7 +286,7 @@ def synth_prescribed(
     # Z moves no output beyond rounding, so it reuses the frame (at m = n the trial
     # frame itself).  The N x m normals drawn here keep each seed's u and z_true.
     rng.standard_normal((N, m))
-    Z = trial if m == n else OrthonormalFrame(base.columns[:, :m])
+    Z = base[:, :m]
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))
     u = rng.standard_normal(N)
@@ -295,13 +297,11 @@ def synth_prescribed(
     u /= np.linalg.norm(u)
     z_true = W @ coeff + tau[-1] * u
 
-    problem = ProblemInstance(z_true, factors=(R, Z.columns))
+    problem = ProblemInstance(z_true, factors=(R, Z))
     return problem, hierarchy, Z
 
 
-def example1(
-    tau: float, n: int, N: int, seed: int, m: int | None = None
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+def example1(tau: float, n: int, N: int, seed: int, m: int | None = None) -> Instance:
     """Instance whose classical bound is 1 while the slice bound is O(sqrt(tau)).
 
     Spectrum and distances share the profile ``(1, ..., 1, sqrt(tau),
@@ -317,9 +317,7 @@ def example1(
     return synth_prescribed(n, m, N, sigma, np.eye(n), profile, profile, seed)
 
 
-def example2(
-    tau: float, n: int, N: int, seed: int, m: int | None = None
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+def example2(tau: float, n: int, N: int, seed: int, m: int | None = None) -> Instance:
     """Instance whose classical bound is 1/tau while the slice bound is O(n**-0.5).
 
     Uses a flat orthogonal X, distances ``(1/2, 1/(2(n-1)), ..., 1/(2(n-1)),
@@ -342,9 +340,7 @@ def example2(
     return synth_prescribed(n, m, N, sigma, X, profile, profile, seed)
 
 
-def random_instance(
-    n_min: int, n_max: int, seed: int
-) -> tuple[ProblemInstance, SubspaceHierarchy, OrthonormalFrame]:
+def random_instance(n_min: int, n_max: int, seed: int) -> Instance:
     """Random-sweep instance: n in [n_min, n_max], m in [n, 2n], N = n + m + 3.
 
     Draws, in this order from ``seed``: n, m, a nonincreasing spectrum with

@@ -94,7 +94,7 @@ def solve_pg(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:
     """
     decomp = assembly.decomp
     coeffs = _least_squares(decomp, assembly.d, decomp.nonzero(assembly.norm))
-    return assembly.hierarchy.basis.columns @ coeffs, coeffs
+    return assembly.hierarchy.basis @ coeffs, coeffs
 
 
 def project_slices(c, widths) -> np.ndarray:
@@ -272,7 +272,7 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
     """
     opts = options if options is not None else SolverOptions()
     trial, eps = assembly.hierarchy.basis, assembly.hierarchy.widths
-    n = trial.n_columns
+    n = assembly.hierarchy.n
     d, decomp = assembly.d, assembly.decomp
     G = decomp.G
 
@@ -287,7 +287,7 @@ def solve_ms(assembly: Assembly, options: SolverOptions | None = None) -> MultiS
     coeffs[:n_free] = c_red
     residual = G @ coeffs - d
     return MultiSliceSolution(
-        point=trial.columns @ coeffs,
+        point=trial @ coeffs,
         coeffs=coeffs,
         cost=float(residual @ residual),
         iterations=int(iterations),

@@ -7,14 +7,9 @@ other inner product.  Nothing here writes to its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "OrthonormalFrame",
-    "orthonormalize",
-]
+__all__ = ["orthonormalize"]
 
 # A pivot below RANK_TOL times the largest input norm is treated as zero.
 RANK_TOL = 1e-10
@@ -26,33 +21,34 @@ def all_finite(arr: np.ndarray) -> bool:
     return bool(np.isfinite(arr.min(initial=0.0)) and np.isfinite(arr.max(initial=0.0)))
 
 
-@dataclass(eq=False)
-class OrthonormalFrame:
-    """Orthonormal columns spanning a subspace of R^N, an (N, k) array.
-
-    The columns must be finite (``ValueError`` otherwise).  The frame keeps
-    the caller's array: msrom never writes to a frame, but a caller's later
-    write reaches it, unchecked.
-    """
-
-    columns: np.ndarray
-
-    def __post_init__(self) -> None:
-        cols = np.asarray(self.columns, dtype=float)
-        if cols.ndim != 2:
-            raise ValueError(f"columns must have shape (N, k), got {cols.shape}")
-        if not all_finite(cols):
-            raise ValueError("columns must have finite entries")
-        self.columns = cols
-
-    @property
-    def n_columns(self) -> int:
-        return self.columns.shape[1]
+# Orthonormal columns have a Gram W^T W within this of the identity entrywise.
+ORTHONORMAL_TOL = 1e-10
 
 
-def orthonormalize(vectors: np.ndarray) -> OrthonormalFrame:
-    """Orthonormal basis of the span of the columns of ``vectors``, an (N, k)
-    array, in the given order.
+def orthonormal(W: np.ndarray) -> bool:
+    """Whether the float 2-d array ``W`` has orthonormal columns, to ``ORTHONORMAL_TOL``;
+    its entries must lie in [-1, 1] first, so NaN, inf and overflow fail before W^T W."""
+    bound = 1.0 + ORTHONORMAL_TOL
+    return bool(
+        -bound <= W.min(initial=0.0) and W.max(initial=0.0) <= bound
+        and np.max(np.abs(W.T @ W - np.eye(W.shape[1])), initial=0.0) <= ORTHONORMAL_TOL
+    )
+
+
+def check_frame(columns, name: str) -> np.ndarray:
+    """``columns`` as a float (N, k) array, the caller's own where it is one, if
+    :func:`orthonormal`; else ``ValueError`` naming the ``name`` frame."""
+    W = np.asarray(columns, dtype=float)
+    if W.ndim != 2:
+        raise ValueError(f"the {name} frame must be an (N, k) array, got shape {W.shape}")
+    if not orthonormal(W):
+        raise ValueError(f"the {name} frame must have finite, orthonormal columns")
+    return W
+
+
+def orthonormalize(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal basis, an (N, k) array, of the span of the columns of the
+    (N, k) array ``vectors``, in the given order.
 
     One Householder QR ``V = Q R``.  Columns are flipped so that ``R_jj > 0``:
     column j is then what Gram-Schmidt makes of vector j, up to rounding.
@@ -83,4 +79,4 @@ def orthonormalize(vectors: np.ndarray) -> OrthonormalFrame:
             f"(pivot norm {abs(pivots[j]):.3e}, tolerance {tol:.3e})"
         )
     Q *= np.where(pivots < 0.0, -1.0, 1.0)
-    return OrthonormalFrame(Q)
+    return Q

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance, SubspaceHierarchy, rhs_vector, riesz_representers
-from .spaces import OrthonormalFrame
+from .spaces import check_frame
 
 __all__ = [
     "GramDecomposition",
@@ -94,9 +94,9 @@ def _representers(riesz) -> np.ndarray:
     return R
 
 
-def gram_matrix(riesz, trial: OrthonormalFrame) -> np.ndarray:
-    """Matrix with entry (i, j) = <r_i, w_j> for the columns r_i of ``riesz``."""
-    return _representers(riesz).T @ trial.columns
+def gram_matrix(riesz, trial: np.ndarray) -> np.ndarray:
+    """Matrix with entry (i, j) = <r_i, w_j> for the columns r_i of ``riesz``, w_j of ``trial``."""
+    return _representers(riesz).T @ trial
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
@@ -106,7 +106,7 @@ def decompose(G: np.ndarray) -> GramDecomposition:
     return GramDecomposition(G=G, U=U, X=Vt.T, sigma=sigma)
 
 
-def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
+def gamma(riesz, trial: np.ndarray, gram) -> tuple[float, float]:
     """``(gamma, norm)``: two operator norms of the representers ``R``.
 
     ``gamma`` is the largest coupling of the representers with the trial
@@ -123,10 +123,9 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
     space or ``P`` is exactly zero; both are 0 without representers.
     """
     R = _representers(riesz)
-    W = trial.columns
     C = np.asarray(gram, dtype=float).T
-    P = R - W @ C
-    scale = float(np.max(np.abs(P), initial=0.0)) if trial.n_columns < W.shape[0] else 0.0
+    P = R - trial @ C
+    scale = float(np.max(np.abs(P), initial=0.0)) if trial.shape[1] < trial.shape[0] else 0.0
     gam, PTP = 0.0, 0.0
     if scale > 0.0:
         P = P / scale
@@ -141,23 +140,22 @@ def gamma(riesz, trial: OrthonormalFrame, gram) -> tuple[float, float]:
 
 
 def assemble(
-    problem: ProblemInstance, hierarchy: SubspaceHierarchy, tests: OrthonormalFrame
+    problem: ProblemInstance, hierarchy: SubspaceHierarchy, tests: np.ndarray
 ) -> Assembly:
     """The discrete system of ``problem`` on ``hierarchy.basis`` tested against ``tests``.
 
     Forms the representers, the load vector, the Gram matrix, its SVD and
     the two norms of :func:`gamma` once each, and keeps ``hierarchy`` with
     them, so that the projectors and the bounds of one instance read one
-    record.  Fewer tests than trial directions, or a frame in another R^N
-    than the problem, raise ``ValueError``.
+    record.  A test frame refused by :func:`msrom.spaces.check_frame`, fewer
+    tests than trial directions, or a frame in another R^N than the problem
+    raise ``ValueError``.
     """
-    trial = hierarchy.basis
+    trial, tests = hierarchy.basis, check_frame(tests, "test")
     N = problem.z_true.size
     for name, frame in (("test", tests), ("trial", trial)):
-        if frame.columns.shape[0] != N:
-            raise ValueError(
-                f"the {name} frame lies in R^{frame.columns.shape[0]}, the problem in R^{N}"
-            )
+        if frame.shape[0] != N:
+            raise ValueError(f"the {name} frame lies in R^{frame.shape[0]}, the problem in R^{N}")
     R = riesz_representers(problem, tests)
     d = rhs_vector(problem, tests)
     decomp = decompose(gram_matrix(R, trial))

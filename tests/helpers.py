@@ -20,7 +20,6 @@ from scipy.optimize import linprog, minimize
 import msrom
 from msrom import (
     Assembly,
-    OrthonormalFrame,
     SubspaceHierarchy,
     gamma,
     gram_matrix,
@@ -73,13 +72,14 @@ def mgs_orthonormalize(V, M):
 
 
 def complement_frame(frame):
-    """Orthonormal basis of the complement of the frame's span.
+    """Orthonormal basis, an (N, N - k) array, of the complement of the span of
+    the (N, k) array ``frame``.
 
     Completes the frame with standard basis vectors in index order by
     two-pass Gram-Schmidt; a frame that fills the space gives zero columns.
     """
-    N, k = frame.columns.shape
-    existing = [frame.columns[:, j] for j in range(k)]
+    N, k = frame.shape
+    existing = [frame[:, j] for j in range(k)]
     out = []
     for i in range(N):
         if len(out) == N - k:
@@ -94,8 +94,7 @@ def complement_frame(frame):
             out.append(v / nrm)
     if len(out) != N - k:
         raise ValueError("failed to complete the frame to a full basis")
-    cols = np.column_stack(out) if out else np.zeros((N, 0))
-    return OrthonormalFrame(cols)
+    return np.column_stack(out) if out else np.zeros((N, 0))
 
 
 def metric_draws(n, m, N, seed, M):
@@ -145,7 +144,7 @@ def identity_hierarchy(widths, distances=None):
     """A hierarchy on the first n coordinate directions of R^(n+1), n + 1 = len(widths);
     the distances default to the widths."""
     n = len(widths) - 1
-    basis = OrthonormalFrame(np.eye(n + 1)[:, :n])
+    basis = np.eye(n + 1)[:, :n]
     distances = widths if distances is None else distances
     return SubspaceHierarchy(basis, widths=widths, distances=distances)
 
@@ -198,7 +197,7 @@ def bound_step_ratios(problem, hierarchy, decomp, report, coeffs, slack=1e-9):
     and returns the largest ratios ``(max |beta_j| / delta_j, ||G e||^2 /
     budget)``, each 0 where its denominator is.
     """
-    c = hierarchy.basis.columns.T @ problem.z_true
+    c = hierarchy.basis.T @ problem.z_true
     beta = decomp.X.T @ (coeffs - c)
     delta, gam = report.intermediates.delta, report.intermediates.gamma
     assert np.all(np.abs(beta) <= delta + slack), (beta, delta)

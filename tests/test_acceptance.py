@@ -238,7 +238,7 @@ def test_criterion_7_structural_property_suite():
         assembly = assemble(problem, hierarchy, tests)
         decomp = assembly.decomp
         # the rotated bases R U and W X couple diagonally: U^T G X = diag(sigma)
-        G = riesz_representers(problem, tests).T @ trial.columns
+        G = riesz_representers(problem, tests).T @ trial
         coupling = decomp.U.T @ G @ decomp.X
         target = np.zeros_like(coupling)
         np.fill_diagonal(target, decomp.sigma)
@@ -248,7 +248,7 @@ def test_criterion_7_structural_property_suite():
         assert gam <= 1.0 + 1e-10
 
         # the trial-space projection of the truth satisfies every slice bound
-        c_star = trial.columns.T @ problem.z_true
+        c_star = trial.T @ problem.z_true
         n = hierarchy.n
         for k in range(n):
             assert float(np.linalg.norm(c_star[k:])) <= hierarchy.widths[k] + 1e-10
@@ -260,7 +260,7 @@ def test_criterion_7_structural_property_suite():
         ratios = bound_step_ratios(problem, hierarchy, decomp, report, solution.coeffs)
         steps = tuple(map(max, steps, ratios))
 
-        projected = trial.columns @ c_star
+        projected = trial @ c_star
         lhs = error_norm(solution.point, problem) ** 2
         rhs = np.linalg.norm(projected - solution.point) ** 2 + tau_n * tau_n
         assert abs(lhs - rhs) <= 1e-9 * max(lhs, rhs)

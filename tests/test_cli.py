@@ -388,7 +388,7 @@ def test_parse_config_fuzz(doc):
     sizes = [cfg.instance.get(key) for key in ("n", "n_max", "N")]
     if all(size is None or size <= 40 for size in sizes):
         problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
-        assert tests.n_columns >= hierarchy.n
+        assert tests.shape[1] >= hierarchy.n
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -397,9 +397,9 @@ def test_checked_in_configs_validate_and_build(path, capsys):
     assert capsys.readouterr().out.strip() == "ok"
     cfg = parse_config(path.read_text())
     problem, hierarchy, tests = _build_instance(cfg, cfg.seed)
-    assert tests.n_columns >= hierarchy.n
+    assert tests.shape[1] >= hierarchy.n
     if "n" in cfg.instance:
-        sizes = (hierarchy.n, tests.n_columns, problem.z_true.size)
+        sizes = (hierarchy.n, tests.shape[1], problem.z_true.size)
         assert sizes == tuple(cfg.instance[key] for key in ("n", "m", "N"))
 
 
@@ -643,7 +643,7 @@ def test_exit_code_two_when_not_converged(tmp_path, monkeypatch):
     def stuck(assembly, options=None):
         n = assembly.hierarchy.n
         return MultiSliceSolution(
-            point=np.zeros(assembly.hierarchy.basis.columns.shape[0]),
+            point=np.zeros(assembly.hierarchy.basis.shape[0]),
             coeffs=np.zeros(n),
             cost=1.0,
             iterations=options.max_iterations if options else 0,

@@ -14,7 +14,6 @@ import pytest
 from helpers import metric_draws, random_orthogonal, random_spd
 from msrom import (
     GramDecomposition,
-    OrthonormalFrame,
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
@@ -91,8 +90,8 @@ def test_metric_instance_equals_its_euclidean_image(metric, m):
     LZ = Lt @ base[:, :m]
     image = (
         ProblemInstance(Lt @ z_true, factors=(Lt @ R, LZ)),
-        SubspaceHierarchy(OrthonormalFrame(Lt @ W), hierarchy.widths, hierarchy.distances),
-        OrthonormalFrame(LZ),
+        SubspaceHierarchy(Lt @ W, hierarchy.widths, hierarchy.distances),
+        LZ,
     )
     want = outcome(problem, hierarchy, tests)
     assert want["ms_iterations"] > 0  # the widths bite: MS is not the LS solution
@@ -106,7 +105,7 @@ def test_rotated_test_basis_leaves_solutions_and_bounds(metric, m):
     # both projections, and the singular values and gamma do not change
     (problem, hierarchy, tests), _ = instance(metric, m)
     O = random_orthogonal(np.random.default_rng(17), m)
-    rotated = OrthonormalFrame(tests.columns @ O)
+    rotated = tests @ O
     want = outcome(problem, hierarchy, tests)
     got = outcome(problem, hierarchy, rotated)
     assert_same(got, want, ["pg_coeffs", "ms_coeffs", "ms_bound", "babuska"])
@@ -201,11 +200,7 @@ def test_flipped_trial_signs_leave_the_rows(corpus):
     rng = np.random.default_rng(41)
     for problem, hierarchy, tests in SIGN_FLIP_CORPUS[corpus]():
         signs = np.where(rng.random(hierarchy.n) < 0.5, -1.0, 1.0)
-        flipped = SubspaceHierarchy(
-            OrthonormalFrame(hierarchy.basis.columns * signs),
-            hierarchy.widths,
-            hierarchy.distances,
-        )
+        flipped = SubspaceHierarchy(hierarchy.basis * signs, hierarchy.widths, hierarchy.distances)
         want = row(problem, hierarchy, tests)
         got = row(problem, flipped, tests)
         if corpus == "sweep":

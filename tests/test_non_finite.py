@@ -12,10 +12,10 @@ import pytest
 from helpers import sup_oracle
 from msrom import (
     GramDecomposition,
-    OrthonormalFrame,
     ProblemInstance,
     SubspaceHierarchy,
     ValidationError,
+    assemble,
     orthonormalize,
     parse_config,
     project_slices,
@@ -26,7 +26,7 @@ from msrom.problems import check_profile
 
 WIDTHS = np.array([1.0, 0.6, 0.3, 0.2])
 TAU = np.array([0.8, 0.4, 0.2, 0.1])
-BASIS = OrthonormalFrame(np.eye(4)[:, :3])
+BASIS = np.eye(4)[:, :3]
 DELTA, SIGMA = np.array([1.0, 1.0]), np.array([1.0, 0.5])
 # the two factors of an operator and the truth of a problem on R^4
 FACTOR, TRUTH = np.arange(8.0).reshape(4, 2), np.ones(4)
@@ -90,16 +90,26 @@ ENTRY_POINTS = {
         np.ones(3), lambda v: project_slices(v, WIDTHS), ValueError, "c entries must be finite"
     ),
     "orthonormalize-vectors": (
-        BASIS.columns,
+        BASIS,
         orthonormalize,
         ValueError,
         "vectors must have finite entries",
     ),
     "frame-columns": (
-        BASIS.columns,
-        OrthonormalFrame,
+        BASIS,
+        lambda v: SubspaceHierarchy(v, widths=WIDTHS, distances=TAU),
         ValueError,
-        "columns must have finite entries",
+        "^the trial frame must have finite, orthonormal columns$",
+    ),
+    "test-frame-columns": (
+        BASIS,
+        lambda v: assemble(
+            ProblemInstance(TRUTH, factors=(FACTOR, FACTOR)),
+            SubspaceHierarchy(BASIS, widths=WIDTHS, distances=TAU),
+            v,
+        ),
+        ValueError,
+        "^the test frame must have finite, orthonormal columns$",
     ),
     "problem-z_true": (
         TRUTH, lambda v: ProblemInstance(v, factors=(FACTOR, FACTOR)), *PROBLEM_REFUSED

@@ -13,7 +13,6 @@ from helpers import (
     random_spd,
 )
 from msrom import (
-    OrthonormalFrame,
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
@@ -81,13 +80,12 @@ def test_factored_operator_matches_dense(metric):
     A = R @ Z.T
     frames = [
         tests,
-        OrthonormalFrame(tests.columns @ random_orthogonal(rng, m)),
+        tests @ random_orthogonal(rng, m),
         orthonormalize(rng.standard_normal((N, 5))),
     ]
-    for frame in frames:
-        Y = frame.columns
-        assert relative_gap(riesz_representers(problem, frame), A @ Y) <= 1e-13
-        assert relative_gap(rhs_vector(problem, frame), Y.T @ A.T @ problem.z_true) <= 1e-13
+    for Y in frames:
+        assert relative_gap(riesz_representers(problem, Y), A @ Y) <= 1e-13
+        assert relative_gap(rhs_vector(problem, Y), Y.T @ A.T @ problem.z_true) <= 1e-13
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -125,7 +123,7 @@ def test_synthetic_rhs_identity():
     tests = orthonormalize(rng.standard_normal((5, 4)))
     d = rhs_vector(problem, tests)
     for j in range(4):
-        b = z @ A @ tests.columns[:, j]
+        b = z @ A @ tests[:, j]
         assert abs(d[j] - b) <= 1e-9 * max(1.0, abs(b))
 
 
@@ -134,7 +132,7 @@ def test_riesz_identity_operator():
     Z = orthonormalize(rng.standard_normal((4, 3)))
     problem = ProblemInstance(np.zeros(4), factors=(np.eye(4), np.eye(4)))
     family = riesz_representers(problem, Z)
-    assert np.allclose(family, Z.columns)
+    assert np.allclose(family, Z)
 
 
 def test_riesz_zero_operator():
@@ -155,7 +153,7 @@ def test_riesz_defining_identity_random_metric():
     Z = orthonormalize(rng.standard_normal((6, 6)))
     problem = ProblemInstance(np.zeros(6), factors=(Lt @ A @ np.linalg.inv(Lt), np.eye(6)))
     family = np.linalg.solve(Lt, riesz_representers(problem, Z))
-    tests = np.linalg.solve(Lt, Z.columns)
+    tests = np.linalg.solve(Lt, Z)
     for _ in range(20):
         v = rng.standard_normal(6)
         for j in range(6):
@@ -184,7 +182,7 @@ def test_hierarchy_validation():
             distances=np.array([1.0, 0.6, 0.1]),  # exceeds a width
         )
     # no hierarchy without a trial direction: every bound and solve reads sigma_n
-    empty = OrthonormalFrame(np.zeros((4, 0)))
+    empty = np.zeros((4, 0))
     with pytest.raises(ValueError, match="^a hierarchy needs at least one trial direction"):
         SubspaceHierarchy(empty, widths=np.ones(1), distances=np.ones(1))
 
@@ -264,7 +262,7 @@ def test_synth_prescribed_exact_distances():
     problem, hierarchy, tests = synth_prescribed(
         n, m, N, sigma, random_orthogonal(rng, n), tau, tau, seed=31
     )
-    z, W = problem.z_true, hierarchy.basis.columns
+    z, W = problem.z_true, hierarchy.basis
     for k in range(n + 1):
         res = np.linalg.norm(z - W[:, :k] @ (W[:, :k].T @ z))
         assert abs(res - tau[k]) <= 1e-9
@@ -294,7 +292,7 @@ def test_synth_prescribed_with_metric():
     s = np.linalg.svd(G, compute_uv=False)
     assert np.max(np.abs(s - sigma)) <= 1e-9
     # the instance is returned in orthonormal coordinates
-    z, W = problem.z_true, hierarchy.basis.columns
+    z, W = problem.z_true, hierarchy.basis
     assert np.max(np.abs(W.T @ W - np.eye(n))) <= 1e-12
     assert abs(np.linalg.norm(z - W @ (W.T @ z)) - tau[-1]) <= 1e-9
 
@@ -308,11 +306,10 @@ def test_test_basis_is_the_leading_base_frame(metric):
     X = random_orthogonal(rng, n)
     M = random_spd(rng, N) if metric else None
     _, hierarchy, tests = synth_prescribed(n, n, N, sigma, X, tau, tau, 5, metric=M)
-    assert np.array_equal(tests.columns, hierarchy.basis.columns)
+    assert np.array_equal(tests, hierarchy.basis)
     m = 9
-    problem, hierarchy, tests = synth_prescribed(n, m, N, sigma, X, tau, tau, 5, metric=M)
-    Z = tests.columns
-    assert np.array_equal(Z[:, :n], hierarchy.basis.columns)
+    problem, hierarchy, Z = synth_prescribed(n, m, N, sigma, X, tau, tau, 5, metric=M)
+    assert np.array_equal(Z[:, :n], hierarchy.basis)
     assert np.max(np.abs(Z.T @ Z - np.eye(m))) <= 1e-12
 
 
@@ -328,8 +325,9 @@ def test_square_instance_shares_the_trial_frame(metric):
     problem, hierarchy, tests = synth_prescribed(
         n, n, N, sigma, random_orthogonal(rng, n), tau, tau, 3, metric=M
     )
-    assert tests is hierarchy.basis
-    assert problem.factors[1] is hierarchy.basis.columns
+    # the same view of the same memory, so the same rounding as the trial frame
+    assert tests.__array_interface__ == hierarchy.basis.__array_interface__
+    assert problem.factors[1] is tests
 
 
 @pytest.mark.parametrize("metric", [False, True])
@@ -365,8 +363,8 @@ def test_metric_frames_are_the_image_of_metric_gram_schmidt(spread):
     )
     base, _ = metric_draws(n, m, N, seed, M)
     image = np.linalg.cholesky(M).T @ base
-    assert np.max(np.abs(hierarchy.basis.columns - image[:, :n])) <= 1e-10
-    assert np.max(np.abs(tests.columns - image[:, :m])) <= 1e-10
+    assert np.max(np.abs(hierarchy.basis - image[:, :n])) <= 1e-10
+    assert np.max(np.abs(tests - image[:, :m])) <= 1e-10
 
 
 def test_frame_and_problem_of_different_dimension_are_refused():
@@ -389,6 +387,20 @@ def test_frame_and_problem_of_different_dimension_are_refused():
         assemble(problem, hierarchy, other)
     with pytest.raises(ValueError, match=r"^the trial frame lies in R\^9, the problem in R\^8$"):
         assemble(problem, longer, tests)
+
+
+def test_generator_frames_are_orthonormal_far_inside_the_tolerance():
+    # the trial and test frames enter the system through check_frame, which
+    # refuses a Gram off the identity by more than ORTHONORMAL_TOL = 1e-10;
+    # every generator's frames sit three decades inside it
+    instances = [random_instance(3, 10, seed) for seed in range(2026, 2034)]
+    instances += [example1(1e-4, 10, 40, seed=3, m=20), example2(1e-3, 16, 64, seed=3)]
+    for seed in range(3):
+        B = np.random.default_rng([seed, 1]).standard_normal((60, 60))
+        instances.append(metric_example1(12, 60, seed, B @ B.T / 60 + np.eye(60)))
+    for _, hierarchy, tests in instances:
+        for frame in (hierarchy.basis, tests):
+            assert np.max(np.abs(frame.T @ frame - np.eye(frame.shape[1]))) <= 1e-13
 
 
 def test_hadamard_available_matches_flat_orthogonal():
@@ -531,7 +543,7 @@ def test_synth_prescribed_properties(seed):
     G = gram_matrix(riesz_representers(problem, tests), hierarchy.basis)
     s = np.linalg.svd(G, compute_uv=False)
     assert np.max(np.abs(s - sigma)) <= 1e-9
-    z, W = problem.z_true, hierarchy.basis.columns
+    z, W = problem.z_true, hierarchy.basis
     assert abs(np.linalg.norm(z - W @ (W.T @ z)) - tau[-1]) <= 1e-9
     # b really is a(z_true, .) on this instance: d_j = a(z_true, z_j) = <r_j, z_true>
     d = rhs_vector(problem, tests)
@@ -589,12 +601,12 @@ def test_random_instance_validation():
         with pytest.raises(ValueError, match=r"^need integers 1 <= n_min <= n_max"):
             random_instance(n_min, n_max, 0)
     problem, hierarchy, tests = random_instance(np.int64(2), 2, 5)
-    assert (hierarchy.n, problem.z_true.size) == (2, 2 + tests.n_columns + 3)
+    assert (hierarchy.n, problem.z_true.size) == (2, 2 + tests.shape[1] + 3)
 
 
 def test_riesz_family_shape_check():
     # the representers are an (N, m) matrix; a single vector is refused
-    trial = OrthonormalFrame(np.eye(3)[:, :1])
+    trial = np.eye(3)[:, :1]
     for call in (
         lambda R: gram_matrix(R, trial),
         lambda R: gamma_of(R, trial),

@@ -25,7 +25,6 @@ from helpers import (
 )
 from msrom import (
     GramDecomposition,
-    OrthonormalFrame,
     ProblemInstance,
     SolverOptions,
     SubspaceHierarchy,
@@ -166,8 +165,8 @@ def test_solve_pg_defining_equations():
     scale = np.linalg.norm(d)
     R, Z = problem.factors
     A = R @ Z.T  # a(v, z) = v^T A z
-    for j in range(tests.n_columns):
-        z_j = tests.columns[:, j]
+    for j in range(tests.shape[1]):
+        z_j = tests[:, j]
         gap = point @ A @ z_j - problem.z_true @ A @ z_j
         assert abs(gap) <= 1e-8 * max(scale, 1e-12)
 
@@ -215,7 +214,7 @@ def test_solve_pg_singular_system():
 def test_solve_pg_least_squares_when_overdetermined():
     rng = np.random.default_rng(6)
     problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
-    while tests.n_columns == hierarchy.n:
+    while tests.shape[1] == hierarchy.n:
         problem, hierarchy, tests = sweep_instance(rng, n_low=3, n_high=5)
     _, coeffs = solve_pg(assemble(problem, hierarchy, tests))
     G, d = gram_and_load(problem, hierarchy, tests)
@@ -272,7 +271,7 @@ def test_a_singular_value_the_decomposition_calls_zero_is_zero_for_pg_and_ms(m, 
 def test_rejects_fewer_tests_than_trial_directions():
     rng = np.random.default_rng(7)
     problem, hierarchy, tests = square_instance(rng, n_low=4, n_high=4)
-    short = OrthonormalFrame(tests.columns[:, :2])
+    short = tests[:, :2]
     with pytest.raises(ValueError, match="at least as many tests as trial directions"):
         assemble(problem, hierarchy, short)
 
@@ -345,7 +344,7 @@ def test_solve_ms_certificate_and_feasibility():
         solution = solve_ms(assemble(problem, tight, tests))
         assert solution.converged
         # the returned point really lives in the trial span
-        W = hierarchy.basis.columns
+        W = hierarchy.basis
         assert np.linalg.norm(solution.point - W @ (W.T @ solution.point)) <= 1e-9
         assert np.all(tail_norms(solution.coeffs) <= tight.widths[: hierarchy.n] + 1e-8)
         cert = max(1e-8, 1e-6 * np.linalg.norm(2.0 * G.T @ d))
@@ -406,7 +405,7 @@ def test_solve_ms_truth_projection_chain():
         trial = hierarchy.basis
         assembly = assemble(problem, hierarchy, tests)
         solution = solve_ms(assembly)
-        c_star = trial.columns.T @ problem.z_true
+        c_star = trial.T @ problem.z_true
         assert np.all(tail_norms(c_star) <= hierarchy.widths[: hierarchy.n] + 1e-10)
         r_star = G @ c_star - d
         f_star = float(r_star @ r_star)
@@ -752,8 +751,8 @@ def test_solve_ms_ridges_an_exactly_singular_lagrangian_system(monkeypatch):
     A = np.zeros((6, 6))
     A[1, 3] = A[2, 4] = A[3, 5] = 1.0
     problem = ProblemInstance(np.array([0.3, 0.8, -0.6, 0.2, 0.0, 0.0]), factors=(A, E))
-    trial = OrthonormalFrame(E[:, :3])
-    tests = OrthonormalFrame(E[:, 3:])
+    trial = E[:, :3]
+    tests = E[:, 3:]
     hierarchy = slice_hierarchy(trial, np.array([10.0, 0.5, 0.3, 0.0]))
     raised, solve = [], np.linalg.solve
 
@@ -780,8 +779,8 @@ def test_solve_ms_flat_cost_returns_the_origin():
     # origin, feasible for any widths, is returned without iterating.  The load
     # is set directly, d = (1, 2, 0)
     E = np.eye(6)
-    hierarchy = slice_hierarchy(OrthonormalFrame(E[:, :3]), np.array([1.0, 0.5, 0.2, 0.1]))
-    tests = OrthonormalFrame(E[:, 3:])
+    hierarchy = slice_hierarchy(E[:, :3], np.array([1.0, 0.5, 0.2, 0.1]))
+    tests = E[:, 3:]
     rounding = np.zeros((6, 6))
     rounding[3:, 3:] = np.eye(3)  # A z_j = z_j + 1e-17 w_j
     rounding[:3, 3:] = 1e-17 * np.eye(3)
@@ -807,9 +806,9 @@ def test_solve_ms_falls_back_to_lstsq_for_a_singular_free_block(monkeypatch):
     for j, a in enumerate((1.0, 0.5, 0.25)):
         A[j, 3 + j] = a
     problem = ProblemInstance(np.zeros(8), factors=(A, E))
-    trial = OrthonormalFrame(E[:, :3])
+    trial = E[:, :3]
     hierarchy = slice_hierarchy(trial, np.array([2.0, 1.0, 0.5, 0.1]))
-    tests = OrthonormalFrame(E[:, 3:6])
+    tests = E[:, 3:6]
     calls, lstsq = [], np.linalg.lstsq
 
     def counting_lstsq(*args, **kwargs):
@@ -883,7 +882,7 @@ def test_solve_ms_properties(seed):
     assert solution.converged
     n = hierarchy.n
     assert np.all(tail_norms(solution.coeffs) <= hierarchy.widths[:n] + 1e-8)
-    W = hierarchy.basis.columns
+    W = hierarchy.basis
     assert np.linalg.norm(solution.point - W @ (W.T @ solution.point)) <= 1e-9
     assert solution.cost >= 0.0
 

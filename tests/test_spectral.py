@@ -20,7 +20,6 @@ from helpers import (
 from msrom import (
     Assembly,
     GramDecomposition,
-    OrthonormalFrame,
     SubspaceHierarchy,
     assemble,
     decompose,
@@ -50,7 +49,7 @@ def reconstruction_error(decomp):
 def test_gram_matrix_self():
     rng = np.random.default_rng(0)
     trial = orthonormalize(rng.standard_normal((5, 3)))
-    riesz = trial.columns.copy()
+    riesz = trial.copy()
     assert np.allclose(gram_matrix(riesz, trial), np.eye(3), atol=1e-12)
 
 
@@ -155,7 +154,7 @@ def test_gram_decomposition_checks(fields, match):
 def test_gamma_zero_when_representers_in_span():
     rng = np.random.default_rng(6)
     trial = orthonormalize(rng.standard_normal((6, 3)))
-    riesz = trial.columns @ rng.standard_normal((3, 4))
+    riesz = trial @ rng.standard_normal((3, 4))
     assert gamma_of(riesz, trial)[0] <= 1e-12
 
 
@@ -168,7 +167,7 @@ def test_gamma_matches_complement_basis_oracle():
         trial = orthonormalize(rng.standard_normal((N, n)))
         riesz = rng.standard_normal((N, m))
         comp = complement_frame(trial)
-        C = riesz.T @ comp.columns
+        C = riesz.T @ comp
         want = np.linalg.svd(C, compute_uv=False)[0]
         assert abs(gamma_of(riesz, trial)[0] - want) <= 1e-12 * want
 
@@ -190,7 +189,7 @@ def test_gamma_scales_with_extreme_representers(metric):
 def test_gamma_in_span_is_rounding_sized(metric):
     rng = np.random.default_rng(15)
     trial = orthonormalize(metric_root(rng, 8, metric) @ rng.standard_normal((8, 4)))
-    B = trial.columns @ rng.standard_normal((4, 5))
+    B = trial @ rng.standard_normal((4, 5))
     for c in (1e-200, 1.0, 1e200):
         g = gamma_of(c * B, trial)[0]
         assert np.isfinite(g)
@@ -202,7 +201,7 @@ def test_gamma_large_matches_svd_of_complement_component(metric):
     N = 500
     rng = np.random.default_rng(16)
     problem, hierarchy, tests = metric_example1(100, N, 16, random_spd(rng, N) if metric else None)
-    W = hierarchy.basis.columns
+    W = hierarchy.basis
     R = riesz_representers(problem, tests)
     P = R - W @ (W.T @ R)  # in the orthonormal coordinates the generator returns
     want = np.linalg.svd(P, compute_uv=False)[0]
@@ -217,7 +216,7 @@ def test_gamma_zero_without_complement_or_representers():
     assert gamma_of(np.zeros((4, 0)), trial)[0] == 0.0
     assert gamma_of(np.zeros((4, 2)), trial) == (0.0, 0.0)
     # coordinate trial vectors make P = R - W (W^T R) exactly zero
-    coordinates = OrthonormalFrame(np.eye(6)[:, :3])
+    coordinates = np.eye(6)[:, :3]
     R = np.zeros((6, 4))
     R[:3] = rng.standard_normal((3, 4))
     g, norm = gamma_of(R, coordinates)
@@ -284,9 +283,9 @@ def test_gamma_dominates_random_complement_samples():
     riesz = riesz_representers(problem, tests)
     g = gamma_of(riesz, trial)[0]
     comp = complement_frame(trial)
-    coefs = rng.standard_normal((comp.n_columns, 10_000))
+    coefs = rng.standard_normal((comp.shape[1], 10_000))
     coefs /= np.linalg.norm(coefs, axis=0)
-    V = comp.columns @ coefs
+    V = comp @ coefs
     vals = np.linalg.norm(riesz.T @ V, axis=0)
     assert np.all(vals <= g + 1e-9)
 
@@ -301,7 +300,7 @@ def test_gamma_matches_sampled_supremum_on_plane_complement():
     comp = complement_frame(trial)
     K = 10_000
     theta = (np.arange(K) + rng.random(K)) * (2.0 * np.pi / K)
-    V = comp.columns @ np.vstack([np.cos(theta), np.sin(theta)])
+    V = comp @ np.vstack([np.cos(theta), np.sin(theta)])
     vals = np.linalg.norm(riesz.T @ V, axis=0)
     assert np.all(vals <= g + 1e-9)
     assert vals.max() >= g - 1e-6

@@ -72,7 +72,7 @@ def assert_matches_oracle(instance, sigma, X, tau, widths, metric=None, tau_mode
     M = L L^T the instance is in orthonormal coordinates, and the oracle reads
     its arrays mapped back by L^-T, in the coordinates of M."""
     problem, hierarchy, tests = instance
-    arrays = [problem.factors[0], hierarchy.basis.columns, problem.z_true]
+    arrays = [problem.factors[0], hierarchy.basis, problem.z_true]
     if metric is not None:
         Lt = np.linalg.cholesky(metric).T
         arrays = [np.linalg.solve(Lt, a) for a in arrays]
