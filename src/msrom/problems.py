@@ -132,8 +132,6 @@ def _paley(q: int) -> np.ndarray:
 def _hadamard(n: int) -> np.ndarray:
     if n == 1:
         return np.array([[1.0]])
-    if n == 2:
-        return np.array([[1.0, 1.0], [1.0, -1.0]])
     if n % 2 == 0 and hadamard_available(n // 2):
         H = _hadamard(n // 2)
         return np.block([[H, H], [H, -H]])
@@ -346,9 +344,9 @@ def random_instance(n_min: int, n_max: int, seed: int) -> Instance:
     Draws, in this order from ``seed``: n, m, a nonincreasing spectrum with
     sigma_1 pinned to 1 (the norm of the orthonormal representers), a
     nonincreasing distance profile that is also the widths, a Haar-random
-    orthogonal X (QR with the signs of R's diagonal fixed), and the seed of
-    :func:`synth_prescribed`.  ``n_min`` and ``n_max`` are integers with
-    1 <= n_min <= n_max (``ValueError`` otherwise).
+    orthogonal X (:func:`msrom.orthonormalize` of a Gaussian matrix), and the
+    seed of :func:`synth_prescribed`.  ``n_min`` and ``n_max`` are integers
+    with 1 <= n_min <= n_max (``ValueError`` otherwise).
     """
     if not (is_integer(n_min) and is_integer(n_max) and 1 <= n_min <= n_max):
         raise ValueError(f"need integers 1 <= n_min <= n_max, got {n_min!r} and {n_max!r}")
@@ -358,7 +356,6 @@ def random_instance(n_min: int, n_max: int, seed: int) -> Instance:
     sigma = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
     sigma[0] = 1.0
     tau = np.sort(rng.uniform(0.0, 1.0, size=n + 1))[::-1]
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    X = q * np.sign(np.diag(r))
+    X = orthonormalize(rng.standard_normal((n, n)))
     child_seed = int(rng.integers(0, 2**31))
     return synth_prescribed(n, m, n + m + 3, sigma, X, tau, tau, child_seed)

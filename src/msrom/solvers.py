@@ -80,7 +80,7 @@ def _least_squares(decomp: GramDecomposition, d: np.ndarray, nonzero: np.ndarray
     """``X diag(sigma)^+ U^T d``, inverting only the sigma_j in the mask ``nonzero``."""
     n = decomp.sigma.shape[0]
     inverse = np.divide(1.0, decomp.sigma, out=np.zeros(n), where=nonzero)
-    return decomp.X @ (inverse * (decomp.U[:, :n].T @ d))
+    return decomp.X @ (inverse * (decomp.U.T @ d))
 
 
 def solve_pg(assembly: Assembly) -> tuple[np.ndarray, np.ndarray]:

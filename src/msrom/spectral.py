@@ -26,9 +26,10 @@ SINGULAR_REL_TOL = 1e-12
 
 @dataclass(eq=False)
 class GramDecomposition:
-    """SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix with LAPACK's signs:
-    every reader pairs U's columns with X's or reads X in magnitude.  A wide
-    G (m < n) is refused, so that every sigma_j is a singular value of G."""
+    """Thin SVD ``G = U diag(sigma) X^T`` of an m x n Gram matrix with LAPACK's
+    signs: U is m x n, X is n x n, and every reader pairs U's columns with
+    X's or reads X in magnitude.  A wide G (m < n) is refused, so that every
+    sigma_j is a singular value of G."""
 
     G: np.ndarray
     U: np.ndarray
@@ -39,7 +40,7 @@ class GramDecomposition:
         m, n = self.G.shape
         if m < n:
             raise ValueError(f"need at least as many tests as trial directions (m={m}, n={n})")
-        if self.U.shape != (m, m) or self.X.shape != (n, n) or self.sigma.shape != (n,):
+        if self.U.shape != (m, n) or self.X.shape != (n, n) or self.sigma.shape != (n,):
             raise ValueError("inconsistent factor shapes")
         s = self.sigma  # finite first: np.diff warns on inf - inf
         if not (np.isfinite(s).all() and (s >= 0.0).all() and (np.diff(s) <= 0.0).all()):
@@ -100,9 +101,9 @@ def gram_matrix(riesz, trial: np.ndarray) -> np.ndarray:
 
 
 def decompose(G: np.ndarray) -> GramDecomposition:
-    """Full SVD of an m x n ``G``; a wide one (m < n) raises ``ValueError``."""
+    """Thin SVD of an m x n ``G``; a wide one (m < n) raises ``ValueError``."""
     G = np.asarray(G, dtype=float)
-    U, sigma, Vt = np.linalg.svd(G, full_matrices=True)
+    U, sigma, Vt = np.linalg.svd(G, full_matrices=False)
     return GramDecomposition(G=G, U=U, X=Vt.T, sigma=sigma)
 
 

@@ -82,7 +82,7 @@ ENTRY_POINTS = {
     "sup_oracle-sigma": (SIGMA, lambda v: sup_oracle(DELTA, v, 0.04), *ORACLE_REFUSED),
     "decomposition-sigma": (
         SIGMA,
-        lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3), X=np.eye(2), sigma=v),
+        lambda v: GramDecomposition(G=np.ones((3, 2)), U=np.eye(3)[:, :2], X=np.eye(2), sigma=v),
         ValueError,
         "singular values must be finite",
     ),

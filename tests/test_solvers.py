@@ -517,30 +517,32 @@ def test_run_instance_matches_standalone_solvers(kind, monkeypatch):
 def test_no_output_reads_the_signs_of_the_singular_vectors(kind):
     # the projectors read U and X in matched pairs, X diag(sigma)^+ U^T d, and
     # the bound reads |X|; so flipping paired columns, an SVD as valid as
-    # LAPACK's, moves no bit of either solve or of any field of the bound
+    # LAPACK's, moves no bit of either solve or of any field of the bound.
+    # The bound reads no U at all: a U flipped alone, or zeroed, moves none
+    # of its fields either, which is why the thin SVD moves no bound column
     problem, hierarchy, tests = threaded_instance(kind)
     assembly = assemble(problem, hierarchy, tests)
     decomp, n = assembly.decomp, hierarchy.n
     pg = solve_pg(assembly)
     ms, bound = solve_ms(assembly), ms_bound(assembly)
     rng = np.random.default_rng(sum(map(ord, kind)))
+    factors = []
     for _ in range(4):
         signs = rng.choice([-1.0, 1.0], size=n)
         signs[rng.integers(n)] = -1.0
         # elementwise products keep each factor's memory layout, so every
         # matrix product below runs the same kernel in the same order
-        flipped = GramDecomposition(
-            G=decomp.G,
-            U=decomp.U * np.append(signs, np.ones(decomp.U.shape[1] - n)),
-            X=decomp.X * signs,
-            sigma=decomp.sigma,
-        )
-        other = dataclasses.replace(assembly, decomp=flipped)
-        for want, got in zip(pg, solve_pg(other)):
-            assert got.tobytes() == want.tobytes()
-        got = solve_ms(other)
-        assert got.coeffs.tobytes() == ms.coeffs.tobytes()
-        assert (got.cost, got.iterations, got.converged) == (ms.cost, ms.iterations, ms.converged)
+        factors.append((decomp.U * signs, decomp.X * signs))
+    factors += [(decomp.U * signs, decomp.X), (np.zeros_like(decomp.U), decomp.X)]
+    for U, X in factors:
+        changed = GramDecomposition(G=decomp.G, U=U, X=X, sigma=decomp.sigma)
+        other = dataclasses.replace(assembly, decomp=changed)
+        if X is not decomp.X:
+            for want, got in zip(pg, solve_pg(other)):
+                assert got.tobytes() == want.tobytes()
+            got = solve_ms(other)
+            assert got.coeffs.tobytes() == ms.coeffs.tobytes()
+            assert (got.cost, got.iterations, got.converged) == (ms.cost, ms.iterations, ms.converged)
         report = ms_bound(other)
         assert (report.babuska, report.ms_bound) == (bound.babuska, bound.ms_bound)
         assert report.water_filling == bound.water_filling

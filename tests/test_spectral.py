@@ -39,11 +39,8 @@ def metric_root(rng, N, metric):
 
 
 def reconstruction_error(decomp):
-    m, n = decomp.G.shape
-    Lam = np.zeros((m, n))
-    Lam[:n, :n] = np.diag(decomp.sigma)
     scale = max(np.max(np.abs(decomp.G)), 1e-30)
-    return np.max(np.abs(decomp.G - decomp.U @ Lam @ decomp.X.T)) / scale
+    return np.max(np.abs(decomp.G - decomp.U @ np.diag(decomp.sigma) @ decomp.X.T)) / scale
 
 
 def test_gram_matrix_self():
@@ -81,7 +78,7 @@ def test_decompose_random_rectangular():
     assert reconstruction_error(decomp) <= 1e-10
     assert np.all(np.diff(decomp.sigma) <= 0.0)
     assert np.max(np.abs(decomp.X.T @ decomp.X - np.eye(4))) <= 1e-12
-    assert np.max(np.abs(decomp.U.T @ decomp.U - np.eye(7))) <= 1e-12
+    assert np.max(np.abs(decomp.U.T @ decomp.U - np.eye(4))) <= 1e-12
 
 
 def test_decompose_is_deterministic():
@@ -109,7 +106,7 @@ def test_decompose_shapes_and_padding():
     for G in cases:
         m, n = G.shape
         decomp = decompose(G)
-        assert (decomp.U.shape, decomp.X.shape, decomp.sigma.shape) == ((m, m), (n, n), (n,))
+        assert (decomp.U.shape, decomp.X.shape, decomp.sigma.shape) == ((m, n), (n, n), (n,))
         scale = max(1.0, float(np.max(np.abs(G), initial=0.0)))
         singular_values = np.linalg.svd(G, compute_uv=False)
         assert np.allclose(decomp.sigma, singular_values, rtol=0, atol=1e-12 * scale)
@@ -134,6 +131,7 @@ def test_decompose_reconstruction_property(seed):
     "fields, match",
     [
         ({"U": np.eye(2)}, "inconsistent factor shapes"),
+        ({"U": np.eye(3)}, "inconsistent factor shapes"),  # the full m x m factor
         ({"X": np.eye(3)}, "inconsistent factor shapes"),
         ({"sigma": np.ones(3)}, "inconsistent factor shapes"),
         ({"sigma": np.array([0.5, 1.0])}, "nonincreasing"),
@@ -143,10 +141,10 @@ def test_decompose_reconstruction_property(seed):
             r"at least as many tests as trial directions \(m=2, n=3\)",
         ),
     ],
-    ids=["U", "X", "sigma-length", "sigma-unsorted", "sigma-negative", "wide"],
+    ids=["U", "U-square", "X", "sigma-length", "sigma-unsorted", "sigma-negative", "wide"],
 )
 def test_gram_decomposition_checks(fields, match):
-    parts = {"G": np.ones((3, 2)), "U": np.eye(3), "X": np.eye(2), "sigma": np.array([1.0, 0.5])}
+    parts = {"G": np.ones((3, 2)), "U": np.eye(3)[:, :2], "X": np.eye(2), "sigma": np.array([1.0, 0.5])}
     with pytest.raises(ValueError, match=match):
         GramDecomposition(**{**parts, **fields})
 
