@@ -111,7 +111,8 @@ class ExperimentConfig:
     mode's keys, the keyword arguments besides ``seed`` of the mode's generator
     (``msrom.cli.GENERATORS``); a random sweep draws n and m per instance, with
     N = n + m + 3.  Runs solve with the default
-    :class:`msrom.solvers.SolverOptions`."""
+    :class:`msrom.solvers.SolverOptions`.  Construction, ``dataclasses.replace``
+    included, refuses an ``output_path`` other than None or a non-empty string."""
 
     mode: str
     seed: int
@@ -119,6 +120,10 @@ class ExperimentConfig:
     repetitions: int = 1
     tau_mode: str = "known"
     output_path: str | None = None
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.output_path, (str, type(None))) or self.output_path == "":
+            raise ValidationError("field 'output_path' must be a non-empty string")
 
 
 def _require(doc, key):
@@ -191,8 +196,6 @@ def parse_config(text: str) -> ExperimentConfig:
             f"field 'tau_mode' must be 'known' or 'practitioner', got {tau_mode!r}"
         )
     output_path = doc.get("output_path")
-    if output_path is not None and not (isinstance(output_path, str) and output_path):
-        raise ValidationError("field 'output_path' must be a non-empty string")
 
     if mode == "random-sweep":
         n_min = _require_int(doc, "n_min", minimum=1)
@@ -251,7 +254,7 @@ def main(argv=None) -> int:
             from .cli import run_experiment  # here, so `validate` loads no numpy
 
             if args.output is not None:
-                cfg = replace(cfg, output_path=args.output)
+                cfg = replace(cfg, output_path=args.output)  # refuses '' as the field does
             return run_experiment(cfg, quiet=args.quiet)
     except (OSError, UnicodeDecodeError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

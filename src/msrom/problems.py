@@ -207,8 +207,8 @@ _METRIC_SYM_TOL = 1e-12
 def _metric_root(N: int, metric) -> np.ndarray:
     """``L^T`` for the N x N metric ``M = L L^T`` (Cholesky) of a finite M,
     symmetric to ``_METRIC_SYM_TOL``; a failed factorization refuses an M that
-    is not positive definite."""
-    M = np.array(metric, dtype=float)
+    is not positive definite.  Reads the caller's array in place, never writing it."""
+    M = np.asarray(metric, dtype=float)
     if M.shape != (N, N):
         raise ValueError(f"metric must be {N}x{N}, got {M.shape}")
     scale = np.max(np.abs(M))
@@ -255,6 +255,12 @@ def synth_prescribed(
     unit ``u`` orthogonal to the trial span, so ``dist(z_true, V_k) = tau_k``
     for all k.  Returns ``(problem, hierarchy, Z)``.
 
+    From ``seed`` it draws the N x (n + m) normals of the frame ``[W Q]``,
+    then the N normals of ``u``; :func:`random_instance` draws its n, m,
+    sigma, tau, X and this seed before.  Earlier versions drew N x m unused
+    normals between the two, so every seed's ``u`` has changed since: the
+    errors, cost and iterations of a run moved, and no bound did.
+
     ``metric``, a symmetric positive-definite N x N ``M``, builds the instance
     in the inner product ``u^T M v`` and returns its image in orthonormal
     coordinates: the random draws pass through ``x -> L^T x``, ``M = L L^T``,
@@ -282,8 +288,7 @@ def synth_prescribed(
     R[:, n:] = Q[:, n:]
 
     # Z moves no output beyond rounding, so it reuses the frame (at m = n the trial
-    # frame itself).  The N x m normals drawn here keep each seed's u and z_true.
-    rng.standard_normal((N, m))
+    # frame itself).
     Z = base[:, :m]
 
     coeff = np.sqrt(np.maximum(tau[:-1] ** 2 - tau[1:] ** 2, 0.0))

@@ -106,7 +106,6 @@ def metric_draws(n, m, N, seed, M):
     draws = np.random.default_rng(seed)
     base = mgs_orthonormalize(draws.standard_normal((N, n + m)), M)
     W = base[:, :n]
-    draws.standard_normal((N, m))  # the normals the generator discards
     u = draws.standard_normal(N)
     for _ in range(2):
         u -= W @ (W.T @ (M @ u))

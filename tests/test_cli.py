@@ -864,6 +864,16 @@ def test_validate_refuses_an_empty_output_path(tmp_path, capsys):
         cfg_path.write_text(example1_doc(output_path=value))
         assert main(["validate", str(cfg_path)]) == 1
         assert capsys.readouterr().err == "error: field 'output_path' must be a non-empty string\n"
+    # `run --output ''` meets the same rule, over the document's destination
+    # or stdout, and writes nothing
+    for doc in (example1_doc(), example1_doc(output_path=str(tmp_path / "out.csv"))):
+        cfg_path.write_text(doc)
+        assert main(["run", str(cfg_path), "--output", ""]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: field 'output_path' must be a non-empty string\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_main_reports_bad_config(tmp_path, capsys):

@@ -2,8 +2,9 @@
 Euclidean image of the same instance built in the metric by Gram-Schmidt, a
 rotated test basis against the original one, a nearly
 symmetric metric against its symmetrization, trial vectors with flipped
-signs against the original ones, and the paper examples' singular vectors
-rotated inside a tie of sigma against LAPACK's."""
+signs against the original ones, another truth with the same distances
+against the original one, and the paper examples' singular vectors rotated
+inside a tie of sigma against LAPACK's."""
 
 import dataclasses
 import json
@@ -149,14 +150,16 @@ def example1_in_metric(M, seed, n, tau):
 
 
 def test_nearly_symmetric_metric_gives_the_rows_of_its_symmetrization():
+    # the generator reads either metric in place and leaves its bits alone
     rng = np.random.default_rng(31)
     M = random_spd(rng, 40, spread=10.0)
     S = rng.standard_normal((40, 40))
     skewed = M + 1e-14 * np.max(np.abs(M)) * (S - S.T)
-    rows = [
-        row(*example1_in_metric(A, 5, n=8, tau=1e-3))
-        for A in (skewed, 0.5 * (skewed + skewed.T))
-    ]
+    metrics = (skewed, 0.5 * (skewed + skewed.T))
+    assert not np.array_equal(skewed, skewed.T) and np.array_equal(metrics[1], metrics[1].T)
+    before = [A.tobytes() for A in metrics]
+    rows = [row(*example1_in_metric(A, 5, n=8, tau=1e-3)) for A in metrics]
+    assert [A.tobytes() for A in metrics] == before
     assert_same_row(*rows)
 
 
@@ -206,6 +209,33 @@ def test_flipped_trial_signs_leave_the_rows(corpus):
         if corpus == "sweep":
             assert (got["ell"], got["rho"]) == (want["ell"], want["rho"])
         assert_same_row(got, want, skip=("ell", "rho"))
+
+
+@pytest.mark.parametrize("corpus", ["sweep", "example1", "example2"])
+def test_no_bound_reads_the_truth(corpus):
+    # the bounds read sigma, gamma and the profile, never z_true: a truth with
+    # the same trial-span component and another unit direction u' of the
+    # complement, z' = W W^T z + tau_n u', moves no bit of sigma or of the
+    # bound report, while both errors may move
+    rng = np.random.default_rng(43)
+    moved = 0
+    for problem, hierarchy, tests in SIGN_FLIP_CORPUS[corpus]():
+        W = hierarchy.basis
+        u = rng.standard_normal(W.shape[0])
+        for _ in range(2):
+            u -= W @ (W.T @ u)
+        z = W @ (W.T @ problem.z_true) + hierarchy.distances[-1] * (u / np.linalg.norm(u))
+        want, _, decomp = run_instance(problem, hierarchy, tests, SolverOptions())
+        got, _, other = run_instance(
+            ProblemInstance(z, factors=problem.factors), hierarchy, tests, SolverOptions()
+        )
+        assert other.sigma.tobytes() == decomp.sigma.tobytes()
+        assert (got.babuska, got.ms_bound) == (want.babuska, want.ms_bound)
+        assert got.water_filling == want.water_filling
+        assert got.intermediates.gamma == want.intermediates.gamma
+        assert got.intermediates.delta.tobytes() == want.intermediates.delta.tobytes()
+        moved += got.actual_ms_error != want.actual_ms_error
+    assert moved  # the truth did move
 
 
 @pytest.mark.parametrize(

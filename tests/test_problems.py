@@ -332,8 +332,7 @@ def test_square_instance_shares_the_trial_frame(metric):
 
 @pytest.mark.parametrize("metric", [False, True])
 def test_truth_rebuilt_from_the_seed(metric):
-    # the generator's draws, in order: the base frame's normals, the test
-    # basis's discarded normals, then u
+    # the generator's draws, in order: the base frame's normals, then u
     rng = np.random.default_rng(13)
     n, m, N, seed = 4, 6, 15, 77
     sigma = descending(rng, n, 0.05, 1.0)

@@ -310,7 +310,7 @@ def test_solve_ms_inactive_constraints_match_pg():
         g = 2.0 * (G.T @ G @ c - G.T @ d)
         r = float(np.linalg.norm(c - project_slices(c - eta * g, widths)) / eta)
         assert solution.converged and solution.kkt_residual == r, seed
-    assert skipped == 22
+    assert skipped == 18
 
 
 def test_solve_ms_all_zero_widths():
@@ -833,7 +833,7 @@ def test_solve_ms_stall_returns_a_feasible_uncertified_point(monkeypatch):
     import msrom.solvers as solvers_module
 
     cfg = parse_config(json.dumps({"mode": "random-sweep", "n_min": 3, "n_max": 10, "seed": 0}))
-    for seed in (2, 3, 44):
+    for seed in (5, 11, 13):
         problem, hierarchy, tests = _build_instance(cfg, seed)
         n = hierarchy.n
         assembly = assemble(problem, hierarchy, tests)
@@ -869,7 +869,7 @@ def test_solver_options_validation():
     assembly = assemble(problem, hierarchy, tests)
     default = solve_ms(assembly)
     numpy_cap = solve_ms(assembly, SolverOptions(max_iterations=np.int64(50_000)))
-    assert default.converged and default.iterations == 5
+    assert default.converged and default.iterations == 4
     assert numpy_cap.coeffs.tobytes() == default.coeffs.tobytes()
     with pytest.raises(TypeError):  # the stall tolerance is no option
         SolverOptions(gradient_tolerance=1e-10)
